@@ -1,0 +1,93 @@
+"""Record the golden fingerprint that ``test_golden.py`` checks, into
+golden.json.
+
+Usage (from the repository root, on a commit whose results are trusted)::
+
+    PYTHONPATH=src python3 tests/record_golden.py
+
+Simulates a small fixed grid (every policy x two channels x two class
+mixes, N=6, 2 replications of 2 s each) and writes, per case, the SHA-256
+of the ``per_run.csv`` that ``emit_results`` writes and of every loop's
+AoI and state series.  Results must stay bit-for-bit identical across
+refactors, so regenerate the file only when results are meant to change.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from ncsim.channel import ChannelConfig
+from ncsim.engine import SimConfig, run_replications, systems_from_classes
+from ncsim.experiments import emit_results
+from ncsim.mac import PROTOCOLS, SchedulerPolicy
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "golden.json")
+N_LOOPS = 6
+REPS = 2
+MIXES = {"scalar": ("easy", "mid", "hard"),
+         "pendulum": ("easy", "pendulum", "hard")}
+CHANNELS = {
+    "strict": ChannelConfig(mode="strict_collision", erasure_prob=0.0),
+    "capture": ChannelConfig(mode="offset_capture", erasure_prob=0.01)}
+# The age-threshold policy needs a pair; a fixed one keeps the grid
+# independent of the optimizer.
+POLICY_PARAMS = {"adra": {"threshold": 3, "p": 0.3}}
+
+
+def cases():
+    """(case name, SimConfig) for every cell of the grid."""
+    for mix, pattern in MIXES.items():
+        systems, classes = systems_from_classes(N_LOOPS, pattern)
+        for chan, channel in CHANNELS.items():
+            for variant in PROTOCOLS:
+                policy = SchedulerPolicy(variant=variant,
+                                         **POLICY_PARAMS.get(variant, {}))
+                yield f"{mix}-{chan}-{variant}", SimConfig(
+                    systems=systems, classes=classes, policy=policy,
+                    channel=channel, duration_s=2.0, warmup_s=0.5,
+                    cooldown_s=0.5, seed=0, replications=REPS,
+                    record_series=True)
+
+
+def _series_digest(res) -> str:
+    h = hashlib.sha256()
+    for r in res["replications"]:
+        for i in sorted(r["series"]):
+            for key, dtype in (("aoi", np.int64), ("state", np.float64)):
+                a = np.ascontiguousarray(r["series"][i][key], dtype=dtype)
+                h.update(repr(a.shape).encode())
+                h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def fingerprint() -> dict:
+    """case name -> {"per_run.csv": sha256, "series": sha256}."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cfg in cases():
+            res = run_replications(cfg)
+            for r in res["replications"]:
+                r["metrics"]["loop_classes"] = cfg.classes
+            emit_results({(cfg.policy.variant, cfg.n_loops): res}, tmp)
+            with open(os.path.join(tmp, "per_run.csv"), "rb") as fh:
+                csv_digest = hashlib.sha256(fh.read()).hexdigest()
+            out[name] = {"per_run.csv": csv_digest,
+                         "series": _series_digest(res)}
+    return out
+
+
+def main():
+    with open(GOLDEN, "w") as fh:
+        json.dump(fingerprint(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
