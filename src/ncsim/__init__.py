@@ -10,11 +10,10 @@ from .errors import (ConfigurationError, InvariantViolation,
 from .experiments import (DEFAULT_COMPARISON_CHANNEL, ExperimentSpec,
                           parse_config, pendulum_case_study, run_single,
                           run_sweep, validate_theory)
-from .mac import (GwLoopView, LcfsQueue, Packet, SchedulerPolicy,
-                  make_policy, mef_build_schedule, pmef_next, rr_next,
-                  wifresh_next)
-from .metrics import (AoiTracker, MetricsAccumulator, MseTable,
-                      error_covariance, mse_of_age, nmse_of_age)
+from .mac import (GwLoopView, SchedulerPolicy, make_policy,
+                  mef_build_schedule, pmef_next, rr_next, wifresh_next)
+from .metrics import (MetricsAccumulator, MseTable, error_covariance,
+                      mse_of_age, nmse_of_age)
 from .systems import (DareSolution, LtiSystem, PendulumParams, control_input,
                       discretize_zoh, estimate_state, lqg_stage_cost,
                       make_preset, pendulum_continuous, solve_dare, step_plant)

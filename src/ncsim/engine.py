@@ -2,11 +2,13 @@
 
 Time advances on an integer-microsecond clock through a priority queue of
 events.  Every sampling period each loop's controller consumes the freshest
-delivered sample, applies its feedback law, the plant steps forward, and a
-new sample enters the loop's single-slot queue.  Concurrently the selected
-medium-access policy moves packets across the shared channel: slotted
-contention and beacon-framed scheduling stay aligned to the sampling grid,
-while polling runs asynchronously with back-to-back transactions.
+delivered sample, applies its feedback law, the plant steps forward, and the
+new sample, a (generation step, state) pair, replaces the loop's pending one.
+Concurrently the selected medium-access policy moves pending samples across
+the shared channel: slotted contention and beacon-framed scheduling stay
+aligned to the sampling grid, while polling runs asynchronously with
+back-to-back transactions.  Acknowledgements are instantaneous and lossless,
+so the source's view of its age is the gateway's.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ import numpy as np
 
 from .channel import ChannelConfig, draw_offsets, resolve_slot, resolve_pointtopoint
 from .errors import ConfigurationError, InvariantViolation
-from .mac import (GwLoopView, LcfsQueue, Packet, SchedulerPolicy, gw_on_data,
-                  mef_build_schedule, pmef_next, rr_next, wifresh_next)
+from .mac import (GwLoopView, SchedulerPolicy, mef_build_schedule, pmef_next,
+                  rr_next, wifresh_next)
 from .metrics import MetricsAccumulator, MseTable
 from .systems import LtiSystem, make_preset
 
@@ -102,10 +104,9 @@ class _Loop:
     def __init__(self, sys: LtiSystem, loop_id: int, seed: int):
         self.sys = sys
         self.id = loop_id
-        self.table = MseTable(sys)
+        self.table = None                  # shared per plant, set by the run
         self.nu = 0                        # generation step of freshest sample
-        self.queue = LcfsQueue()
-        self.last_acked_gen = 0            # source view of destination age
+        self.sample = None                 # pending (gen_step, state) or None
         self.diverged = False
         # Single-state single-input loops run on plain floats: the per-tick
         # work is a handful of multiply-adds, where numpy's per-call
@@ -186,7 +187,12 @@ class _Run:
         self.metrics = MetricsAccumulator(self.N, t_start, t_end, cfg.classes)
         self.loops = {i: _Loop(cfg.systems[i - 1], i, cfg.seed)
                       for i in range(1, self.N + 1)}
+        # MSE(age) depends only on the plant: one table per distinct system.
+        by_plant: dict[int, MseTable] = {}
         for loop in self.loops.values():
+            if id(loop.sys) not in by_plant:
+                by_plant[id(loop.sys)] = MseTable(loop.sys)
+            loop.table = by_plant[id(loop.sys)]
             if loop.scalar:
                 std = math.sqrt(float(loop.sys.noise_cov[0, 0]))
                 loop.noise = (loop.rng_noise.normal(size=self.steps + 1)
@@ -215,7 +221,7 @@ class _Run:
         self.current_step = t
         record = self.metrics.record_step
         series = self.cfg.record_series
-        tx_dur = self.channel.tx_duration
+        views = self.views
         thr = DIVERGENCE_THRESHOLD
         for i in range(1, self.N + 1):
             loop = self.loops[i]
@@ -233,7 +239,6 @@ class _Run:
                 loop.inputs.append(u)
                 x = loop.x
                 cost = loop.q * x * x + loop.r * u * u
-                payload = x
             else:
                 xhat = loop.estimate(t)
                 u = np.zeros(loop.sys.m) if loop.sys.gain is None \
@@ -241,15 +246,14 @@ class _Run:
                 loop.inputs.append(u)
                 x = loop.x
                 cost = float(x @ loop.sys.Q @ x + u @ loop.sys.R @ u)
-                payload = x.copy()
             record(i - 1, t, delta, mse, mse / table._base, cost)
             if series:
                 loop.aoi_series.append(delta)
-                loop.state_series.append(x if loop.scalar else x.copy())
-            loop.queue.put(Packet(
-                kind="data", src_id=i, dst_id=0, gen_step=t,
-                payload_state=payload, tx_duration=tx_dur))
-            self.views[i].tick(t)
+                loop.state_series.append(x)
+            # loop.x is rebound below, never written in place, so the
+            # sample and the series may share it.
+            loop.sample = (t, x)
+            views[i].est_age = delta
             if loop.scalar:
                 x_next = loop.a * x + loop.b * u + loop.noise[t]
                 # The chained comparison is False for nan as well.
@@ -273,7 +277,7 @@ class _Run:
         out = []
         for i in range(1, self.N + 1):
             loop = self.loops[i]
-            if len(loop.queue) == 0:
+            if loop.sample is None:
                 continue
             v = self.policy.variant
             if v == "aloha":
@@ -282,7 +286,7 @@ class _Run:
                 if loop.rng_access.random() < self.policy.p:
                     out.append(i)
             elif v == "adra":
-                src_age = max(1, t - loop.last_acked_gen)
+                src_age = max(1, t - loop.nu)
                 if src_age >= self.policy.threshold and \
                         loop.rng_access.random() < self.policy.p:
                     out.append(i)
@@ -299,21 +303,22 @@ class _Run:
             offsets = dict(txs)
             for i in ids:
                 self.metrics.record_tx(i - 1, t)
-                pkt = self.loops[i].queue.pop()
+                loop = self.loops[i]
+                sample, loop.sample = loop.sample, None
                 if i in decoded:
                     at = slot_us + round(offsets[i] * 1e6) + self.tx_us
-                    self.push(at, _PRIO_DELIVERY, "delivery", (i, pkt, t))
+                    self.push(at, _PRIO_DELIVERY, "delivery", (i, sample, t))
         else:  # round_robin or mef
             if self.policy.variant == "round_robin":
                 i = rr_next(t, self.N)
             else:
                 i = self.mef_schedule[(t - 1) % self.policy.frame_len]
-            pkt = self.loops[i].queue.peek()
-            if pkt is not None:
+            sample = self.loops[i].sample
+            if sample is not None:
                 self.metrics.record_tx(i - 1, t)
                 if resolve_pointtopoint(self.channel, self.loops[i].rng_channel):
                     self.push(slot_us + self.tx_us, _PRIO_DELIVERY,
-                              "delivery", (i, pkt, t))
+                              "delivery", (i, sample, t))
         if t < self.steps:
             self.push((t + 1) * self.Ts_us, _PRIO_SLOT, "slot", t + 1)
 
@@ -325,22 +330,22 @@ class _Run:
         if nxt <= self.steps:
             self.push(nxt * self.Ts_us, _PRIO_FRAME, "frame", nxt)
 
-    # ---- deliveries and acknowledgements --------------------------------
+    # ---- deliveries -------------------------------------------------------
 
-    def on_delivery(self, now_us: int, i: int, pkt: Packet, tx_step: int,
+    def on_delivery(self, now_us: int, i: int, sample: tuple, tx_step: int,
                     polled: bool):
+        """The gateway accepts only strictly fresher generations; the age
+        estimate becomes the sample's age on the gateway's sampling grid,
+        floored at one."""
         self.metrics.record_rx(i - 1, tx_step)
         view = self.views[i]
-        accepted, ack = gw_on_data(view, pkt, self.current_step)
         view.record_data(now_us * 1e-6)
         loop = self.loops[i]
-        if pkt.gen_step > loop.nu:
-            loop.nu = pkt.gen_step
-            loop.freshest = float(pkt.payload_state) if loop.scalar \
-                else np.asarray(pkt.payload_state, dtype=float)
-        # Acks are instantaneous and lossless: the source's view of the
-        # destination age synchronizes immediately.
-        loop.last_acked_gen = max(loop.last_acked_gen, ack.gen_step)
+        gen, state = sample
+        if gen > loop.nu:
+            loop.nu = gen
+            loop.freshest = state
+            view.est_age = max(1, self.current_step - gen)
         if polled:
             self.poll_token += 1
             self.issue_poll(now_us)
@@ -367,13 +372,12 @@ class _Run:
         if token != self.poll_token:
             return
         loop = self.loops[i]
-        pkt = loop.queue.peek()
-        if pkt is None:
-            raise InvariantViolation(f"loop {i} polled with an empty queue")
+        if loop.sample is None:
+            raise InvariantViolation(f"loop {i} polled with no pending sample")
         self.metrics.record_tx(i - 1, self.current_step)
         if resolve_pointtopoint(self.channel, loop.rng_channel):
             self.push(now_us + self.tx_us, _PRIO_DELIVERY, "polled_delivery",
-                      (i, pkt, self.current_step, token))
+                      (i, loop.sample, self.current_step, token))
 
     def on_timeout(self, token: int, now_us: int):
         if token != self.poll_token:
@@ -384,11 +388,8 @@ class _Run:
     # ---- main loop -------------------------------------------------------
 
     def execute(self) -> dict:
-        for i, loop in self.loops.items():
-            loop.queue.put(Packet(
-                kind="data", src_id=i, dst_id=0, gen_step=0,
-                payload_state=loop.x if loop.scalar else loop.x.copy(),
-                tx_duration=self.channel.tx_duration))
+        for loop in self.loops.values():
+            loop.sample = (0, loop.x)
         self.push(self.Ts_us, _PRIO_TICK, "tick", 1)
         if self.policy.is_polling:
             self.issue_poll(0)
@@ -411,12 +412,13 @@ class _Run:
                 elif kind == "frame":
                     self.on_frame(payload)
                 elif kind == "delivery":
-                    i, pkt, tx_step = payload
-                    self.on_delivery(now_us, i, pkt, tx_step, polled=False)
+                    i, sample, tx_step = payload
+                    self.on_delivery(now_us, i, sample, tx_step, polled=False)
                 elif kind == "polled_delivery":
-                    i, pkt, tx_step, token = payload
+                    i, sample, tx_step, token = payload
                     if token == self.poll_token:
-                        self.on_delivery(now_us, i, pkt, tx_step, polled=True)
+                        self.on_delivery(now_us, i, sample, tx_step,
+                                         polled=True)
                 elif kind == "poll_arrival":
                     self.on_poll_arrival(now_us, *payload)
                 elif kind == "timeout":

@@ -1,4 +1,4 @@
-"""Medium-access policies and the message types they exchange.
+"""Medium-access policies and the gateway's view of each loop.
 
 Three contention-based rules run at the sources (pure ALOHA, slotted
 ALOHA, and the age-threshold variant) and four contention-free schedulers
@@ -15,10 +15,7 @@ from .errors import ConfigurationError
 from .metrics import MseTable
 
 __all__ = [
-    "Packet",
-    "LcfsQueue",
     "GwLoopView",
-    "gw_on_data",
     "rr_next",
     "mef_build_schedule",
     "wifresh_next",
@@ -30,82 +27,21 @@ __all__ = [
     "POLLING_PROTOCOLS",
 ]
 
-GATEWAY_ID = 0
-PACKET_KINDS = ("data", "poll", "ack", "beacon")
-
-
-@dataclass
-class Packet:
-    """One simulated over-the-air message.
-
-    Data packets carry the sampled state and its generation step; beacons
-    carry the frame schedule and the slot index they were emitted in.
-    """
-
-    kind: str
-    src_id: int
-    dst_id: int
-    gen_step: int | None = None
-    payload_state: object = None
-    schedule: list[int] | None = None
-    slot_index: int | None = None
-    tx_duration: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in PACKET_KINDS:
-            raise ConfigurationError(f"unknown packet kind {self.kind!r}")
-        if self.kind == "data" and self.gen_step is None:
-            raise ConfigurationError("data packets must carry a generation step")
-        if self.kind == "beacon" and self.schedule is None:
-            raise ConfigurationError("beacons must carry a schedule")
-
-
-class LcfsQueue:
-    """Single-slot queue: a fresher sample displaces whatever is waiting."""
-
-    def __init__(self):
-        self._pkt = None
-
-    def __len__(self):
-        return 0 if self._pkt is None else 1
-
-    def put(self, pkt: Packet):
-        if pkt.kind != "data":
-            raise ConfigurationError("only data packets are queued")
-        if self._pkt is None or pkt.gen_step > self._pkt.gen_step:
-            self._pkt = pkt
-
-    def peek(self) -> Packet | None:
-        return self._pkt
-
-    def pop(self) -> Packet | None:
-        pkt, self._pkt = self._pkt, None
-        return pkt
-
 
 @dataclass
 class GwLoopView:
     """What the gateway knows about one loop.
 
-    The age estimate ticks up once per gateway sampling period and drops
-    on reception of strictly fresher data.  Poll/data counters live in a
-    sliding time window and feed the reliability estimate
-    (RX + 1) / (TX + 1).
+    The engine sets the age estimate: it ticks up once per gateway
+    sampling period and drops on reception of strictly fresher data.
+    Poll/data counters live in a sliding time window and feed the
+    reliability estimate (RX + 1) / (TX + 1).
     """
 
     est_age: int = 1
-    last_gen_step: int = 0
     window_len: float = 0.5  # seconds
     polls: deque = field(default_factory=deque)     # poll emission times
     datas: deque = field(default_factory=deque)     # data reception times
-
-    def tick(self, step: int):
-        """Re-derive the age estimate on the gateway's sampling grid.
-
-        Equivalent to incrementing once per period absent receptions, but
-        also corrects for data that arrived between two ticks.
-        """
-        self.est_age = max(1, step - self.last_gen_step)
 
     def record_poll(self, now: float):
         self.polls.append(now)
@@ -123,25 +59,6 @@ class GwLoopView:
     def reliability(self, now: float) -> float:
         self._trim(now)
         return (len(self.datas) + 1) / (len(self.polls) + 1)
-
-
-def gw_on_data(view: GwLoopView, pkt: Packet, gw_step: int) -> tuple[bool, Packet]:
-    """Process a received data packet at the gateway.
-
-    Accepts only strictly fresher generations; the age estimate becomes
-    the packet's age on the gateway's own sampling grid, floored at one.
-    Returns (accepted, ack); the ack echoes the generation step so the
-    source can synchronize its view of the destination age.
-    """
-    if pkt.kind != "data":
-        raise ConfigurationError("gw_on_data expects a data packet")
-    accepted = pkt.gen_step > view.last_gen_step
-    if accepted:
-        view.last_gen_step = pkt.gen_step
-        view.est_age = max(1, gw_step - pkt.gen_step)
-    ack = Packet(kind="ack", src_id=GATEWAY_ID, dst_id=pkt.src_id,
-                 gen_step=pkt.gen_step)
-    return accepted, ack
 
 
 def rr_next(t: int, N: int) -> int:

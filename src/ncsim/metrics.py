@@ -12,8 +12,6 @@ with different state dimensions and units comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigurationError
@@ -24,7 +22,6 @@ __all__ = [
     "nmse_of_age",
     "error_covariance",
     "MseTable",
-    "AoiTracker",
     "MetricsAccumulator",
 ]
 
@@ -107,23 +104,6 @@ class MseTable:
 
     def nmse(self, delta: int) -> float:
         return self.mse(delta) / self._base
-
-
-@dataclass
-class AoiTracker:
-    """Generation step of the freshest accepted sample, and the age it
-    implies at a given step.  Accepts only strictly fresher samples."""
-
-    last_gen_step: int = 0
-
-    def age(self, step: int) -> int:
-        return max(1, step - self.last_gen_step)
-
-    def update(self, gen_step: int) -> bool:
-        if gen_step > self.last_gen_step:
-            self.last_gen_step = gen_step
-            return True
-        return False
 
 
 class MetricsAccumulator:

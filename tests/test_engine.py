@@ -1,14 +1,17 @@
 """Event-driven run semantics: timing, determinism, and conservation."""
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncsim.channel import ChannelConfig
-from ncsim.engine import (SimConfig, run, run_replications,
+from ncsim.engine import (SimConfig, _Run, run, run_replications,
                           systems_from_classes)
 from ncsim.errors import ConfigurationError
 from ncsim.mac import SchedulerPolicy
+from ncsim.metrics import mse_of_age
 from ncsim.systems import estimate_state, make_preset
 
 
@@ -182,6 +185,91 @@ def test_estimator_incremental_matches_reference():
         ref = estimate_state(sys, loop.freshest, loop.inputs[loop.nu:t])
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
         loop.inputs.append(rng.normal(size=sys.m))
+
+
+@settings(max_examples=50, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 40)),
+                      min_size=1, max_size=40))
+def test_only_strictly_fresher_deliveries_change_the_gateway(steps):
+    """A stale or duplicate delivery changes neither the loop's freshest
+    generation and state nor the gateway's age; ``nu`` never regresses."""
+    r = _Run(cfg_for(2, "round_robin"))
+    loop, view = r.loops[1], r.views[1]
+    for step, lag in steps:
+        r.current_step += step
+        gen = max(0, r.current_step - lag)
+        before = (loop.nu, loop.freshest, view.est_age)
+        r.on_delivery(0, 1, (gen, float(gen)), r.current_step, polled=False)
+        if gen > before[0]:
+            assert loop.nu == gen and loop.freshest == float(gen)
+            assert view.est_age == max(1, r.current_step - gen)
+        else:
+            assert (loop.nu, loop.freshest, view.est_age) == before
+            assert loop.freshest is before[1]
+        assert loop.nu >= before[0]
+
+
+def test_gateway_age_grows_per_tick_between_deliveries():
+    r = _Run(cfg_for(2, "round_robin"))
+    for t in range(1, 11):
+        r.on_tick(t)
+        if t == 7:
+            sample = r.loops[2].sample
+    r.on_delivery(0, 2, sample, 10, polled=False)
+    assert r.views[2].est_age == 3 and r.loops[2].nu == 7
+    for t in range(11, 16):
+        r.on_tick(t)
+    assert r.views[2].est_age == 3 + 5
+
+
+def test_contention_sender_waits_for_the_next_sample():
+    """Each tick replaces the pending sample with its own; a contention
+    transmission takes it, and the loop stays silent until the next tick."""
+    r = _Run(cfg_for(2, "aloha"))
+    r.on_tick(1)
+    r.on_tick(2)
+    assert [r.loops[i].sample[0] for i in (1, 2)] == [2, 2]
+    r.on_slot(2)
+    assert all(r.loops[i].sample is None for i in (1, 2))
+    assert r._contention_transmitters(2) == []
+    r.on_tick(3)
+    assert r._contention_transmitters(3) == [1, 2]
+    assert r.loops[1].sample[0] == 3
+
+
+@pytest.mark.parametrize("n, pattern, variant", [
+    (9, ("easy", "mid", "hard"), "mef"),
+    (6, ("easy", "pendulum", "hard"), "pmef")])
+def test_one_mse_table_per_plant(n, pattern, variant):
+    cfg = cfg_for(n, variant, pattern=pattern)
+    r = _Run(cfg)
+    r.execute()
+    tables = {id(loop.table): loop.table for loop in r.loops.values()}
+    assert len(tables) == len({id(s) for s in cfg.systems}) == 3
+    assert all(r.tables[i] is r.loops[i].table for i in r.loops)
+    for tab in tables.values():
+        assert len(tab._mse) > 2
+        for d, value in enumerate(tab._mse):
+            assert value == mse_of_age(tab.sys, d)
+
+
+@pytest.mark.parametrize("n, pattern, variant", [
+    (9, ("easy", "mid", "hard"), "mef"),
+    (6, ("easy", "pendulum", "hard"), "pmef")])
+def test_equal_plant_copies_match_shared_presets(n, pattern, variant):
+    """Tables are shared by identity; equal copies get tables of their own
+    with the same values, so results are bit-identical."""
+    shared = cfg_for(n, variant, pattern=pattern, series=True)
+    copies = copy.copy(shared)
+    copies.systems = [copy.deepcopy(s) for s in shared.systems]
+    a, b = run(shared), run(copies)
+    for key, val in a["metrics"]["per_loop"].items():
+        np.testing.assert_array_equal(val, b["metrics"]["per_loop"][key])
+    assert a["metrics"]["network"] == b["metrics"]["network"]
+    for i in a["series"]:
+        for key in ("aoi", "state"):
+            np.testing.assert_array_equal(a["series"][i][key],
+                                          b["series"][i][key])
 
 
 def test_replications_deterministic_metric_gives_zero_width():

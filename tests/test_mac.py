@@ -1,54 +1,12 @@
-"""Packets, queues, gateway state, and the scheduling decision rules."""
+"""Gateway state and the scheduling decision rules."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ncsim.errors import ConfigurationError
-from ncsim.mac import (GwLoopView, LcfsQueue, Packet, SchedulerPolicy,
-                       gw_on_data, make_policy, mef_build_schedule, pmef_next,
-                       rr_next, wifresh_next)
+from ncsim.mac import (GwLoopView, SchedulerPolicy, make_policy,
+                       mef_build_schedule, pmef_next, rr_next, wifresh_next)
 from ncsim.metrics import MseTable
 from ncsim.systems import make_preset
-
-
-def data(src, gen):
-    return Packet(kind="data", src_id=src, dst_id=0, gen_step=gen)
-
-
-def test_packet_validation():
-    with pytest.raises(ConfigurationError):
-        Packet(kind="blob", src_id=1, dst_id=0)
-    with pytest.raises(ConfigurationError):
-        Packet(kind="data", src_id=1, dst_id=0)     # no generation step
-    with pytest.raises(ConfigurationError):
-        Packet(kind="beacon", src_id=0, dst_id=1)   # no schedule
-
-
-def test_lcfs_keeps_only_freshest():
-    q = LcfsQueue()
-    assert len(q) == 0 and q.peek() is None
-    q.put(data(1, 3))
-    q.put(data(1, 7))
-    q.put(data(1, 5))   # older, dropped
-    assert len(q) == 1
-    assert q.pop().gen_step == 7
-    assert q.pop() is None
-
-
-def test_lcfs_rejects_control_messages():
-    q = LcfsQueue()
-    with pytest.raises(ConfigurationError):
-        q.put(Packet(kind="ack", src_id=0, dst_id=1, gen_step=1))
-
-
-@settings(max_examples=50, deadline=None)
-@given(gens=st.lists(st.integers(0, 1000), min_size=1, max_size=50))
-def test_lcfs_single_slot_property(gens):
-    q = LcfsQueue()
-    for g in gens:
-        q.put(data(1, g))
-        assert len(q) <= 1
-    assert q.peek().gen_step == max(gens)
 
 
 def test_rr_rule():
@@ -59,30 +17,6 @@ def test_rr_rule():
         assert sorted(window) == list(range(1, N + 1))
     with pytest.raises(ConfigurationError):
         rr_next(0, 3)
-
-
-def test_gw_on_data_age_update():
-    v = GwLoopView()
-    accepted, ack = gw_on_data(v, data(2, 7), gw_step=10)
-    assert accepted and v.est_age == 3 and v.last_gen_step == 7
-    assert ack.kind == "ack" and ack.gen_step == 7 and ack.dst_id == 2
-
-
-def test_gw_on_data_ignores_duplicates_and_stale():
-    v = GwLoopView()
-    gw_on_data(v, data(2, 7), gw_step=10)
-    accepted, _ = gw_on_data(v, data(2, 7), gw_step=11)
-    assert not accepted and v.est_age == 3
-    accepted, _ = gw_on_data(v, data(2, 4), gw_step=11)
-    assert not accepted
-
-
-def test_gw_view_age_grows_per_tick():
-    v = GwLoopView()
-    gw_on_data(v, data(2, 7), gw_step=10)
-    for step in range(11, 16):
-        v.tick(step)
-    assert v.est_age == 3 + 5
 
 
 def test_reliability_window():

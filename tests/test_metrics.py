@@ -3,11 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ncsim.errors import ConfigurationError
-from ncsim.metrics import (AoiTracker, MetricsAccumulator, MseTable,
-                           error_covariance, mse_of_age, nmse_of_age)
+from ncsim.metrics import (MetricsAccumulator, MseTable, error_covariance,
+                           mse_of_age, nmse_of_age)
 from ncsim.systems import LtiSystem, make_preset
 
 PRESETS = ["easy", "mid", "hard", "pendulum"]
@@ -145,28 +144,6 @@ def test_argmax_normalization_matters():
     first = next(d for d in range(1, 200)
                  if tables["pendulum"].mse(d) > tables["easy"].mse(1))
     assert first == 54
-
-
-def test_aoi_tracker():
-    tr = AoiTracker()
-    assert tr.age(1) == 1
-    assert tr.age(5) == 5
-    assert tr.update(3)
-    assert tr.age(5) == 2
-    assert not tr.update(3)  # duplicates ignored
-    assert not tr.update(2)  # stale ignored
-    assert tr.age(4) == 1
-
-
-@settings(max_examples=50, deadline=None)
-@given(gens=st.lists(st.integers(0, 100), max_size=30))
-def test_aoi_tracker_never_regresses(gens):
-    tr = AoiTracker()
-    seen = 0
-    for g in gens:
-        tr.update(g)
-        seen = max(seen, g)
-        assert tr.last_gen_step == seen
 
 
 def make_acc(n=2, t0=1, t1=4, classes=None):
