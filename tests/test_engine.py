@@ -1,6 +1,7 @@
 """Event-driven run semantics: timing, determinism, and conservation."""
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,9 +238,13 @@ def test_contention_sender_waits_for_the_next_sample():
     assert r.loops[1].sample[0] == 3
 
 
-@pytest.mark.parametrize("n, pattern, variant", [
-    (9, ("easy", "mid", "hard"), "mef"),
-    (6, ("easy", "pendulum", "hard"), "pmef")])
+# (N, class pattern, policy): a scalar mix and a pendulum mix, each under a
+# scheduler that ranks loops by their tables.
+PLANT_MIXES = [(9, ("easy", "mid", "hard"), "mef"),
+               (6, ("easy", "pendulum", "hard"), "pmef")]
+
+
+@pytest.mark.parametrize("n, pattern, variant", PLANT_MIXES)
 def test_one_mse_table_per_plant(n, pattern, variant):
     cfg = cfg_for(n, variant, pattern=pattern)
     r = _Run(cfg)
@@ -253,15 +258,13 @@ def test_one_mse_table_per_plant(n, pattern, variant):
             assert value == mse_of_age(tab.sys, d)
 
 
-@pytest.mark.parametrize("n, pattern, variant", [
-    (9, ("easy", "mid", "hard"), "mef"),
-    (6, ("easy", "pendulum", "hard"), "pmef")])
+@pytest.mark.parametrize("n, pattern, variant", PLANT_MIXES)
 def test_equal_plant_copies_match_shared_presets(n, pattern, variant):
     """Tables are shared by identity; equal copies get tables of their own
     with the same values, so results are bit-identical."""
     shared = cfg_for(n, variant, pattern=pattern, series=True)
-    copies = copy.copy(shared)
-    copies.systems = [copy.deepcopy(s) for s in shared.systems]
+    copies = replace(shared,
+                     systems=[copy.deepcopy(s) for s in shared.systems])
     a, b = run(shared), run(copies)
     for key, val in a["metrics"]["per_loop"].items():
         np.testing.assert_array_equal(val, b["metrics"]["per_loop"][key])
