@@ -210,19 +210,6 @@ def test_only_strictly_fresher_deliveries_change_the_gateway(steps):
         assert loop.nu >= before[0]
 
 
-def test_gateway_age_grows_per_tick_between_deliveries():
-    r = _Run(cfg_for(2, "round_robin"))
-    for t in range(1, 11):
-        r.on_tick(t)
-        if t == 7:
-            sample = r.loops[2].sample
-    r.on_delivery(0, 2, sample, 10, polled=False)
-    assert r.views[2].est_age == 3 and r.loops[2].nu == 7
-    for t in range(11, 16):
-        r.on_tick(t)
-    assert r.views[2].est_age == 3 + 5
-
-
 def test_contention_sender_waits_for_the_next_sample():
     """Each tick replaces the pending sample with its own; a contention
     transmission takes it, and the loop stays silent until the next tick."""

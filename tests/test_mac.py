@@ -1,12 +1,57 @@
-"""Gateway state and the scheduling decision rules."""
+"""Pending samples, gateway state, and the scheduling decision rules."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ncsim.engine import SimConfig, _Run, systems_from_classes
 from ncsim.errors import ConfigurationError
 from ncsim.mac import (GwLoopView, SchedulerPolicy, make_policy,
                        mef_build_schedule, pmef_next, rr_next, wifresh_next)
 from ncsim.metrics import MseTable
 from ncsim.systems import make_preset
+
+
+def hand_run(variant="round_robin", n=2):
+    """A run whose ticks, slots and deliveries the test drives by hand."""
+    systems, classes = systems_from_classes(n)
+    return _Run(SimConfig(systems=systems, classes=classes,
+                          policy=SchedulerPolicy(variant), duration_s=3.0,
+                          warmup_s=0.5, cooldown_s=0.5))
+
+
+def test_lcfs_keeps_only_freshest():
+    """A loop holds one pending sample (last come, first served): each
+    tick's sample replaces the older one, and a transmission takes it."""
+    r = hand_run("aloha")
+    loop = r.loops[1]
+    assert loop.sample is None
+    for t in (1, 2, 3):
+        r.on_tick(t)
+    assert loop.sample[0] == 3
+    r.on_slot(3)
+    assert loop.sample is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=st.lists(st.booleans(), min_size=1, max_size=50))
+def test_lcfs_single_slot_property(ops):
+    """Under any interleaving of ticks (True) and contention slots (False),
+    the pending sample is the latest tick's, or none once a slot took it."""
+    r = hand_run("aloha")
+    t, taken = 0, True
+    for is_tick in ops:
+        if is_tick:
+            t += 1
+            r.on_tick(t)
+            taken = False
+        elif t:
+            r.on_slot(t)
+            taken = True
+        for loop in r.loops.values():
+            if taken:
+                assert loop.sample is None
+            else:
+                assert loop.sample[0] == t
 
 
 def test_rr_rule():
@@ -17,6 +62,41 @@ def test_rr_rule():
         assert sorted(window) == list(range(1, N + 1))
     with pytest.raises(ConfigurationError):
         rr_next(0, 3)
+
+
+def test_gw_on_data_age_update():
+    r = hand_run()
+    r.current_step = 10
+    r.on_delivery(0, 2, (7, 0.5), 10, polled=False)
+    assert r.views[2].est_age == 3
+    # The acknowledgement is instantaneous: the sender's loop knows gen 7.
+    assert r.loops[2].nu == 7 and r.loops[2].freshest == 0.5
+    assert r.loops[1].nu == 0
+
+
+def test_gw_on_data_ignores_duplicates_and_stale():
+    r = hand_run()
+    r.current_step = 10
+    r.on_delivery(0, 2, (7, 0.5), 10, polled=False)
+    r.current_step = 11
+    r.on_delivery(0, 2, (7, 0.9), 11, polled=False)    # duplicate
+    assert r.views[2].est_age == 3 and r.loops[2].freshest == 0.5
+    r.on_delivery(0, 2, (4, 0.9), 11, polled=False)    # stale
+    assert r.views[2].est_age == 3 and r.loops[2].nu == 7
+    assert r.loops[2].freshest == 0.5
+
+
+def test_gw_view_age_grows_per_tick():
+    r = hand_run()
+    for t in range(1, 11):
+        r.on_tick(t)
+        if t == 7:
+            sample = r.loops[2].sample
+    r.on_delivery(0, 2, sample, 10, polled=False)
+    assert r.views[2].est_age == 3 and r.loops[2].nu == 7
+    for t in range(11, 16):
+        r.on_tick(t)
+    assert r.views[2].est_age == 3 + 5
 
 
 def test_reliability_window():

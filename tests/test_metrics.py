@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ncsim.engine import SimConfig, _Run, systems_from_classes
 from ncsim.errors import ConfigurationError
+from ncsim.mac import SchedulerPolicy
 from ncsim.metrics import (MetricsAccumulator, MseTable, error_covariance,
                            mse_of_age, nmse_of_age)
 from ncsim.systems import LtiSystem, make_preset
@@ -144,6 +147,46 @@ def test_argmax_normalization_matters():
     first = next(d for d in range(1, 200)
                  if tables["pendulum"].mse(d) > tables["easy"].mse(1))
     assert first == 54
+
+
+def hand_run(n=2):
+    """A run whose ticks and deliveries the test drives by hand."""
+    systems, classes = systems_from_classes(n)
+    return _Run(SimConfig(systems=systems, classes=classes,
+                          policy=SchedulerPolicy("round_robin"),
+                          duration_s=3.0, warmup_s=0.5, cooldown_s=0.5))
+
+
+def test_aoi_tracker():
+    """The gateway's age: the step minus the freshest delivered generation,
+    floored at one; duplicate and stale deliveries are ignored."""
+    r = hand_run()
+    view, samples = r.views[1], {}
+    for t in range(1, 6):
+        r.on_tick(t)
+        samples[t] = r.loops[1].sample
+        assert view.est_age == t
+    r.on_delivery(0, 1, samples[3], 5, polled=False)
+    assert view.est_age == 2 and r.loops[1].nu == 3
+    r.on_delivery(0, 1, samples[3], 5, polled=False)    # duplicate
+    r.on_delivery(0, 1, samples[2], 5, polled=False)    # stale
+    assert view.est_age == 2 and r.loops[1].nu == 3
+    r.on_delivery(0, 1, samples[5], 5, polled=False)    # sampled this step
+    assert view.est_age == 1 and r.loops[1].nu == 5
+
+
+@settings(max_examples=50, deadline=None)
+@given(gens=st.lists(st.integers(0, 100), max_size=30))
+def test_aoi_tracker_never_regresses(gens):
+    r = hand_run()
+    r.current_step = 100
+    seen = 0
+    for g in gens:
+        r.on_delivery(0, 1, (g, float(g)), 100, polled=False)
+        seen = max(seen, g)
+        assert r.loops[1].nu == seen and r.loops[1].freshest == float(seen)
+        if seen:
+            assert r.views[1].est_age == max(1, 100 - seen)
 
 
 def make_acc(n=2, t0=1, t1=4, classes=None):
