@@ -5,7 +5,7 @@ Usage (from the repository root, on a commit whose results are trusted)::
 
     PYTHONPATH=src python3 tests/record_golden.py
 
-Simulates a small fixed grid (every policy x two channels x two class
+Simulates a small fixed grid (every policy x three channels x two class
 mixes, N=6, 2 replications of 2 s each) and writes, per case, the SHA-256
 of the ``per_run.csv`` that ``emit_results`` writes and of every loop's
 AoI and state series.  Results must stay bit-for-bit identical across
@@ -34,7 +34,13 @@ MIXES = {"scalar": ("easy", "mid", "hard"),
          "pendulum": ("easy", "pendulum", "hard")}
 CHANNELS = {
     "strict": ChannelConfig(mode="strict_collision", erasure_prob=0.0),
-    "capture": ChannelConfig(mode="offset_capture", erasure_prob=0.01)}
+    "capture": ChannelConfig(mode="offset_capture", erasure_prob=0.01),
+    # Tied instants: with 5 ms transmissions a poll transaction lasts one
+    # period, so polled deliveries fall on ticks (each timeout shifts them
+    # by its 2 ms guard), and a contention packet sent at the latest offset
+    # lands exactly on the next tick.
+    "tied": ChannelConfig(mode="offset_capture", erasure_prob=0.05,
+                          tx_duration=0.005)}
 # The age-threshold policy needs a pair; a fixed one keeps the grid
 # independent of the optimizer.
 POLICY_PARAMS = {"adra": {"threshold": 3, "p": 0.3}}
