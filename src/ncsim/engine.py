@@ -1,18 +1,19 @@
-"""Deterministic event-driven simulation of N control loops on one shared hop.
+"""Deterministic simulation of N control loops on one shared hop.
 
-Time advances on an integer-microsecond clock through a priority queue of
-events.  Every sampling period each loop's controller consumes the freshest
-delivered sample, applies its feedback law, the plant steps forward, and the
-new sample, a (generation step, state) pair, replaces the loop's pending one.
-Concurrently the selected medium-access policy moves pending samples across
-the shared channel: slotted contention and beacon-framed scheduling stay
-aligned to the sampling grid, while polling runs asynchronously with
-back-to-back transactions.  Acknowledgements are instantaneous and lossless,
-so the source's view of its age is the gateway's.
+Time advances in fixed sampling periods on an integer-microsecond clock.
+Every period each loop's controller consumes the freshest delivered sample,
+applies its feedback law, the plant steps forward, and the new sample, a
+(generation step, state) pair, replaces the loop's pending one.  The
+selected medium-access policy moves pending samples across the shared
+channel.  Slotted contention and beacon-framed scheduling use one slot per
+period, and a slot's deliveries land before the next tick.  Polling runs
+back-to-back transactions between ticks; at most one is outstanding, and
+its events due at or before a tick's instant are handled before that tick.
+Acknowledgements are instantaneous and lossless, so the source's view of
+its age is the gateway's.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field, replace
 
@@ -30,13 +31,6 @@ __all__ = ["SimConfig", "systems_from_classes", "run", "run_replications",
 
 DIVERGENCE_THRESHOLD = 1e12
 POLL_GUARD_S = 0.002  # extra wait before a poll transaction is declared lost
-
-# Priority of simultaneous events; lower value is handled first.
-_PRIO_DELIVERY = 0
-_PRIO_TIMEOUT = 1
-_PRIO_TICK = 2
-_PRIO_FRAME = 3
-_PRIO_SLOT = 4
 
 # Named sub-streams per loop; the shared channel stream uses loop id 0.
 _RNG_NOISE, _RNG_ACCESS, _RNG_CHANNEL = 0, 1, 2
@@ -66,6 +60,13 @@ class SimConfig:
                 "duration must exceed warmup plus cooldown")
         if self.T_s <= 0:
             raise ConfigurationError("T_s must be positive")
+        if round(self.channel.tx_duration * 1e6) < 1:
+            raise ConfigurationError(
+                "tx_duration must be at least 1 us, the clock's resolution")
+        if self.channel.slot_duration > self.T_s:
+            # A slot recurs every period, so its deliveries must land
+            # before the next tick.
+            raise ConfigurationError("slot_duration must not exceed T_s")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
         if self.replications < 1:
@@ -204,16 +205,15 @@ class _Run:
         self.tables = {i: self.loops[i].table for i in range(1, self.N + 1)}
         self.rng_shared = np.random.default_rng(
             np.random.SeedSequence((cfg.seed, 0, _RNG_CHANNEL)))
-        self.heap: list = []
-        self._seq = 0
         self.current_step = 0
         self.mef_schedule: list[int] = []
-        self.poll_token = 0        # id of the outstanding poll transaction
+        # Next event of the outstanding poll transaction:
+        # (time_us, kind, loop id, (sample, tx_step) of a reply), or None.
+        self.poll = None
         self.end_us = self.steps * self.Ts_us
-
-    def push(self, time_us: int, prio: int, kind: str, payload=None):
-        heapq.heappush(self.heap, (time_us, prio, self._seq, kind, payload))
-        self._seq += 1
+        # A poll or its reply that is lost is given up this long after
+        # the poll was sent.
+        self.poll_wait_us = 2 * self.tx_us + round(POLL_GUARD_S * 1e6)
 
     # ---- sampling-period tick -------------------------------------------
 
@@ -268,8 +268,6 @@ class _Run:
                     loop.diverged = True
                     self.metrics.flag_diverged(i - 1)
             loop.x = x_next
-        if t < self.steps:
-            self.push((t + 1) * self.Ts_us, _PRIO_TICK, "tick", t + 1)
 
     # ---- slotted medium access ------------------------------------------
 
@@ -293,21 +291,22 @@ class _Run:
         return out
 
     def on_slot(self, t: int):
-        slot_us = t * self.Ts_us
+        """Slot t starts on tick t's instant.  Its deliveries land before
+        the next tick and are applied here; the last slot's land after the
+        run ends and are dropped."""
+        deliver = t < self.steps
         if self.policy.is_contention:
             ids = self._contention_transmitters(t)
             txs = draw_offsets(
                 ids, self.channel,
                 {i: self.loops[i].rng_channel for i in ids})
             decoded = resolve_slot(txs, self.channel, self.rng_shared)
-            offsets = dict(txs)
             for i in ids:
                 self.metrics.record_tx(i - 1, t)
                 loop = self.loops[i]
                 sample, loop.sample = loop.sample, None
-                if i in decoded:
-                    at = slot_us + round(offsets[i] * 1e6) + self.tx_us
-                    self.push(at, _PRIO_DELIVERY, "delivery", (i, sample, t))
+                if deliver and i in decoded:
+                    self.on_delivery(i, sample, t)
         else:  # round_robin or mef
             if self.policy.variant == "round_robin":
                 i = rr_next(t, self.N)
@@ -316,44 +315,37 @@ class _Run:
             sample = self.loops[i].sample
             if sample is not None:
                 self.metrics.record_tx(i - 1, t)
-                if resolve_pointtopoint(self.channel, self.loops[i].rng_channel):
-                    self.push(slot_us + self.tx_us, _PRIO_DELIVERY,
-                              "delivery", (i, sample, t))
-        if t < self.steps:
-            self.push((t + 1) * self.Ts_us, _PRIO_SLOT, "slot", t + 1)
+                ok = resolve_pointtopoint(self.channel,
+                                          self.loops[i].rng_channel)
+                if ok and deliver:
+                    self.on_delivery(i, sample, t)
 
-    def on_frame(self, t: int):
+    def on_frame(self):
         self.mef_schedule = mef_build_schedule(
             {i: v.est_age for i, v in self.views.items()},
             self.tables, self.policy.frame_len, self.policy.use_nmse)
-        nxt = t + self.policy.frame_len
-        if nxt <= self.steps:
-            self.push(nxt * self.Ts_us, _PRIO_FRAME, "frame", nxt)
 
     # ---- deliveries -------------------------------------------------------
 
-    def on_delivery(self, now_us: int, i: int, sample: tuple, tx_step: int,
-                    polled: bool):
+    def on_delivery(self, i: int, sample: tuple, tx_step: int):
         """The gateway accepts only strictly fresher generations; the age
         estimate becomes the sample's age on the gateway's sampling grid,
         floored at one."""
         self.metrics.record_rx(i - 1, tx_step)
-        view = self.views[i]
-        view.record_data(now_us * 1e-6)
         loop = self.loops[i]
         gen, state = sample
         if gen > loop.nu:
             loop.nu = gen
             loop.freshest = state
-            view.est_age = max(1, self.current_step - gen)
-        if polled:
-            self.poll_token += 1
-            self.issue_poll(now_us)
+            self.views[i].est_age = max(1, self.current_step - gen)
 
-    # ---- asynchronous polling -------------------------------------------
+    # ---- polling: one transaction outstanding at a time ------------------
 
     def issue_poll(self, now_us: int):
+        """Poll the scheduler's pick; the transaction's next event is the
+        poll's arrival, or its timeout if the poll is lost."""
         if now_us >= self.end_us:
+            self.poll = None
             return
         now_s = now_us * 1e-6
         if self.policy.variant == "wifresh":
@@ -361,68 +353,54 @@ class _Run:
         else:
             i = pmef_next(self.views, self.tables, now_s, self.policy.use_nmse)
         self.views[i].record_poll(now_s)
-        token = self.poll_token
-        timeout_us = now_us + 2 * self.tx_us + round(POLL_GUARD_S * 1e6)
-        self.push(timeout_us, _PRIO_TIMEOUT, "timeout", token)
         if resolve_pointtopoint(self.channel, self.loops[i].rng_channel):
-            self.push(now_us + self.tx_us, _PRIO_DELIVERY, "poll_arrival",
-                      (i, token))
+            self.poll = (now_us + self.tx_us, "arrival", i, None)
+        else:
+            self.poll = (now_us + self.poll_wait_us, "timeout", i, None)
 
-    def on_poll_arrival(self, now_us: int, i: int, token: int):
-        if token != self.poll_token:
-            return
-        loop = self.loops[i]
-        if loop.sample is None:
-            raise InvariantViolation(f"loop {i} polled with no pending sample")
-        self.metrics.record_tx(i - 1, self.current_step)
-        if resolve_pointtopoint(self.channel, loop.rng_channel):
-            self.push(now_us + self.tx_us, _PRIO_DELIVERY, "polled_delivery",
-                      (i, loop.sample, self.current_step, token))
-
-    def on_timeout(self, token: int, now_us: int):
-        if token != self.poll_token:
-            return  # transaction completed; stale timer
-        self.poll_token += 1
-        self.issue_poll(now_us)
+    def advance_poll(self, until_us: int):
+        """Run the outstanding transaction through every event due at or
+        before ``until_us``; a completed or timed-out one issues the next."""
+        while self.poll is not None and self.poll[0] <= until_us:
+            now_us, kind, i, reply = self.poll
+            if kind == "arrival":
+                loop = self.loops[i]
+                if loop.sample is None:
+                    raise InvariantViolation(
+                        f"loop {i} polled with no pending sample")
+                self.metrics.record_tx(i - 1, self.current_step)
+                if resolve_pointtopoint(self.channel, loop.rng_channel):
+                    self.poll = (now_us + self.tx_us, "reply", i,
+                                 (loop.sample, self.current_step))
+                else:  # the timeout runs from the poll, one tx earlier
+                    self.poll = (now_us - self.tx_us + self.poll_wait_us,
+                                 "timeout", i, None)
+                continue
+            if kind == "reply":
+                self.on_delivery(i, *reply)
+                self.views[i].record_data(now_us * 1e-6)
+            self.issue_poll(now_us)
 
     # ---- main loop -------------------------------------------------------
 
     def execute(self) -> dict:
         for loop in self.loops.values():
             loop.sample = (0, loop.x)
-        self.push(self.Ts_us, _PRIO_TICK, "tick", 1)
-        if self.policy.is_polling:
+        polling = self.policy.is_polling
+        framed = self.policy.variant == "mef"
+        if polling:
             self.issue_poll(0)
-        elif self.policy.variant == "mef":
-            self.push(self.Ts_us, _PRIO_FRAME, "frame", 1)
-            self.push(self.Ts_us, _PRIO_SLOT, "slot", 1)
-        else:
-            self.push(self.Ts_us, _PRIO_SLOT, "slot", 1)
-        heap = self.heap
-        pop = heapq.heappop
         with np.errstate(over="ignore", invalid="ignore"):
-            while heap:
-                now_us, _, _, kind, payload = pop(heap)
-                if now_us > self.end_us:
+            for t in range(1, self.steps + 1):
+                if polling:
+                    # Poll events on the tick's instant come before it.
+                    self.advance_poll(t * self.Ts_us)
+                self.on_tick(t)
+                if polling:
                     continue
-                if kind == "tick":
-                    self.on_tick(payload)
-                elif kind == "slot":
-                    self.on_slot(payload)
-                elif kind == "frame":
-                    self.on_frame(payload)
-                elif kind == "delivery":
-                    i, sample, tx_step = payload
-                    self.on_delivery(now_us, i, sample, tx_step, polled=False)
-                elif kind == "polled_delivery":
-                    i, sample, tx_step, token = payload
-                    if token == self.poll_token:
-                        self.on_delivery(now_us, i, sample, tx_step,
-                                         polled=True)
-                elif kind == "poll_arrival":
-                    self.on_poll_arrival(now_us, *payload)
-                elif kind == "timeout":
-                    self.on_timeout(payload, now_us)
+                if framed and (t - 1) % self.policy.frame_len == 0:
+                    self.on_frame()
+                self.on_slot(t)
         result = {"metrics": self.metrics.finalize(), "seed": self.cfg.seed}
         if self.cfg.record_series:
             result["series"] = {

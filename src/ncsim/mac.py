@@ -34,8 +34,8 @@ class GwLoopView:
 
     The engine sets the age estimate: it ticks up once per gateway
     sampling period and drops on reception of strictly fresher data.
-    Poll/data counters live in a sliding time window and feed the
-    reliability estimate (RX + 1) / (TX + 1).
+    Poll and polled-reply times live in a sliding time window and feed
+    the reliability estimate (RX + 1) / (TX + 1).
     """
 
     est_age: int = 1

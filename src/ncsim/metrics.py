@@ -25,17 +25,12 @@ __all__ = [
     "MetricsAccumulator",
 ]
 
-# Count of age values whose MSE overflowed to +inf; diagnostic only.
-overflow_events = 0
-
-
 def mse_of_age(sys: LtiSystem, delta: int) -> float:
     """Closed-form mean squared estimation error at age ``delta``.
 
     Returns 0 for delta = 0.  Overflow for extreme ages of unstable
     systems is reported as +inf.
     """
-    global overflow_events
     if delta < 0:
         raise ConfigurationError("age must be non-negative")
     A, sigma = sys.A, sys.noise_cov
@@ -45,7 +40,6 @@ def mse_of_age(sys: LtiSystem, delta: int) -> float:
         total += float(np.trace(G @ sigma))
         G = A.T @ G @ A
         if not np.isfinite(total):
-            overflow_events += 1
             return math.inf
     return total
 

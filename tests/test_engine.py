@@ -36,6 +36,31 @@ def test_config_validation():
                   duration_s=5.0, warmup_s=3.0, cooldown_s=3.0)
     with pytest.raises(ConfigurationError):
         run(cfg_for(3, "adra"))   # threshold/p unresolved
+    # A 0.4 us transmission rounds to 0 us on the clock: a poll, its
+    # arrival and its reply would fall on one instant forever.
+    with pytest.raises(ConfigurationError):
+        cfg_for(2, "wifresh", channel=ChannelConfig(tx_duration=4e-7))
+    cfg_for(2, "wifresh", channel=ChannelConfig(tx_duration=1e-6))
+    # A slot recurs every period, so its deliveries must land before the
+    # next tick; a 30 ms slot with 20 ms packets would not.
+    with pytest.raises(ConfigurationError):
+        cfg_for(2, "round_robin", channel=ChannelConfig(
+            tx_duration=0.020, slot_duration=0.030))
+    cfg_for(2, "round_robin", channel=ChannelConfig(
+        tx_duration=0.010, slot_duration=0.010))
+
+
+@pytest.mark.parametrize("variant, tx", [("round_robin", 80), ("aloha", 80),
+                                         ("wifresh", 132)])
+def test_last_slot_delivery_is_dropped(variant, tx):
+    """With no cooldown the window ends on the last tick.  The last
+    transmission counts, but its delivery lands after the run ends."""
+    systems, classes = systems_from_classes(1)
+    res = run(SimConfig(systems=systems, classes=classes,
+                        policy=SchedulerPolicy(variant), duration_s=1.0,
+                        warmup_s=0.2, cooldown_s=0.0))
+    pl = res["metrics"]["per_loop"]
+    assert (int(pl["tx"][0]), int(pl["rx"][0])) == (tx, tx - 1)
 
 
 def test_single_loop_scheduled_is_always_fresh():
@@ -200,7 +225,7 @@ def test_only_strictly_fresher_deliveries_change_the_gateway(steps):
         r.current_step += step
         gen = max(0, r.current_step - lag)
         before = (loop.nu, loop.freshest, view.est_age)
-        r.on_delivery(0, 1, (gen, float(gen)), r.current_step, polled=False)
+        r.on_delivery(1, (gen, float(gen)), r.current_step)
         if gen > before[0]:
             assert loop.nu == gen and loop.freshest == float(gen)
             assert view.est_age == max(1, r.current_step - gen)

@@ -67,7 +67,7 @@ def test_rr_rule():
 def test_gw_on_data_age_update():
     r = hand_run()
     r.current_step = 10
-    r.on_delivery(0, 2, (7, 0.5), 10, polled=False)
+    r.on_delivery(2, (7, 0.5), 10)
     assert r.views[2].est_age == 3
     # The acknowledgement is instantaneous: the sender's loop knows gen 7.
     assert r.loops[2].nu == 7 and r.loops[2].freshest == 0.5
@@ -77,11 +77,11 @@ def test_gw_on_data_age_update():
 def test_gw_on_data_ignores_duplicates_and_stale():
     r = hand_run()
     r.current_step = 10
-    r.on_delivery(0, 2, (7, 0.5), 10, polled=False)
+    r.on_delivery(2, (7, 0.5), 10)
     r.current_step = 11
-    r.on_delivery(0, 2, (7, 0.9), 11, polled=False)    # duplicate
+    r.on_delivery(2, (7, 0.9), 11)    # duplicate
     assert r.views[2].est_age == 3 and r.loops[2].freshest == 0.5
-    r.on_delivery(0, 2, (4, 0.9), 11, polled=False)    # stale
+    r.on_delivery(2, (4, 0.9), 11)    # stale
     assert r.views[2].est_age == 3 and r.loops[2].nu == 7
     assert r.loops[2].freshest == 0.5
 
@@ -92,7 +92,7 @@ def test_gw_view_age_grows_per_tick():
         r.on_tick(t)
         if t == 7:
             sample = r.loops[2].sample
-    r.on_delivery(0, 2, sample, 10, polled=False)
+    r.on_delivery(2, sample, 10)
     assert r.views[2].est_age == 3 and r.loops[2].nu == 7
     for t in range(11, 16):
         r.on_tick(t)
