@@ -12,7 +12,7 @@ toward the fast dynamics.
 """
 import argparse
 
-from ncsim.engine import SimConfig, run_replications, systems_from_classes
+from ncsim.engine import SimConfig, run_replication_sets, systems_from_classes
 from ncsim.experiments import DEFAULT_COMPARISON_CHANNEL
 from ncsim.mac import SchedulerPolicy
 
@@ -28,13 +28,12 @@ def main():
     args = ap.parse_args()
 
     systems, classes = systems_from_classes(args.n)
-    rows = {}
-    for variant in VARIANTS:
-        cfg = SimConfig(systems=systems, classes=classes,
-                        policy=SchedulerPolicy(variant),
-                        channel=DEFAULT_COMPARISON_CHANNEL, seed=args.seed)
-        rows[variant] = run_replications(cfg, reps=args.reps,
-                                         jobs=args.jobs)["summary"]
+    cfgs = [SimConfig(systems=systems, classes=classes,
+                      policy=SchedulerPolicy(variant),
+                      channel=DEFAULT_COMPARISON_CHANNEL, seed=args.seed)
+            for variant in VARIANTS]
+    rows = {variant: res["summary"] for variant, res in zip(
+        VARIANTS, run_replication_sets(cfgs, reps=args.reps, jobs=args.jobs))}
 
     print(f"{'scheduler':>12s} {'mean age':>10s} {'mean nMSE':>10s} "
           f"{'LQG cost':>12s}   delivery share easy/mid/hard")

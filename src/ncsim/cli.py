@@ -3,12 +3,13 @@
 Subcommands: ``run`` (one N), ``sweep`` (range of N), ``validate``
 (simulation versus closed-form mean age), ``pendulum`` (mixed-class case
 study).  Exit status: 0 on success, 2 when validation exceeds tolerance,
-1 on any error.
+1 on any error, a worker process that died included.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 
 from .channel import ChannelConfig
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reps", type=int, default=None, metavar="INT",
                        help="replications per configuration")
         p.add_argument("--jobs", type=int, default=1, metavar="INT",
-                       help="parallel worker processes for replications")
+                       help="worker processes for the whole command")
     return parser
 
 
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
         print(f"results written to {spec.out_dir}/")
         return 0
     except (ConfigurationError, SynthesisError, OptimizationError,
-            InvariantViolation, OSError) as exc:
+            InvariantViolation, OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,8 @@ its age is the gateway's.
 """
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -26,7 +28,9 @@ from .mac import (GwLoopView, SchedulerPolicy, mef_build_schedule, pmef_next,
 from .metrics import MetricsAccumulator, MseTable
 from .systems import LtiSystem, make_preset
 
-__all__ = ["SimConfig", "systems_from_classes", "run", "run_replications",
+__all__ = ["SimConfig", "systems_from_classes", "run", "run_task",
+           "replication_tasks", "task_pool", "run_tasks", "run_replications",
+           "run_replication_sets", "summarize_replications",
            "DIVERGENCE_THRESHOLD"]
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -415,9 +419,62 @@ def run(cfg: SimConfig) -> dict:
     return _Run(cfg).execute()
 
 
-def _run_with_seed(args):
-    cfg, seed = args
+def run_task(task: tuple[SimConfig, int]) -> dict:
+    """Run one ``(cfg, seed)`` replication task; a pool worker's unit of
+    work."""
+    cfg, seed = task
     return run(replace(cfg, seed=seed))
+
+
+def replication_tasks(cfg: SimConfig,
+                      reps: int | None = None) -> list[tuple[SimConfig, int]]:
+    """Tasks for ``reps`` replications (default ``cfg.replications``) with
+    seeds seed, seed+1, ..."""
+    reps = cfg.replications if reps is None else reps
+    if reps < 1:
+        raise ConfigurationError("need at least one replication")
+    return [(cfg, cfg.seed + r) for r in range(reps)]
+
+
+class _InProcess:
+    """Executor stand-in that runs each call as it is submitted."""
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@contextlib.contextmanager
+def task_pool(jobs: int, n_tasks: int):
+    """The executor for ``n_tasks`` tasks run by up to ``jobs`` processes.
+
+    Yields a process pool of ``min(jobs, n_tasks)`` workers, or, when that
+    is one, an executor that runs each task in the calling process.  Read
+    every result inside the block: leaving it cancels the queued tasks.  A
+    worker that dies surfaces as ``concurrent.futures.BrokenExecutor`` from
+    the results; an exception raised in a task reaches the caller as itself.
+    """
+    workers = min(jobs, n_tasks)
+    if workers <= 1:
+        yield _InProcess()
+        return
+    # The default start method, fork on Linux: workers begin with the
+    # parent's modules loaded instead of importing them again.
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    finally:
+        # After a failure the queued tasks would only delay its report.
+        pool.shutdown(cancel_futures=True)
+
+
+def run_tasks(tasks: list[tuple[SimConfig, int]], jobs: int = 1) -> list:
+    """Run ``(cfg, seed)`` tasks in one :func:`task_pool`; results in task
+    order, identical for every ``jobs``."""
+    with task_pool(jobs, len(tasks)) as pool:
+        futures = [pool.submit(run_task, t) for t in tasks]
+        return [f.result() for f in futures]
 
 
 def run_replications(cfg: SimConfig, reps: int | None = None,
@@ -425,21 +482,29 @@ def run_replications(cfg: SimConfig, reps: int | None = None,
     """Independent replications (seed, seed+1, ...) with 99% intervals.
 
     Returns per-replication results plus a summary of replication-mean
-    network metrics with Student-t confidence half-widths.
+    network metrics with Student-t confidence half-widths.  With
+    ``jobs > 1`` the replications run in one pool of at most ``jobs``
+    worker processes; the result does not depend on ``jobs``.
     """
+    return run_replication_sets([cfg], reps, jobs)[0]
+
+
+def run_replication_sets(cfgs: list[SimConfig], reps: int | None = None,
+                         jobs: int = 1) -> list[dict]:
+    """:func:`run_replications` for each config, with every replication of
+    every config queued as one task list in one pool."""
+    sets = [replication_tasks(cfg, reps) for cfg in cfgs]
+    results = iter(run_tasks([t for tasks in sets for t in tasks], jobs))
+    return [summarize_replications([next(results) for _ in tasks])
+            for tasks in sets]
+
+
+def summarize_replications(results: list[dict]) -> dict:
+    """Replication results plus the summary :func:`run_replications`
+    describes."""
     from scipy import stats
 
-    reps = cfg.replications if reps is None else reps
-    if reps < 1:
-        raise ConfigurationError("need at least one replication")
-    tasks = [(cfg, cfg.seed + r) for r in range(reps)]
-    if jobs > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_run_with_seed, tasks))
-    else:
-        results = [_run_with_seed(t) for t in tasks]
-
+    reps = len(results)
     summary = {}
     for key in ("aoi_mean", "mse_mean", "nmse_mean", "lqg_mean"):
         vals = np.array([r["metrics"]["network"][key] for r in results])

@@ -14,6 +14,7 @@ the closed-form expressions on an idealized channel), and ``pendulum``
 """
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import math
 import os
@@ -24,7 +25,9 @@ import yaml
 
 from .aoi import adra_mean_aoi, optimize_adra, rr_mean_aoi, sa_mean_aoi
 from .channel import ChannelConfig
-from .engine import SimConfig, run, run_replications, systems_from_classes
+from .engine import (SimConfig, replication_tasks, run_replication_sets,
+                     run_task, run_tasks, summarize_replications,
+                     systems_from_classes, task_pool)
 from .errors import ConfigurationError
 from .mac import SchedulerPolicy
 from .metrics import MseTable
@@ -238,31 +241,40 @@ def _label(policy: SchedulerPolicy) -> str:
     return policy.variant
 
 
-def _attach_classes(res, classes):
-    for r in res["replications"]:
-        r["metrics"]["loop_classes"] = classes
-    return res
+def _replicate(cfgs: list[SimConfig], jobs: int) -> dict:
+    """:func:`run_replication_sets` keyed by (protocol label, N), with each
+    run's loop classes attached."""
+    results = {}
+    for cfg, res in zip(cfgs, run_replication_sets(cfgs, jobs=jobs)):
+        for r in res["replications"]:
+            r["metrics"]["loop_classes"] = cfg.classes
+        results[(_label(cfg.policy), cfg.n_loops)] = res
+    return results
 
 
 def run_single(spec: ExperimentSpec, jobs: int = 1) -> dict:
-    results = {}
-    for policy in spec.protocols:
-        cfg = spec.sim_config(spec.n_loops, policy)
-        res = run_replications(cfg, jobs=jobs)
-        results[(_label(policy), spec.n_loops)] = _attach_classes(
-            res, cfg.classes)
-    return results
+    return _replicate([spec.sim_config(spec.n_loops, policy)
+                       for policy in spec.protocols], jobs)
 
 
 def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> dict:
-    results = {}
     lo, hi = spec.n_range
-    for policy in spec.protocols:
-        for n in range(lo, hi + 1):
-            cfg = spec.sim_config(n, policy)
-            res = run_replications(cfg, jobs=jobs)
-            results[(_label(policy), n)] = _attach_classes(res, cfg.classes)
-    return results
+    return _replicate([spec.sim_config(n, policy) for policy in spec.protocols
+                       for n in range(lo, hi + 1)], jobs)
+
+
+def _tuned(policy: SchedulerPolicy, n: int) -> SchedulerPolicy:
+    """``policy`` with the age-threshold pair optimized for ``n`` loops."""
+    threshold, p = optimize_adra(n)
+    return replace(policy, p=p, threshold=threshold)
+
+
+def _theory(policy: SchedulerPolicy, n: int) -> float:
+    if policy.variant == "round_robin":
+        return rr_mean_aoi(n)
+    if policy.variant == "slotted_aloha":
+        return sa_mean_aoi(n, policy.p)
+    return adra_mean_aoi(n, policy.threshold, policy.p)
 
 
 def validate_theory(spec: ExperimentSpec, jobs: int = 1) -> dict:
@@ -272,13 +284,17 @@ def validate_theory(spec: ExperimentSpec, jobs: int = 1) -> dict:
     Returns a report whose ``passed`` flag reflects the per-protocol
     tolerances; parameter-free protocols use their defaults: slotted
     ALOHA p = 1/N, the age-threshold policy its optimized pair.
+
+    Every tuning and replication is a task in one pool of at most ``jobs``
+    workers.  The tunings go first, and each one's replications are queued
+    as soon as it is done, so they overlap the other protocols' runs.
     """
     ch = spec.channel
     if ch.mode != "strict_collision" or ch.erasure_prob != 0.0:
         raise ConfigurationError(
             "theory validation needs mode=strict_collision and erasure_prob=0")
     allowed = set(VALIDATE_TOL)
-    rows = []
+    plan = []   # (policy, n) per report row
     for policy in spec.protocols:
         if policy.variant not in allowed:
             raise ConfigurationError(
@@ -289,21 +305,31 @@ def validate_theory(spec: ExperimentSpec, jobs: int = 1) -> dict:
         else:
             n_list = [n for n in (3, 5, 7)
                       if spec.n_range[0] <= n <= spec.n_range[1]] or [3, 5, 7]
-        for n in n_list:
-            pol, theory = policy, None
-            if policy.variant == "round_robin":
-                theory = rr_mean_aoi(n)
-            elif policy.variant == "slotted_aloha":
-                p = policy.p if policy.p is not None else 1.0 / n
-                pol = replace(policy, p=p)
-                theory = sa_mean_aoi(n, p)
-            else:  # adra
-                if policy.p is None or policy.threshold is None:
-                    delta, p = optimize_adra(n)
-                    pol = replace(policy, p=p, threshold=delta)
-                theory = adra_mean_aoi(n, pol.threshold, pol.p)
-            res = run_replications(spec.sim_config(n, pol), jobs=jobs)
+        plan += [(policy, n) for n in n_list]
+    tune = [k for k, (policy, _) in enumerate(plan)
+            if policy.variant == "adra"
+            and (policy.p is None or policy.threshold is None)]
+    n_tasks = len(tune) + len(plan) * spec.replications
+    runs = {}   # row index -> (policy as run, replication futures)
+    with task_pool(jobs, n_tasks) as pool:
+        def submit(k, pol):
+            tasks = replication_tasks(spec.sim_config(plan[k][1], pol))
+            runs[k] = pol, [pool.submit(run_task, t) for t in tasks]
+
+        tunings = {pool.submit(_tuned, *plan[k]): k for k in tune}
+        for k, (policy, n) in enumerate(plan):
+            if policy.variant == "slotted_aloha" and policy.p is None:
+                policy = replace(policy, p=1.0 / n)
+            if k not in tune:
+                submit(k, policy)
+        for future in concurrent.futures.as_completed(tunings):
+            submit(tunings[future], future.result())
+        rows = []
+        for k, (policy, n) in enumerate(plan):
+            pol, futures = runs[k]
+            res = summarize_replications([f.result() for f in futures])
             sim = res["summary"]["aoi_mean"]["mean"]
+            theory = _theory(pol, n)
             rel = abs(sim - theory) / theory
             rows.append({
                 "protocol": policy.variant, "N": n,
@@ -336,6 +362,8 @@ def pendulum_case_study(spec: ExperimentSpec, jobs: int = 1,
     replications), and a stabilization verdict (|angle| within
     10 degrees).  Optionally adds the raw-MSE ablation of the framed
     scheduler, whose pendulum age trajectories document starvation.
+    Every replication of every scheduler is a task in one pool of at most
+    ``jobs`` workers; the report does not depend on ``jobs``.
 
     ``aoi_monotone`` is False under every scheduler in this model: every
     loop is served again sooner or later, so its age is a sawtooth.  Even
@@ -347,13 +375,15 @@ def pendulum_case_study(spec: ExperimentSpec, jobs: int = 1,
     if include_raw_ablation and any(
             p.variant == "mef" and p.use_nmse for p in policies):
         policies.append(SchedulerPolicy(variant="mef", use_nmse=False))
+    cfgs = [spec.sim_config(spec.n_loops, policy, record_series=True)
+            for policy in policies]
+    results = iter(run_tasks(
+        [t for cfg in cfgs for t in replication_tasks(cfg)], jobs))
     report = {}
-    for policy in policies:
-        cfg = spec.sim_config(spec.n_loops, policy, record_series=True)
+    for policy, cfg in zip(policies, cfgs):
         ips = [i for i, c in enumerate(cfg.classes, start=1)
                if c == "pendulum"]
-        runs = [run(replace(cfg, seed=cfg.seed + r))
-                for r in range(spec.replications)]
+        runs = [next(results) for _ in range(spec.replications)]
         lo = round(spec.warmup_s / cfg.T_s)
         hi = round((spec.duration_s - spec.cooldown_s) / cfg.T_s)
         window = slice(lo, hi)   # series index 0 holds step 1
