@@ -23,9 +23,9 @@ import numpy as np
 
 from .channel import ChannelConfig, draw_offsets, resolve_slot, resolve_pointtopoint
 from .errors import ConfigurationError, InvariantViolation
-from .mac import (GwLoopView, SchedulerPolicy, mef_build_schedule, pmef_next,
+from .mac import (Gateway, SchedulerPolicy, mef_build_schedule, pmef_next,
                   rr_next, wifresh_next)
-from .metrics import MetricsAccumulator, MseTable
+from .metrics import MetricsAccumulator
 from .systems import LtiSystem, make_preset
 
 __all__ = ["SimConfig", "systems_from_classes", "run", "run_task",
@@ -106,10 +106,10 @@ def systems_from_classes(n_loops: int, pattern=("easy", "mid", "hard")):
 class _Loop:
     """Mutable per-loop runtime state owned by one run."""
 
-    def __init__(self, sys: LtiSystem, loop_id: int, seed: int):
+    def __init__(self, sys: LtiSystem, loop_id: int, seed: int,
+                 access: bool = False):
         self.sys = sys
         self.id = loop_id
-        self.table = None                  # shared per plant, set by the run
         self.nu = 0                        # generation step of freshest sample
         self.sample = None                 # pending (gen_step, state) or None
         self.diverged = False
@@ -135,8 +135,8 @@ class _Loop:
         self.noise = None                  # pregenerated by the run
         ss = np.random.SeedSequence
         self.rng_noise = np.random.default_rng(ss((seed, loop_id, _RNG_NOISE)))
-        self.rng_access = np.random.default_rng(ss((seed, loop_id, _RNG_ACCESS)))
-        self.rng_channel = np.random.default_rng(ss((seed, loop_id, _RNG_CHANNEL)))
+        self.rng_access = np.random.default_rng(
+            ss((seed, loop_id, _RNG_ACCESS))) if access else None
         self.aoi_series: list[int] = []
         self.state_series: list = []
 
@@ -171,6 +171,22 @@ class _Loop:
         return xhat
 
 
+class _ChannelStreams(dict):
+    """Loop id -> that loop's channel stream, built on its first draw;
+    most loops of a short large-N scheduled run never draw.  A stream
+    depends only on its SeedSequence, so building it late changes no draw.
+    """
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self.seed = seed
+
+    def __missing__(self, i: int) -> np.random.Generator:
+        rng = self[i] = np.random.default_rng(
+            np.random.SeedSequence((self.seed, i, _RNG_CHANNEL)))
+        return rng
+
+
 class _Run:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -190,14 +206,11 @@ class _Run:
         t_start = round(cfg.warmup_s / cfg.T_s) + 1
         t_end = self.steps - round(cfg.cooldown_s / cfg.T_s)
         self.metrics = MetricsAccumulator(self.N, t_start, t_end, cfg.classes)
-        self.loops = {i: _Loop(cfg.systems[i - 1], i, cfg.seed)
+        access = self.policy.variant in ("slotted_aloha", "adra")
+        self.loops = {i: _Loop(cfg.systems[i - 1], i, cfg.seed, access)
                       for i in range(1, self.N + 1)}
-        # MSE(age) depends only on the plant: one table per distinct system.
-        by_plant: dict[int, MseTable] = {}
+        self.gateway = Gateway(cfg.systems)
         for loop in self.loops.values():
-            if id(loop.sys) not in by_plant:
-                by_plant[id(loop.sys)] = MseTable(loop.sys)
-            loop.table = by_plant[id(loop.sys)]
             if loop.scalar:
                 std = math.sqrt(float(loop.sys.noise_cov[0, 0]))
                 loop.noise = (loop.rng_noise.normal(size=self.steps + 1)
@@ -205,10 +218,8 @@ class _Run:
             else:
                 loop.noise = (loop.rng_noise.normal(
                     size=(self.steps + 1, loop.sys.n)) * loop.sys.noise_std)
-        self.views = {i: GwLoopView() for i in range(1, self.N + 1)}
-        self.tables = {i: self.loops[i].table for i in range(1, self.N + 1)}
-        self.rng_shared = np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, 0, _RNG_CHANNEL)))
+        self.rng_channel = _ChannelStreams(cfg.seed)
+        self.rng_shared = self.rng_channel[0]
         self.current_step = 0
         self.mef_schedule: list[int] = []
         # Next event of the outstanding poll transaction:
@@ -225,12 +236,12 @@ class _Run:
         self.current_step = t
         record = self.metrics.record_step
         series = self.cfg.record_series
-        views = self.views
+        est_age, tables = self.gateway.est_age, self.gateway.tables
         thr = DIVERGENCE_THRESHOLD
         for i in range(1, self.N + 1):
             loop = self.loops[i]
             delta = t - loop.nu
-            table = loop.table
+            table = tables[i - 1]
             mse = table.mse(delta)
             if loop.scalar:
                 prev_t, prev_nu, prev_xh = loop._est
@@ -257,7 +268,7 @@ class _Run:
             # loop.x is rebound below, never written in place, so the
             # sample and the series may share it.
             loop.sample = (t, x)
-            views[i].est_age = delta
+            est_age[i - 1] = delta
             if loop.scalar:
                 x_next = loop.a * x + loop.b * u + loop.noise[t]
                 # The chained comparison is False for nan as well.
@@ -301,9 +312,7 @@ class _Run:
         deliver = t < self.steps
         if self.policy.is_contention:
             ids = self._contention_transmitters(t)
-            txs = draw_offsets(
-                ids, self.channel,
-                {i: self.loops[i].rng_channel for i in ids})
+            txs = draw_offsets(ids, self.channel, self.rng_channel)
             decoded = resolve_slot(txs, self.channel, self.rng_shared)
             for i in ids:
                 self.metrics.record_tx(i - 1, t)
@@ -319,15 +328,9 @@ class _Run:
             sample = self.loops[i].sample
             if sample is not None:
                 self.metrics.record_tx(i - 1, t)
-                ok = resolve_pointtopoint(self.channel,
-                                          self.loops[i].rng_channel)
+                ok = resolve_pointtopoint(self.channel, self.rng_channel[i])
                 if ok and deliver:
                     self.on_delivery(i, sample, t)
-
-    def on_frame(self):
-        self.mef_schedule = mef_build_schedule(
-            {i: v.est_age for i, v in self.views.items()},
-            self.tables, self.policy.frame_len, self.policy.use_nmse)
 
     # ---- deliveries -------------------------------------------------------
 
@@ -341,7 +344,7 @@ class _Run:
         if gen > loop.nu:
             loop.nu = gen
             loop.freshest = state
-            self.views[i].est_age = max(1, self.current_step - gen)
+            self.gateway.est_age[i - 1] = max(1, self.current_step - gen)
 
     # ---- polling: one transaction outstanding at a time ------------------
 
@@ -353,11 +356,11 @@ class _Run:
             return
         now_s = now_us * 1e-6
         if self.policy.variant == "wifresh":
-            i = wifresh_next(self.views, now_s)
+            i = wifresh_next(self.gateway, now_s)
         else:
-            i = pmef_next(self.views, self.tables, now_s, self.policy.use_nmse)
-        self.views[i].record_poll(now_s)
-        if resolve_pointtopoint(self.channel, self.loops[i].rng_channel):
+            i = pmef_next(self.gateway, now_s, self.policy.use_nmse)
+        self.gateway.record_poll(i - 1, now_s)
+        if resolve_pointtopoint(self.channel, self.rng_channel[i]):
             self.poll = (now_us + self.tx_us, "arrival", i, None)
         else:
             self.poll = (now_us + self.poll_wait_us, "timeout", i, None)
@@ -373,7 +376,7 @@ class _Run:
                     raise InvariantViolation(
                         f"loop {i} polled with no pending sample")
                 self.metrics.record_tx(i - 1, self.current_step)
-                if resolve_pointtopoint(self.channel, loop.rng_channel):
+                if resolve_pointtopoint(self.channel, self.rng_channel[i]):
                     self.poll = (now_us + self.tx_us, "reply", i,
                                  (loop.sample, self.current_step))
                 else:  # the timeout runs from the poll, one tx earlier
@@ -382,7 +385,7 @@ class _Run:
                 continue
             if kind == "reply":
                 self.on_delivery(i, *reply)
-                self.views[i].record_data(now_us * 1e-6)
+                self.gateway.record_data(i - 1, now_us * 1e-6)
             self.issue_poll(now_us)
 
     # ---- main loop -------------------------------------------------------
@@ -403,7 +406,9 @@ class _Run:
                 if polling:
                     continue
                 if framed and (t - 1) % self.policy.frame_len == 0:
-                    self.on_frame()
+                    self.mef_schedule = mef_build_schedule(
+                        self.gateway, self.policy.frame_len,
+                        self.policy.use_nmse)
                 self.on_slot(t)
         result = {"metrics": self.metrics.finalize(), "seed": self.cfg.seed}
         if self.cfg.record_series:

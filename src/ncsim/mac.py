@@ -1,21 +1,26 @@
-"""Medium-access policies and the gateway's view of each loop.
+"""Medium-access policies and what the gateway knows about the loops.
 
 Three contention-based rules run at the sources (pure ALOHA, slotted
 ALOHA, and the age-threshold variant) and four contention-free schedulers
 run at the gateway: round-robin, beacon-framed max-error-first (MEF), and
 two polling schedulers — WiFresh (reliability x age) and pMEF
-(reliability x normalized estimation error).
+(reliability x normalized estimation error).  MEF, WiFresh and pMEF pick
+by one numpy argmax over the :class:`Gateway`'s arrays; the first
+maximum wins, so ties go to the lowest loop id.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .metrics import MseTable
+from .systems import LtiSystem
 
 __all__ = [
-    "GwLoopView",
+    "Gateway",
     "rr_next",
     "mef_build_schedule",
     "wifresh_next",
@@ -27,38 +32,75 @@ __all__ = [
     "POLLING_PROTOCOLS",
 ]
 
+RELIABILITY_WINDOW_S = 0.5
 
-@dataclass
-class GwLoopView:
-    """What the gateway knows about one loop.
 
-    The engine sets the age estimate: it ticks up once per gateway
-    sampling period and drops on reception of strictly fresher data.
-    Poll and polled-reply times live in a sliding time window and feed
-    the reliability estimate (RX + 1) / (TX + 1).
+class Gateway:
+    """What the gateway knows about loops 1..N, at index k for loop k + 1.
+
+    The engine sets the age estimates ``est_age``.  Polls and polled
+    replies of the last ``RELIABILITY_WINDOW_S``, counted per loop in
+    ``polls`` and ``datas``, give the reliability (RX + 1) / (TX + 1).
+    Their times never decrease, so one time-ordered deque, trimmed at each
+    poll, leaves every loop the counts that trimming its own history
+    would.  Each distinct plant has one MSE table (``plants``); their
+    curves are stacked so that one gather reads every loop's error.
     """
 
-    est_age: int = 1
-    window_len: float = 0.5  # seconds
-    polls: deque = field(default_factory=deque)     # poll emission times
-    datas: deque = field(default_factory=deque)     # data reception times
+    def __init__(self, systems: list[LtiSystem]):
+        n = len(systems)
+        self.est_age = [1] * n
+        self.polls, self.datas = [0] * n, [0] * n
+        self._rel = np.ones(n)             # (datas + 1) / (polls + 1)
+        self._window = deque()             # (time, k, polls or datas)
+        row = {}                           # id(system) -> plant index
+        self.plants = []
+        for sys in systems:
+            if id(sys) not in row:
+                row[id(sys)] = len(self.plants)
+                self.plants.append(MseTable(sys))
+        self.plant = np.array([row[id(sys)] for sys in systems])
+        self.tables = [self.plants[k] for k in self.plant]  # per loop
+        self._mse = self._nmse = np.zeros((len(self.plants), 0))
 
-    def record_poll(self, now: float):
-        self.polls.append(now)
+    def _count(self, counts: list[int], k: int, step: int):
+        counts[k] += step
+        self._rel[k] = (self.datas[k] + 1) / (self.polls[k] + 1)
 
-    def record_data(self, now: float):
-        self.datas.append(now)
+    def record_poll(self, k: int, now: float):
+        self._window.append((now, k, self.polls))
+        self._count(self.polls, k, 1)
 
-    def _trim(self, now: float):
-        horizon = now - self.window_len
-        while self.polls and self.polls[0] < horizon:
-            self.polls.popleft()
-        while self.datas and self.datas[0] < horizon:
-            self.datas.popleft()
+    def record_data(self, k: int, now: float):
+        self._window.append((now, k, self.datas))
+        self._count(self.datas, k, 1)
 
-    def reliability(self, now: float) -> float:
-        self._trim(now)
-        return (len(self.datas) + 1) / (len(self.polls) + 1)
+    def reliability(self, now: float) -> np.ndarray:
+        """Per-loop reliability over the window ending at ``now``; events
+        before ``now - RELIABILITY_WINDOW_S`` leave it.  Read-only."""
+        horizon = now - RELIABILITY_WINDOW_S
+        while self._window and self._window[0][0] < horizon:
+            _, k, counts = self._window.popleft()
+            self._count(counts, k, -1)
+        return self._rel
+
+    def ages(self) -> np.ndarray:
+        return np.fromiter(self.est_age, np.int64, len(self.est_age))
+
+    def grow(self, depth: int):
+        """Stack every plant's curves through age ``depth``."""
+        if depth >= self._mse.shape[1]:
+            curves = [table.curves(depth) for table in self.plants]
+            self._mse = np.array([mse for mse, _ in curves])
+            self._nmse = np.array([nmse for _, nmse in curves])
+
+    def errors(self, ages: np.ndarray, use_nmse: bool = True) -> np.ndarray:
+        """Each loop's nMSE (or MSE) at its entry of ``ages``."""
+        try:
+            return (self._nmse if use_nmse else self._mse)[self.plant, ages]
+        except IndexError:  # an age beyond the stacked curves
+            self.grow(int(ages.max()))
+            return (self._nmse if use_nmse else self._mse)[self.plant, ages]
 
 
 def rr_next(t: int, N: int) -> int:
@@ -70,52 +112,37 @@ def rr_next(t: int, N: int) -> int:
     return (t - 1) % N + 1
 
 
-def mef_build_schedule(est_ages: dict[int, int], tables: dict[int, MseTable],
-                       frame_len: int = 20, use_nmse: bool = True) -> list[int]:
+def mef_build_schedule(gw: Gateway, frame_len: int = 20,
+                       use_nmse: bool = True) -> list[int]:
     """Greedy frame schedule: fill each slot with the loop of largest
     predicted error, assuming every scheduled transmission succeeds.
 
-    The chosen loop's predicted age resets to 1 for subsequent slots;
-    everyone else ages by one.  Ties go to the lowest loop id.
+    Predicted ages start at the gateway's estimates; the chosen loop's
+    resets to 1 for subsequent slots, everyone else's grows by one.
     """
     if frame_len < 1:
         raise ConfigurationError("frame_len must be >= 1")
-    pred = dict(est_ages)
+    pred = gw.ages()
+    # The oldest age this frame can reach, so that no slot grows the curves.
+    gw.grow(int(pred.max()) + frame_len - 1)
     schedule = []
     for _ in range(frame_len):
-        best_id, best_val = None, None
-        for i in sorted(pred):
-            tab = tables[i]
-            val = tab.nmse(pred[i]) if use_nmse else tab.mse(pred[i])
-            if best_val is None or val > best_val:
-                best_id, best_val = i, val
-        schedule.append(best_id)
-        for i in pred:
-            pred[i] = 1 if i == best_id else pred[i] + 1
+        best = int(gw.errors(pred, use_nmse).argmax())
+        schedule.append(best + 1)
+        pred += 1
+        pred[best] = 1
     return schedule
 
 
-def wifresh_next(views: dict[int, GwLoopView], now: float) -> int:
+def wifresh_next(gw: Gateway, now: float) -> int:
     """Max-weight poll target: argmax of reliability x estimated age."""
-    best_id, best_val = None, None
-    for i in sorted(views):
-        val = views[i].reliability(now) * views[i].est_age
-        if best_val is None or val > best_val:
-            best_id, best_val = i, val
-    return best_id
+    return int((gw.reliability(now) * gw.ages()).argmax()) + 1
 
 
-def pmef_next(views: dict[int, GwLoopView], tables: dict[int, MseTable],
-              now: float, use_nmse: bool = True) -> int:
+def pmef_next(gw: Gateway, now: float, use_nmse: bool = True) -> int:
     """Poll target by reliability x (normalized) estimation error."""
-    best_id, best_val = None, None
-    for i in sorted(views):
-        tab = tables[i]
-        err = tab.nmse(views[i].est_age) if use_nmse else tab.mse(views[i].est_age)
-        val = views[i].reliability(now) * err
-        if best_val is None or val > best_val:
-            best_id, best_val = i, val
-    return best_id
+    errors = gw.errors(gw.ages(), use_nmse)
+    return int((gw.reliability(now) * errors).argmax()) + 1
 
 
 CONTENTION_PROTOCOLS = ("aloha", "slotted_aloha", "adra")

@@ -7,7 +7,9 @@ The mean squared estimation error of a loop whose freshest sample is
     MSE(delta) = sum_{d=1..delta} tr((A')^{d-1} A^{d-1} Sigma)
 
 and its normalized variant divides by the one-period value, making loops
-with different state dimensions and units comparable.
+with different state dimensions and units comparable.  :class:`MseTable`
+grows both laws on demand for one plant; the engine reads one value per
+loop per period, and the gateway schedulers read whole curves as arrays.
 """
 from __future__ import annotations
 
@@ -68,10 +70,11 @@ def nmse_of_age(sys: LtiSystem, delta: int) -> float:
 
 
 class MseTable:
-    """Memoized MSE(age) and nMSE(age) for one system.
+    """MSE(age) and nMSE(age) for one system, grown on demand.
 
-    The simulator queries these once per loop per period, so values are
-    grown on demand and cached.
+    Values are computed one age at a time by the recurrence of
+    :func:`mse_of_age` and cached up to the largest age requested; after
+    the first overflow every value is +inf.
     """
 
     def __init__(self, sys: LtiSystem):
@@ -98,6 +101,12 @@ class MseTable:
 
     def nmse(self, delta: int) -> float:
         return self.mse(delta) / self._base
+
+    def curves(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`mse` and :meth:`nmse` of ages 0..depth as float64 arrays."""
+        self.mse(depth)
+        mse = np.array(self._mse[:depth + 1])
+        return mse, mse / self._base
 
 
 class MetricsAccumulator:
@@ -126,9 +135,6 @@ class MetricsAccumulator:
         self.tx = [0] * n_loops
         self.rx = [0] * n_loops
         self.diverged = np.zeros(n_loops, dtype=bool)
-
-    def in_window(self, t: int) -> bool:
-        return self.t_start <= t <= self.t_end
 
     def record_step(self, loop: int, t: int, aoi: int, mse: float,
                     nmse: float, cost: float):

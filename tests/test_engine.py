@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncsim.mac
 from ncsim.channel import ChannelConfig
 from ncsim.engine import (SimConfig, _Run, run, run_replications,
                           systems_from_classes)
@@ -220,17 +221,17 @@ def test_only_strictly_fresher_deliveries_change_the_gateway(steps):
     """A stale or duplicate delivery changes neither the loop's freshest
     generation and state nor the gateway's age; ``nu`` never regresses."""
     r = _Run(cfg_for(2, "round_robin"))
-    loop, view = r.loops[1], r.views[1]
+    loop, est_age = r.loops[1], r.gateway.est_age
     for step, lag in steps:
         r.current_step += step
         gen = max(0, r.current_step - lag)
-        before = (loop.nu, loop.freshest, view.est_age)
+        before = (loop.nu, loop.freshest, est_age[0])
         r.on_delivery(1, (gen, float(gen)), r.current_step)
         if gen > before[0]:
             assert loop.nu == gen and loop.freshest == float(gen)
-            assert view.est_age == max(1, r.current_step - gen)
+            assert est_age[0] == max(1, r.current_step - gen)
         else:
-            assert (loop.nu, loop.freshest, view.est_age) == before
+            assert (loop.nu, loop.freshest, est_age[0]) == before
             assert loop.freshest is before[1]
         assert loop.nu >= before[0]
 
@@ -257,17 +258,30 @@ PLANT_MIXES = [(9, ("easy", "mid", "hard"), "mef"),
 
 
 @pytest.mark.parametrize("n, pattern, variant", PLANT_MIXES)
-def test_one_mse_table_per_plant(n, pattern, variant):
+def test_one_mse_table_per_plant(n, pattern, variant, monkeypatch):
     cfg = cfg_for(n, variant, pattern=pattern)
+    built = []
+
+    class CountedTable(ncsim.mac.MseTable):
+        def __init__(self, sys):
+            built.append(self)
+            super().__init__(sys)
+
+    monkeypatch.setattr(ncsim.mac, "MseTable", CountedTable)
     r = _Run(cfg)
     r.execute()
-    tables = {id(loop.table): loop.table for loop in r.loops.values()}
-    assert len(tables) == len({id(s) for s in cfg.systems}) == 3
-    assert all(r.tables[i] is r.loops[i].table for i in r.loops)
-    for tab in tables.values():
-        assert len(tab._mse) > 2
-        for d, value in enumerate(tab._mse):
-            assert value == mse_of_age(tab.sys, d)
+    assert built == r.gateway.plants
+    plants = r.gateway.plants
+    assert len(plants) == len({id(s) for s in cfg.systems}) == 3
+    assert [plants[k] for k in r.gateway.plant] == r.gateway.tables
+    assert all(t.sys is s for t, s in zip(r.gateway.tables, cfg.systems))
+    for tab in plants:
+        depth = len(tab._mse) - 1
+        assert depth > 1
+        mse, nmse = tab.curves(depth)
+        for d, value in enumerate(mse.tolist()):
+            assert value == tab.mse(d) == mse_of_age(tab.sys, d)
+            assert nmse[d] == tab.nmse(d)
 
 
 @pytest.mark.parametrize("n, pattern, variant", PLANT_MIXES)

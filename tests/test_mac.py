@@ -1,14 +1,17 @@
 """Pending samples, gateway state, and the scheduling decision rules."""
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncsim.engine import SimConfig, _Run, systems_from_classes
 from ncsim.errors import ConfigurationError
-from ncsim.mac import (GwLoopView, SchedulerPolicy, make_policy,
+from ncsim.mac import (Gateway, SchedulerPolicy, make_policy,
                        mef_build_schedule, pmef_next, rr_next, wifresh_next)
 from ncsim.metrics import MseTable
-from ncsim.systems import make_preset
+from ncsim.systems import LtiSystem, make_preset
 
 
 def hand_run(variant="round_robin", n=2):
@@ -68,7 +71,7 @@ def test_gw_on_data_age_update():
     r = hand_run()
     r.current_step = 10
     r.on_delivery(2, (7, 0.5), 10)
-    assert r.views[2].est_age == 3
+    assert r.gateway.est_age[1] == 3
     # The acknowledgement is instantaneous: the sender's loop knows gen 7.
     assert r.loops[2].nu == 7 and r.loops[2].freshest == 0.5
     assert r.loops[1].nu == 0
@@ -80,9 +83,9 @@ def test_gw_on_data_ignores_duplicates_and_stale():
     r.on_delivery(2, (7, 0.5), 10)
     r.current_step = 11
     r.on_delivery(2, (7, 0.9), 11)    # duplicate
-    assert r.views[2].est_age == 3 and r.loops[2].freshest == 0.5
+    assert r.gateway.est_age[1] == 3 and r.loops[2].freshest == 0.5
     r.on_delivery(2, (4, 0.9), 11)    # stale
-    assert r.views[2].est_age == 3 and r.loops[2].nu == 7
+    assert r.gateway.est_age[1] == 3 and r.loops[2].nu == 7
     assert r.loops[2].freshest == 0.5
 
 
@@ -93,43 +96,50 @@ def test_gw_view_age_grows_per_tick():
         if t == 7:
             sample = r.loops[2].sample
     r.on_delivery(2, sample, 10)
-    assert r.views[2].est_age == 3 and r.loops[2].nu == 7
+    assert r.gateway.est_age[1] == 3 and r.loops[2].nu == 7
     for t in range(11, 16):
         r.on_tick(t)
-    assert r.views[2].est_age == 3 + 5
+    assert r.gateway.est_age[1] == 3 + 5
 
 
 def test_reliability_window():
-    v = GwLoopView()
+    gw = gateway_for(["mid", "mid"])
     for k in range(9):
-        v.record_poll(k * 0.01)
+        gw.record_poll(1, k * 0.01)
     for k in range(5):
-        v.record_data(k * 0.01)
-    assert v.reliability(0.09) == pytest.approx(0.6)   # (5+1)/(9+1)
+        gw.record_data(1, k * 0.01)
+    # (5+1)/(9+1) for loop 2; loop 1 was never polled.
+    assert list(gw.reliability(0.09)) == [1.0, pytest.approx(0.6)]
     # Outside the 0.5 s window everything is forgotten.
-    assert v.reliability(10.0) == pytest.approx(1.0)
+    assert gw.reliability(10.0)[1] == pytest.approx(1.0)
+    assert gw.polls == gw.datas == [0, 0]
 
 
 def test_reliability_bounds():
-    v = GwLoopView()
-    assert v.reliability(0.0) == 1.0
-    v.record_poll(0.0)
-    assert 0 < v.reliability(0.0) <= 1.0
+    gw = gateway_for(["mid"])
+    assert gw.reliability(0.0)[0] == 1.0
+    gw.record_poll(0, 0.0)
+    assert 0 < gw.reliability(0.0)[0] <= 1.0
 
 
-def tables_for(classes):
-    return {i: MseTable(make_preset(c)) for i, c in classes.items()}
+def gateway_for(classes, ages=None):
+    """A gateway over loops 1..N of the given classes (one table each),
+    with the given age estimates."""
+    gw = Gateway([make_preset(c) for c in classes])
+    if ages is not None:
+        gw.est_age[:] = ages
+    return gw
 
 
 def test_mef_fair_rotation_for_identical_loops():
-    tabs = tables_for({1: "mid", 2: "mid", 3: "mid"})
-    sched = mef_build_schedule({1: 1, 2: 1, 3: 1}, tabs, frame_len=6)
+    gw = gateway_for(["mid", "mid", "mid"], [1, 1, 1])
+    sched = mef_build_schedule(gw, frame_len=6)
     assert sched == [1, 2, 3, 1, 2, 3]
 
 
 def test_mef_huge_age_occupies_first_slot():
-    tabs = tables_for({1: "easy", 2: "easy", 3: "hard"})
-    sched = mef_build_schedule({1: 2, 2: 2, 3: 90}, tabs, frame_len=4)
+    gw = gateway_for(["easy", "easy", "hard"], [2, 2, 90])
+    sched = mef_build_schedule(gw, frame_len=4)
     assert sched[0] == 3
 
 
@@ -151,7 +161,7 @@ def test_mef_greedy_trace_oracle():
         pick = max(sorted(ages), key=lambda i: nmse(i, ages[i]))
         expect.append(pick)
         ages = {i: 1 if i == pick else d + 1 for i, d in ages.items()}
-    got = mef_build_schedule({1: 1, 2: 1, 3: 1}, tables_for(classes),
+    got = mef_build_schedule(gateway_for(classes.values(), [1, 1, 1]),
                              frame_len=6)
     assert got == expect
 
@@ -160,7 +170,7 @@ def test_mef_starves_slow_loops_when_slots_are_scarce():
     # Three loops in six slots rotate fairly; once loops outnumber the
     # frame's slack the fast dynamics crowd out the slow ones.
     classes = {i: ["easy", "mid", "hard"][(i - 1) % 3] for i in range(1, 16)}
-    sched = mef_build_schedule({i: 1 for i in classes}, tables_for(classes),
+    sched = mef_build_schedule(gateway_for(classes.values(), [1] * 15),
                                frame_len=20)
     by_class = {c: sum(classes[i] == c for i in sched)
                 for c in ("easy", "mid", "hard")}
@@ -168,39 +178,164 @@ def test_mef_starves_slow_loops_when_slots_are_scarce():
 
 
 def test_mef_schedule_shape():
-    tabs = tables_for({1: "easy", 2: "hard"})
-    sched = mef_build_schedule({1: 5, 2: 5}, tabs, frame_len=20)
+    sched = mef_build_schedule(gateway_for(["easy", "hard"], [5, 5]),
+                               frame_len=20)
     assert len(sched) == 20
     assert set(sched) <= {1, 2}
 
 
 def test_wifresh_uniform_reliability_picks_max_age():
-    views = {i: GwLoopView() for i in (1, 2, 3)}
-    views[1].est_age, views[2].est_age, views[3].est_age = 3, 1, 2
-    assert wifresh_next(views, 0.0) == 1
+    gw = gateway_for(["mid", "mid", "mid"], [3, 1, 2])
+    assert wifresh_next(gw, 0.0) == 1
 
 
 def test_wifresh_tie_breaks_low_id():
-    views = {i: GwLoopView() for i in (1, 2)}
-    views[1].est_age = views[2].est_age = 4
-    assert wifresh_next(views, 0.0) == 1
+    gw = gateway_for(["mid", "mid"], [4, 4])
+    assert wifresh_next(gw, 0.0) == 1
 
 
 def test_pmef_prefers_faster_dynamics():
-    views = {1: GwLoopView(), 2: GwLoopView()}
-    views[1].est_age, views[2].est_age = 4, 3
-    tabs = tables_for({1: "easy", 2: "hard"})
+    gw = gateway_for(["easy", "hard"], [4, 3])
     # error(1.2-dynamics, age 3) = 4.5136 > error(1.0-dynamics, age 4) = 4
-    assert pmef_next(views, tabs, 0.0) == 2
+    assert pmef_next(gw, 0.0) == 2
 
 
 def test_pmef_equals_wifresh_for_identical_scalar_loops():
-    tabs = tables_for({1: "mid", 2: "mid", 3: "mid"})
     for ages in [(1, 5, 3), (2, 2, 9), (4, 4, 4)]:
-        views = {i: GwLoopView() for i in (1, 2, 3)}
-        for i, a in zip(views, ages):
-            views[i].est_age = a
-        assert pmef_next(views, tabs, 0.0) == wifresh_next(views, 0.0)
+        gw = gateway_for(["mid", "mid", "mid"], ages)
+        assert pmef_next(gw, 0.0) == wifresh_next(gw, 0.0)
+
+
+def test_reliability_window_keeps_its_edge():
+    """An event exactly ``window_len`` before the query still counts."""
+    gw = gateway_for(["mid"])
+    gw.record_poll(0, 0.25)
+    assert gw.reliability(0.75)[0] == 0.5
+    assert gw.reliability(0.75 + 1e-9)[0] == 1.0
+
+
+def test_overflowed_errors_tie_to_lowest_id():
+    """Loops whose error has overflowed to +inf tie; the lowest id wins,
+    and MEF then serves the next overflowed loop."""
+    gw = Gateway([PLANTS[c] for c in ("easy", "unstable", "easy", "unstable")])
+    gw.est_age[:] = [30, 6, 30, 9]
+    assert gw.errors(gw.ages()).tolist()[1::2] == [math.inf, math.inf]
+    assert pmef_next(gw, 0.0) == 2
+    assert mef_build_schedule(gw, frame_len=2) == [2, 4]
+
+
+# ---- plain-Python references for the array schedulers -------------------
+
+PLANTS = {c: make_preset(c) for c in ("easy", "hard", "pendulum")}
+# MSE(age) overflows to +inf from age 5 on.
+PLANTS["unstable"] = LtiSystem(A=[[1e40]], B=[[1.0]], noise_cov=[[2.0]],
+                               Q=[[1.0]], R=[[1.0]], name="unstable")
+WINDOW_S = 0.5
+
+
+class LoopWindow:
+    """One loop's poll and reply times, trimmed on their own."""
+
+    def __init__(self):
+        self.polls, self.datas = deque(), deque()
+
+    def reliability(self, now):
+        horizon = now - WINDOW_S
+        for times in (self.polls, self.datas):
+            while times and times[0] < horizon:
+                times.popleft()
+        return (len(self.datas) + 1) / (len(self.polls) + 1)
+
+
+def first_max(values):
+    """Loop id of the largest value under strict ``>``: the lowest id
+    wins ties."""
+    best = 0
+    for k, v in enumerate(values):
+        if v > values[best]:
+            best = k
+    return best + 1
+
+
+def reference_mef(ages, tables, frame_len, use_nmse):
+    pred, schedule = list(ages), []
+    for _ in range(frame_len):
+        pick = first_max([t.nmse(a) if use_nmse else t.mse(a)
+                          for t, a in zip(tables, pred)])
+        schedule.append(pick)
+        pred = [1 if k + 1 == pick else a + 1 for k, a in enumerate(pred)]
+    return schedule
+
+
+# Poll and reply histories: (gap to the previous event in seconds, loop
+# index, poll or reply).  Dyadic gaps keep the sums exact, so events fall
+# exactly on the window's edge.
+HISTORIES = st.lists(st.tuples(st.sampled_from([0.0, 0.125, 0.25, 0.5]),
+                               st.integers(0, 7), st.booleans()),
+                     max_size=40)
+
+
+def replay(n, history):
+    """Feed a history to a gateway and to per-loop windows; yield both
+    after each query the gateway would make before recording an event."""
+    gw = Gateway([PLANTS["easy"]] * n)
+    ref = [LoopWindow() for _ in range(n)]
+    now = 0.0
+    for gap, k, is_poll in history:
+        now += gap
+        k %= n
+        yield gw, ref, now
+        if is_poll:
+            gw.record_poll(k, now)
+            ref[k].polls.append(now)
+        else:
+            gw.record_data(k, now)
+            ref[k].datas.append(now)
+    yield gw, ref, now + 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), history=HISTORIES)
+def test_global_window_matches_per_loop_trimming(n, history):
+    for gw, ref, now in replay(n, history):
+        rel = gw.reliability(now).tolist()
+        assert rel == [w.reliability(now) for w in ref]
+        assert gw.polls == [len(w.polls) for w in ref]
+        assert gw.datas == [len(w.datas) for w in ref]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), history=HISTORIES, use_nmse=st.booleans(),
+       frame_len=st.integers(1, 25))
+def test_argmax_schedulers_match_reference(data, history, use_nmse,
+                                           frame_len):
+    """WiFresh, pMEF and MEF choose what a loop-by-loop strict-``>`` scan
+    chooses, over tied ages, windows straddling their edge, mixed plants
+    and errors that overflowed to +inf."""
+    n = data.draw(st.integers(1, 8), label="n")
+    plants = data.draw(st.lists(st.sampled_from(sorted(PLANTS)),
+                                min_size=n, max_size=n), label="plants")
+    ages = data.draw(st.lists(st.integers(1, 4) | st.integers(5, 60),
+                              min_size=n, max_size=n), label="ages")
+    tables = [MseTable(PLANTS[c]) for c in plants]
+    gw = Gateway([PLANTS[c] for c in plants])
+    gw.est_age[:] = ages
+    windows = [LoopWindow() for _ in range(n)]
+    now = 0.0
+    for gap, k, is_poll in history + [(0.5, 0, True)]:
+        now += gap
+        rel = [w.reliability(now) for w in windows]
+        err = [t.nmse(a) if use_nmse else t.mse(a)
+               for t, a in zip(tables, ages)]
+        assert wifresh_next(gw, now) == first_max(
+            [r * a for r, a in zip(rel, ages)])
+        assert pmef_next(gw, now, use_nmse) == first_max(
+            [r * e for r, e in zip(rel, err)])
+        k %= n
+        (gw.record_poll if is_poll else gw.record_data)(k, now)
+        (windows[k].polls if is_poll else windows[k].datas).append(now)
+    assert mef_build_schedule(gw, frame_len, use_nmse) == \
+        reference_mef(ages, tables, frame_len, use_nmse)
 
 
 def test_policy_validation():

@@ -158,18 +158,18 @@ def test_aoi_tracker():
     """The gateway's age: the step minus the freshest delivered generation,
     floored at one; duplicate and stale deliveries are ignored."""
     r = hand_run()
-    view, samples = r.views[1], {}
+    est_age, samples = r.gateway.est_age, {}
     for t in range(1, 6):
         r.on_tick(t)
         samples[t] = r.loops[1].sample
-        assert view.est_age == t
+        assert est_age[0] == t
     r.on_delivery(1, samples[3], 5)
-    assert view.est_age == 2 and r.loops[1].nu == 3
+    assert est_age[0] == 2 and r.loops[1].nu == 3
     r.on_delivery(1, samples[3], 5)    # duplicate
     r.on_delivery(1, samples[2], 5)    # stale
-    assert view.est_age == 2 and r.loops[1].nu == 3
+    assert est_age[0] == 2 and r.loops[1].nu == 3
     r.on_delivery(1, samples[5], 5)    # sampled this step
-    assert view.est_age == 1 and r.loops[1].nu == 5
+    assert est_age[0] == 1 and r.loops[1].nu == 5
 
 
 @settings(max_examples=50, deadline=None)
@@ -183,7 +183,7 @@ def test_aoi_tracker_never_regresses(gens):
         seen = max(seen, g)
         assert r.loops[1].nu == seen and r.loops[1].freshest == float(seen)
         if seen:
-            assert r.views[1].est_age == max(1, 100 - seen)
+            assert r.gateway.est_age[0] == max(1, 100 - seen)
 
 
 def make_acc(n=2, t0=1, t1=4, classes=None):
