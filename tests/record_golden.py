@@ -6,9 +6,10 @@ Usage (from the repository root, on a commit whose results are trusted)::
     PYTHONPATH=src python3 tests/record_golden.py
 
 Simulates a small fixed grid (every policy x three channels x two class
-mixes, N=6, 2 replications of 2 s each) and writes, per case, the SHA-256
-of the ``per_run.csv`` that ``emit_results`` writes and of every loop's
-AoI and state series.  Results must stay bit-for-bit identical across
+mixes, N=6, 2 replications of 2 s each), a diverging network under every
+policy and an N=40 pendulum mix under three policies, and writes, per case,
+the SHA-256 of the ``per_run.csv`` that ``emit_results`` writes and of every
+loop's AoI and state series.  Results must stay bit-for-bit identical across
 refactors, so regenerate the file only when results are meant to change.
 """
 from __future__ import annotations
@@ -25,6 +26,7 @@ from ncsim.channel import ChannelConfig
 from ncsim.engine import SimConfig, run_replications, systems_from_classes
 from ncsim.experiments import emit_results
 from ncsim.mac import PROTOCOLS, SchedulerPolicy
+from ncsim.systems import LtiSystem, make_preset
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden.json")
@@ -44,6 +46,23 @@ CHANNELS = {
 # The age-threshold policy needs a pair; a fixed one keeps the grid
 # independent of the optimizer.
 POLICY_PARAMS = {"adra": {"threshold": 3, "p": 0.3}}
+# An open-loop unstable plant without a controller: its state passes the
+# divergence threshold on the second step and overflows to inf, then nan
+# (u = -0 x inf), so its cost folds nan into inf; its MSE is +inf from age 7.
+UNSTABLE = LtiSystem(A=[[1e30]], B=[[1.0]], noise_cov=[[1.0]], Q=[[1.0]],
+                     R=[[1.0]], name="unstable")
+# Many loops of both state dimensions: MEF fills whole frames, and polled
+# replies on the tied channel can be more than one period old.
+WIDE_N = 40
+WIDE_VARIANTS = ("aloha", "mef", "pmef")
+
+
+def _config(systems, classes, variant, channel):
+    policy = SchedulerPolicy(variant=variant, **POLICY_PARAMS.get(variant, {}))
+    return SimConfig(systems=systems, classes=classes, policy=policy,
+                     channel=channel, duration_s=2.0, warmup_s=0.5,
+                     cooldown_s=0.5, seed=0, replications=REPS,
+                     record_series=True)
 
 
 def cases():
@@ -52,13 +71,19 @@ def cases():
         systems, classes = systems_from_classes(N_LOOPS, pattern)
         for chan, channel in CHANNELS.items():
             for variant in PROTOCOLS:
-                policy = SchedulerPolicy(variant=variant,
-                                         **POLICY_PARAMS.get(variant, {}))
-                yield f"{mix}-{chan}-{variant}", SimConfig(
-                    systems=systems, classes=classes, policy=policy,
-                    channel=channel, duration_s=2.0, warmup_s=0.5,
-                    cooldown_s=0.5, seed=0, replications=REPS,
-                    record_series=True)
+                yield f"{mix}-{chan}-{variant}", _config(
+                    systems, classes, variant, channel)
+    easy = make_preset("easy")
+    systems = [easy, UNSTABLE, easy, UNSTABLE]
+    classes = [s.name for s in systems]
+    for variant in PROTOCOLS:
+        yield f"diverge-capture-{variant}", _config(
+            systems, classes, variant, CHANNELS["capture"])
+    systems, classes = systems_from_classes(WIDE_N, MIXES["pendulum"])
+    for chan in ("capture", "tied"):
+        for variant in WIDE_VARIANTS:
+            yield f"wide-{chan}-{variant}", _config(
+                systems, classes, variant, CHANNELS[chan])
 
 
 def _series_digest(res) -> str:
