@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError
 
-__all__ = ["ChannelConfig", "draw_offsets", "resolve_slot", "resolve_pointtopoint"]
+__all__ = ["ChannelConfig", "BlockStreams", "draw_offsets", "resolve_slot",
+           "resolve_pointtopoint"]
 
 MODES = ("strict_collision", "offset_capture")
 
@@ -45,16 +48,50 @@ class ChannelConfig:
         return self.slot_duration - self.tx_duration
 
 
-def draw_offsets(ids, cfg: ChannelConfig, rngs) -> list[tuple[int, float]]:
-    """Start offsets for this slot's transmitters.
+class BlockStreams:
+    """Independent random streams, one per row, read one value per row at a
+    time but drawn ``size`` values at a time by ``draw(rng, size)``.
 
-    ``rngs`` maps loop id to that loop's channel-purpose generator, so
-    adding or removing other loops never changes a loop's own draws.
-    Strict mode pins every offset to zero.
+    A block draw equals the same number of single draws, so reading through
+    the buffer changes no value; a refilled row continues its own stream.
+    """
+
+    def __init__(self, rngs, draw, size: int = 64):
+        self.rngs, self.draw, self.size = rngs, draw, size
+        # Row r's block is buf[start[r]:start[r] + size]; pos[r] is the
+        # index of its next unread value.
+        self.buf = np.concatenate([draw(rng, size) for rng in rngs])
+        self.start = np.arange(len(rngs)) * size
+        self.pos = self.start.copy()
+        self._safe = size     # reads no row can run out within
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next value of each listed row's stream (rows distinct)."""
+        if not self._safe:    # a row may be spent: refill those that are
+            spent = np.flatnonzero(self.pos - self.start == self.size)
+            for row in spent.tolist():
+                lo = row * self.size
+                self.buf[lo:lo + self.size] = self.draw(self.rngs[row],
+                                                        self.size)
+            self.pos[spent] = self.start[spent]
+            self._safe = self.size - int((self.pos - self.start).max())
+        self._safe -= 1       # each read advances a row by at most one
+        pos = self.pos[rows]
+        self.pos[rows] = pos + 1
+        return self.buf[pos]
+
+
+def draw_offsets(ids: np.ndarray, cfg: ChannelConfig,
+                 streams: BlockStreams | None) -> list[tuple[int, float]]:
+    """(id, start offset) for this slot's transmitters ``ids``.
+
+    Row ``i`` of ``streams`` is transmitter ``i``'s own uniform stream on
+    [0, max_offset], so adding or removing other loops never changes a
+    loop's draws.  Strict mode pins every offset to zero and draws nothing.
     """
     if cfg.mode == "strict_collision":
-        return [(i, 0.0) for i in ids]
-    return [(i, float(rngs[i].uniform(0.0, cfg.max_offset))) for i in ids]
+        return [(i, 0.0) for i in ids.tolist()]
+    return list(zip(ids.tolist(), streams.take(ids).tolist()))
 
 
 def _overlap_components(txs, tx_duration):

@@ -11,6 +11,16 @@ back-to-back transactions between ticks; at most one is outstanding, and
 its events due at or before a tick's instant are handled before that tick.
 Acknowledgements are instantaneous and lossless, so the source's view of
 its age is the gateway's.
+
+A run holds its state as arrays over the loops, and loops of equal state
+and input size are stepped together: a tick is a fixed number of array
+operations whatever N is.  Each row's arithmetic is the single-loop
+arithmetic, so results do not depend on how loops are grouped.  A
+delivery brings its loop's estimate up to the current step at once.
+States, inputs and ages are kept for every step, and the windowed metrics
+are computed from them when the run ends.  Random draws come from one
+stream per loop and purpose; the contention streams are read through
+buffers drawn a block at a time, which gives the same values.
 """
 from __future__ import annotations
 
@@ -21,11 +31,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelConfig, draw_offsets, resolve_slot, resolve_pointtopoint
+from .channel import (BlockStreams, ChannelConfig, draw_offsets,
+                      resolve_pointtopoint, resolve_slot)
 from .errors import ConfigurationError, InvariantViolation
 from .mac import (Gateway, SchedulerPolicy, mef_build_schedule, pmef_next,
                   rr_next, wifresh_next)
-from .metrics import MetricsAccumulator
+from .metrics import STEP_ROWS, MetricsAccumulator
 from .systems import LtiSystem, make_preset
 
 __all__ = ["SimConfig", "systems_from_classes", "run", "run_task",
@@ -38,6 +49,7 @@ POLL_GUARD_S = 0.002  # extra wait before a poll transaction is declared lost
 
 # Named sub-streams per loop; the shared channel stream uses loop id 0.
 _RNG_NOISE, _RNG_ACCESS, _RNG_CHANNEL = 0, 1, 2
+_RECORD_BLOCK = 32    # window steps whose metrics are computed at once
 
 
 @dataclass
@@ -103,72 +115,89 @@ def systems_from_classes(n_loops: int, pattern=("easy", "mid", "hard")):
     return [_PRESET_CACHE[c] for c in labels], labels
 
 
-class _Loop:
-    """Mutable per-loop runtime state owned by one run."""
+def _stream(seed: int, i: int, purpose: int) -> np.random.Generator:
+    """Loop i's random stream for one purpose: what ``default_rng`` builds
+    from the same SeedSequence, without its per-call overhead."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((seed, i, purpose))))
 
-    def __init__(self, sys: LtiSystem, loop_id: int, seed: int,
-                 access: bool = False):
-        self.sys = sys
-        self.id = loop_id
-        self.nu = 0                        # generation step of freshest sample
-        self.sample = None                 # pending (gen_step, state) or None
-        self.diverged = False
-        # Single-state single-input loops run on plain floats: the per-tick
-        # work is a handful of multiply-adds, where numpy's per-call
-        # overhead on 1-element arrays dominates the whole simulation.
-        self.scalar = sys.n == 1 and sys.m == 1
+
+class _Plants:
+    """Loops of one state size n and input size m, stepped as stacks.
+
+    Row j is loop ``loops[j]``.  States and inputs are stacks of columns,
+    shape (k, n, 1) and (k, m, 1), kept for the whole run: ``X[t]`` is
+    x[t], ``U[t]`` the input applied at step t and ``noise[t]`` the process
+    noise added after it, drawn from each loop's own stream.  ``xhat`` is
+    the estimate of the last tick.  Every product is computed per row
+    exactly as for a single loop; one-state one-input loops use elementwise
+    products, which give the bits of 1x1 matrix products at a fraction of
+    their cost.
+    """
+
+    def __init__(self, systems, loops: np.ndarray, steps: int, seed: int):
+        k, n, m = len(systems), systems[0].n, systems[0].m
+        self.loops = loops
+        self.X = np.zeros((steps + 2, k, n, 1))
+        self.U = np.zeros((steps + 1, k, m, 1))
+        self.noise = np.empty((steps + 1, k, n, 1))
+        for j, (i, sys) in enumerate(zip(loops.tolist(), systems)):
+            self.noise[:, j, :, 0] = _stream(seed, i + 1, _RNG_NOISE).normal(
+                size=(steps + 1, n)) * sys.noise_std
+        self.xhat = np.zeros((k, n, 1))
+        self.freshest = np.zeros((k, n, 1))
+        stack = lambda entry: np.array([entry(s) for s in systems], float)
+        self.A, self.B = stack(lambda s: s.A), stack(lambda s: s.B)
+        self.Q, self.R = stack(lambda s: s.Q), stack(lambda s: s.R)
+        self.K = stack(lambda s: np.zeros((m, n)) if s.gain is None
+                       else s.gain)
+        self.scalar = n == m == 1
+        self.mul = np.multiply if self.scalar else np.matmul
         if self.scalar:
-            self.a = float(sys.A[0, 0])
-            self.b = float(sys.B[0, 0])
-            self.g = 0.0 if sys.gain is None else float(sys.gain[0, 0])
-            self.q = float(sys.Q[0, 0])
-            self.r = float(sys.R[0, 0])
-            self.x = 0.0
-            self.freshest = 0.0            # controller copy of x[nu]
-            self.inputs = [0.0]            # inputs[t] = u applied at step t
-            self._est = (0, 0, 0.0)        # cache: (step, nu, estimate)
-        else:
-            self.x = np.zeros(sys.n)
-            self.freshest = np.zeros(sys.n)
-            self.inputs = [np.zeros(sys.m)]
-            self._est = (0, 0, self.freshest.copy())
-        self.noise = None                  # pregenerated by the run
-        ss = np.random.SeedSequence
-        self.rng_noise = np.random.default_rng(ss((seed, loop_id, _RNG_NOISE)))
-        self.rng_access = np.random.default_rng(
-            ss((seed, loop_id, _RNG_ACCESS))) if access else None
-        self.aoi_series: list[int] = []
-        self.state_series: list = []
+            self.K = -self.K               # u = (-g) x, as for one loop
+        # Gainless loops with more states apply u = 0, not -(0 x), which
+        # is nan for an infinite estimate.
+        free = np.flatnonzero([s.gain is None for s in systems])
+        self.free = free if len(free) and not self.scalar else None
+        self.bu = self.Bu(self.U[0])       # B u of the last tick
 
-    def estimate(self, t: int):
-        """Conditional mean of x[t] from the freshest sample and inputs.
+    def Ax(self, x, rows=slice(None)):
+        return self.mul(self.A[rows], x)
 
-        Rolls the previous tick's estimate forward when no fresher data
-        arrived; otherwise replays the input history from the sample's
-        generation step.
-        """
-        prev_t, prev_nu, prev_xhat = self._est
-        if prev_nu == self.nu and prev_t == t - 1:
-            if self.scalar:
-                xhat = self.a * prev_xhat + self.b * self.inputs[t - 1]
-            else:
-                xhat = self.sys.A @ prev_xhat + self.sys.B @ self.inputs[t - 1]
-        else:
-            if self.nu >= t:
-                raise InvariantViolation(
-                    f"loop {self.id}: sample from step {self.nu} visible at {t}")
-            if self.scalar:
-                xhat = self.freshest
-                a, b, inputs = self.a, self.b, self.inputs
-                for q in range(self.nu, t):
-                    xhat = a * xhat + b * inputs[q]
-            else:
-                A, B = self.sys.A, self.sys.B
-                xhat = self.freshest.copy()
-                for q in range(self.nu, t):
-                    xhat = A @ xhat + B @ self.inputs[q]
-        self._est = (t, self.nu, xhat)
-        return xhat
+    def Bu(self, u, rows=slice(None)):
+        return self.mul(self.B[rows], u)
+
+    def control(self, xhat, out):
+        if self.scalar:
+            return np.multiply(self.K, xhat, out=out)
+        u = np.negative(np.matmul(self.K, xhat), out=out)
+        if self.free is not None:
+            u[self.free] = 0.0
+        return u
+
+    def cost(self, x, u):
+        """x'Qx + u'Ru of stacks shaped (..., k, n, 1) and (..., k, m, 1)."""
+        if self.scalar:
+            return self.Q * x * x + self.R * u * u
+        row = lambda v: v.reshape(v.shape[:-2] + (1, v.shape[-2]))
+        return (np.matmul(np.matmul(row(x), self.Q), x)
+                + np.matmul(np.matmul(row(u), self.R), u))
+
+    def tick(self, t: int):
+        """xhat[t] = A xhat[t-1] + B u[t-1], u[t] from xhat[t], then
+        x[t+1] = A x[t] + B u[t] + w[t]."""
+        self.xhat = self.Ax(self.xhat) + self.bu
+        u = self.control(self.xhat, self.U[t])
+        self.bu = self.Bu(u)
+        np.add(self.Ax(self.X[t]) + self.bu, self.noise[t], out=self.X[t + 1])
+
+    def replay(self, j: int, x: np.ndarray, start: int, stop: int):
+        """Row j's estimate at step ``stop`` from its state ``x`` at step
+        ``start``, through the inputs applied in between."""
+        rows, x = slice(j, j + 1), x[None]
+        for q in range(start, stop):
+            x = self.Ax(x, rows) + self.Bu(self.U[q, rows], rows)
+        return x[0]
 
 
 class _ChannelStreams(dict):
@@ -182,16 +211,30 @@ class _ChannelStreams(dict):
         self.seed = seed
 
     def __missing__(self, i: int) -> np.random.Generator:
-        rng = self[i] = np.random.default_rng(
-            np.random.SeedSequence((self.seed, i, _RNG_CHANNEL)))
+        rng = self[i] = _stream(self.seed, i, _RNG_CHANNEL)
         return rng
 
 
 class _Run:
+    """One run's state, held as arrays with index k for loop k + 1.
+
+    ``nu`` is each loop's freshest delivered generation and ``pending``
+    whether it has a sample to send, namely x of the last tick.  Loops of
+    equal dimensions form one :class:`_Plants` group (``at[k]`` is loop
+    k + 1's group and row), and each tick steps every group with a fixed
+    number of array operations.  The tick keeps every step's ages
+    (``ages``), states and inputs; the metrics are reduced from them once
+    the run ends.
+    """
+
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.policy = cfg.policy
         if self.policy.variant == "slotted_aloha" and self.policy.p is None:
+            if cfg.n_loops == 1:
+                raise ConfigurationError(
+                    "slotted_aloha with N=1 needs an explicit p: the "
+                    "default p = 1/N would be 1, outside (0, 1)")
             self.policy = replace(self.policy, p=1.0 / cfg.n_loops)
         if self.policy.variant == "adra" and (
                 self.policy.p is None or self.policy.threshold is None):
@@ -199,27 +242,40 @@ class _Run:
                 "the age-threshold policy needs both p and threshold; "
                 "use optimize_adra to pick them")
         self.channel = cfg.channel
-        self.N = cfg.n_loops
+        self.N = N = cfg.n_loops
         self.Ts_us = round(cfg.T_s * 1e6)
         self.tx_us = round(cfg.channel.tx_duration * 1e6)
         self.steps = round(cfg.duration_s / cfg.T_s)
         t_start = round(cfg.warmup_s / cfg.T_s) + 1
         t_end = self.steps - round(cfg.cooldown_s / cfg.T_s)
-        self.metrics = MetricsAccumulator(self.N, t_start, t_end, cfg.classes)
-        access = self.policy.variant in ("slotted_aloha", "adra")
-        self.loops = {i: _Loop(cfg.systems[i - 1], i, cfg.seed, access)
-                      for i in range(1, self.N + 1)}
+        self.metrics = MetricsAccumulator(N, t_start, t_end, cfg.classes)
         self.gateway = Gateway(cfg.systems)
-        for loop in self.loops.values():
-            if loop.scalar:
-                std = math.sqrt(float(loop.sys.noise_cov[0, 0]))
-                loop.noise = (loop.rng_noise.normal(size=self.steps + 1)
-                              * std).tolist()
-            else:
-                loop.noise = (loop.rng_noise.normal(
-                    size=(self.steps + 1, loop.sys.n)) * loop.sys.noise_std)
+        self.nu = np.zeros(N, np.int64)
+        self.pending = np.zeros(N, bool)
+        self.ages = np.zeros((self.steps + 1, N), np.int64)
+        self.groups, self.at = [], [None] * N
+        dims = {}
+        for k, sys in enumerate(cfg.systems):
+            dims.setdefault((sys.n, sys.m), []).append(k)
+        for ks in dims.values():
+            group = _Plants([cfg.systems[k] for k in ks], np.array(ks),
+                            self.steps, cfg.seed)
+            self.groups.append(group)
+            for j, k in enumerate(ks):
+                self.at[k] = (group, j)
         self.rng_channel = _ChannelStreams(cfg.seed)
-        self.rng_shared = self.rng_channel[0]
+        self.access = self.offsets = None
+        if self.policy.is_contention:
+            streams = lambda purpose: [_stream(cfg.seed, i, purpose)
+                                       for i in range(1, N + 1)]
+            if self.policy.variant in ("slotted_aloha", "adra"):
+                self.access = BlockStreams(
+                    streams(_RNG_ACCESS), lambda rng, size: rng.random(size))
+            if self.channel.mode == "offset_capture":
+                top = self.channel.max_offset
+                self.offsets = BlockStreams(
+                    streams(_RNG_CHANNEL),
+                    lambda rng, size: rng.uniform(0.0, top, size))
         self.current_step = 0
         self.mef_schedule: list[int] = []
         # Next event of the outstanding poll transaction:
@@ -230,80 +286,62 @@ class _Run:
         # the poll was sent.
         self.poll_wait_us = 2 * self.tx_us + round(POLL_GUARD_S * 1e6)
 
+    def sample(self, k: int):
+        """Loop k + 1's pending (generation step, state), or None."""
+        if not self.pending[k]:
+            return None
+        group, j = self.at[k]
+        return self.current_step, group.X[self.current_step, j]
+
     # ---- sampling-period tick -------------------------------------------
 
     def on_tick(self, t: int):
+        """Tick t (ticks come in order): every controller estimates x[t]
+        from its freshest sample and applies its gain, the plants step, and
+        x[t] becomes each loop's pending sample."""
         self.current_step = t
-        record = self.metrics.record_step
-        series = self.cfg.record_series
-        est_age, tables = self.gateway.est_age, self.gateway.tables
-        thr = DIVERGENCE_THRESHOLD
-        for i in range(1, self.N + 1):
-            loop = self.loops[i]
-            delta = t - loop.nu
-            table = tables[i - 1]
-            mse = table.mse(delta)
-            if loop.scalar:
-                prev_t, prev_nu, prev_xh = loop._est
-                if prev_nu == loop.nu and prev_t == t - 1:
-                    xhat = loop.a * prev_xh + loop.b * loop.inputs[t - 1]
-                    loop._est = (t, prev_nu, xhat)
-                else:
-                    xhat = loop.estimate(t)
-                u = -loop.g * xhat
-                loop.inputs.append(u)
-                x = loop.x
-                cost = loop.q * x * x + loop.r * u * u
-            else:
-                xhat = loop.estimate(t)
-                u = np.zeros(loop.sys.m) if loop.sys.gain is None \
-                    else -(loop.sys.gain @ xhat)
-                loop.inputs.append(u)
-                x = loop.x
-                cost = float(x @ loop.sys.Q @ x + u @ loop.sys.R @ u)
-            record(i - 1, t, delta, mse, mse / table._base, cost)
-            if series:
-                loop.aoi_series.append(delta)
-                loop.state_series.append(x)
-            # loop.x is rebound below, never written in place, so the
-            # sample and the series may share it.
-            loop.sample = (t, x)
-            est_age[i - 1] = delta
-            if loop.scalar:
-                x_next = loop.a * x + loop.b * u + loop.noise[t]
-                # The chained comparison is False for nan as well.
-                if not loop.diverged and not (-thr <= x_next <= thr):
-                    loop.diverged = True
-                    self.metrics.flag_diverged(i - 1)
-            else:
-                x_next = loop.sys.A @ x + loop.sys.B @ u + loop.noise[t]
-                if not loop.diverged and (
-                        not np.all(np.isfinite(x_next))
-                        or np.max(np.abs(x_next)) > thr):
-                    loop.diverged = True
-                    self.metrics.flag_diverged(i - 1)
-            loop.x = x_next
+        self.ages[t] = np.subtract(t, self.nu, out=self.gateway.est_age)
+        for group in self.groups:
+            group.tick(t)
+        self.pending.fill(True)
+
+    def _record(self):
+        """Feed the metrics every window step's ages, errors and costs,
+        and flag each loop whose state ever left the divergence bound."""
+        m = self.metrics
+        for lo in range(m.t_start, m.t_end + 1, _RECORD_BLOCK):
+            steps = slice(lo, min(lo + _RECORD_BLOCK, m.t_end + 1))
+            ages = self.ages[steps]
+            values = np.empty((len(ages), len(STEP_ROWS), self.N))
+            values[:, 0] = ages
+            values[:, 1] = self.gateway.errors(ages, use_nmse=False)
+            values[:, 2] = self.gateway.errors(ages)
+            for g in self.groups:
+                cost = g.cost(g.X[steps], g.U[steps])
+                values[:, 3, g.loops] = cost[..., 0, 0]
+            for t, row in enumerate(values, lo):
+                m.record_step(t, row)
+        for g in self.groups:
+            # x[2..steps+1], the states the ticks produced; max and min
+            # propagate nan, which fails both comparisons.
+            axes = (0, 2, 3)
+            ok = ((g.X[2:].max(axis=axes) <= DIVERGENCE_THRESHOLD)
+                  & (g.X[2:].min(axis=axes) >= -DIVERGENCE_THRESHOLD))
+            m.flag_diverged(g.loops[~ok])
 
     # ---- slotted medium access ------------------------------------------
 
-    def _contention_transmitters(self, t: int) -> list[int]:
-        out = []
-        for i in range(1, self.N + 1):
-            loop = self.loops[i]
-            if loop.sample is None:
-                continue
-            v = self.policy.variant
-            if v == "aloha":
-                out.append(i)
-            elif v == "slotted_aloha":
-                if loop.rng_access.random() < self.policy.p:
-                    out.append(i)
-            elif v == "adra":
-                src_age = max(1, t - loop.nu)
-                if src_age >= self.policy.threshold and \
-                        loop.rng_access.random() < self.policy.p:
-                    out.append(i)
-        return out
+    def _contention_transmitters(self) -> np.ndarray:
+        """Indices of this slot's transmitters, ascending: every loop with
+        a pending sample (aloha), each with probability p (slotted ALOHA),
+        or each whose age reached the threshold with probability p."""
+        want = self.pending
+        if self.policy.variant == "adra":
+            want = want & (self.gateway.est_age >= self.policy.threshold)
+        ks = want.nonzero()[0]
+        if self.access is not None:
+            ks = ks[self.access.take(ks) < self.policy.p]
+        return ks
 
     def on_slot(self, t: int):
         """Slot t starts on tick t's instant.  Its deliveries land before
@@ -311,40 +349,46 @@ class _Run:
         run ends and are dropped."""
         deliver = t < self.steps
         if self.policy.is_contention:
-            ids = self._contention_transmitters(t)
-            txs = draw_offsets(ids, self.channel, self.rng_channel)
-            decoded = resolve_slot(txs, self.channel, self.rng_shared)
-            for i in ids:
-                self.metrics.record_tx(i - 1, t)
-                loop = self.loops[i]
-                sample, loop.sample = loop.sample, None
-                if deliver and i in decoded:
-                    self.on_delivery(i, sample, t)
+            ks = self._contention_transmitters()
+            txs = draw_offsets(ks, self.channel, self.offsets)
+            decoded = resolve_slot(txs, self.channel, self.rng_channel[0])
+            self.metrics.record_tx(ks, t)
+            if deliver:
+                for k in sorted(decoded):
+                    self.on_delivery(k + 1, self.sample(k), t)
+            self.pending[ks] = False
         else:  # round_robin or mef
             if self.policy.variant == "round_robin":
                 i = rr_next(t, self.N)
             else:
                 i = self.mef_schedule[(t - 1) % self.policy.frame_len]
-            sample = self.loops[i].sample
-            if sample is not None:
+            if self.pending[i - 1]:
                 self.metrics.record_tx(i - 1, t)
                 ok = resolve_pointtopoint(self.channel, self.rng_channel[i])
                 if ok and deliver:
-                    self.on_delivery(i, sample, t)
+                    self.on_delivery(i, self.sample(i - 1), t)
 
     # ---- deliveries -------------------------------------------------------
 
     def on_delivery(self, i: int, sample: tuple, tx_step: int):
         """The gateway accepts only strictly fresher generations; the age
         estimate becomes the sample's age on the gateway's sampling grid,
-        floored at one."""
-        self.metrics.record_rx(i - 1, tx_step)
-        loop = self.loops[i]
+        floored at one.  The controller's estimate is brought to the
+        current step at once, so the next tick rolls it forward."""
+        k = i - 1
+        self.metrics.record_rx(k, tx_step)
         gen, state = sample
-        if gen > loop.nu:
-            loop.nu = gen
-            loop.freshest = state
-            self.gateway.est_age[i - 1] = max(1, self.current_step - gen)
+        if gen > self.nu[k]:
+            now = self.current_step
+            if gen > now:
+                raise InvariantViolation(
+                    f"loop {i}: sample from step {gen} delivered at {now}")
+            self.nu[k] = gen
+            group, j = self.at[k]
+            group.freshest[j] = state
+            group.xhat[j] = state if gen == now else group.replay(
+                j, group.freshest[j], gen, now)
+            self.gateway.est_age[k] = max(1, now - gen)
 
     # ---- polling: one transaction outstanding at a time ------------------
 
@@ -371,14 +415,14 @@ class _Run:
         while self.poll is not None and self.poll[0] <= until_us:
             now_us, kind, i, reply = self.poll
             if kind == "arrival":
-                loop = self.loops[i]
-                if loop.sample is None:
+                sample = self.sample(i - 1)
+                if sample is None:
                     raise InvariantViolation(
                         f"loop {i} polled with no pending sample")
                 self.metrics.record_tx(i - 1, self.current_step)
                 if resolve_pointtopoint(self.channel, self.rng_channel[i]):
                     self.poll = (now_us + self.tx_us, "reply", i,
-                                 (loop.sample, self.current_step))
+                                 (sample, self.current_step))
                 else:  # the timeout runs from the poll, one tx earlier
                     self.poll = (now_us - self.tx_us + self.poll_wait_us,
                                  "timeout", i, None)
@@ -391,8 +435,7 @@ class _Run:
     # ---- main loop -------------------------------------------------------
 
     def execute(self) -> dict:
-        for loop in self.loops.values():
-            loop.sample = (0, loop.x)
+        self.pending.fill(True)     # each loop's initial state, x[0] = 0
         polling = self.policy.is_polling
         framed = self.policy.variant == "mef"
         if polling:
@@ -410,12 +453,15 @@ class _Run:
                         self.gateway, self.policy.frame_len,
                         self.policy.use_nmse)
                 self.on_slot(t)
+            self._record()
         result = {"metrics": self.metrics.finalize(), "seed": self.cfg.seed}
         if self.cfg.record_series:
-            result["series"] = {
-                i: {"aoi": np.array(self.loops[i].aoi_series),
-                    "state": np.array(self.loops[i].state_series)}
-                for i in self.loops}
+            result["series"] = series = {}
+            for k, (g, j) in enumerate(self.at):
+                state = g.X[1:-1, j, :, 0]
+                series[k + 1] = {"aoi": self.ages[1:, k].copy(),
+                                 "state": (state[:, 0] if g.scalar
+                                           else state).copy()}
         return result
 
 

@@ -38,18 +38,19 @@ RELIABILITY_WINDOW_S = 0.5
 class Gateway:
     """What the gateway knows about loops 1..N, at index k for loop k + 1.
 
-    The engine sets the age estimates ``est_age``.  Polls and polled
-    replies of the last ``RELIABILITY_WINDOW_S``, counted per loop in
+    The engine writes the age estimates ``est_age`` every tick.  Polls and
+    polled replies of the last ``RELIABILITY_WINDOW_S``, counted per loop in
     ``polls`` and ``datas``, give the reliability (RX + 1) / (TX + 1).
     Their times never decrease, so one time-ordered deque, trimmed at each
     poll, leaves every loop the counts that trimming its own history
-    would.  Each distinct plant has one MSE table (``plants``); their
-    curves are stacked so that one gather reads every loop's error.
+    would.  Each distinct plant has one MSE table (``plants``), grown only
+    as far as its own loops ask; the curves are stacked so that one gather
+    reads every loop's error.
     """
 
     def __init__(self, systems: list[LtiSystem]):
         n = len(systems)
-        self.est_age = [1] * n
+        self.est_age = np.ones(n, np.int64)
         self.polls, self.datas = [0] * n, [0] * n
         self._rel = np.ones(n)             # (datas + 1) / (polls + 1)
         self._window = deque()             # (time, k, polls or datas)
@@ -60,8 +61,13 @@ class Gateway:
                 row[id(sys)] = len(self.plants)
                 self.plants.append(MseTable(sys))
         self.plant = np.array([row[id(sys)] for sys in systems])
-        self.tables = [self.plants[k] for k in self.plant]  # per loop
-        self._mse = self._nmse = np.zeros((len(self.plants), 0))
+        # MSE and nMSE of plant p at age a are _curves[:, p, a] for a up to
+        # depth[p]; later columns are storage not yet computed.  Gathers
+        # index the flattened rows, loop k's starting at _row[k].
+        self.depth = np.zeros(len(self.plants), np.int64)
+        self._reach = self.depth[self.plant]                  # per loop
+        self._curves = np.zeros((2, len(self.plants), 16))
+        self._row = self.plant * 16
 
     def _count(self, counts: list[int], k: int, step: int):
         counts[k] += step
@@ -84,23 +90,33 @@ class Gateway:
             self._count(counts, k, -1)
         return self._rel
 
-    def ages(self) -> np.ndarray:
-        return np.fromiter(self.est_age, np.int64, len(self.est_age))
-
-    def grow(self, depth: int):
-        """Stack every plant's curves through age ``depth``."""
-        if depth >= self._mse.shape[1]:
-            curves = [table.curves(depth) for table in self.plants]
-            self._mse = np.array([mse for mse, _ in curves])
-            self._nmse = np.array([nmse for _, nmse in curves])
+    def grow(self, ages: np.ndarray):
+        """Compute each plant's curves through the oldest of its own loops'
+        ``ages`` (last axis over the loops), if they stop short of it.
+        Storage widens by doubling, so each age is stacked once."""
+        if not (ages > self._reach).any():
+            return
+        need = np.zeros(len(self.plants), np.int64)
+        np.maximum.at(need, self.plant,
+                      ages.reshape(-1, len(self.plant)).max(axis=0))
+        width = self._curves.shape[2]
+        if need.max() >= width:
+            wider = np.zeros((2, len(self.plants),
+                              max(2 * width, int(need.max()) + 1)))
+            wider[:, :, :width] = self._curves
+            self._curves = wider
+            self._row = self.plant * wider.shape[2]
+        for p in np.flatnonzero(need > self.depth).tolist():
+            lo, hi = int(self.depth[p]) + 1, int(need[p])
+            self._curves[:, p, lo:hi + 1] = self.plants[p].curves(hi, lo)
+            self.depth[p] = hi
+        self._reach = self.depth[self.plant]
 
     def errors(self, ages: np.ndarray, use_nmse: bool = True) -> np.ndarray:
-        """Each loop's nMSE (or MSE) at its entry of ``ages``."""
-        try:
-            return (self._nmse if use_nmse else self._mse)[self.plant, ages]
-        except IndexError:  # an age beyond the stacked curves
-            self.grow(int(ages.max()))
-            return (self._nmse if use_nmse else self._mse)[self.plant, ages]
+        """Each loop's nMSE (or MSE) at its entry of ``ages``, whose last
+        axis runs over the loops."""
+        self.grow(ages)
+        return self._curves[int(use_nmse)].reshape(-1)[self._row + ages]
 
 
 def rr_next(t: int, N: int) -> int:
@@ -122,9 +138,10 @@ def mef_build_schedule(gw: Gateway, frame_len: int = 20,
     """
     if frame_len < 1:
         raise ConfigurationError("frame_len must be >= 1")
-    pred = gw.ages()
-    # The oldest age this frame can reach, so that no slot grows the curves.
-    gw.grow(int(pred.max()) + frame_len - 1)
+    pred = gw.est_age.copy()
+    # The oldest age each loop can reach in this frame, so that no slot
+    # grows the curves.
+    gw.grow(pred + (frame_len - 1))
     schedule = []
     for _ in range(frame_len):
         best = int(gw.errors(pred, use_nmse).argmax())
@@ -136,12 +153,12 @@ def mef_build_schedule(gw: Gateway, frame_len: int = 20,
 
 def wifresh_next(gw: Gateway, now: float) -> int:
     """Max-weight poll target: argmax of reliability x estimated age."""
-    return int((gw.reliability(now) * gw.ages()).argmax()) + 1
+    return int((gw.reliability(now) * gw.est_age).argmax()) + 1
 
 
 def pmef_next(gw: Gateway, now: float, use_nmse: bool = True) -> int:
     """Poll target by reliability x (normalized) estimation error."""
-    errors = gw.errors(gw.ages(), use_nmse)
+    errors = gw.errors(gw.est_age, use_nmse)
     return int((gw.reliability(now) * errors).argmax()) + 1
 
 

@@ -8,8 +8,10 @@ The mean squared estimation error of a loop whose freshest sample is
 
 and its normalized variant divides by the one-period value, making loops
 with different state dimensions and units comparable.  :class:`MseTable`
-grows both laws on demand for one plant; the engine reads one value per
-loop per period, and the gateway schedulers read whole curves as arrays.
+grows both laws on demand for one plant; the gateway stacks the curves of
+its plants, and the engine and the schedulers read them with one gather
+for all loops.  :class:`MetricsAccumulator` adds one tick's values of every
+loop at once.
 """
 from __future__ import annotations
 
@@ -25,7 +27,12 @@ __all__ = [
     "error_covariance",
     "MseTable",
     "MetricsAccumulator",
+    "STEP_ROWS",
 ]
+
+# What :meth:`MetricsAccumulator.record_step` reads from each row.
+STEP_ROWS = ("aoi", "mse", "nmse", "cost")
+
 
 def mse_of_age(sys: LtiSystem, delta: int) -> float:
     """Closed-form mean squared estimation error at age ``delta``.
@@ -102,10 +109,12 @@ class MseTable:
     def nmse(self, delta: int) -> float:
         return self.mse(delta) / self._base
 
-    def curves(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`mse` and :meth:`nmse` of ages 0..depth as float64 arrays."""
+    def curves(self, depth: int,
+               start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`mse` and :meth:`nmse` of ages start..depth as float64
+        arrays."""
         self.mse(depth)
-        mse = np.array(self._mse[:depth + 1])
+        mse = np.array(self._mse[start:depth + 1])
         return mse, mse / self._base
 
 
@@ -125,55 +134,49 @@ class MetricsAccumulator:
         self.t_start = t_start
         self.t_end = t_end
         self.classes = classes or ["?"] * n_loops
-        # Plain lists: these are bumped once per loop per period, where
-        # scalar indexing into numpy arrays is measurably slower.
-        self.sum_aoi = [0.0] * n_loops
-        self.sum_mse = [0.0] * n_loops
-        self.sum_nmse = [0.0] * n_loops
-        self.sum_cost = [0.0] * n_loops
-        self.counts = [0] * n_loops
-        self.tx = [0] * n_loops
-        self.rx = [0] * n_loops
+        self.sums = np.zeros((len(STEP_ROWS), n_loops))
+        self.count = 0                     # steps recorded
+        self.tx = np.zeros(n_loops, np.int64)
+        self.rx = np.zeros(n_loops, np.int64)
         self.diverged = np.zeros(n_loops, dtype=bool)
 
-    def record_step(self, loop: int, t: int, aoi: int, mse: float,
-                    nmse: float, cost: float):
+    def record_step(self, t: int, values: np.ndarray):
+        """Add step t's values of every loop: ``values`` has one row per
+        entry of :data:`STEP_ROWS` and one column per loop."""
         if not self.t_start <= t <= self.t_end:
             return
-        # A diverged loop can produce nan (inf times a zero weight); fold it
-        # into +inf so windowed sums stay meaningful and reportable.
-        self.sum_aoi[loop] += aoi
-        self.sum_mse[loop] += mse if mse == mse else math.inf
-        self.sum_nmse[loop] += nmse if nmse == nmse else math.inf
-        self.sum_cost[loop] += cost if cost == cost else math.inf
-        self.counts[loop] += 1
+        # A diverged loop can produce nan (inf times a zero weight); fmin
+        # folds it into +inf so windowed sums stay meaningful and reportable.
+        self.sums += np.fmin(values, math.inf)
+        self.count += 1
 
-    def record_tx(self, loop: int, t: int):
+    def record_tx(self, loop, t: int):
+        """Count a transmission of ``loop`` (an index or distinct indices)."""
         if self.t_start <= t <= self.t_end:
             self.tx[loop] += 1
 
-    def record_rx(self, loop: int, t: int):
+    def record_rx(self, loop, t: int):
         if self.t_start <= t <= self.t_end:
             self.rx[loop] += 1
 
-    def flag_diverged(self, loop: int):
+    def flag_diverged(self, loop):
         self.diverged[loop] = True
 
     def finalize(self) -> dict:
         """Per-loop and network-wide means, delivery ratios and per-class
         shares of successful deliveries."""
         expected = self.t_end - self.t_start + 1
-        counts = np.asarray(self.counts)
-        if np.any(counts == 0):
+        if self.count == 0:
             raise ConfigurationError("no samples fell inside the window")
-        c = counts.astype(float)
-        tx = np.asarray(self.tx)
-        rx = np.asarray(self.rx)
+        counts = np.full(self.n_loops, self.count)
+        c = float(self.count)
+        tx, rx = self.tx.copy(), self.rx.copy()
+        aoi, mse, nmse, cost = self.sums / c
         per_loop = {
-            "aoi_mean": np.asarray(self.sum_aoi) / c,
-            "mse_mean": np.asarray(self.sum_mse) / c,
-            "nmse_mean": np.asarray(self.sum_nmse) / c,
-            "lqg_mean": np.asarray(self.sum_cost) / c,
+            "aoi_mean": aoi,
+            "mse_mean": mse,
+            "nmse_mean": nmse,
+            "lqg_mean": cost,
             "tx": tx,
             "rx": rx,
             "delivery_ratio": np.divide(

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncsim.channel import (ChannelConfig, draw_offsets, resolve_pointtopoint,
-                           resolve_slot)
+from ncsim.channel import (BlockStreams, ChannelConfig, draw_offsets,
+                           resolve_pointtopoint, resolve_slot)
 from ncsim.errors import ConfigurationError
 
 
@@ -127,20 +127,47 @@ def test_capture_degrades_to_strict(n_tx, seed):
     assert got == ref
 
 
+def uniform_streams(cfg, seeds, size=64):
+    return BlockStreams([np.random.default_rng(s) for s in seeds],
+                        lambda rng, k: rng.uniform(0.0, cfg.max_offset, k),
+                        size)
+
+
 def test_draw_offsets_strict_pins_zero():
-    rngs = {1: np.random.default_rng(0), 2: np.random.default_rng(1)}
-    assert draw_offsets([1, 2], strict(), rngs) == [(1, 0.0), (2, 0.0)]
+    cfg = capture()
+    streams = uniform_streams(cfg, [0, 1])
+    assert draw_offsets(np.array([0, 1]), strict(), streams) == \
+        [(0, 0.0), (1, 0.0)]
+    # Nothing was drawn: the streams still start with their first values.
+    first = np.random.default_rng(1).uniform(0.0, cfg.max_offset)
+    assert streams.take(np.array([1])).tolist() == [first]
 
 
 def test_draw_offsets_capture_in_range_and_per_loop():
     cfg = capture()
-    rngs = {1: np.random.default_rng(0), 2: np.random.default_rng(1)}
-    txs = draw_offsets([1, 2], cfg, rngs)
+    txs = draw_offsets(np.array([0, 1]), cfg, uniform_streams(cfg, [0, 1]))
     for _, off in txs:
         assert 0.0 <= off <= cfg.max_offset
     # A loop's draw depends only on its own stream.
-    again = draw_offsets([2], cfg, {2: np.random.default_rng(1)})
-    assert again[0] == txs[1]
+    again = draw_offsets(np.array([0]), cfg, uniform_streams(cfg, [1]))
+    assert again[0][1] == txs[1][1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(reads=st.lists(st.lists(st.booleans(), min_size=3, max_size=3),
+                      max_size=40),
+       size=st.integers(1, 5))
+def test_block_streams_match_single_draws(reads, size):
+    """Reading rows in any pattern, across refills, gives each row the
+    values its generator would give one call at a time."""
+    cfg = capture()
+    streams = uniform_streams(cfg, [4, 5, 6], size)
+    single = [np.random.default_rng(s) for s in (4, 5, 6)]
+    for mask in reads:
+        rows = np.flatnonzero(mask)
+        got = streams.take(rows).tolist()
+        assert got == [float(single[r].uniform(0.0, cfg.max_offset))
+                       for r in rows]
 
 
 def test_determinism_under_fixed_seed():

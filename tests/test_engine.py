@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncsim.engine
 import ncsim.mac
 from ncsim.channel import ChannelConfig
 from ncsim.engine import (SimConfig, _Run, run, run_replications,
@@ -199,19 +200,21 @@ def test_mef_frames_and_beacons():
 
 
 def test_estimator_incremental_matches_reference():
-    """The engine's rolled-forward estimate equals a cold replay."""
-    from ncsim.engine import _Loop
-    sys = make_preset("pendulum")
-    loop = _Loop(sys, 1, seed=0)
+    """The engine's rolled-forward estimate equals a cold replay, also
+    right after a delivery older than the last tick."""
+    r = _Run(cfg_for(1, "round_robin", pattern=("pendulum",)))
+    group, j = r.at[0]
+    sys = r.cfg.systems[0]
     rng = np.random.default_rng(8)
     for t in range(1, 40):
         if t % 7 == 0:   # as if fresher data arrived
-            loop.nu = t - 2
-            loop.freshest = rng.normal(size=sys.n)
-        got = loop.estimate(t)
-        ref = estimate_state(sys, loop.freshest, loop.inputs[loop.nu:t])
-        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
-        loop.inputs.append(rng.normal(size=sys.m))
+            r.on_delivery(1, (t - 2, rng.normal(size=(sys.n, 1))), t - 1)
+        r.on_tick(t)
+        nu = int(r.nu[0])
+        ref = estimate_state(sys, group.freshest[j][:, 0],
+                             [group.U[q, j, :, 0] for q in range(nu, t)])
+        np.testing.assert_allclose(group.xhat[j][:, 0], ref,
+                                   rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -221,19 +224,20 @@ def test_only_strictly_fresher_deliveries_change_the_gateway(steps):
     """A stale or duplicate delivery changes neither the loop's freshest
     generation and state nor the gateway's age; ``nu`` never regresses."""
     r = _Run(cfg_for(2, "round_robin"))
-    loop, est_age = r.loops[1], r.gateway.est_age
+    group, j = r.at[0]
+    est_age = r.gateway.est_age
     for step, lag in steps:
         r.current_step += step
         gen = max(0, r.current_step - lag)
-        before = (loop.nu, loop.freshest, est_age[0])
+        before = (int(r.nu[0]), group.freshest[j].item(), int(est_age[0]))
         r.on_delivery(1, (gen, float(gen)), r.current_step)
         if gen > before[0]:
-            assert loop.nu == gen and loop.freshest == float(gen)
+            assert r.nu[0] == gen and group.freshest[j].item() == float(gen)
             assert est_age[0] == max(1, r.current_step - gen)
         else:
-            assert (loop.nu, loop.freshest, est_age[0]) == before
-            assert loop.freshest is before[1]
-        assert loop.nu >= before[0]
+            assert (int(r.nu[0]), group.freshest[j].item(),
+                    int(est_age[0])) == before
+        assert r.nu[0] >= before[0]
 
 
 def test_contention_sender_waits_for_the_next_sample():
@@ -242,13 +246,109 @@ def test_contention_sender_waits_for_the_next_sample():
     r = _Run(cfg_for(2, "aloha"))
     r.on_tick(1)
     r.on_tick(2)
-    assert [r.loops[i].sample[0] for i in (1, 2)] == [2, 2]
+    assert [r.sample(k)[0] for k in (0, 1)] == [2, 2]
     r.on_slot(2)
-    assert all(r.loops[i].sample is None for i in (1, 2))
-    assert r._contention_transmitters(2) == []
+    assert all(r.sample(k) is None for k in (0, 1))
+    assert r._contention_transmitters().tolist() == []
     r.on_tick(3)
-    assert r._contention_transmitters(3) == [1, 2]
-    assert r.loops[1].sample[0] == 3
+    assert r._contention_transmitters().tolist() == [0, 1]
+    assert r.sample(0)[0] == 3
+
+
+def test_single_loop_slotted_aloha_needs_explicit_p():
+    """The default p = 1/N is 1 for one loop, which slotted ALOHA cannot
+    use; the error names that cause instead of the policy's range check."""
+    with pytest.raises(ConfigurationError, match="N=1.*p = 1/N"):
+        run(cfg_for(1, "slotted_aloha"))
+    res = run(cfg_for(1, "slotted_aloha", p=0.5))
+    assert res["metrics"]["per_loop"]["tx"][0] > 0
+
+
+CLASSES = ("easy", "mid", "hard", "pendulum")
+
+
+@st.composite
+def random_configs(draw):
+    n = draw(st.integers(1, 10))
+    pattern = tuple(draw(st.lists(st.sampled_from(CLASSES), min_size=1,
+                                  max_size=4)))
+    variant = draw(st.sampled_from(ncsim.mac.PROTOCOLS))
+    pol = {}
+    if variant in ("slotted_aloha", "adra"):
+        pol["p"] = draw(st.sampled_from([0.05, 0.3, 0.7, 0.95]))
+    if variant == "adra":
+        pol["threshold"] = draw(st.integers(0, 5))
+    if variant == "mef":
+        pol["frame_len"] = draw(st.integers(1, 20))
+    if variant in ("mef", "pmef"):
+        pol["use_nmse"] = draw(st.booleans())
+    # 5 ms puts poll replies on tick instants; 10 ms fills the slot.
+    channel = ChannelConfig(
+        mode=draw(st.sampled_from(["strict_collision", "offset_capture"])),
+        erasure_prob=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        tx_duration=draw(st.sampled_from([0.003, 0.005, 0.010])))
+    return cfg_for(n, variant, channel=channel, duration=0.4, trim=0.1,
+                   seed=draw(st.integers(0, 3)), pattern=pattern, **pol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=random_configs())
+def test_batched_state_invariants(cfg):
+    """After every tick of random runs: every age is at least one, no loop
+    received more than it sent, ``nu`` never decreased, and each loop's
+    estimate equals a cold replay from its freshest sample over its
+    inputs."""
+    r = _Run(cfg)
+    tick, seen = r.on_tick, r.nu.copy()
+
+    def checked_tick(t):
+        tick(t)
+        assert (r.gateway.est_age >= 1).all()
+        assert (r.metrics.rx <= r.metrics.tx).all()
+        assert (r.nu >= seen).all()
+        seen[:] = r.nu
+        for k, (group, j) in enumerate(r.at):
+            nu = int(r.nu[k])
+            ref = estimate_state(cfg.systems[k], group.freshest[j][:, 0],
+                                 [group.U[q, j, :, 0] for q in range(nu, t)])
+            np.testing.assert_array_equal(group.xhat[j][:, 0], ref)
+
+    r.on_tick = checked_tick
+    r.execute()
+
+
+@pytest.mark.parametrize("variant", ["round_robin", "aloha", "mef", "pmef"])
+def test_tables_grow_only_to_their_own_loops_ages(variant, monkeypatch):
+    """Each plant's table reaches the oldest age its own loops asked for:
+    window ages for the metrics, MEF's frame reach for its loops, and the
+    ages of every poll decision."""
+    cfg = cfg_for(15, variant, pattern=("easy", "pendulum", "hard"),
+                  duration=4.0, trim=1.0, series=True,
+                  channel=ChannelConfig(mode="offset_capture",
+                                        erasure_prob=0.01))
+    polled, pick = [], ncsim.engine.pmef_next
+
+    def recording_pick(gw, *args):
+        polled.append(gw.est_age.copy())
+        return pick(gw, *args)
+
+    monkeypatch.setattr(ncsim.engine, "pmef_next", recording_pick)
+    r = _Run(cfg)
+    res = r.execute()
+    ages = np.array([res["series"][k + 1]["aoi"] for k in range(15)]).T
+    window = ages[r.metrics.t_start - 1:r.metrics.t_end]   # row t-1: tick t
+    gw, frame = r.gateway, cfg.policy.frame_len
+    for p, table in enumerate(gw.plants):
+        own = gw.plant == p
+        want = window[:, own].max()
+        if variant == "mef":
+            for t in range(1, r.steps + 1, frame):
+                want = max(want, ages[t - 1, own].max() + frame - 1)
+        if polled:
+            want = max(want, np.array(polled)[:, own].max())
+        assert len(table._mse) - 1 == gw.depth[p] == want
+    if variant in ("mef", "pmef"):   # easy, pendulum and hard differ
+        assert len(set(gw.depth.tolist())) == 3, "plants grew in lockstep"
 
 
 # (N, class pattern, policy): a scalar mix and a pendulum mix, each under a
@@ -273,8 +373,8 @@ def test_one_mse_table_per_plant(n, pattern, variant, monkeypatch):
     assert built == r.gateway.plants
     plants = r.gateway.plants
     assert len(plants) == len({id(s) for s in cfg.systems}) == 3
-    assert [plants[k] for k in r.gateway.plant] == r.gateway.tables
-    assert all(t.sys is s for t, s in zip(r.gateway.tables, cfg.systems))
+    tables = [plants[k] for k in r.gateway.plant]      # per loop
+    assert all(t.sys is s for t, s in zip(tables, cfg.systems))
     for tab in plants:
         depth = len(tab._mse) - 1
         assert depth > 1

@@ -22,17 +22,22 @@ def hand_run(variant="round_robin", n=2):
                           warmup_s=0.5, cooldown_s=0.5))
 
 
+def freshest(r, k):
+    """Loop k + 1's freshest delivered state, as a float (scalar loops)."""
+    group, j = r.at[k]
+    return group.freshest[j].item()
+
+
 def test_lcfs_keeps_only_freshest():
     """A loop holds one pending sample (last come, first served): each
     tick's sample replaces the older one, and a transmission takes it."""
     r = hand_run("aloha")
-    loop = r.loops[1]
-    assert loop.sample is None
+    assert r.sample(0) is None
     for t in (1, 2, 3):
         r.on_tick(t)
-    assert loop.sample[0] == 3
+    assert r.sample(0)[0] == 3
     r.on_slot(3)
-    assert loop.sample is None
+    assert r.sample(0) is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -50,11 +55,11 @@ def test_lcfs_single_slot_property(ops):
         elif t:
             r.on_slot(t)
             taken = True
-        for loop in r.loops.values():
+        for k in range(r.N):
             if taken:
-                assert loop.sample is None
+                assert r.sample(k) is None
             else:
-                assert loop.sample[0] == t
+                assert r.sample(k)[0] == t
 
 
 def test_rr_rule():
@@ -73,8 +78,8 @@ def test_gw_on_data_age_update():
     r.on_delivery(2, (7, 0.5), 10)
     assert r.gateway.est_age[1] == 3
     # The acknowledgement is instantaneous: the sender's loop knows gen 7.
-    assert r.loops[2].nu == 7 and r.loops[2].freshest == 0.5
-    assert r.loops[1].nu == 0
+    assert r.nu[1] == 7 and freshest(r, 1) == 0.5
+    assert r.nu[0] == 0
 
 
 def test_gw_on_data_ignores_duplicates_and_stale():
@@ -83,10 +88,10 @@ def test_gw_on_data_ignores_duplicates_and_stale():
     r.on_delivery(2, (7, 0.5), 10)
     r.current_step = 11
     r.on_delivery(2, (7, 0.9), 11)    # duplicate
-    assert r.gateway.est_age[1] == 3 and r.loops[2].freshest == 0.5
+    assert r.gateway.est_age[1] == 3 and freshest(r, 1) == 0.5
     r.on_delivery(2, (4, 0.9), 11)    # stale
-    assert r.gateway.est_age[1] == 3 and r.loops[2].nu == 7
-    assert r.loops[2].freshest == 0.5
+    assert r.gateway.est_age[1] == 3 and r.nu[1] == 7
+    assert freshest(r, 1) == 0.5
 
 
 def test_gw_view_age_grows_per_tick():
@@ -94,9 +99,9 @@ def test_gw_view_age_grows_per_tick():
     for t in range(1, 11):
         r.on_tick(t)
         if t == 7:
-            sample = r.loops[2].sample
+            sample = r.sample(1)
     r.on_delivery(2, sample, 10)
-    assert r.gateway.est_age[1] == 3 and r.loops[2].nu == 7
+    assert r.gateway.est_age[1] == 3 and r.nu[1] == 7
     for t in range(11, 16):
         r.on_tick(t)
     assert r.gateway.est_age[1] == 3 + 5
@@ -219,7 +224,7 @@ def test_overflowed_errors_tie_to_lowest_id():
     and MEF then serves the next overflowed loop."""
     gw = Gateway([PLANTS[c] for c in ("easy", "unstable", "easy", "unstable")])
     gw.est_age[:] = [30, 6, 30, 9]
-    assert gw.errors(gw.ages()).tolist()[1::2] == [math.inf, math.inf]
+    assert gw.errors(gw.est_age).tolist()[1::2] == [math.inf, math.inf]
     assert pmef_next(gw, 0.0) == 2
     assert mef_build_schedule(gw, frame_len=2) == [2, 4]
 

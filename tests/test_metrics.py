@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ncsim.engine import SimConfig, _Run, systems_from_classes
 from ncsim.errors import ConfigurationError
 from ncsim.mac import SchedulerPolicy
-from ncsim.metrics import (MetricsAccumulator, MseTable, error_covariance,
-                           mse_of_age, nmse_of_age)
+from ncsim.metrics import (STEP_ROWS, MetricsAccumulator, MseTable,
+                           error_covariance, mse_of_age, nmse_of_age)
 from ncsim.systems import LtiSystem, make_preset
 
 PRESETS = ["easy", "mid", "hard", "pendulum"]
@@ -161,15 +161,15 @@ def test_aoi_tracker():
     est_age, samples = r.gateway.est_age, {}
     for t in range(1, 6):
         r.on_tick(t)
-        samples[t] = r.loops[1].sample
+        samples[t] = r.sample(0)
         assert est_age[0] == t
     r.on_delivery(1, samples[3], 5)
-    assert est_age[0] == 2 and r.loops[1].nu == 3
+    assert est_age[0] == 2 and r.nu[0] == 3
     r.on_delivery(1, samples[3], 5)    # duplicate
     r.on_delivery(1, samples[2], 5)    # stale
-    assert est_age[0] == 2 and r.loops[1].nu == 3
+    assert est_age[0] == 2 and r.nu[0] == 3
     r.on_delivery(1, samples[5], 5)    # sampled this step
-    assert est_age[0] == 1 and r.loops[1].nu == 5
+    assert est_age[0] == 1 and r.nu[0] == 5
 
 
 @settings(max_examples=50, deadline=None)
@@ -181,7 +181,8 @@ def test_aoi_tracker_never_regresses(gens):
     for g in gens:
         r.on_delivery(1, (g, float(g)), 100)
         seen = max(seen, g)
-        assert r.loops[1].nu == seen and r.loops[1].freshest == float(seen)
+        group, j = r.at[0]
+        assert r.nu[0] == seen and group.freshest[j].item() == float(seen)
         if seen:
             assert r.gateway.est_age[0] == max(1, 100 - seen)
 
@@ -190,11 +191,16 @@ def make_acc(n=2, t0=1, t1=4, classes=None):
     return MetricsAccumulator(n, t0, t1, classes)
 
 
+def step(**rows):
+    """One step's values of every loop, rows in ``STEP_ROWS`` order."""
+    return np.array([rows[name] for name in STEP_ROWS], dtype=float)
+
+
 def test_accumulator_constant_age():
     acc = make_acc()
     for t in range(1, 5):
-        for loop in range(2):
-            acc.record_step(loop, t, 2, 1.0, 1.0, 0.5)
+        acc.record_step(t, step(aoi=[2, 2], mse=[1.0, 1.0], nmse=[1.0, 1.0],
+                                 cost=[0.5, 0.5]))
     out = acc.finalize()
     assert out["network"]["aoi_mean"] == pytest.approx(2.0)
     assert out["expected_samples"] == 4
@@ -204,7 +210,7 @@ def test_accumulator_constant_age():
 def test_accumulator_window_gating():
     acc = make_acc(n=1, t0=2, t1=3)
     for t in range(1, 6):
-        acc.record_step(0, t, t, 0.0, 0.0, 0.0)
+        acc.record_step(t, step(aoi=[t], mse=[0.0], nmse=[0.0], cost=[0.0]))
         acc.record_tx(0, t)
     out = acc.finalize()
     assert out["per_loop"]["aoi_mean"][0] == pytest.approx(2.5)
@@ -213,8 +219,7 @@ def test_accumulator_window_gating():
 
 def test_accumulator_fractions():
     acc = make_acc(n=2, classes=["a", "b"])
-    acc.record_step(0, 1, 1, 0, 0, 0)
-    acc.record_step(1, 1, 1, 0, 0, 0)
+    acc.record_step(1, step(aoi=[1, 1], mse=[0, 0], nmse=[0, 0], cost=[0, 0]))
     for _ in range(300):
         acc.record_rx(0, 1)
     for _ in range(100):
@@ -226,9 +231,10 @@ def test_accumulator_fractions():
 
 def test_accumulator_sanitizes_nan_to_inf():
     acc = make_acc(n=1)
-    acc.record_step(0, 1, 3, float("nan"), math.inf, float("nan"))
+    acc.record_step(1, step(aoi=[3], mse=[math.nan], nmse=[math.inf],
+                           cost=[math.nan]))
     for t in range(2, 5):
-        acc.record_step(0, t, 1, 0.0, 0.0, 0.0)
+        acc.record_step(t, step(aoi=[1], mse=[0.0], nmse=[0.0], cost=[0.0]))
     out = acc.finalize()
     assert out["per_loop"]["mse_mean"][0] == math.inf
     assert out["per_loop"]["lqg_mean"][0] == math.inf
