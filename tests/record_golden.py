@@ -7,7 +7,9 @@ Usage (from the repository root, on a commit whose results are trusted)::
 
 Simulates a small fixed grid (every policy x three channels x two class
 mixes, N=6, 2 replications of 2 s each), a diverging network under every
-policy and an N=40 pendulum mix under three policies, and writes, per case,
+policy, an N=40 pendulum mix under three policies, an N=3 mix whose
+pendulum is alone in its dimension group and a single loop, each under every
+policy, and writes, per case,
 the SHA-256 of the ``per_run.csv`` that ``emit_results`` writes and of every
 loop's AoI and state series.  Results must stay bit-for-bit identical across
 refactors, so regenerate the file only when results are meant to change.
@@ -55,10 +57,12 @@ UNSTABLE = LtiSystem(A=[[1e30]], B=[[1.0]], noise_cov=[[1.0]], Q=[[1.0]],
 # replies on the tied channel can be more than one period old.
 WIDE_N = 40
 WIDE_VARIANTS = ("aloha", "mef", "pmef")
+# A one-loop network: slotted ALOHA's default p = 1/N would be 1.
+SINGLE_PARAMS = {**POLICY_PARAMS, "slotted_aloha": {"p": 0.5}}
 
 
-def _config(systems, classes, variant, channel):
-    policy = SchedulerPolicy(variant=variant, **POLICY_PARAMS.get(variant, {}))
+def _config(systems, classes, variant, channel, params=POLICY_PARAMS):
+    policy = SchedulerPolicy(variant=variant, **params.get(variant, {}))
     return SimConfig(systems=systems, classes=classes, policy=policy,
                      channel=channel, duration_s=2.0, warmup_s=0.5,
                      cooldown_s=0.5, seed=0, replications=REPS,
@@ -84,6 +88,15 @@ def cases():
         for variant in WIDE_VARIANTS:
             yield f"wide-{chan}-{variant}", _config(
                 systems, classes, variant, CHANNELS[chan])
+    # One-loop groups: the pendulum's window sums are a single column.
+    systems, classes = systems_from_classes(3, MIXES["pendulum"])
+    for variant in PROTOCOLS:
+        yield f"trio-capture-{variant}", _config(
+            systems, classes, variant, CHANNELS["capture"])
+    systems, classes = systems_from_classes(1, ("easy",))
+    for variant in PROTOCOLS:
+        yield f"single-capture-{variant}", _config(
+            systems, classes, variant, CHANNELS["capture"], SINGLE_PARAMS)
 
 
 def _series_digest(res) -> str:
