@@ -2,8 +2,9 @@
 
 Time advances in fixed sampling periods on an integer-microsecond clock.
 Every period each loop's controller consumes the freshest delivered sample,
-applies its feedback law, the plant steps forward, and the new sample, a
-(generation step, state) pair, replaces the loop's pending one.  The
+applies its feedback law, the plant steps forward, and the new sample
+replaces the loop's pending one.  A sample is named by its generation step
+alone: its state is that step's entry of the loop's state history.  The
 selected medium-access policy moves pending samples across the shared
 channel.  Slotted contention and beacon-framed scheduling use one slot per
 period, and a slot's deliveries land before the next tick.  Polling runs
@@ -17,8 +18,9 @@ and input size are stepped together: a tick is a fixed number of array
 operations whatever N is.  Each row's arithmetic is the single-loop
 arithmetic, so results do not depend on how loops are grouped.  A
 delivery brings its loop's estimate up to the current step at once.
-States, inputs and ages are kept for every step, and the windowed metrics
-are computed from them when the run ends.  Random draws come from one
+States, inputs and ages are kept for every step; when the run ends, the
+window's ages, errors and costs are summed in step order, a block of steps
+at a time, and handed to the metrics.  Random draws come from one
 stream per loop and purpose; the contention streams are read through
 buffers drawn a block at a time, which gives the same values.
 """
@@ -36,7 +38,7 @@ from .channel import (BlockStreams, ChannelConfig, draw_offsets,
 from .errors import ConfigurationError, InvariantViolation
 from .mac import (Gateway, SchedulerPolicy, mef_build_schedule, pmef_next,
                   rr_next, wifresh_next)
-from .metrics import STEP_ROWS, MetricsAccumulator
+from .metrics import MetricsAccumulator
 from .systems import LtiSystem, make_preset
 
 __all__ = ["SimConfig", "systems_from_classes", "run", "run_task",
@@ -49,7 +51,8 @@ POLL_GUARD_S = 0.002  # extra wait before a poll transaction is declared lost
 
 # Named sub-streams per loop; the shared channel stream uses loop id 0.
 _RNG_NOISE, _RNG_ACCESS, _RNG_CHANNEL = 0, 1, 2
-_RECORD_BLOCK = 32    # window steps whose metrics are computed at once
+# Loop-steps per block of the end-of-run window sums; bounds their memory.
+_SUM_BLOCK_VALUES = 1 << 12
 
 
 @dataclass
@@ -145,7 +148,6 @@ class _Plants:
             self.noise[:, j, :, 0] = _stream(seed, i + 1, _RNG_NOISE).normal(
                 size=(steps + 1, n)) * sys.noise_std
         self.xhat = np.zeros((k, n, 1))
-        self.freshest = np.zeros((k, n, 1))
         stack = lambda entry: np.array([entry(s) for s in systems], float)
         self.A, self.B = stack(lambda s: s.A), stack(lambda s: s.B)
         self.Q, self.R = stack(lambda s: s.Q), stack(lambda s: s.R)
@@ -191,10 +193,11 @@ class _Plants:
         self.bu = self.Bu(u)
         np.add(self.Ax(self.X[t]) + self.bu, self.noise[t], out=self.X[t + 1])
 
-    def replay(self, j: int, x: np.ndarray, start: int, stop: int):
-        """Row j's estimate at step ``stop`` from its state ``x`` at step
+    def replay(self, j: int, start: int, stop: int):
+        """Row j's estimate at step ``stop`` from its state at step
         ``start``, through the inputs applied in between."""
-        rows, x = slice(j, j + 1), x[None]
+        rows = slice(j, j + 1)
+        x = self.X[start, rows]
         for q in range(start, stop):
             x = self.Ax(x, rows) + self.Bu(self.U[q, rows], rows)
         return x[0]
@@ -219,7 +222,7 @@ class _Run:
     """One run's state, held as arrays with index k for loop k + 1.
 
     ``nu`` is each loop's freshest delivered generation and ``pending``
-    whether it has a sample to send, namely x of the last tick.  Loops of
+    whether it has a sample to send, namely the last tick's.  Loops of
     equal dimensions form one :class:`_Plants` group (``at[k]`` is loop
     k + 1's group and row), and each tick steps every group with a fixed
     number of array operations.  The tick keeps every step's ages
@@ -279,19 +282,12 @@ class _Run:
         self.current_step = 0
         self.mef_schedule: list[int] = []
         # Next event of the outstanding poll transaction:
-        # (time_us, kind, loop id, (sample, tx_step) of a reply), or None.
+        # (time_us, kind, loop id, generation step of a reply), or None.
         self.poll = None
         self.end_us = self.steps * self.Ts_us
         # A poll or its reply that is lost is given up this long after
         # the poll was sent.
         self.poll_wait_us = 2 * self.tx_us + round(POLL_GUARD_S * 1e6)
-
-    def sample(self, k: int):
-        """Loop k + 1's pending (generation step, state), or None."""
-        if not self.pending[k]:
-            return None
-        group, j = self.at[k]
-        return self.current_step, group.X[self.current_step, j]
 
     # ---- sampling-period tick -------------------------------------------
 
@@ -305,29 +301,45 @@ class _Run:
             group.tick(t)
         self.pending.fill(True)
 
-    def _record(self):
-        """Feed the metrics every window step's ages, errors and costs,
-        and flag each loop whose state ever left the divergence bound."""
+    def _window_sums(self) -> np.ndarray:
+        """Each loop's age, MSE, nMSE and stage cost summed over the
+        metrics window, as rows of a (4, N) array.
+
+        The steps are added in order, as a running total would add them,
+        a block at a time with the total so far as each block's first row.
+        numpy sums pairwise only along the fast axis in memory, which in a
+        block runs over the quantities and loops, so reducing over its
+        steps adds row after row; a one-loop column summed on its own
+        would be summed pairwise and round differently.  A diverged loop
+        can produce nan (inf times a zero weight); it counts as +inf.
+        """
         m = self.metrics
-        for lo in range(m.t_start, m.t_end + 1, _RECORD_BLOCK):
-            steps = slice(lo, min(lo + _RECORD_BLOCK, m.t_end + 1))
+        total = np.zeros((4, self.N))
+        block = max(1, _SUM_BLOCK_VALUES // self.N)
+        for lo in range(m.t_start, m.t_end + 1, block):
+            steps = slice(lo, min(lo + block, m.t_end + 1))
             ages = self.ages[steps]
-            values = np.empty((len(ages), len(STEP_ROWS), self.N))
-            values[:, 0] = ages
-            values[:, 1] = self.gateway.errors(ages, use_nmse=False)
-            values[:, 2] = self.gateway.errors(ages)
+            values = np.empty((len(ages) + 1, 4, self.N))
+            values[0] = total
+            rows = values[1:]
+            rows[:, 0] = ages
+            rows[:, 1] = self.gateway.errors(ages, use_nmse=False)
+            rows[:, 2] = self.gateway.errors(ages)
             for g in self.groups:
-                cost = g.cost(g.X[steps], g.U[steps])
-                values[:, 3, g.loops] = cost[..., 0, 0]
-            for t, row in enumerate(values, lo):
-                m.record_step(t, row)
+                rows[:, 3, g.loops] = g.cost(g.X[steps], g.U[steps])[..., 0, 0]
+            np.fmin(rows, math.inf, out=rows)
+            total = np.add.reduce(values, axis=0)
+        return total
+
+    def _flag_diverged(self):
+        """Flag each loop whose state ever left the divergence bound."""
         for g in self.groups:
             # x[2..steps+1], the states the ticks produced; max and min
             # propagate nan, which fails both comparisons.
             axes = (0, 2, 3)
             ok = ((g.X[2:].max(axis=axes) <= DIVERGENCE_THRESHOLD)
                   & (g.X[2:].min(axis=axes) >= -DIVERGENCE_THRESHOLD))
-            m.flag_diverged(g.loops[~ok])
+            self.metrics.flag_diverged(g.loops[~ok])
 
     # ---- slotted medium access ------------------------------------------
 
@@ -355,7 +367,7 @@ class _Run:
             self.metrics.record_tx(ks, t)
             if deliver:
                 for k in sorted(decoded):
-                    self.on_delivery(k + 1, self.sample(k), t)
+                    self.on_delivery(k + 1, t)
             self.pending[ks] = False
         else:  # round_robin or mef
             if self.policy.variant == "round_robin":
@@ -366,18 +378,18 @@ class _Run:
                 self.metrics.record_tx(i - 1, t)
                 ok = resolve_pointtopoint(self.channel, self.rng_channel[i])
                 if ok and deliver:
-                    self.on_delivery(i, self.sample(i - 1), t)
+                    self.on_delivery(i, t)
 
     # ---- deliveries -------------------------------------------------------
 
-    def on_delivery(self, i: int, sample: tuple, tx_step: int):
-        """The gateway accepts only strictly fresher generations; the age
-        estimate becomes the sample's age on the gateway's sampling grid,
-        floored at one.  The controller's estimate is brought to the
-        current step at once, so the next tick rolls it forward."""
+    def on_delivery(self, i: int, gen: int):
+        """Loop i's sample from step ``gen`` arrives.  The gateway accepts
+        only strictly fresher generations; the age estimate becomes the
+        sample's age on the gateway's sampling grid, floored at one.  The
+        controller's estimate is brought to the current step at once, so
+        the next tick rolls it forward."""
         k = i - 1
-        self.metrics.record_rx(k, tx_step)
-        gen, state = sample
+        self.metrics.record_rx(k, gen)
         if gen > self.nu[k]:
             now = self.current_step
             if gen > now:
@@ -385,9 +397,7 @@ class _Run:
                     f"loop {i}: sample from step {gen} delivered at {now}")
             self.nu[k] = gen
             group, j = self.at[k]
-            group.freshest[j] = state
-            group.xhat[j] = state if gen == now else group.replay(
-                j, group.freshest[j], gen, now)
+            group.xhat[j] = group.replay(j, gen, now)
             self.gateway.est_age[k] = max(1, now - gen)
 
     # ---- polling: one transaction outstanding at a time ------------------
@@ -413,22 +423,21 @@ class _Run:
         """Run the outstanding transaction through every event due at or
         before ``until_us``; a completed or timed-out one issues the next."""
         while self.poll is not None and self.poll[0] <= until_us:
-            now_us, kind, i, reply = self.poll
+            now_us, kind, i, gen = self.poll
             if kind == "arrival":
-                sample = self.sample(i - 1)
-                if sample is None:
+                if not self.pending[i - 1]:
                     raise InvariantViolation(
                         f"loop {i} polled with no pending sample")
                 self.metrics.record_tx(i - 1, self.current_step)
                 if resolve_pointtopoint(self.channel, self.rng_channel[i]):
                     self.poll = (now_us + self.tx_us, "reply", i,
-                                 (sample, self.current_step))
+                                 self.current_step)
                 else:  # the timeout runs from the poll, one tx earlier
                     self.poll = (now_us - self.tx_us + self.poll_wait_us,
                                  "timeout", i, None)
                 continue
             if kind == "reply":
-                self.on_delivery(i, *reply)
+                self.on_delivery(i, gen)
                 self.gateway.record_data(i - 1, now_us * 1e-6)
             self.issue_poll(now_us)
 
@@ -453,8 +462,10 @@ class _Run:
                         self.gateway, self.policy.frame_len,
                         self.policy.use_nmse)
                 self.on_slot(t)
-            self._record()
-        result = {"metrics": self.metrics.finalize(), "seed": self.cfg.seed}
+            self._flag_diverged()
+            sums = self._window_sums()
+        result = {"metrics": self.metrics.finalize(*sums),
+                  "seed": self.cfg.seed}
         if self.cfg.record_series:
             result["series"] = series = {}
             for k, (g, j) in enumerate(self.at):

@@ -242,14 +242,9 @@ def _label(policy: SchedulerPolicy) -> str:
 
 
 def _replicate(cfgs: list[SimConfig], jobs: int) -> dict:
-    """:func:`run_replication_sets` keyed by (protocol label, N), with each
-    run's loop classes attached."""
-    results = {}
-    for cfg, res in zip(cfgs, run_replication_sets(cfgs, jobs=jobs)):
-        for r in res["replications"]:
-            r["metrics"]["loop_classes"] = cfg.classes
-        results[(_label(cfg.policy), cfg.n_loops)] = res
-    return results
+    """:func:`run_replication_sets` keyed by (protocol label, N)."""
+    return {(_label(cfg.policy), cfg.n_loops): res
+            for cfg, res in zip(cfgs, run_replication_sets(cfgs, jobs=jobs))}
 
 
 def run_single(spec: ExperimentSpec, jobs: int = 1) -> dict:

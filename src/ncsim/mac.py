@@ -26,7 +26,6 @@ __all__ = [
     "wifresh_next",
     "pmef_next",
     "SchedulerPolicy",
-    "make_policy",
     "CONTENTION_PROTOCOLS",
     "SCHEDULED_PROTOCOLS",
     "POLLING_PROTOCOLS",
@@ -200,7 +199,3 @@ class SchedulerPolicy:
     @property
     def is_polling(self):
         return self.variant in POLLING_PROTOCOLS
-
-
-def make_policy(variant: str, **params) -> SchedulerPolicy:
-    return SchedulerPolicy(variant=variant, **params)

@@ -1,5 +1,5 @@
 """Estimation-error metrics as functions of information age, plus the
-per-run accumulator that turns instantaneous samples into windowed means.
+per-run accumulator that turns a run's window sums into windowed means.
 
 The mean squared estimation error of a loop whose freshest sample is
 ``delta`` periods old has the closed form
@@ -10,8 +10,9 @@ and its normalized variant divides by the one-period value, making loops
 with different state dimensions and units comparable.  :class:`MseTable`
 grows both laws on demand for one plant; the gateway stacks the curves of
 its plants, and the engine and the schedulers read them with one gather
-for all loops.  :class:`MetricsAccumulator` adds one tick's values of every
-loop at once.
+for all loops.  :class:`MetricsAccumulator` counts transmissions and
+receptions in the window and takes the window's per-loop sums of age,
+error and cost in one call once the run ends.
 """
 from __future__ import annotations
 
@@ -27,11 +28,7 @@ __all__ = [
     "error_covariance",
     "MseTable",
     "MetricsAccumulator",
-    "STEP_ROWS",
 ]
-
-# What :meth:`MetricsAccumulator.record_step` reads from each row.
-STEP_ROWS = ("aoi", "mse", "nmse", "cost")
 
 
 def mse_of_age(sys: LtiSystem, delta: int) -> float:
@@ -119,7 +116,7 @@ class MseTable:
 
 
 class MetricsAccumulator:
-    """Windowed per-loop and network-wide sums of age, error and cost.
+    """Windowed per-loop and network-wide means of age, error and cost.
 
     Only steps t with ``t_start <= t <= t_end`` contribute.  Transmission
     and reception counters are gated by the same window so that resource
@@ -134,21 +131,9 @@ class MetricsAccumulator:
         self.t_start = t_start
         self.t_end = t_end
         self.classes = classes or ["?"] * n_loops
-        self.sums = np.zeros((len(STEP_ROWS), n_loops))
-        self.count = 0                     # steps recorded
         self.tx = np.zeros(n_loops, np.int64)
         self.rx = np.zeros(n_loops, np.int64)
         self.diverged = np.zeros(n_loops, dtype=bool)
-
-    def record_step(self, t: int, values: np.ndarray):
-        """Add step t's values of every loop: ``values`` has one row per
-        entry of :data:`STEP_ROWS` and one column per loop."""
-        if not self.t_start <= t <= self.t_end:
-            return
-        # A diverged loop can produce nan (inf times a zero weight); fmin
-        # folds it into +inf so windowed sums stay meaningful and reportable.
-        self.sums += np.fmin(values, math.inf)
-        self.count += 1
 
     def record_tx(self, loop, t: int):
         """Count a transmission of ``loop`` (an index or distinct indices)."""
@@ -162,21 +147,17 @@ class MetricsAccumulator:
     def flag_diverged(self, loop):
         self.diverged[loop] = True
 
-    def finalize(self) -> dict:
+    def finalize(self, aoi, mse, nmse, cost) -> dict:
         """Per-loop and network-wide means, delivery ratios and per-class
-        shares of successful deliveries."""
-        expected = self.t_end - self.t_start + 1
-        if self.count == 0:
-            raise ConfigurationError("no samples fell inside the window")
-        counts = np.full(self.n_loops, self.count)
-        c = float(self.count)
+        shares of successful deliveries, from each loop's age, MSE, nMSE
+        and stage cost summed over the window's steps."""
+        steps = self.t_end - self.t_start + 1
         tx, rx = self.tx.copy(), self.rx.copy()
-        aoi, mse, nmse, cost = self.sums / c
         per_loop = {
-            "aoi_mean": aoi,
-            "mse_mean": mse,
-            "nmse_mean": nmse,
-            "lqg_mean": cost,
+            "aoi_mean": aoi / steps,
+            "mse_mean": mse / steps,
+            "nmse_mean": nmse / steps,
+            "lqg_mean": cost / steps,
             "tx": tx,
             "rx": rx,
             "delivery_ratio": np.divide(
@@ -199,6 +180,7 @@ class MetricsAccumulator:
             "per_loop": per_loop,
             "network": network,
             "fractions": fractions,
-            "samples_per_loop": counts,
-            "expected_samples": expected,
+            "loop_classes": self.classes,
+            "samples_per_loop": np.full(self.n_loops, steps),
+            "expected_samples": steps,
         }

@@ -36,8 +36,6 @@ __all__ = [
     "PENDULUM_SIGMA",
 ]
 
-DEFAULT_SAMPLING_PERIOD = 0.010  # seconds
-
 
 def _as_matrix(M, rows, cols, name):
     M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -59,7 +57,6 @@ class LtiSystem:
     noise_cov: np.ndarray
     Q: np.ndarray
     R: np.ndarray
-    sampling_period: float = DEFAULT_SAMPLING_PERIOD
     gain: np.ndarray | None = None
     name: str = ""
 
@@ -78,8 +75,6 @@ class LtiSystem:
         self.noise_cov = _as_matrix(self.noise_cov, n, n, "noise_cov")
         self.Q = _as_matrix(self.Q, n, n, "Q")
         self.R = _as_matrix(self.R, m, m, "R")
-        if self.sampling_period <= 0:
-            raise ConfigurationError("sampling_period must be positive")
         for M, label in ((self.noise_cov, "noise_cov"), (self.Q, "Q"), (self.R, "R")):
             if not np.allclose(M, M.T):
                 raise ConfigurationError(f"{label} must be symmetric")

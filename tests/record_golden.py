@@ -116,8 +116,6 @@ def fingerprint() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in cases():
             res = run_replications(cfg)
-            for r in res["replications"]:
-                r["metrics"]["loop_classes"] = cfg.classes
             emit_results({(cfg.policy.variant, cfg.n_loops): res}, tmp)
             with open(os.path.join(tmp, "per_run.csv"), "rb") as fh:
                 csv_digest = hashlib.sha256(fh.read()).hexdigest()

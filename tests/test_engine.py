@@ -205,13 +205,12 @@ def test_estimator_incremental_matches_reference():
     r = _Run(cfg_for(1, "round_robin", pattern=("pendulum",)))
     group, j = r.at[0]
     sys = r.cfg.systems[0]
-    rng = np.random.default_rng(8)
     for t in range(1, 40):
-        if t % 7 == 0:   # as if fresher data arrived
-            r.on_delivery(1, (t - 2, rng.normal(size=(sys.n, 1))), t - 1)
+        if t % 7 == 0:   # as if the sample of two ticks ago arrived now
+            r.on_delivery(1, t - 2)
         r.on_tick(t)
         nu = int(r.nu[0])
-        ref = estimate_state(sys, group.freshest[j][:, 0],
+        ref = estimate_state(sys, group.X[nu, j][:, 0],
                              [group.U[q, j, :, 0] for q in range(nu, t)])
         np.testing.assert_allclose(group.xhat[j][:, 0], ref,
                                    rtol=1e-9, atol=1e-12)
@@ -222,20 +221,23 @@ def test_estimator_incremental_matches_reference():
                       min_size=1, max_size=40))
 def test_only_strictly_fresher_deliveries_change_the_gateway(steps):
     """A stale or duplicate delivery changes neither the loop's freshest
-    generation and state nor the gateway's age; ``nu`` never regresses."""
+    generation and estimate nor the gateway's age; ``nu`` never regresses.
+    Loop 1 (A = B = 1, no input applied) has state x[t] = t, so an accepted
+    delivery of generation g sets its estimate to g."""
     r = _Run(cfg_for(2, "round_robin"))
     group, j = r.at[0]
+    group.X[:, j, 0, 0] = np.arange(len(group.X))
     est_age = r.gateway.est_age
     for step, lag in steps:
         r.current_step += step
         gen = max(0, r.current_step - lag)
-        before = (int(r.nu[0]), group.freshest[j].item(), int(est_age[0]))
-        r.on_delivery(1, (gen, float(gen)), r.current_step)
+        before = (int(r.nu[0]), group.xhat[j].item(), int(est_age[0]))
+        r.on_delivery(1, gen)
         if gen > before[0]:
-            assert r.nu[0] == gen and group.freshest[j].item() == float(gen)
+            assert r.nu[0] == gen and group.xhat[j].item() == float(gen)
             assert est_age[0] == max(1, r.current_step - gen)
         else:
-            assert (int(r.nu[0]), group.freshest[j].item(),
+            assert (int(r.nu[0]), group.xhat[j].item(),
                     int(est_age[0])) == before
         assert r.nu[0] >= before[0]
 
@@ -246,13 +248,13 @@ def test_contention_sender_waits_for_the_next_sample():
     r = _Run(cfg_for(2, "aloha"))
     r.on_tick(1)
     r.on_tick(2)
-    assert [r.sample(k)[0] for k in (0, 1)] == [2, 2]
+    assert r.pending.tolist() == [True, True] and r.current_step == 2
     r.on_slot(2)
-    assert all(r.sample(k) is None for k in (0, 1))
+    assert r.pending.tolist() == [False, False]
     assert r._contention_transmitters().tolist() == []
     r.on_tick(3)
     assert r._contention_transmitters().tolist() == [0, 1]
-    assert r.sample(0)[0] == 3
+    assert r.pending[0] and r.current_step == 3
 
 
 def test_single_loop_slotted_aloha_needs_explicit_p():
@@ -262,6 +264,51 @@ def test_single_loop_slotted_aloha_needs_explicit_p():
         run(cfg_for(1, "slotted_aloha"))
     res = run(cfg_for(1, "slotted_aloha", p=0.5))
     assert res["metrics"]["per_loop"]["tx"][0] > 0
+
+
+def window_run(n=1, pattern=("easy",)):
+    """A run, never stepped, whose window steps 51..250 have age 1 and, for
+    every loop, a state drawn at random and no input."""
+    r = _Run(cfg_for(n, "round_robin", pattern=pattern))
+    r.ages[:] = 1
+    rng = np.random.default_rng(3)
+    for g in r.groups:
+        g.X[:] = rng.normal(size=g.X.shape)
+    return r
+
+
+@pytest.mark.parametrize("block_values", [1, 7, 1 << 20])
+def test_window_sums_add_in_step_order(block_values, monkeypatch):
+    """Each loop's cost is summed one step after another, as a running
+    total adds it, also across block boundaries; numpy's pairwise
+    ``sum`` of the same values rounds differently."""
+    monkeypatch.setattr(ncsim.engine, "_SUM_BLOCK_VALUES", block_values)
+    r = window_run()
+    m, g = r.metrics, r.groups[0]
+    q = g.Q.item()
+    costs = [q * x * x for x in g.X[m.t_start:m.t_end + 1, 0].ravel().tolist()]
+    total = 0.0
+    for c in costs:
+        total += c
+    assert np.sum(costs) != total, "values that cannot tell the orders apart"
+    aoi, mse, nmse, cost = r._window_sums()
+    assert cost[0] == total
+    assert aoi[0] == m.t_end - m.t_start + 1
+    assert nmse[0] == aoi[0]          # nMSE is 1 at age 1
+
+
+def test_window_sums_fold_nan_into_inf():
+    """A nan value (inf times a zero weight in a diverged loop) counts as
+    +inf; the other loop's sums and the finite rows stay finite."""
+    r = window_run(n=2, pattern=("easy", "mid"))
+    g = r.groups[0]
+    g.X[r.metrics.t_start, 0] = math.nan
+    sums = r._window_sums()
+    assert sums[3, 0] == math.inf
+    assert np.isfinite(sums[:3]).all() and np.isfinite(sums[:, 1]).all()
+    out = r.metrics.finalize(*sums)
+    assert out["per_loop"]["lqg_mean"][0] == math.inf
+    assert out["network"]["lqg_mean"] == math.inf
 
 
 CLASSES = ("easy", "mid", "hard", "pendulum")
@@ -309,7 +356,7 @@ def test_batched_state_invariants(cfg):
         seen[:] = r.nu
         for k, (group, j) in enumerate(r.at):
             nu = int(r.nu[k])
-            ref = estimate_state(cfg.systems[k], group.freshest[j][:, 0],
+            ref = estimate_state(cfg.systems[k], group.X[nu, j][:, 0],
                                  [group.U[q, j, :, 0] for q in range(nu, t)])
             np.testing.assert_array_equal(group.xhat[j][:, 0], ref)
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from ncsim.engine import SimConfig, _Run, systems_from_classes
 from ncsim.errors import ConfigurationError
-from ncsim.mac import (Gateway, SchedulerPolicy, make_policy,
-                       mef_build_schedule, pmef_next, rr_next, wifresh_next)
+from ncsim.mac import (Gateway, SchedulerPolicy, mef_build_schedule,
+                       pmef_next, rr_next, wifresh_next)
 from ncsim.metrics import MseTable
 from ncsim.systems import LtiSystem, make_preset
 
@@ -22,22 +22,22 @@ def hand_run(variant="round_robin", n=2):
                           warmup_s=0.5, cooldown_s=0.5))
 
 
-def freshest(r, k):
-    """Loop k + 1's freshest delivered state, as a float (scalar loops)."""
+def estimate(r, k):
+    """Loop k + 1's controller estimate, as a float (scalar loops)."""
     group, j = r.at[k]
-    return group.freshest[j].item()
+    return group.xhat[j].item()
 
 
 def test_lcfs_keeps_only_freshest():
     """A loop holds one pending sample (last come, first served): each
     tick's sample replaces the older one, and a transmission takes it."""
     r = hand_run("aloha")
-    assert r.sample(0) is None
+    assert not r.pending[0]
     for t in (1, 2, 3):
         r.on_tick(t)
-    assert r.sample(0)[0] == 3
+    assert r.pending[0] and r.current_step == 3
     r.on_slot(3)
-    assert r.sample(0) is None
+    assert not r.pending[0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -55,11 +55,8 @@ def test_lcfs_single_slot_property(ops):
         elif t:
             r.on_slot(t)
             taken = True
-        for k in range(r.N):
-            if taken:
-                assert r.sample(k) is None
-            else:
-                assert r.sample(k)[0] == t
+        assert r.current_step == t
+        assert r.pending.tolist() == [not taken] * r.N
 
 
 def test_rr_rule():
@@ -72,35 +69,43 @@ def test_rr_rule():
         rr_next(0, 3)
 
 
-def test_gw_on_data_age_update():
+def hand_delivery_run():
+    """A hand-driven run at step 10, no tick taken, whose loop 2 (A = 1.1,
+    B = 1, no input applied) had state 0.5 at step 7."""
     r = hand_run()
+    group, j = r.at[1]
+    group.X[7, j] = 0.5
     r.current_step = 10
-    r.on_delivery(2, (7, 0.5), 10)
+    return r
+
+
+def test_gw_on_data_age_update():
+    r = hand_delivery_run()
+    r.on_delivery(2, 7)
     assert r.gateway.est_age[1] == 3
-    # The acknowledgement is instantaneous: the sender's loop knows gen 7.
-    assert r.nu[1] == 7 and freshest(r, 1) == 0.5
+    # The acknowledgement is instantaneous: the sender's loop knows gen 7,
+    # and its controller rolls x[7] forward to step 10.
+    assert r.nu[1] == 7 and estimate(r, 1) == 0.5 * 1.1 * 1.1 * 1.1
     assert r.nu[0] == 0
 
 
 def test_gw_on_data_ignores_duplicates_and_stale():
-    r = hand_run()
-    r.current_step = 10
-    r.on_delivery(2, (7, 0.5), 10)
+    r = hand_delivery_run()
+    r.on_delivery(2, 7)
+    accepted = estimate(r, 1)
     r.current_step = 11
-    r.on_delivery(2, (7, 0.9), 11)    # duplicate
-    assert r.gateway.est_age[1] == 3 and freshest(r, 1) == 0.5
-    r.on_delivery(2, (4, 0.9), 11)    # stale
+    r.on_delivery(2, 7)    # duplicate
+    assert r.gateway.est_age[1] == 3 and estimate(r, 1) == accepted
+    r.on_delivery(2, 4)    # stale
     assert r.gateway.est_age[1] == 3 and r.nu[1] == 7
-    assert freshest(r, 1) == 0.5
+    assert estimate(r, 1) == accepted
 
 
 def test_gw_view_age_grows_per_tick():
     r = hand_run()
     for t in range(1, 11):
         r.on_tick(t)
-        if t == 7:
-            sample = r.sample(1)
-    r.on_delivery(2, sample, 10)
+    r.on_delivery(2, 7)
     assert r.gateway.est_age[1] == 3 and r.nu[1] == 7
     for t in range(11, 16):
         r.on_tick(t)
@@ -345,16 +350,16 @@ def test_argmax_schedulers_match_reference(data, history, use_nmse,
 
 def test_policy_validation():
     with pytest.raises(ConfigurationError):
-        make_policy("csma")
+        SchedulerPolicy("csma")
     with pytest.raises(ConfigurationError):
-        make_policy("slotted_aloha", p=1.5)
+        SchedulerPolicy("slotted_aloha", p=1.5)
     with pytest.raises(ConfigurationError):
-        make_policy("adra", p=0.3, threshold=-1)
+        SchedulerPolicy("adra", p=0.3, threshold=-1)
     with pytest.raises(ConfigurationError):
-        make_policy("mef", frame_len=0)
-    pol = make_policy("adra", p=0.3, threshold=4)
+        SchedulerPolicy("mef", frame_len=0)
+    pol = SchedulerPolicy("adra", p=0.3, threshold=4)
     assert pol.is_contention and not pol.is_polling
-    assert make_policy("pmef").is_polling
+    assert SchedulerPolicy("pmef").is_polling
 
 
 def test_policy_parameters_may_be_deferred():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ncsim.engine import SimConfig, _Run, systems_from_classes
 from ncsim.errors import ConfigurationError
 from ncsim.mac import SchedulerPolicy
-from ncsim.metrics import (STEP_ROWS, MetricsAccumulator, MseTable,
-                           error_covariance, mse_of_age, nmse_of_age)
+from ncsim.metrics import (MetricsAccumulator, MseTable, error_covariance,
+                           mse_of_age, nmse_of_age)
 from ncsim.systems import LtiSystem, make_preset
 
 PRESETS = ["easy", "mid", "hard", "pendulum"]
@@ -158,31 +158,33 @@ def test_aoi_tracker():
     """The gateway's age: the step minus the freshest delivered generation,
     floored at one; duplicate and stale deliveries are ignored."""
     r = hand_run()
-    est_age, samples = r.gateway.est_age, {}
+    est_age = r.gateway.est_age
     for t in range(1, 6):
         r.on_tick(t)
-        samples[t] = r.sample(0)
         assert est_age[0] == t
-    r.on_delivery(1, samples[3], 5)
+    r.on_delivery(1, 3)
     assert est_age[0] == 2 and r.nu[0] == 3
-    r.on_delivery(1, samples[3], 5)    # duplicate
-    r.on_delivery(1, samples[2], 5)    # stale
+    r.on_delivery(1, 3)    # duplicate
+    r.on_delivery(1, 2)    # stale
     assert est_age[0] == 2 and r.nu[0] == 3
-    r.on_delivery(1, samples[5], 5)    # sampled this step
+    r.on_delivery(1, 5)    # sampled this step
     assert est_age[0] == 1 and r.nu[0] == 5
 
 
 @settings(max_examples=50, deadline=None)
 @given(gens=st.lists(st.integers(0, 100), max_size=30))
 def test_aoi_tracker_never_regresses(gens):
+    """Loop 1 (A = B = 1, no input applied) has state x[t] = t, so its
+    estimate is the freshest generation delivered."""
     r = hand_run()
+    group, j = r.at[0]
+    group.X[:, j, 0, 0] = np.arange(len(group.X))
     r.current_step = 100
     seen = 0
     for g in gens:
-        r.on_delivery(1, (g, float(g)), 100)
+        r.on_delivery(1, g)
         seen = max(seen, g)
-        group, j = r.at[0]
-        assert r.nu[0] == seen and group.freshest[j].item() == float(seen)
+        assert r.nu[0] == seen and group.xhat[j].item() == float(seen)
         if seen:
             assert r.gateway.est_age[0] == max(1, 100 - seen)
 
@@ -191,53 +193,44 @@ def make_acc(n=2, t0=1, t1=4, classes=None):
     return MetricsAccumulator(n, t0, t1, classes)
 
 
-def step(**rows):
-    """One step's values of every loop, rows in ``STEP_ROWS`` order."""
-    return np.array([rows[name] for name in STEP_ROWS], dtype=float)
+def sums(**rows):
+    """Per-loop window sums of age, MSE, nMSE and cost, zero where not
+    given, as keyword arguments of ``finalize``."""
+    n = len(next(iter(rows.values())))
+    return {name: np.array(rows.get(name, [0.0] * n), dtype=float)
+            for name in ("aoi", "mse", "nmse", "cost")}
 
 
 def test_accumulator_constant_age():
     acc = make_acc()
-    for t in range(1, 5):
-        acc.record_step(t, step(aoi=[2, 2], mse=[1.0, 1.0], nmse=[1.0, 1.0],
-                                 cost=[0.5, 0.5]))
-    out = acc.finalize()
+    out = acc.finalize(**sums(aoi=[8, 8], mse=[4.0, 4.0], nmse=[4.0, 4.0],
+                              cost=[2.0, 2.0]))
     assert out["network"]["aoi_mean"] == pytest.approx(2.0)
     assert out["expected_samples"] == 4
     assert list(out["samples_per_loop"]) == [4, 4]
 
 
 def test_accumulator_window_gating():
+    """Only window steps count: transmissions outside it are ignored, and
+    the sums are divided by the window's length (ages 2 and 3 here)."""
     acc = make_acc(n=1, t0=2, t1=3)
     for t in range(1, 6):
-        acc.record_step(t, step(aoi=[t], mse=[0.0], nmse=[0.0], cost=[0.0]))
         acc.record_tx(0, t)
-    out = acc.finalize()
+    out = acc.finalize(**sums(aoi=[2 + 3]))
     assert out["per_loop"]["aoi_mean"][0] == pytest.approx(2.5)
     assert out["per_loop"]["tx"][0] == 2
 
 
 def test_accumulator_fractions():
     acc = make_acc(n=2, classes=["a", "b"])
-    acc.record_step(1, step(aoi=[1, 1], mse=[0, 0], nmse=[0, 0], cost=[0, 0]))
     for _ in range(300):
         acc.record_rx(0, 1)
     for _ in range(100):
         acc.record_rx(1, 1)
-    out = acc.finalize()
+    out = acc.finalize(**sums(aoi=[4, 4]))
     assert out["fractions"]["a"] == pytest.approx(0.75)
     assert out["fractions"]["b"] == pytest.approx(0.25)
-
-
-def test_accumulator_sanitizes_nan_to_inf():
-    acc = make_acc(n=1)
-    acc.record_step(1, step(aoi=[3], mse=[math.nan], nmse=[math.inf],
-                           cost=[math.nan]))
-    for t in range(2, 5):
-        acc.record_step(t, step(aoi=[1], mse=[0.0], nmse=[0.0], cost=[0.0]))
-    out = acc.finalize()
-    assert out["per_loop"]["mse_mean"][0] == math.inf
-    assert out["per_loop"]["lqg_mean"][0] == math.inf
+    assert out["loop_classes"] == ["a", "b"]
 
 
 def test_accumulator_rejects_empty_window():
