@@ -6,7 +6,8 @@ transmitter used it.  ``offset_capture`` mimics a testbed where sources
 start transmitting at unsynchronized offsets inside the slot, so packets
 can miss each other in time, and two overlapping packets occasionally
 both decode (capture).  Survivors of either mode face an independent
-erasure with probability ``erasure_prob``.
+erasure with probability ``erasure_prob``.  A slot's transmitters and its
+decoded loops are arrays of loop indices.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["ChannelConfig", "BlockStreams", "draw_offsets", "resolve_slot",
+__all__ = ["ChannelConfig", "BlockStreams", "resolve_slot",
            "resolve_pointtopoint"]
 
 MODES = ("strict_collision", "offset_capture")
@@ -81,68 +82,44 @@ class BlockStreams:
         return self.buf[pos]
 
 
-def draw_offsets(ids: np.ndarray, cfg: ChannelConfig,
-                 streams: BlockStreams | None) -> list[tuple[int, float]]:
-    """(id, start offset) for this slot's transmitters ``ids``.
+def resolve_slot(ks: np.ndarray, offsets: np.ndarray | None,
+                 cfg: ChannelConfig, rng) -> np.ndarray:
+    """Decoded indices, ascending, among one slot's transmitters ``ks``
+    (distinct, ascending), whose start offsets lie in [0, slot_duration -
+    tx_duration] (None on the strict channel, which ignores them).
 
-    Row ``i`` of ``streams`` is transmitter ``i``'s own uniform stream on
-    [0, max_offset], so adding or removing other loops never changes a
-    loop's draws.  Strict mode pins every offset to zero and draws nothing.
+    Sorted by (offset, index), the transmissions form pileups: a new one
+    starts where an offset is at least the previous one plus
+    ``tx_duration``.  A lone transmission survives; a pair survives whole
+    on one capture coin, flipped per pair in order of start; three or more
+    never decode.  Each survivor then flips an erasure coin, in index
+    order.  All coins come from ``rng``, the run's shared stream.
     """
+    n = len(ks)
+    if offsets is not None and n:
+        bad = offsets[(offsets < 0.0) | (offsets > cfg.max_offset + 1e-12)]
+        if len(bad):
+            raise ConfigurationError(f"offset {bad[0]} outside the slot")
     if cfg.mode == "strict_collision":
-        return [(i, 0.0) for i in ids.tolist()]
-    return list(zip(ids.tolist(), streams.take(ids).tolist()))
-
-
-def _overlap_components(txs, tx_duration):
-    """Group transmissions into maximal chains of pairwise-in-time overlap.
-
-    Intervals are [offset, offset + tx_duration); touching endpoints do
-    not overlap.
-    """
-    txs = sorted(txs, key=lambda t: (t[1], t[0]))
-    comps = []
-    cur, cur_end = [], None
-    for i, off in txs:
-        if cur and off < cur_end:
-            cur.append(i)
-            cur_end = max(cur_end, off + tx_duration)
-        else:
-            if cur:
-                comps.append(cur)
-            cur, cur_end = [i], off + tx_duration
-    if cur:
-        comps.append(cur)
-    return comps
-
-
-def resolve_slot(transmissions, cfg: ChannelConfig, rng) -> set[int]:
-    """Decoded loop ids for one slot's transmissions.
-
-    ``transmissions`` is a list of (loop id, start offset) pairs; offsets
-    must lie in [0, slot_duration - tx_duration].  ``rng`` is the run's
-    shared channel stream, used for capture coins and erasures.
-    """
-    for _, off in transmissions:
-        if not 0.0 <= off <= cfg.max_offset + 1e-12:
-            raise ConfigurationError(f"offset {off} outside the slot")
-    if cfg.mode == "strict_collision":
-        survivors = [i for i, _ in transmissions] if len(transmissions) == 1 else []
+        survivors = ks if n == 1 else ks[:0]
+    elif n < 2:
+        survivors = ks
     else:
-        survivors = []
-        for comp in _overlap_components(transmissions, cfg.tx_duration):
-            if len(comp) == 1:
-                survivors.extend(comp)
-            elif len(comp) == 2:
-                # One coin decides the pair: capture saves both or neither.
-                if rng.random() < cfg.capture_prob:
-                    survivors.extend(comp)
-            # Three-or-more pileups never decode.
-    decoded = set()
-    for i in sorted(survivors):
-        if cfg.erasure_prob == 0.0 or rng.random() >= cfg.erasure_prob:
-            decoded.add(i)
-    return decoded
+        order = np.lexsort((ks, offsets))
+        off = offsets[order]
+        # Each pileup's first position in that order and its size.
+        cuts = (off[1:] >= off[:-1] + cfg.tx_duration).nonzero()[0] + 1
+        edges = [0, *cuts.tolist(), n]
+        piles = [(lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
+        keep = [lo for lo, size in piles if size == 1]
+        pairs = [lo for lo, size in piles if size == 2]
+        if pairs:
+            won = (rng.random(len(pairs)) < cfg.capture_prob).tolist()
+            keep += [j for lo, w in zip(pairs, won) if w for j in (lo, lo + 1)]
+        survivors = np.sort(ks[order[keep]])
+    if cfg.erasure_prob and len(survivors):
+        survivors = survivors[rng.random(len(survivors)) >= cfg.erasure_prob]
+    return survivors
 
 
 def resolve_pointtopoint(cfg: ChannelConfig, rng) -> bool:

@@ -8,12 +8,14 @@ alone: its state is that step's entry of the loop's state history.  The
 selected medium-access policy moves pending samples across the shared
 channel.  Slotted contention and beacon-framed scheduling use one slot per
 period, and a slot's deliveries land before the next tick.  Polling runs
-back-to-back transactions between ticks; at most one is outstanding, and
-its events due at or before a tick's instant are handled before that tick.
-Acknowledgements are instantaneous and lossless, so the source's view of
-its age is the gateway's.
+back-to-back transactions between ticks as one coroutine, so at most one
+is outstanding; its events due at or before a tick's instant are handled
+before that tick.  Acknowledgements are instantaneous and lossless, so
+the source's view of its age is the gateway's.
 
-A run holds its state as arrays over the loops, and loops of equal state
+A run holds its state as arrays over the loop indices k = 0..N-1, which
+name the loops in the run, the channel and the MAC alike; loop id k + 1
+appears only in seed keys, error messages and outputs.  Loops of equal state
 and input size are stepped together: a tick is a fixed number of array
 operations whatever N is.  Each row's arithmetic is the single-loop
 arithmetic, so results do not depend on how loops are grouped.  A
@@ -33,8 +35,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import (BlockStreams, ChannelConfig, draw_offsets,
-                      resolve_pointtopoint, resolve_slot)
+from .channel import (BlockStreams, ChannelConfig, resolve_pointtopoint,
+                      resolve_slot)
 from .errors import ConfigurationError, InvariantViolation
 from .mac import (Gateway, SchedulerPolicy, mef_build_schedule, pmef_next,
                   rr_next, wifresh_next)
@@ -99,19 +101,27 @@ class SimConfig:
     def n_loops(self) -> int:
         return len(self.systems)
 
+    @property
+    def window(self) -> tuple[int, int]:
+        """First and last step of the evaluation window, both included:
+        the steps after the warmup and through the cooldown's start."""
+        steps = round(self.duration_s / self.T_s)
+        return (round(self.warmup_s / self.T_s) + 1,
+                steps - round(self.cooldown_s / self.T_s))
+
 
 _PRESET_CACHE: dict[str, LtiSystem] = {}
 
 
 def systems_from_classes(n_loops: int, pattern=("easy", "mid", "hard")):
-    """Cycle the class pattern over loop ids 1..N (loop 1 gets pattern[0]).
+    """Cycle the class pattern over the loops (loop 1 gets pattern[0]).
 
     Returns (systems, class labels); synthesized presets are cached and
     shared, which is safe because they are never mutated by a run.
     """
     if n_loops < 1:
         raise ConfigurationError("n_loops must be >= 1")
-    labels = [pattern[(i - 1) % len(pattern)] for i in range(1, n_loops + 1)]
+    labels = [pattern[k % len(pattern)] for k in range(n_loops)]
     for cls in set(labels):
         if cls not in _PRESET_CACHE:
             _PRESET_CACHE[cls] = make_preset(cls)
@@ -204,7 +214,7 @@ class _Plants:
 
 
 class _ChannelStreams(dict):
-    """Loop id -> that loop's channel stream, built on its first draw;
+    """Loop index -> that loop's channel stream, built on its first draw;
     most loops of a short large-N scheduled run never draw.  A stream
     depends only on its SeedSequence, so building it late changes no draw.
     """
@@ -213,18 +223,18 @@ class _ChannelStreams(dict):
         super().__init__()
         self.seed = seed
 
-    def __missing__(self, i: int) -> np.random.Generator:
-        rng = self[i] = _stream(self.seed, i, _RNG_CHANNEL)
+    def __missing__(self, k: int) -> np.random.Generator:
+        rng = self[k] = _stream(self.seed, k + 1, _RNG_CHANNEL)
         return rng
 
 
 class _Run:
-    """One run's state, held as arrays with index k for loop k + 1.
+    """One run's state, held as arrays over the loop indices k.
 
     ``nu`` is each loop's freshest delivered generation and ``pending``
     whether it has a sample to send, namely the last tick's.  Loops of
     equal dimensions form one :class:`_Plants` group (``at[k]`` is loop
-    k + 1's group and row), and each tick steps every group with a fixed
+    k's group and row), and each tick steps every group with a fixed
     number of array operations.  The tick keeps every step's ages
     (``ages``), states and inputs; the metrics are reduced from them once
     the run ends.
@@ -232,13 +242,7 @@ class _Run:
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.policy = cfg.policy
-        if self.policy.variant == "slotted_aloha" and self.policy.p is None:
-            if cfg.n_loops == 1:
-                raise ConfigurationError(
-                    "slotted_aloha with N=1 needs an explicit p: the "
-                    "default p = 1/N would be 1, outside (0, 1)")
-            self.policy = replace(self.policy, p=1.0 / cfg.n_loops)
+        self.policy = cfg.policy.resolved(cfg.n_loops)
         if self.policy.variant == "adra" and (
                 self.policy.p is None or self.policy.threshold is None):
             raise ConfigurationError(
@@ -249,9 +253,7 @@ class _Run:
         self.Ts_us = round(cfg.T_s * 1e6)
         self.tx_us = round(cfg.channel.tx_duration * 1e6)
         self.steps = round(cfg.duration_s / cfg.T_s)
-        t_start = round(cfg.warmup_s / cfg.T_s) + 1
-        t_end = self.steps - round(cfg.cooldown_s / cfg.T_s)
-        self.metrics = MetricsAccumulator(N, t_start, t_end, cfg.classes)
+        self.metrics = MetricsAccumulator(N, *cfg.window, cfg.classes)
         self.gateway = Gateway(cfg.systems)
         self.nu = np.zeros(N, np.int64)
         self.pending = np.zeros(N, bool)
@@ -267,8 +269,10 @@ class _Run:
             for j, k in enumerate(ks):
                 self.at[k] = (group, j)
         self.rng_channel = _ChannelStreams(cfg.seed)
-        self.access = self.offsets = None
+        self.access = self.offsets = self.rng_shared = None
         if self.policy.is_contention:
+            # Capture and erasure coins of every slot.
+            self.rng_shared = _stream(cfg.seed, 0, _RNG_CHANNEL)
             streams = lambda purpose: [_stream(cfg.seed, i, purpose)
                                        for i in range(1, N + 1)]
             if self.policy.variant in ("slotted_aloha", "adra"):
@@ -281,9 +285,6 @@ class _Run:
                     lambda rng, size: rng.uniform(0.0, top, size))
         self.current_step = 0
         self.mef_schedule: list[int] = []
-        # Next event of the outstanding poll transaction:
-        # (time_us, kind, loop id, generation step of a reply), or None.
-        self.poll = None
         self.end_us = self.steps * self.Ts_us
         # A poll or its reply that is lost is given up this long after
         # the poll was sent.
@@ -362,39 +363,38 @@ class _Run:
         deliver = t < self.steps
         if self.policy.is_contention:
             ks = self._contention_transmitters()
-            txs = draw_offsets(ks, self.channel, self.offsets)
-            decoded = resolve_slot(txs, self.channel, self.rng_channel[0])
+            offsets = None if self.offsets is None else self.offsets.take(ks)
+            decoded = resolve_slot(ks, offsets, self.channel, self.rng_shared)
             self.metrics.record_tx(ks, t)
             if deliver:
-                for k in sorted(decoded):
-                    self.on_delivery(k + 1, t)
+                for k in decoded.tolist():
+                    self.on_delivery(k, t)
             self.pending[ks] = False
         else:  # round_robin or mef
             if self.policy.variant == "round_robin":
-                i = rr_next(t, self.N)
+                k = rr_next(t, self.N)
             else:
-                i = self.mef_schedule[(t - 1) % self.policy.frame_len]
-            if self.pending[i - 1]:
-                self.metrics.record_tx(i - 1, t)
-                ok = resolve_pointtopoint(self.channel, self.rng_channel[i])
+                k = self.mef_schedule[(t - 1) % self.policy.frame_len]
+            if self.pending[k]:
+                self.metrics.record_tx(k, t)
+                ok = resolve_pointtopoint(self.channel, self.rng_channel[k])
                 if ok and deliver:
-                    self.on_delivery(i, t)
+                    self.on_delivery(k, t)
 
     # ---- deliveries -------------------------------------------------------
 
-    def on_delivery(self, i: int, gen: int):
-        """Loop i's sample from step ``gen`` arrives.  The gateway accepts
+    def on_delivery(self, k: int, gen: int):
+        """Loop k's sample from step ``gen`` arrives.  The gateway accepts
         only strictly fresher generations; the age estimate becomes the
         sample's age on the gateway's sampling grid, floored at one.  The
         controller's estimate is brought to the current step at once, so
         the next tick rolls it forward."""
-        k = i - 1
         self.metrics.record_rx(k, gen)
         if gen > self.nu[k]:
             now = self.current_step
             if gen > now:
                 raise InvariantViolation(
-                    f"loop {i}: sample from step {gen} delivered at {now}")
+                    f"loop {k + 1}: sample from step {gen} delivered at {now}")
             self.nu[k] = gen
             group, j = self.at[k]
             group.xhat[j] = group.replay(j, gen, now)
@@ -402,44 +402,37 @@ class _Run:
 
     # ---- polling: one transaction outstanding at a time ------------------
 
-    def issue_poll(self, now_us: int):
-        """Poll the scheduler's pick; the transaction's next event is the
-        poll's arrival, or its timeout if the poll is lost."""
-        if now_us >= self.end_us:
-            self.poll = None
-            return
-        now_s = now_us * 1e-6
-        if self.policy.variant == "wifresh":
-            i = wifresh_next(self.gateway, now_s)
-        else:
-            i = pmef_next(self.gateway, now_s, self.policy.use_nmse)
-        self.gateway.record_poll(i - 1, now_s)
-        if resolve_pointtopoint(self.channel, self.rng_channel[i]):
-            self.poll = (now_us + self.tx_us, "arrival", i, None)
-        else:
-            self.poll = (now_us + self.poll_wait_us, "timeout", i, None)
+    def _polls(self):
+        """Back-to-back poll transactions from time 0 until the run ends.
 
-    def advance_poll(self, until_us: int):
-        """Run the outstanding transaction through every event due at or
-        before ``until_us``; a completed or timed-out one issues the next."""
-        while self.poll is not None and self.poll[0] <= until_us:
-            now_us, kind, i, gen = self.poll
-            if kind == "arrival":
-                if not self.pending[i - 1]:
+        Yields the time of each event of the outstanding transaction and
+        handles it when resumed: a poll's arrival, the reply's arrival, or
+        the time a lost poll or reply is given up, from when the poll was
+        sent.  A finished transaction sends the next poll at once.
+        """
+        now = 0
+        while now < self.end_us:
+            now_s = now * 1e-6
+            if self.policy.variant == "wifresh":
+                k = wifresh_next(self.gateway, now_s)
+            else:
+                k = pmef_next(self.gateway, now_s, self.policy.use_nmse)
+            self.gateway.record_poll(k, now_s)
+            if resolve_pointtopoint(self.channel, self.rng_channel[k]):
+                yield now + self.tx_us
+                if not self.pending[k]:
                     raise InvariantViolation(
-                        f"loop {i} polled with no pending sample")
-                self.metrics.record_tx(i - 1, self.current_step)
-                if resolve_pointtopoint(self.channel, self.rng_channel[i]):
-                    self.poll = (now_us + self.tx_us, "reply", i,
-                                 self.current_step)
-                else:  # the timeout runs from the poll, one tx earlier
-                    self.poll = (now_us - self.tx_us + self.poll_wait_us,
-                                 "timeout", i, None)
-                continue
-            if kind == "reply":
-                self.on_delivery(i, gen)
-                self.gateway.record_data(i - 1, now_us * 1e-6)
-            self.issue_poll(now_us)
+                        f"loop {k + 1} polled with no pending sample")
+                gen = self.current_step
+                self.metrics.record_tx(k, gen)
+                if resolve_pointtopoint(self.channel, self.rng_channel[k]):
+                    now += 2 * self.tx_us
+                    yield now
+                    self.on_delivery(k, gen)
+                    self.gateway.record_data(k, now * 1e-6)
+                    continue
+            now += self.poll_wait_us    # the poll or its reply was lost
+            yield now
 
     # ---- main loop -------------------------------------------------------
 
@@ -447,13 +440,13 @@ class _Run:
         self.pending.fill(True)     # each loop's initial state, x[0] = 0
         polling = self.policy.is_polling
         framed = self.policy.variant == "mef"
-        if polling:
-            self.issue_poll(0)
         with np.errstate(over="ignore", invalid="ignore"):
+            polls = self._polls() if polling else iter(())
+            due = next(polls, None)     # sends the first poll, at time 0
             for t in range(1, self.steps + 1):
-                if polling:
-                    # Poll events on the tick's instant come before it.
-                    self.advance_poll(t * self.Ts_us)
+                # Poll events on the tick's instant come before it.
+                while due is not None and due <= t * self.Ts_us:
+                    due = next(polls, None)
                 self.on_tick(t)
                 if polling:
                     continue
@@ -563,22 +556,32 @@ def run_replication_sets(cfgs: list[SimConfig], reps: int | None = None,
 
 def summarize_replications(results: list[dict]) -> dict:
     """Replication results plus the summary :func:`run_replications`
-    describes."""
+    describes.
+
+    A metric without a meaningful interval gets an unbounded half-width,
+    and ``summary["unbounded"]`` maps it to the reason: one replication,
+    a non-finite replication mean, or a spread beyond float64 (heavy
+    tails of a diverging network)."""
     from scipy import stats
 
     reps = len(results)
-    summary = {}
+    summary, unbounded = {}, {}
     for key in ("aoi_mean", "mse_mean", "nmse_mean", "lqg_mean"):
         vals = np.array([r["metrics"]["network"][key] for r in results])
-        mean = float(np.mean(vals))
-        if reps >= 2 and np.all(np.isfinite(vals)):
-            half = float(stats.t.ppf(0.995, reps - 1)
-                         * np.std(vals, ddof=1) / math.sqrt(reps))
-        else:
-            # Heavy-tailed or single-replication cases: no meaningful
-            # interval; report an unbounded half-width rather than nan.
-            half = math.inf
+        half = math.inf
+        with np.errstate(over="ignore"):
+            mean = float(np.mean(vals))
+            if reps < 2:
+                unbounded[key] = "one replication"
+            elif not np.all(np.isfinite(vals)):
+                unbounded[key] = "non-finite replication mean"
+            else:
+                half = float(stats.t.ppf(0.995, reps - 1)
+                             * np.std(vals, ddof=1) / math.sqrt(reps))
+                if half == math.inf:
+                    unbounded[key] = "spread beyond float64"
         summary[key] = {"mean": mean, "ci99_half": half}
+    summary["unbounded"] = unbounded
     frac_keys = results[0]["metrics"]["fractions"].keys()
     summary["fractions"] = {
         k: float(np.mean([r["metrics"]["fractions"][k] for r in results]))

@@ -313,10 +313,8 @@ def validate_theory(spec: ExperimentSpec, jobs: int = 1) -> dict:
 
         tunings = {pool.submit(_tuned, *plan[k]): k for k in tune}
         for k, (policy, n) in enumerate(plan):
-            if policy.variant == "slotted_aloha" and policy.p is None:
-                policy = replace(policy, p=1.0 / n)
             if k not in tune:
-                submit(k, policy)
+                submit(k, policy.resolved(n))
         for future in concurrent.futures.as_completed(tunings):
             submit(tunings[future], future.result())
         rows = []
@@ -379,9 +377,8 @@ def pendulum_case_study(spec: ExperimentSpec, jobs: int = 1,
         ips = [i for i, c in enumerate(cfg.classes, start=1)
                if c == "pendulum"]
         runs = [next(results) for _ in range(spec.replications)]
-        lo = round(spec.warmup_s / cfg.T_s)
-        hi = round((spec.duration_s - spec.cooldown_s) / cfg.T_s)
-        window = slice(lo, hi)   # series index 0 holds step 1
+        t_start, t_end = cfg.window
+        window = slice(t_start - 1, t_end)   # series index 0 holds step 1
         per_ip = {}
         for i in ips:
             phi = np.concatenate([np.degrees(

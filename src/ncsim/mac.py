@@ -6,12 +6,13 @@ run at the gateway: round-robin, beacon-framed max-error-first (MEF), and
 two polling schedulers — WiFresh (reliability x age) and pMEF
 (reliability x normalized estimation error).  MEF, WiFresh and pMEF pick
 by one numpy argmax over the :class:`Gateway`'s arrays; the first
-maximum wins, so ties go to the lowest loop id.
+maximum wins, so ties go to the lowest loop index.  Loops are named by
+their index k = 0..N-1 throughout: every scheduler returns indices.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +36,8 @@ RELIABILITY_WINDOW_S = 0.5
 
 
 class Gateway:
-    """What the gateway knows about loops 1..N, at index k for loop k + 1.
+    """What the gateway knows about the loops, as arrays over their
+    indices k.
 
     The engine writes the age estimates ``est_age`` every tick.  Polls and
     polled replies of the last ``RELIABILITY_WINDOW_S``, counted per loop in
@@ -119,18 +121,19 @@ class Gateway:
 
 
 def rr_next(t: int, N: int) -> int:
-    """Round-robin: the unique loop i in 1..N with (t + N - i) mod N == 0."""
+    """Round-robin: slot t = 1, 2, ... serves loop index (t - 1) mod N."""
     if t < 1:
         raise ConfigurationError("slot index starts at 1")
     if N < 1:
         raise ConfigurationError("N must be >= 1")
-    return (t - 1) % N + 1
+    return (t - 1) % N
 
 
 def mef_build_schedule(gw: Gateway, frame_len: int = 20,
                        use_nmse: bool = True) -> list[int]:
-    """Greedy frame schedule: fill each slot with the loop of largest
-    predicted error, assuming every scheduled transmission succeeds.
+    """Greedy frame schedule, as loop indices: fill each slot with the
+    loop of largest predicted error, assuming every scheduled transmission
+    succeeds.
 
     Predicted ages start at the gateway's estimates; the chosen loop's
     resets to 1 for subsequent slots, everyone else's grows by one.
@@ -144,21 +147,23 @@ def mef_build_schedule(gw: Gateway, frame_len: int = 20,
     schedule = []
     for _ in range(frame_len):
         best = int(gw.errors(pred, use_nmse).argmax())
-        schedule.append(best + 1)
+        schedule.append(best)
         pred += 1
         pred[best] = 1
     return schedule
 
 
 def wifresh_next(gw: Gateway, now: float) -> int:
-    """Max-weight poll target: argmax of reliability x estimated age."""
-    return int((gw.reliability(now) * gw.est_age).argmax()) + 1
+    """Max-weight poll target's index: argmax of reliability x estimated
+    age."""
+    return int((gw.reliability(now) * gw.est_age).argmax())
 
 
 def pmef_next(gw: Gateway, now: float, use_nmse: bool = True) -> int:
-    """Poll target by reliability x (normalized) estimation error."""
+    """Poll target's index by reliability x (normalized) estimation
+    error."""
     errors = gw.errors(gw.est_age, use_nmse)
-    return int((gw.reliability(now) * errors).argmax()) + 1
+    return int((gw.reliability(now) * errors).argmax())
 
 
 CONTENTION_PROTOCOLS = ("aloha", "slotted_aloha", "adra")
@@ -181,9 +186,8 @@ class SchedulerPolicy:
         if self.variant not in PROTOCOLS:
             raise ConfigurationError(
                 f"unknown protocol {self.variant!r}; expected one of {PROTOCOLS}")
-        # p / threshold may stay None here; they are resolved against the
-        # network size where the policy is used (slotted ALOHA defaults to
-        # p = 1/N, the threshold policy to its optimized pair).
+        # p / threshold may stay None here: slotted ALOHA's p is filled in
+        # by resolved(N), the threshold policy's pair by optimize_adra.
         if self.p is not None and not 0.0 < self.p < 1.0:
             raise ConfigurationError(
                 f"{self.variant}: access probability must be in (0,1)")
@@ -199,3 +203,14 @@ class SchedulerPolicy:
     @property
     def is_polling(self):
         return self.variant in POLLING_PROTOCOLS
+
+    def resolved(self, n_loops: int) -> SchedulerPolicy:
+        """This policy for ``n_loops`` loops: slotted ALOHA without an
+        explicit p gets its default p = 1/N."""
+        if self.variant != "slotted_aloha" or self.p is not None:
+            return self
+        if n_loops == 1:
+            raise ConfigurationError(
+                "slotted_aloha with N=1 needs an explicit p: the "
+                "default p = 1/N would be 1, outside (0, 1)")
+        return replace(self, p=1.0 / n_loops)

@@ -91,16 +91,19 @@ class MseTable:
         self._G = np.eye(sys.n)
 
     def mse(self, delta: int) -> float:
-        while len(self._mse) <= delta:
-            if not math.isfinite(self._mse[-1]):
-                # Once overflowed the tail is +inf; stop touching _G, whose
-                # inf entries would otherwise breed nans against zeros in A.
-                self._mse.append(math.inf)
-                continue
-            step = float(np.trace(self._G @ self.sys.noise_cov))
-            total = self._mse[-1] + step
-            self._mse.append(total if math.isfinite(total) else math.inf)
-            self._G = self.sys.A.T @ self._G @ self.sys.A
+        # Overflow is expected: it starts the +inf tail.
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(self._mse) <= delta:
+                if not math.isfinite(self._mse[-1]):
+                    # Once overflowed the tail is +inf; stop touching _G,
+                    # whose inf entries would otherwise breed nans against
+                    # zeros in A.
+                    self._mse.append(math.inf)
+                    continue
+                step = float(np.trace(self._G @ self.sys.noise_cov))
+                total = self._mse[-1] + step
+                self._mse.append(total if math.isfinite(total) else math.inf)
+                self._G = self.sys.A.T @ self._G @ self.sys.A
         return self._mse[delta]
 
     def nmse(self, delta: int) -> float:

@@ -11,7 +11,7 @@ import ncsim.engine
 import ncsim.mac
 from ncsim.channel import ChannelConfig
 from ncsim.engine import (SimConfig, _Run, run, run_replications,
-                          systems_from_classes)
+                          summarize_replications, systems_from_classes)
 from ncsim.errors import ConfigurationError
 from ncsim.mac import SchedulerPolicy
 from ncsim.metrics import mse_of_age
@@ -192,6 +192,30 @@ def test_polling_throughput_under_loss():
     assert ratio == pytest.approx(expect, rel=0.05)
 
 
+@pytest.mark.parametrize("tx, n_polls, n_replies", [(0.003, 167, 166),
+                                                    (0.005, 100, 100)])
+def test_polling_stops_at_the_run_end(tx, n_polls, n_replies):
+    """No poll is sent at or after the run's end at 1 s, and a reply due
+    after it is never delivered.  Lossless transactions take two
+    transmissions, back to back from time 0: with 3 ms packets the last
+    poll goes out at 0.996 s and its reply, due at 1.002 s, is dropped;
+    with 5 ms packets the last reply lands on the end and no poll
+    follows it."""
+    r = _Run(cfg_for(2, "wifresh", duration=1.0, trim=0.2,
+                     channel=ChannelConfig(tx_duration=tx)))
+    polls, replies, delivered = [], [], []
+    gw, deliver = r.gateway, r.on_delivery
+    record_poll, record_data = gw.record_poll, gw.record_data
+    gw.record_poll = lambda k, now: (polls.append(now), record_poll(k, now))
+    gw.record_data = lambda k, now: (replies.append(now),
+                                     record_data(k, now))
+    r.on_delivery = lambda k, gen: (delivered.append(k), deliver(k, gen))
+    r.execute()
+    assert max(polls) < 1.0 and max(replies) <= 1.0
+    assert len(polls) == n_polls
+    assert len(replies) == len(delivered) == n_replies
+
+
 def test_mef_frames_and_beacons():
     res = run(cfg_for(6, "mef", series=True))
     # Every loop is served within the frame rotation: ages stay bounded.
@@ -207,7 +231,7 @@ def test_estimator_incremental_matches_reference():
     sys = r.cfg.systems[0]
     for t in range(1, 40):
         if t % 7 == 0:   # as if the sample of two ticks ago arrived now
-            r.on_delivery(1, t - 2)
+            r.on_delivery(0, t - 2)
         r.on_tick(t)
         nu = int(r.nu[0])
         ref = estimate_state(sys, group.X[nu, j][:, 0],
@@ -222,7 +246,7 @@ def test_estimator_incremental_matches_reference():
 def test_only_strictly_fresher_deliveries_change_the_gateway(steps):
     """A stale or duplicate delivery changes neither the loop's freshest
     generation and estimate nor the gateway's age; ``nu`` never regresses.
-    Loop 1 (A = B = 1, no input applied) has state x[t] = t, so an accepted
+    Loop 0 (A = B = 1, no input applied) has state x[t] = t, so an accepted
     delivery of generation g sets its estimate to g."""
     r = _Run(cfg_for(2, "round_robin"))
     group, j = r.at[0]
@@ -232,7 +256,7 @@ def test_only_strictly_fresher_deliveries_change_the_gateway(steps):
         r.current_step += step
         gen = max(0, r.current_step - lag)
         before = (int(r.nu[0]), group.xhat[j].item(), int(est_age[0]))
-        r.on_delivery(1, gen)
+        r.on_delivery(0, gen)
         if gen > before[0]:
             assert r.nu[0] == gen and group.xhat[j].item() == float(gen)
             assert est_age[0] == max(1, r.current_step - gen)
@@ -472,6 +496,39 @@ def test_interval_shrinks_with_more_replications():
     h10 = run_replications(cfg, reps=10)["summary"]["aoi_mean"]["ci99_half"]
     h40 = run_replications(cfg, reps=40)["summary"]["aoi_mean"]["ci99_half"]
     assert 1.5 <= h10 / h40 <= 4.0
+
+
+def rep_result(mse_mean):
+    """A replication's result whose network mean MSE is ``mse_mean``."""
+    network = {"aoi_mean": 2.0, "mse_mean": mse_mean, "nmse_mean": 1.0,
+               "lqg_mean": 1.0, "any_diverged": False}
+    return {"metrics": {"network": network, "fractions": {"easy": 1.0}}}
+
+
+def test_summary_names_unbounded_half_widths():
+    """Each infinite half-width is reported with its reason; the means and
+    the other half-widths are as usual."""
+    means = ("aoi_mean", "mse_mean", "nmse_mean", "lqg_mean")
+    one = summarize_replications([rep_result(3.0)])["summary"]
+    assert one["unbounded"] == dict.fromkeys(means, "one replication")
+    assert all(one[k] == {"mean": one[k]["mean"], "ci99_half": math.inf}
+               for k in means)
+    for bad in (math.inf, math.nan):
+        out = summarize_replications([rep_result(3.0),
+                                      rep_result(bad)])["summary"]
+        assert out["unbounded"] == {
+            "mse_mean": "non-finite replication mean"}
+        assert out["mse_mean"]["ci99_half"] == math.inf
+    # The diverging golden network's replication means: their spread's
+    # square overflows.
+    out = summarize_replications([rep_result(2.5e59),
+                                  rep_result(5e177)])["summary"]
+    assert out["unbounded"] == {"mse_mean": "spread beyond float64"}
+    assert out["mse_mean"] == {"mean": (2.5e59 + 5e177) / 2,
+                               "ci99_half": math.inf}
+    assert out["aoi_mean"] == {"mean": 2.0, "ci99_half": 0.0}
+    bounded = summarize_replications([rep_result(3.0), rep_result(4.0)])
+    assert bounded["summary"]["unbounded"] == {}
 
 
 def test_parallel_jobs_match_serial():

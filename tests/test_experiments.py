@@ -9,7 +9,8 @@ from ncsim.channel import ChannelConfig
 from ncsim.errors import ConfigurationError
 from ncsim.experiments import (DEFAULT_COMPARISON_CHANNEL, ExperimentSpec,
                                emit_nmse_curves, emit_results, parse_config,
-                               run_single, validate_theory)
+                               pendulum_case_study, run_single,
+                               validate_theory)
 from ncsim.mac import SchedulerPolicy
 
 
@@ -172,3 +173,21 @@ def test_validate_round_robin_is_exact():
     for r in report["rows"]:
         assert r["rel_err"] <= 0.02
         assert math.isclose(r["theory"], (r["N"] + 1) / 2)
+
+
+@pytest.mark.parametrize("duration, cooldown, t_end",
+                         [(4.0, 1.015, 299), (4.025, 1.0, 302)])
+def test_pendulum_window_is_the_engines(duration, cooldown, t_end):
+    """With durations that are not whole periods, each pendulum's
+    windowed mean age is the mean of its age series over the engine's
+    window, steps 101..t_end, which the engine's own mean age covers."""
+    spec = tiny_spec(scenario="pendulum", duration_s=duration, warmup_s=1.0,
+                     cooldown_s=cooldown, replications=1)
+    (entry,) = pendulum_case_study(spec, include_raw_ablation=False).values()
+    (run,) = entry["runs"]
+    assert entry["per_ip"]
+    for i, verdict in entry["per_ip"].items():
+        aoi = run["series"][i]["aoi"]       # index 0 holds step 1
+        assert verdict["aoi_window_mean"] == aoi[100:t_end].mean()
+        assert verdict["aoi_window_mean"] == \
+            run["metrics"]["per_loop"]["aoi_mean"][i - 1]

@@ -23,7 +23,7 @@ def hand_run(variant="round_robin", n=2):
 
 
 def estimate(r, k):
-    """Loop k + 1's controller estimate, as a float (scalar loops)."""
+    """Loop k's controller estimate, as a float (scalar loops)."""
     group, j = r.at[k]
     return group.xhat[j].item()
 
@@ -60,17 +60,17 @@ def test_lcfs_single_slot_property(ops):
 
 
 def test_rr_rule():
-    assert rr_next(1, 7) == 1
-    assert rr_next(4, 3) == 1
+    assert rr_next(1, 7) == 0
+    assert rr_next(4, 3) == 0
     for N in (1, 2, 5, 15):
         window = [rr_next(t, N) for t in range(1, N + 1)]
-        assert sorted(window) == list(range(1, N + 1))
+        assert sorted(window) == list(range(N))
     with pytest.raises(ConfigurationError):
         rr_next(0, 3)
 
 
 def hand_delivery_run():
-    """A hand-driven run at step 10, no tick taken, whose loop 2 (A = 1.1,
+    """A hand-driven run at step 10, no tick taken, whose loop 1 (A = 1.1,
     B = 1, no input applied) had state 0.5 at step 7."""
     r = hand_run()
     group, j = r.at[1]
@@ -81,7 +81,7 @@ def hand_delivery_run():
 
 def test_gw_on_data_age_update():
     r = hand_delivery_run()
-    r.on_delivery(2, 7)
+    r.on_delivery(1, 7)
     assert r.gateway.est_age[1] == 3
     # The acknowledgement is instantaneous: the sender's loop knows gen 7,
     # and its controller rolls x[7] forward to step 10.
@@ -91,12 +91,12 @@ def test_gw_on_data_age_update():
 
 def test_gw_on_data_ignores_duplicates_and_stale():
     r = hand_delivery_run()
-    r.on_delivery(2, 7)
+    r.on_delivery(1, 7)
     accepted = estimate(r, 1)
     r.current_step = 11
-    r.on_delivery(2, 7)    # duplicate
+    r.on_delivery(1, 7)    # duplicate
     assert r.gateway.est_age[1] == 3 and estimate(r, 1) == accepted
-    r.on_delivery(2, 4)    # stale
+    r.on_delivery(1, 4)    # stale
     assert r.gateway.est_age[1] == 3 and r.nu[1] == 7
     assert estimate(r, 1) == accepted
 
@@ -105,7 +105,7 @@ def test_gw_view_age_grows_per_tick():
     r = hand_run()
     for t in range(1, 11):
         r.on_tick(t)
-    r.on_delivery(2, 7)
+    r.on_delivery(1, 7)
     assert r.gateway.est_age[1] == 3 and r.nu[1] == 7
     for t in range(11, 16):
         r.on_tick(t)
@@ -118,7 +118,7 @@ def test_reliability_window():
         gw.record_poll(1, k * 0.01)
     for k in range(5):
         gw.record_data(1, k * 0.01)
-    # (5+1)/(9+1) for loop 2; loop 1 was never polled.
+    # (5+1)/(9+1) for loop 1; loop 0 was never polled.
     assert list(gw.reliability(0.09)) == [1.0, pytest.approx(0.6)]
     # Outside the 0.5 s window everything is forgotten.
     assert gw.reliability(10.0)[1] == pytest.approx(1.0)
@@ -133,7 +133,7 @@ def test_reliability_bounds():
 
 
 def gateway_for(classes, ages=None):
-    """A gateway over loops 1..N of the given classes (one table each),
+    """A gateway over loops of the given classes (one table each),
     with the given age estimates."""
     gw = Gateway([make_preset(c) for c in classes])
     if ages is not None:
@@ -144,20 +144,20 @@ def gateway_for(classes, ages=None):
 def test_mef_fair_rotation_for_identical_loops():
     gw = gateway_for(["mid", "mid", "mid"], [1, 1, 1])
     sched = mef_build_schedule(gw, frame_len=6)
-    assert sched == [1, 2, 3, 1, 2, 3]
+    assert sched == [0, 1, 2, 0, 1, 2]
 
 
 def test_mef_huge_age_occupies_first_slot():
     gw = gateway_for(["easy", "easy", "hard"], [2, 2, 90])
     sched = mef_build_schedule(gw, frame_len=4)
-    assert sched[0] == 3
+    assert sched[0] == 2
 
 
 def test_mef_greedy_trace_oracle():
     """Replay the greedy rule by hand with the covariance-route error
     values (independent of the table used by the implementation)."""
     from ncsim.metrics import error_covariance
-    classes = {1: "easy", 2: "mid", 3: "hard"}
+    classes = {0: "easy", 1: "mid", 2: "hard"}
     systems = {i: make_preset(c) for i, c in classes.items()}
 
     def nmse(i, d):
@@ -165,7 +165,7 @@ def test_mef_greedy_trace_oracle():
         base = error_covariance(systems[i], 1)
         return np.trace(cov) / np.trace(base)
 
-    ages = {1: 1, 2: 1, 3: 1}
+    ages = {0: 1, 1: 1, 2: 1}
     expect = []
     for _ in range(6):
         pick = max(sorted(ages), key=lambda i: nmse(i, ages[i]))
@@ -179,7 +179,7 @@ def test_mef_greedy_trace_oracle():
 def test_mef_starves_slow_loops_when_slots_are_scarce():
     # Three loops in six slots rotate fairly; once loops outnumber the
     # frame's slack the fast dynamics crowd out the slow ones.
-    classes = {i: ["easy", "mid", "hard"][(i - 1) % 3] for i in range(1, 16)}
+    classes = {k: ["easy", "mid", "hard"][k % 3] for k in range(15)}
     sched = mef_build_schedule(gateway_for(classes.values(), [1] * 15),
                                frame_len=20)
     by_class = {c: sum(classes[i] == c for i in sched)
@@ -191,23 +191,23 @@ def test_mef_schedule_shape():
     sched = mef_build_schedule(gateway_for(["easy", "hard"], [5, 5]),
                                frame_len=20)
     assert len(sched) == 20
-    assert set(sched) <= {1, 2}
+    assert set(sched) <= {0, 1}
 
 
 def test_wifresh_uniform_reliability_picks_max_age():
     gw = gateway_for(["mid", "mid", "mid"], [3, 1, 2])
-    assert wifresh_next(gw, 0.0) == 1
+    assert wifresh_next(gw, 0.0) == 0
 
 
 def test_wifresh_tie_breaks_low_id():
     gw = gateway_for(["mid", "mid"], [4, 4])
-    assert wifresh_next(gw, 0.0) == 1
+    assert wifresh_next(gw, 0.0) == 0
 
 
 def test_pmef_prefers_faster_dynamics():
     gw = gateway_for(["easy", "hard"], [4, 3])
     # error(1.2-dynamics, age 3) = 4.5136 > error(1.0-dynamics, age 4) = 4
-    assert pmef_next(gw, 0.0) == 2
+    assert pmef_next(gw, 0.0) == 1
 
 
 def test_pmef_equals_wifresh_for_identical_scalar_loops():
@@ -225,13 +225,13 @@ def test_reliability_window_keeps_its_edge():
 
 
 def test_overflowed_errors_tie_to_lowest_id():
-    """Loops whose error has overflowed to +inf tie; the lowest id wins,
-    and MEF then serves the next overflowed loop."""
+    """Loops whose error has overflowed to +inf tie; the lowest index
+    wins, and MEF then serves the next overflowed loop."""
     gw = Gateway([PLANTS[c] for c in ("easy", "unstable", "easy", "unstable")])
     gw.est_age[:] = [30, 6, 30, 9]
     assert gw.errors(gw.est_age).tolist()[1::2] == [math.inf, math.inf]
-    assert pmef_next(gw, 0.0) == 2
-    assert mef_build_schedule(gw, frame_len=2) == [2, 4]
+    assert pmef_next(gw, 0.0) == 1
+    assert mef_build_schedule(gw, frame_len=2) == [1, 3]
 
 
 # ---- plain-Python references for the array schedulers -------------------
@@ -258,13 +258,13 @@ class LoopWindow:
 
 
 def first_max(values):
-    """Loop id of the largest value under strict ``>``: the lowest id
-    wins ties."""
+    """Loop index of the largest value under strict ``>``: the lowest
+    index wins ties."""
     best = 0
     for k, v in enumerate(values):
         if v > values[best]:
             best = k
-    return best + 1
+    return best
 
 
 def reference_mef(ages, tables, frame_len, use_nmse):
@@ -273,7 +273,7 @@ def reference_mef(ages, tables, frame_len, use_nmse):
         pick = first_max([t.nmse(a) if use_nmse else t.mse(a)
                           for t, a in zip(tables, pred)])
         schedule.append(pick)
-        pred = [1 if k + 1 == pick else a + 1 for k, a in enumerate(pred)]
+        pred = [1 if k == pick else a + 1 for k, a in enumerate(pred)]
     return schedule
 
 

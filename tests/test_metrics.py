@@ -162,19 +162,19 @@ def test_aoi_tracker():
     for t in range(1, 6):
         r.on_tick(t)
         assert est_age[0] == t
-    r.on_delivery(1, 3)
+    r.on_delivery(0, 3)
     assert est_age[0] == 2 and r.nu[0] == 3
-    r.on_delivery(1, 3)    # duplicate
-    r.on_delivery(1, 2)    # stale
+    r.on_delivery(0, 3)    # duplicate
+    r.on_delivery(0, 2)    # stale
     assert est_age[0] == 2 and r.nu[0] == 3
-    r.on_delivery(1, 5)    # sampled this step
+    r.on_delivery(0, 5)    # sampled this step
     assert est_age[0] == 1 and r.nu[0] == 5
 
 
 @settings(max_examples=50, deadline=None)
 @given(gens=st.lists(st.integers(0, 100), max_size=30))
 def test_aoi_tracker_never_regresses(gens):
-    """Loop 1 (A = B = 1, no input applied) has state x[t] = t, so its
+    """Loop 0 (A = B = 1, no input applied) has state x[t] = t, so its
     estimate is the freshest generation delivered."""
     r = hand_run()
     group, j = r.at[0]
@@ -182,7 +182,7 @@ def test_aoi_tracker_never_regresses(gens):
     r.current_step = 100
     seen = 0
     for g in gens:
-        r.on_delivery(1, g)
+        r.on_delivery(0, g)
         seen = max(seen, g)
         assert r.nu[0] == seen and group.xhat[j].item() == float(seen)
         if seen:
