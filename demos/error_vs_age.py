@@ -12,6 +12,8 @@ within a few periods.
 """
 import argparse
 
+import numpy as np
+
 from ncsim.metrics import MseTable
 from ncsim.systems import make_preset
 
@@ -23,22 +25,22 @@ def main():
     ap.add_argument("--max-age", type=int, default=12)
     args = ap.parse_args()
 
-    tables = {c: MseTable(make_preset(c)) for c in CLASSES}
+    # One loop per class; row a - 1 holds every class's error at age a.
+    table = MseTable([make_preset(c) for c in CLASSES])
+    oldest = max(args.max_age, 499)
+    ages = np.repeat(np.arange(1, oldest + 1)[:, None], len(CLASSES), 1)
+    mse, nmse = table.errors(ages, use_nmse=False), table.errors(ages)
 
-    print("raw error MSE(age):")
-    print(f"{'age':>4s}" + "".join(f"{c:>12s}" for c in CLASSES))
-    for d in range(1, args.max_age + 1):
-        print(f"{d:4d}" + "".join(f"{tables[c].mse(d):12.4g}"
-                                  for c in CLASSES))
+    for title, curves in (("raw error MSE(age):", mse),
+                          ("\nnormalized error nMSE(age) = MSE(age) / MSE(1):",
+                           nmse)):
+        print(title)
+        print(f"{'age':>4s}" + "".join(f"{c:>12s}" for c in CLASSES))
+        for d in range(1, args.max_age + 1):
+            print(f"{d:4d}" + "".join(f"{v:12.4g}" for v in curves[d - 1]))
 
-    print("\nnormalized error nMSE(age) = MSE(age) / MSE(1):")
-    print(f"{'age':>4s}" + "".join(f"{c:>12s}" for c in CLASSES))
-    for d in range(1, args.max_age + 1):
-        print(f"{d:4d}" + "".join(f"{tables[c].nmse(d):12.4g}"
-                                  for c in CLASSES))
-
-    cross = next(d for d in range(1, 500)
-                 if tables["pendulum"].mse(d) > tables["easy"].mse(1))
+    pendulum, easy = CLASSES.index("pendulum"), CLASSES.index("easy")
+    cross = 1 + int((mse[:, pendulum] > mse[0, easy]).argmax())
     print(f"\nby raw error the pendulum first outranks even a fresh easy "
           f"loop at age {cross}; on the normalized scale it is comparable "
           f"with the scalar classes from the start (between easy and hard "

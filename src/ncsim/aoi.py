@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import minimize_scalar
-
 from .errors import ConfigurationError, OptimizationError
 
 __all__ = [
@@ -137,6 +135,8 @@ def optimize_adra(N: int, delta_max: int = 60) -> tuple[int, float]:
     probabilities (see :func:`adra_model_valid`) on a coarse grid and
     polishes with a bounded scalar search.
     """
+    from scipy.optimize import minimize_scalar
+
     if N < 3:
         raise ConfigurationError("optimization defined for N >= 3")
     p_grid = [i / 500 for i in range(1, 500)]

@@ -314,7 +314,7 @@ class _Run:
         would be summed pairwise and round differently.  A diverged loop
         can produce nan (inf times a zero weight); it counts as +inf.
         """
-        m = self.metrics
+        m, table = self.metrics, self.gateway.table
         total = np.zeros((4, self.N))
         block = max(1, _SUM_BLOCK_VALUES // self.N)
         for lo in range(m.t_start, m.t_end + 1, block):
@@ -324,8 +324,8 @@ class _Run:
             values[0] = total
             rows = values[1:]
             rows[:, 0] = ages
-            rows[:, 1] = self.gateway.errors(ages, use_nmse=False)
-            rows[:, 2] = self.gateway.errors(ages)
+            rows[:, 1] = table.errors(ages, use_nmse=False)
+            rows[:, 2] = table.errors(ages)
             for g in self.groups:
                 rows[:, 3, g.loops] = g.cost(g.X[steps], g.U[steps])[..., 0, 0]
             np.fmin(rows, math.inf, out=rows)

@@ -18,7 +18,7 @@ import concurrent.futures
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -96,12 +96,14 @@ class ExperimentSpec:
 # --------------------------------------------------------------------------
 # Config parsing
 
-_TOP_KEYS = {"scenario", "protocols", "n_loops", "n_range", "channel",
-             "classes", "duration_s", "warmup_s", "cooldown_s", "seed",
-             "replications", "out_dir"}
-_CHANNEL_KEYS = {"mode", "erasure_prob", "tx_duration", "slot_duration",
-                 "capture_prob"}
-_PROTOCOL_KEYS = {"name", "p", "threshold", "frame_len", "use_nmse"}
+def _keys(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+_TOP_KEYS = _keys(ExperimentSpec)
+_CHANNEL_KEYS = _keys(ChannelConfig)
+# A protocol entry names its variant under "name".
+_PROTOCOL_KEYS = _keys(SchedulerPolicy) - {"variant"} | {"name"}
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
@@ -219,17 +221,14 @@ def emit_results(results: dict, out_dir: str):
 def emit_nmse_curves(out_dir: str, max_age: int = 60):
     """Error-versus-age curves for every preset, including the pendulum's
     raw MSE before normalization."""
-    tables = {c: MseTable(make_preset(c))
-              for c in ("easy", "mid", "hard", "pendulum")}
-    rows = []
-    for age in range(1, max_age + 1):
-        rows.append([age,
-                     tables["easy"].nmse(age), tables["mid"].nmse(age),
-                     tables["hard"].nmse(age), tables["pendulum"].nmse(age),
-                     tables["pendulum"].mse(age)])
+    classes = ("easy", "mid", "hard", "pendulum")
+    table = MseTable([make_preset(c) for c in classes])
+    ages = np.repeat(np.arange(1, max_age + 1)[:, None], len(classes), 1)
+    nmse = table.errors(ages).tolist()
+    raw = table.errors(ages, use_nmse=False)[:, 3].tolist()
+    rows = [[age, *n, m] for age, n, m in zip(range(1, max_age + 1), nmse, raw)]
     _write_csv(os.path.join(out_dir, "nmse_vs_age.csv"),
-               ["age", "easy", "mid", "hard", "pendulum", "pendulum_raw_mse"],
-               rows)
+               ["age", *classes, "pendulum_raw_mse"], rows)
 
 
 # --------------------------------------------------------------------------

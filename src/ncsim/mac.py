@@ -5,7 +5,8 @@ ALOHA, and the age-threshold variant) and four contention-free schedulers
 run at the gateway: round-robin, beacon-framed max-error-first (MEF), and
 two polling schedulers — WiFresh (reliability x age) and pMEF
 (reliability x normalized estimation error).  MEF, WiFresh and pMEF pick
-by one numpy argmax over the :class:`Gateway`'s arrays; the first
+by one numpy argmax over the :class:`Gateway`'s arrays, MEF and pMEF
+reading the errors from its :class:`~ncsim.metrics.MseTable`; the first
 maximum wins, so ties go to the lowest loop index.  Loops are named by
 their index k = 0..N-1 throughout: every scheduler returns indices.
 """
@@ -44,9 +45,8 @@ class Gateway:
     ``polls`` and ``datas``, give the reliability (RX + 1) / (TX + 1).
     Their times never decrease, so one time-ordered deque, trimmed at each
     poll, leaves every loop the counts that trimming its own history
-    would.  Each distinct plant has one MSE table (``plants``), grown only
-    as far as its own loops ask; the curves are stacked so that one gather
-    reads every loop's error.
+    would.  ``table`` is the run's :class:`MseTable`, the loops' error
+    curves.
     """
 
     def __init__(self, systems: list[LtiSystem]):
@@ -55,20 +55,7 @@ class Gateway:
         self.polls, self.datas = [0] * n, [0] * n
         self._rel = np.ones(n)             # (datas + 1) / (polls + 1)
         self._window = deque()             # (time, k, polls or datas)
-        row = {}                           # id(system) -> plant index
-        self.plants = []
-        for sys in systems:
-            if id(sys) not in row:
-                row[id(sys)] = len(self.plants)
-                self.plants.append(MseTable(sys))
-        self.plant = np.array([row[id(sys)] for sys in systems])
-        # MSE and nMSE of plant p at age a are _curves[:, p, a] for a up to
-        # depth[p]; later columns are storage not yet computed.  Gathers
-        # index the flattened rows, loop k's starting at _row[k].
-        self.depth = np.zeros(len(self.plants), np.int64)
-        self._reach = self.depth[self.plant]                  # per loop
-        self._curves = np.zeros((2, len(self.plants), 16))
-        self._row = self.plant * 16
+        self.table = MseTable(systems)
 
     def _count(self, counts: list[int], k: int, step: int):
         counts[k] += step
@@ -90,34 +77,6 @@ class Gateway:
             _, k, counts = self._window.popleft()
             self._count(counts, k, -1)
         return self._rel
-
-    def grow(self, ages: np.ndarray):
-        """Compute each plant's curves through the oldest of its own loops'
-        ``ages`` (last axis over the loops), if they stop short of it.
-        Storage widens by doubling, so each age is stacked once."""
-        if not (ages > self._reach).any():
-            return
-        need = np.zeros(len(self.plants), np.int64)
-        np.maximum.at(need, self.plant,
-                      ages.reshape(-1, len(self.plant)).max(axis=0))
-        width = self._curves.shape[2]
-        if need.max() >= width:
-            wider = np.zeros((2, len(self.plants),
-                              max(2 * width, int(need.max()) + 1)))
-            wider[:, :, :width] = self._curves
-            self._curves = wider
-            self._row = self.plant * wider.shape[2]
-        for p in np.flatnonzero(need > self.depth).tolist():
-            lo, hi = int(self.depth[p]) + 1, int(need[p])
-            self._curves[:, p, lo:hi + 1] = self.plants[p].curves(hi, lo)
-            self.depth[p] = hi
-        self._reach = self.depth[self.plant]
-
-    def errors(self, ages: np.ndarray, use_nmse: bool = True) -> np.ndarray:
-        """Each loop's nMSE (or MSE) at its entry of ``ages``, whose last
-        axis runs over the loops."""
-        self.grow(ages)
-        return self._curves[int(use_nmse)].reshape(-1)[self._row + ages]
 
 
 def rr_next(t: int, N: int) -> int:
@@ -143,10 +102,10 @@ def mef_build_schedule(gw: Gateway, frame_len: int = 20,
     pred = gw.est_age.copy()
     # The oldest age each loop can reach in this frame, so that no slot
     # grows the curves.
-    gw.grow(pred + (frame_len - 1))
+    gw.table.grow(pred + (frame_len - 1))
     schedule = []
     for _ in range(frame_len):
-        best = int(gw.errors(pred, use_nmse).argmax())
+        best = int(gw.table.errors(pred, use_nmse).argmax())
         schedule.append(best)
         pred += 1
         pred[best] = 1
@@ -162,7 +121,7 @@ def wifresh_next(gw: Gateway, now: float) -> int:
 def pmef_next(gw: Gateway, now: float, use_nmse: bool = True) -> int:
     """Poll target's index by reliability x (normalized) estimation
     error."""
-    errors = gw.errors(gw.est_age, use_nmse)
+    errors = gw.table.errors(gw.est_age, use_nmse)
     return int((gw.reliability(now) * errors).argmax())
 
 

@@ -7,12 +7,13 @@ The mean squared estimation error of a loop whose freshest sample is
     MSE(delta) = sum_{d=1..delta} tr((A')^{d-1} A^{d-1} Sigma)
 
 and its normalized variant divides by the one-period value, making loops
-with different state dimensions and units comparable.  :class:`MseTable`
-grows both laws on demand for one plant; the gateway stacks the curves of
-its plants, and the engine and the schedulers read them with one gather
-for all loops.  :class:`MetricsAccumulator` counts transmissions and
-receptions in the window and takes the window's per-loop sums of age,
-error and cost in one call once the run ends.
+with different state dimensions and units comparable.  A run's one
+:class:`MseTable` grows both laws on demand for each of its plants, only
+as far as that plant's own loops ask, and stacks the curves so that the
+engine and the schedulers read every loop's error with one gather.
+:class:`MetricsAccumulator` counts transmissions and receptions in the
+window and takes the window's per-loop sums of age, error and cost in
+one call once the run ends.
 """
 from __future__ import annotations
 
@@ -74,48 +75,82 @@ def nmse_of_age(sys: LtiSystem, delta: int) -> float:
 
 
 class MseTable:
-    """MSE(age) and nMSE(age) for one system, grown on demand.
+    """MSE(age) and nMSE(age) of every loop's plant, grown on demand.
 
-    Values are computed one age at a time by the recurrence of
-    :func:`mse_of_age` and cached up to the largest age requested; after
-    the first overflow every value is +inf.
+    Loops that share a system object share its plant: ``plants`` holds
+    the distinct systems and ``plant[k]`` is loop k's.  Each plant's
+    curves are computed one age at a time by the recurrence of
+    :func:`mse_of_age`, only as far as its own loops ask (``depth``);
+    after the first overflow every value is +inf.  The curves are stacked
+    so that one gather reads every loop's error.
     """
 
-    def __init__(self, sys: LtiSystem):
-        self.sys = sys
-        self._base = float(np.trace(sys.noise_cov))
-        if self._base <= 0:
+    def __init__(self, systems: list[LtiSystem]):
+        row = {}                           # id(system) -> plant index
+        self.plants = []
+        for sys in systems:
+            if id(sys) not in row:
+                row[id(sys)] = len(self.plants)
+                self.plants.append(sys)
+        self.plant = np.array([row[id(sys)] for sys in systems])
+        self._base = [float(np.trace(s.noise_cov)) for s in self.plants]
+        if any(base <= 0 for base in self._base):
             raise ConfigurationError(
                 "nMSE undefined: noise covariance has zero trace")
-        self._mse = [0.0]  # index = age
-        self._G = np.eye(sys.n)
+        self._G = [np.eye(s.n) for s in self.plants]  # next (A')^a A^a
+        # MSE and nMSE of plant p at age a are _curves[:, p, a] for a up to
+        # depth[p]; later columns are storage not yet computed.  Gathers
+        # index the flattened rows, loop k's starting at _row[k].
+        self.depth = np.zeros(len(self.plants), np.int64)
+        self._reach = self.depth[self.plant]                  # per loop
+        self._curves = np.zeros((2, len(self.plants), 16))
+        self._row = self.plant * 16
 
-    def mse(self, delta: int) -> float:
+    def grow(self, ages: np.ndarray):
+        """Compute each plant's curves through the oldest of its own loops'
+        ``ages`` (last axis over the loops), if they stop short of it.
+        Storage widens by doubling, so each age is stacked once."""
+        if not (ages > self._reach).any():
+            return
+        need = np.zeros(len(self.plants), np.int64)
+        np.maximum.at(need, self.plant,
+                      ages.reshape(-1, len(self.plant)).max(axis=0))
+        width = self._curves.shape[2]
+        if need.max() >= width:
+            wider = np.zeros((2, len(self.plants),
+                              max(2 * width, int(need.max()) + 1)))
+            wider[:, :, :width] = self._curves
+            self._curves = wider
+            self._row = self.plant * wider.shape[2]
         # Overflow is expected: it starts the +inf tail.
         with np.errstate(over="ignore", invalid="ignore"):
-            while len(self._mse) <= delta:
-                if not math.isfinite(self._mse[-1]):
-                    # Once overflowed the tail is +inf; stop touching _G,
-                    # whose inf entries would otherwise breed nans against
-                    # zeros in A.
-                    self._mse.append(math.inf)
-                    continue
-                step = float(np.trace(self._G @ self.sys.noise_cov))
-                total = self._mse[-1] + step
-                self._mse.append(total if math.isfinite(total) else math.inf)
-                self._G = self.sys.A.T @ self._G @ self.sys.A
-        return self._mse[delta]
+            for p in np.flatnonzero(need > self.depth).tolist():
+                self._extend(p, int(need[p]))
+        self._reach = self.depth[self.plant]
 
-    def nmse(self, delta: int) -> float:
-        return self.mse(delta) / self._base
+    def _extend(self, p: int, hi: int):
+        sys, G = self.plants[p], self._G[p]
+        lo = int(self.depth[p]) + 1
+        mse = self._curves[0, p]
+        total = float(mse[lo - 1])
+        for a in range(lo, hi + 1):
+            # Once overflowed the tail is +inf; G is left alone, since its
+            # inf entries would breed nans against zeros in A.
+            if math.isfinite(total):
+                total += float(np.trace(G @ sys.noise_cov))
+                G = sys.A.T @ G @ sys.A
+                if not math.isfinite(total):
+                    total = math.inf
+            mse[a] = total
+        self._curves[1, p, lo:hi + 1] = mse[lo:hi + 1] / self._base[p]
+        self._G[p] = G
+        self.depth[p] = hi
 
-    def curves(self, depth: int,
-               start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`mse` and :meth:`nmse` of ages start..depth as float64
-        arrays."""
-        self.mse(depth)
-        mse = np.array(self._mse[start:depth + 1])
-        return mse, mse / self._base
+    def errors(self, ages: np.ndarray, use_nmse: bool = True) -> np.ndarray:
+        """Each loop's nMSE (or MSE) at its entry of ``ages``, whose last
+        axis runs over the loops."""
+        self.grow(ages)
+        return self._curves[int(use_nmse)].reshape(-1)[self._row + ages]
 
 
 class MetricsAccumulator:

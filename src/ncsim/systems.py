@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigurationError, SynthesisError
 
@@ -201,8 +200,7 @@ def solve_dare(sys: LtiSystem, tol: float = 1e-10, max_iter: int = 10**6) -> Dar
     P = 0.5 * (P + P.T)
     BtP = B.T @ P
     gain = np.linalg.solve(R + BtP @ B, BtP @ A)
-    residual = float(np.max(np.abs(
-        P - (Q + A.T @ (P - P @ B @ np.linalg.solve(R + BtP @ B, BtP)) @ A))))
+    residual = dare_residual(sys, P)
     rho = float(np.max(np.abs(np.linalg.eigvals(A - B @ gain))))
     if rho >= 1.0:
         raise SynthesisError(
@@ -225,6 +223,8 @@ def discretize_zoh(A_c, B_c, T_s: float):
     Exponentiates the (n+m)-square augmented block matrix [[A_c, B_c], [0, 0]]
     scaled by the period; the discrete A and B are the top blocks.
     """
+    from scipy.linalg import expm
+
     if T_s <= 0:
         raise ConfigurationError("T_s must be positive")
     A_c = np.atleast_2d(np.asarray(A_c, dtype=float))

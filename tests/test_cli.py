@@ -1,6 +1,8 @@
 """Exit codes, flag handling, and file emission of the console entry point."""
 import concurrent.futures
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -232,3 +234,18 @@ def test_worker_invariant_violation_reaches_caller(tmp_path, monkeypatch,
                "--jobs", "2"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: rx > tx in seed")
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported by the functions that use it, so starting the
+    CLI does not pay for it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ncsim; print(sorted("
+         "m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -14,7 +14,7 @@ from ncsim.engine import (SimConfig, _Run, run, run_replications,
                           summarize_replications, systems_from_classes)
 from ncsim.errors import ConfigurationError
 from ncsim.mac import SchedulerPolicy
-from ncsim.metrics import mse_of_age
+from ncsim.metrics import mse_of_age, nmse_of_age
 from ncsim.systems import estimate_state, make_preset
 
 
@@ -408,18 +408,18 @@ def test_tables_grow_only_to_their_own_loops_ages(variant, monkeypatch):
     res = r.execute()
     ages = np.array([res["series"][k + 1]["aoi"] for k in range(15)]).T
     window = ages[r.metrics.t_start - 1:r.metrics.t_end]   # row t-1: tick t
-    gw, frame = r.gateway, cfg.policy.frame_len
-    for p, table in enumerate(gw.plants):
-        own = gw.plant == p
+    tab, frame = r.gateway.table, cfg.policy.frame_len
+    for p in range(len(tab.plants)):
+        own = tab.plant == p
         want = window[:, own].max()
         if variant == "mef":
             for t in range(1, r.steps + 1, frame):
                 want = max(want, ages[t - 1, own].max() + frame - 1)
         if polled:
             want = max(want, np.array(polled)[:, own].max())
-        assert len(table._mse) - 1 == gw.depth[p] == want
+        assert tab.depth[p] == want
     if variant in ("mef", "pmef"):   # easy, pendulum and hard differ
-        assert len(set(gw.depth.tolist())) == 3, "plants grew in lockstep"
+        assert len(set(tab.depth.tolist())) == 3, "plants grew in lockstep"
 
 
 # (N, class pattern, policy): a scalar mix and a pendulum mix, each under a
@@ -430,29 +430,35 @@ PLANT_MIXES = [(9, ("easy", "mid", "hard"), "mef"),
 
 @pytest.mark.parametrize("n, pattern, variant", PLANT_MIXES)
 def test_one_mse_table_per_plant(n, pattern, variant, monkeypatch):
+    """A run builds one table, with one row per distinct system object;
+    every grown entry equals the reference law."""
     cfg = cfg_for(n, variant, pattern=pattern)
     built = []
 
     class CountedTable(ncsim.mac.MseTable):
-        def __init__(self, sys):
+        def __init__(self, systems):
             built.append(self)
-            super().__init__(sys)
+            super().__init__(systems)
 
     monkeypatch.setattr(ncsim.mac, "MseTable", CountedTable)
     r = _Run(cfg)
     r.execute()
-    assert built == r.gateway.plants
-    plants = r.gateway.plants
-    assert len(plants) == len({id(s) for s in cfg.systems}) == 3
-    tables = [plants[k] for k in r.gateway.plant]      # per loop
-    assert all(t.sys is s for t, s in zip(tables, cfg.systems))
-    for tab in plants:
-        depth = len(tab._mse) - 1
-        assert depth > 1
-        mse, nmse = tab.curves(depth)
-        for d, value in enumerate(mse.tolist()):
-            assert value == tab.mse(d) == mse_of_age(tab.sys, d)
-            assert nmse[d] == tab.nmse(d)
+    tab = r.gateway.table
+    assert built == [tab]
+    assert len(tab.plants) == len({id(s) for s in cfg.systems}) == 3
+    assert all(tab.plants[p] is s
+               for p, s in zip(tab.plant.tolist(), cfg.systems))
+    depth = tab.depth.copy()
+    assert (depth > 1).all()
+    # Every age each loop's plant has grown to, without growing further.
+    ages = np.minimum(np.arange(depth.max() + 1)[:, None], depth[tab.plant])
+    mse, nmse = (tab.errors(ages, use_nmse).T.tolist()
+                 for use_nmse in (False, True))
+    assert (tab.depth == depth).all()
+    for k, sys in enumerate(cfg.systems):
+        for d in range(depth[tab.plant[k]] + 1):
+            assert mse[k][d] == mse_of_age(sys, d)
+            assert nmse[k][d] == nmse_of_age(sys, d)
 
 
 @pytest.mark.parametrize("n, pattern, variant", PLANT_MIXES)

@@ -2,8 +2,10 @@
 import csv
 import math
 import os
+from dataclasses import fields
 
 import pytest
+import yaml
 
 from ncsim.channel import ChannelConfig
 from ncsim.errors import ConfigurationError
@@ -12,6 +14,8 @@ from ncsim.experiments import (DEFAULT_COMPARISON_CHANNEL, ExperimentSpec,
                                pendulum_case_study, run_single,
                                validate_theory)
 from ncsim.mac import SchedulerPolicy
+from ncsim.metrics import mse_of_age, nmse_of_age
+from ncsim.systems import make_preset
 
 
 def write_config(tmp_path, text, name="exp.yaml"):
@@ -69,6 +73,29 @@ replications: 3
     assert spec.protocols[1].p == 0.2
     assert spec.protocols[2].frame_len == 10 and not spec.protocols[2].use_nmse
     assert spec.seed == 7 and spec.replications == 3
+
+
+def test_parse_accepts_every_dataclass_field(tmp_path):
+    """Each field of the spec, the channel and the policy is a key, with
+    ``name`` standing for the policy's ``variant``."""
+    protocol = {"name": "adra", "p": 0.2, "threshold": 3, "frame_len": 10,
+                "use_nmse": False}
+    channel = {"mode": "offset_capture", "erasure_prob": 0.1,
+               "tx_duration": 0.002, "slot_duration": 0.01,
+               "capture_prob": 0.5}
+    top = {"scenario": "single", "protocols": [protocol], "n_loops": 4,
+           "n_range": [2, 5], "channel": channel, "classes": ["easy"],
+           "duration_s": 3.0, "warmup_s": 0.5, "cooldown_s": 0.5,
+           "seed": 3, "replications": 2, "out_dir": "out"}
+    assert set(top) == {f.name for f in fields(ExperimentSpec)}
+    assert set(channel) == {f.name for f in fields(ChannelConfig)}
+    assert set(protocol) - {"name"} | {"variant"} == \
+        {f.name for f in fields(SchedulerPolicy)}
+    spec = parse_config(write_config(tmp_path, yaml.safe_dump(top)))
+    assert spec == ExperimentSpec(**{
+        **top, "protocols": [SchedulerPolicy("adra", 0.2, 3, 10, False)],
+        "n_range": (2, 5), "channel": ChannelConfig(**channel),
+        "classes": ("easy",)})
 
 
 def test_parse_rejects_unknown_keys(tmp_path):
@@ -149,6 +176,12 @@ def test_emit_nmse_curves(tmp_path):
     # The raw error column shows the tiny-noise pendulum scale.
     assert float(first["pendulum_raw_mse"]) < 1e-3
     assert float(rows[-1]["pendulum"]) > float(rows[-1]["easy"])
+    # Every value is the repr of the reference law's float.
+    presets = [make_preset(c) for c in ("easy", "mid", "hard", "pendulum")]
+    for age, row in enumerate(rows, 1):
+        assert list(row.values()) == [
+            str(age), *(repr(nmse_of_age(s, age)) for s in presets),
+            repr(mse_of_age(presets[-1], age))]
 
 
 def test_validate_requires_ideal_channel():

@@ -1,4 +1,5 @@
 """Pending samples, gateway state, and the scheduling decision rules."""
+import functools
 import math
 from collections import deque
 
@@ -10,7 +11,7 @@ from ncsim.engine import SimConfig, _Run, systems_from_classes
 from ncsim.errors import ConfigurationError
 from ncsim.mac import (Gateway, SchedulerPolicy, mef_build_schedule,
                        pmef_next, rr_next, wifresh_next)
-from ncsim.metrics import MseTable
+from ncsim.metrics import mse_of_age, nmse_of_age
 from ncsim.systems import LtiSystem, make_preset
 
 
@@ -229,7 +230,7 @@ def test_overflowed_errors_tie_to_lowest_id():
     wins, and MEF then serves the next overflowed loop."""
     gw = Gateway([PLANTS[c] for c in ("easy", "unstable", "easy", "unstable")])
     gw.est_age[:] = [30, 6, 30, 9]
-    assert gw.errors(gw.est_age).tolist()[1::2] == [math.inf, math.inf]
+    assert gw.table.errors(gw.est_age).tolist()[1::2] == [math.inf, math.inf]
     assert pmef_next(gw, 0.0) == 1
     assert mef_build_schedule(gw, frame_len=2) == [1, 3]
 
@@ -257,6 +258,15 @@ class LoopWindow:
         return (len(self.datas) + 1) / (len(self.polls) + 1)
 
 
+@functools.cache
+def reference_error(plant, age, use_nmse):
+    """:func:`nmse_of_age` or :func:`mse_of_age` of a plant in PLANTS."""
+    law = nmse_of_age if use_nmse else mse_of_age
+    # Overflow is expected: it is what makes the value +inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return law(PLANTS[plant], age)
+
+
 def first_max(values):
     """Loop index of the largest value under strict ``>``: the lowest
     index wins ties."""
@@ -267,11 +277,11 @@ def first_max(values):
     return best
 
 
-def reference_mef(ages, tables, frame_len, use_nmse):
+def reference_mef(ages, plants, frame_len, use_nmse):
     pred, schedule = list(ages), []
     for _ in range(frame_len):
-        pick = first_max([t.nmse(a) if use_nmse else t.mse(a)
-                          for t, a in zip(tables, pred)])
+        pick = first_max([reference_error(c, a, use_nmse)
+                          for c, a in zip(plants, pred)])
         schedule.append(pick)
         pred = [1 if k == pick else a + 1 for k, a in enumerate(pred)]
     return schedule
@@ -327,7 +337,6 @@ def test_argmax_schedulers_match_reference(data, history, use_nmse,
                                 min_size=n, max_size=n), label="plants")
     ages = data.draw(st.lists(st.integers(1, 4) | st.integers(5, 60),
                               min_size=n, max_size=n), label="ages")
-    tables = [MseTable(PLANTS[c]) for c in plants]
     gw = Gateway([PLANTS[c] for c in plants])
     gw.est_age[:] = ages
     windows = [LoopWindow() for _ in range(n)]
@@ -335,8 +344,7 @@ def test_argmax_schedulers_match_reference(data, history, use_nmse,
     for gap, k, is_poll in history + [(0.5, 0, True)]:
         now += gap
         rel = [w.reliability(now) for w in windows]
-        err = [t.nmse(a) if use_nmse else t.mse(a)
-               for t, a in zip(tables, ages)]
+        err = [reference_error(c, a, use_nmse) for c, a in zip(plants, ages)]
         assert wifresh_next(gw, now) == first_max(
             [r * a for r, a in zip(rel, ages)])
         assert pmef_next(gw, now, use_nmse) == first_max(
@@ -345,7 +353,7 @@ def test_argmax_schedulers_match_reference(data, history, use_nmse,
         (gw.record_poll if is_poll else gw.record_data)(k, now)
         (windows[k].polls if is_poll else windows[k].datas).append(now)
     assert mef_build_schedule(gw, frame_len, use_nmse) == \
-        reference_mef(ages, tables, frame_len, use_nmse)
+        reference_mef(ages, plants, frame_len, use_nmse)
 
 
 def test_policy_validation():

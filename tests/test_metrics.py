@@ -1,4 +1,5 @@
 """Error-versus-age laws and the windowed metrics accumulator."""
+import functools
 import math
 
 import numpy as np
@@ -78,6 +79,8 @@ def test_nmse_undefined_for_zero_noise():
                     R=[[1.0]])
     with pytest.raises(ConfigurationError):
         nmse_of_age(sys, 3)
+    with pytest.raises(ConfigurationError):
+        MseTable([make_preset("easy"), sys])
 
 
 def test_error_covariance_base_cases():
@@ -110,40 +113,95 @@ def test_monotonicity_in_age(cls):
         prev = cur
 
 
+def table_errors(tab, ages, use_nmse=True):
+    """The table's errors at ``ages`` (last axis over its loops), as lists."""
+    return tab.errors(np.array(ages), use_nmse).tolist()
+
+
 @pytest.mark.parametrize("cls", PRESETS)
 def test_table_agrees_with_direct_evaluation(cls):
     sys = make_preset(cls)
-    tab = MseTable(sys)
+    tab = MseTable([sys])
     for d in (0, 1, 7, 33):
-        assert tab.mse(d) == pytest.approx(mse_of_age(sys, d), rel=1e-12)
-        if d:
-            assert tab.nmse(d) == pytest.approx(nmse_of_age(sys, d), rel=1e-12)
+        assert table_errors(tab, [d], use_nmse=False) == [mse_of_age(sys, d)]
+        assert table_errors(tab, [d]) == [nmse_of_age(sys, d)]
 
 
 def test_table_stays_inf_after_overflow():
-    tab = MseTable(make_preset("hard"))
-    assert tab.mse(10_000) == math.inf
-    assert tab.mse(10_001) == math.inf
-    assert not math.isnan(tab.nmse(10_001))
+    tab = MseTable([make_preset("hard")])
+    assert table_errors(tab, [10_000], use_nmse=False) == [math.inf]
+    assert table_errors(tab, [10_001], use_nmse=False) == [math.inf]
+    assert not math.isnan(table_errors(tab, [10_001])[0])
 
 
 def test_argmax_normalization_matters():
     """Raw error starves the pendulum: with peers at scheduling-typical
     ages it is never the raw-MSE argmax until its age exceeds 53, while
     the normalized metric already selects it at age 4."""
-    tables = {c: MseTable(make_preset(c)) for c in PRESETS}
-    raw_picks, nmse_picks = set(), set()
-    for ages in [(a, d, a, a) for a in (1, 2, 3) for d in range(1, 51)]:
-        named = dict(zip(("easy", "pendulum", "mid", "hard"), ages))
-        raw_picks.add(max(PRESETS, key=lambda c: tables[c].mse(named[c])))
-        nmse_picks.add(max(PRESETS, key=lambda c: tables[c].nmse(named[c])))
-    assert "pendulum" not in raw_picks
-    assert "pendulum" in nmse_picks
+    tab = MseTable([make_preset(c) for c in PRESETS])   # one loop each
+    # easy, mid and hard at age a, the pendulum at age d.
+    ages = [(a, a, a, d) for a in (1, 2, 3) for d in range(1, 51)]
+    raw = tab.errors(np.array(ages), use_nmse=False).argmax(axis=1)
+    nmse = tab.errors(np.array(ages)).argmax(axis=1)
+    assert "pendulum" not in {PRESETS[k] for k in raw.tolist()}
+    assert "pendulum" in {PRESETS[k] for k in nmse.tolist()}
     # The raw-MSE crossover exists but is far out: age 54 against peers
     # holding one-period-fresh information.
-    first = next(d for d in range(1, 200)
-                 if tables["pendulum"].mse(d) > tables["easy"].mse(1))
+    curves = table_errors(tab, [(1, 1, 1, d) for d in range(1, 200)],
+                          use_nmse=False)
+    first = next(d for d, (easy, _, _, pendulum) in enumerate(curves, 1)
+                 if pendulum > easy)
     assert first == 54
+
+
+# Plants for the table's property test; MSE(age) of "unstable" overflows
+# to +inf from age 5 on, that of "hard" from age 1946 on.
+PLANTS = {c: make_preset(c) for c in ("easy", "hard", "pendulum")}
+PLANTS["unstable"] = LtiSystem(A=[[1e40]], B=[[1.0]], noise_cov=[[2.0]],
+                               Q=[[1.0]], R=[[1.0]], name="unstable")
+
+
+@functools.cache
+def reference_error(plant, age, use_nmse):
+    """:func:`mse_of_age` or :func:`nmse_of_age` of a plant in PLANTS."""
+    law = nmse_of_age if use_nmse else mse_of_age
+    # Overflow is expected: it is what makes the value +inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return law(PLANTS[plant], age)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_matches_reference_through_any_growth(data):
+    """Grown in several calls, in any order of ages and past the
+    overflow, the table returns the reference laws bit for bit, grows
+    each plant exactly to the oldest age its own loops asked, and never
+    narrows its storage."""
+    n = data.draw(st.integers(1, 6), label="n")
+    names = data.draw(st.lists(st.sampled_from(sorted(PLANTS)),
+                               min_size=n, max_size=n), label="plants")
+    tab = MseTable([PLANTS[c] for c in names])
+    assert [tab.plants[p] for p in tab.plant.tolist()] == \
+        [PLANTS[c] for c in names]
+    assert len(tab.plants) == len(set(names))
+    oldest = {c: 0 for c in names}
+    width = tab._curves.shape[2]
+    for _ in range(data.draw(st.integers(1, 5), label="calls")):
+        rows = data.draw(st.integers(1, 3), label="rows")
+        ages = data.draw(st.lists(
+            st.lists(st.integers(0, 60) | st.integers(1944, 1948),
+                     min_size=n, max_size=n),
+            min_size=rows, max_size=rows), label="ages")
+        use_nmse = data.draw(st.booleans(), label="use_nmse")
+        got = table_errors(tab, ages, use_nmse)
+        assert got == [[reference_error(c, a, use_nmse)
+                        for c, a in zip(names, row)] for row in ages]
+        for row in ages:
+            for c, a in zip(names, row):
+                oldest[c] = max(oldest[c], a)
+        assert tab.depth.tolist() == [oldest[c] for c in dict.fromkeys(names)]
+        assert tab._curves.shape[2] >= max(width, tab.depth.max() + 1)
+        width = tab._curves.shape[2]
 
 
 def hand_run(n=2):
