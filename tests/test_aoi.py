@@ -117,6 +117,28 @@ def test_optimize_adra_matches_grid_oracle():
         assert returned <= best * 1.01
 
 
+# (threshold, p.hex()) as returned before the scan was vectorized; the
+# tuning must keep returning these exact bits.
+ADRA_PAIRS = {
+    3: (6, "0x1.18935e8ddf0aep-1"),
+    4: (9, "0x1.d9165acdeb241p-2"),
+    5: (12, "0x1.9168465309dc6p-2"),
+    6: (15, "0x1.5a1c7fab1a3ebp-2"),
+    7: (18, "0x1.2d0e29a701ab3p-2"),
+    10: (27, "0x1.9db1d45428339p-3"),
+    15: (44, "0x1.22d08ca613b8ap-3"),
+    30: (0, "0x1.1111111111111p-5"),
+    60: (0, "0x1.1111111111111p-6"),
+    100: (0, "0x1.47ae147ae147bp-7"),
+}
+
+
+@pytest.mark.parametrize("N", list(ADRA_PAIRS))
+def test_optimize_adra_pairs_pinned(N):
+    delta, p = optimize_adra(N)
+    assert (delta, p.hex()) == ADRA_PAIRS[N]
+
+
 def test_optimize_adra_rejects_small_networks():
     with pytest.raises(ConfigurationError):
         optimize_adra(2)
