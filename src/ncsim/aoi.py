@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ConfigurationError, OptimizationError
 
 __all__ = [
@@ -76,6 +78,12 @@ def solve_adra_q(N: int, delta: int, p: float, tol: float = 1e-10,
     _check_p(p)
     idle = max(delta - 1, 0)
     q = math.exp((N - 1) * math.log1p(-p))
+    # The iterates only rise from this lower bound, so 1/(pq) is finite at
+    # every step if it is here; where it is not, no step can converge.
+    if p * q == 0.0 or 1.0 / (p * q) == math.inf:
+        raise OptimizationError(
+            f"congested guess (1-p)^(N-1) = {q!r} underflows for N={N}, "
+            f"delta={delta}, p={p}")
     for _ in range(max_iter):
         mean_busy = 1.0 / (p * q)
         a = mean_busy / (idle + mean_busy)
@@ -108,8 +116,11 @@ def cold_start_drain(N: int, p: float) -> float:
     """
     _check_p(p)
     total = 0.0
-    for k in range(2, N + 1):
-        total += 1.0 / (k * p * (1.0 - p) ** (k - 1))
+    try:
+        for k in range(2, N + 1):
+            total += 1.0 / (k * p * (1.0 - p) ** (k - 1))
+    except ZeroDivisionError:  # (1-p)^(k-1) underflowed: the wait is unbounded
+        return math.inf
     return total
 
 
@@ -128,24 +139,98 @@ def adra_model_valid(N: int, delta: int, p: float) -> bool:
     return cold_start_drain(N, p) <= delta - 1
 
 
+# numpy's exp and log1p are not bit-equal to math's, so the array pass
+# only shortlists the grid points within this relative distance of its
+# minimum, and the scalar adra_mean_aoi ranks them.  Where the array pass
+# settles a point, the two differ by at most 1.2e-13 relative over every
+# feasible grid point for N = 3..115.
+_COARSE_WINDOW = 1e-6
+# Array iterations before a grid point is left to the scalar solver; far
+# below solve_adra_q's max_iter, so a point settled here converges there.
+_ARRAY_ITER = 1000
+
+
+def _adra_mean_aoi_grid(N: int, delta: int, p: np.ndarray,
+                        tol: float = 1e-10) -> np.ndarray:
+    """:func:`adra_mean_aoi` at every access probability in ``p``.
+
+    Runs the damped iteration of :func:`solve_adra_q` on arrays.  A point
+    is NaN where this pass cannot settle it: its congested guess underflows
+    below the smallest normal float, a value is not finite, or it has not
+    converged within ``_ARRAY_ITER`` iterations.
+    """
+    idle = max(delta - 1, 0)
+    q_fixed = np.full(p.shape, np.nan)
+    with np.errstate(all="ignore"):
+        q = np.exp((N - 1) * np.log1p(-p))
+        idx = np.flatnonzero(p * q >= np.finfo(float).tiny)
+        pa, q = p[idx], q[idx]
+        for _ in range(_ARRAY_ITER):
+            if not idx.size:
+                break
+            mean_busy = 1.0 / (pa * q)
+            a = mean_busy / (idle + mean_busy)
+            q_new = np.exp((N - 1) * np.log1p(-pa * a))
+            done = np.abs(q_new - q) < tol
+            q_fixed[idx[done]] = q_new[done]
+            go = ~done & np.isfinite(q_new)
+            idx, pa, q = idx[go], pa[go], 0.5 * (q[go] + q_new[go])
+        pq = p * q_fixed
+        val = delta / 2 + 1 / pq - delta / (2 * (delta * pq + 1 - pq))
+    val[~np.isfinite(val)] = np.nan
+    return val
+
+
+def _coarse_candidates(N: int, delta: int, feasible: list[float]) -> list[float]:
+    """The grid points, in grid order, that may hold the first minimum of
+    :func:`adra_mean_aoi` over ``feasible``: those the array pass puts
+    within ``_COARSE_WINDOW`` of its minimum, and those it cannot settle.
+    """
+    val = _adra_mean_aoi_grid(N, delta, np.array(feasible))
+    settled = ~np.isnan(val)
+    cut = (val[settled].min() * (1 + _COARSE_WINDOW) if settled.any()
+           else math.inf)
+    keep = ~settled | (val <= cut)
+    return [p for p, k in zip(feasible, keep.tolist()) if k]
+
+
+def _coarse_argmin(N: int, delta: int, feasible: list[float]) -> float:
+    """``min(feasible, key=lambda p: adra_mean_aoi(N, delta, p))``, with the
+    scalar values computed only for the candidates.  The scalar path also
+    raises wherever it would over the whole list: a point it fails on is
+    one the array pass cannot settle, so it is a candidate.
+    """
+    return min(_coarse_candidates(N, delta, feasible),
+               key=lambda p: adra_mean_aoi(N, delta, p))
+
+
 def optimize_adra(N: int, delta_max: int = 60) -> tuple[int, float]:
     """Best (threshold, access probability) pair for N loops.
 
     Scans integer thresholds; per threshold, brackets the feasible access
     probabilities (see :func:`adra_model_valid`) on a coarse grid and
     polishes with a bounded scalar search.
+
+    Returns a pair for N = 3..115.  From N = 116 on, the congested guess
+    (1-p)^(N-1) of :func:`solve_adra_q` underflows for threshold 0 at
+    p = 0.998 (and, as N grows, at smaller p), so this raises
+    :class:`~ncsim.errors.OptimizationError` naming N, the threshold and
+    the first such p.
     """
     from scipy.optimize import minimize_scalar
 
     if N < 3:
         raise ConfigurationError("optimization defined for N >= 3")
     p_grid = [i / 500 for i in range(1, 500)]
+    drain = [cold_start_drain(N, p) for p in p_grid]
     best = (sa_mean_aoi(N, 1.0 / N), 0, 1.0 / N)
     for delta in range(delta_max + 1):
-        feasible = [p for p in p_grid if adra_model_valid(N, delta, p)]
+        # adra_model_valid(N, delta, p), with each p's drain computed once.
+        feasible = [p for p, d in zip(p_grid, drain)
+                    if delta <= 1 or d <= delta - 1]
         if not feasible:
             continue
-        coarse = min(feasible, key=lambda p: adra_mean_aoi(N, delta, p))
+        coarse = _coarse_argmin(N, delta, feasible)
         lo = max(min(feasible), coarse - 0.01)
         hi = min(max(feasible), coarse + 0.01)
         res = minimize_scalar(

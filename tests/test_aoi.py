@@ -1,13 +1,17 @@
 """Closed-form mean-age expressions and threshold-policy optimization."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
+from ncsim import aoi
 from ncsim.aoi import (adra_mean_aoi, adra_model_valid, cold_start_drain,
                        optimize_adra, rr_mean_aoi, sa_mean_aoi, solve_adra_q)
-from ncsim.errors import ConfigurationError
+from ncsim.errors import ConfigurationError, OptimizationError
+
+P_GRID = [i / 500 for i in range(1, 500)]
 
 
 def test_sa_reference_values():
@@ -137,6 +141,59 @@ ADRA_PAIRS = {
 def test_optimize_adra_pairs_pinned(N):
     delta, p = optimize_adra(N)
     assert (delta, p.hex()) == ADRA_PAIRS[N]
+
+
+@pytest.mark.parametrize("N", [116, 117, 121])
+def test_optimize_adra_raises_past_its_range(N):
+    # At N=116..120 the congested guess at p=0.998 is subnormal and 1/(pq)
+    # overflows; from N=121 it is zero.
+    with pytest.raises(OptimizationError, match=f"N={N}, delta=0, p=0.998"):
+        optimize_adra(N)
+
+
+def test_optimize_adra_defined_up_to_115():
+    assert optimize_adra(115) == (0, 1 / 115)
+
+
+def test_adra_q_underflow_is_an_optimization_error():
+    assert cold_start_drain(121, 0.998) == math.inf
+    for N in (116, 121):
+        with pytest.raises(OptimizationError, match=f"N={N}, delta=3"):
+            solve_adra_q(N, 3, 0.998)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(3, 100), data=st.data())
+def test_coarse_scan_shortlists_the_scalar_minimum(N, data):
+    drain = [cold_start_drain(N, p) for p in P_GRID]
+    deltas = [d for d in range(61) if d <= 1 or min(drain) <= d - 1]
+    delta = data.draw(st.sampled_from(deltas))
+    feasible = [p for p, dr in zip(P_GRID, drain)
+                if delta <= 1 or dr <= delta - 1]
+    scalar = np.array([adra_mean_aoi(N, delta, p) for p in feasible])
+    vector = aoi._adra_mean_aoi_grid(N, delta, np.array(feasible))
+    # The array pass settles every feasible point up to N=100, and agrees
+    # with the scalar values well inside the candidate window.
+    assert not np.isnan(vector).any()
+    rel = np.abs(vector - scalar) / scalar
+    assert rel.max() < aoi._COARSE_WINDOW / 100
+    first_min = min(feasible, key=lambda p: adra_mean_aoi(N, delta, p))
+    assert first_min in aoi._coarse_candidates(N, delta, feasible)
+    assert aoi._coarse_argmin(N, delta, feasible) == first_min
+
+
+def test_coarse_pick_is_scalar_where_array_order_differs(monkeypatch):
+    """Array values may order near-tied grid points differently from the
+    scalar ones; the pick is still the scalar first minimum.  At N=8 the
+    points 0.124 and 0.126 differ by 3.3e-7 relative."""
+    N, delta = 8, 0
+    scalar = [adra_mean_aoi(N, delta, p) for p in P_GRID]
+    best = scalar.index(min(scalar))
+    skewed = np.array(scalar)
+    skewed[best] *= 1 + aoi._COARSE_WINDOW / 2
+    assert skewed.argmin() != best
+    monkeypatch.setattr(aoi, "_adra_mean_aoi_grid", lambda *args: skewed)
+    assert aoi._coarse_argmin(N, delta, P_GRID) == P_GRID[best]
 
 
 def test_optimize_adra_rejects_small_networks():
