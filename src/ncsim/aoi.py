@@ -50,7 +50,11 @@ def rr_mean_aoi(N: int) -> float:
     return (N + 1) / 2
 
 
-def solve_adra_q(N: int, delta: int, p: float, tol: float = 1e-10,
+# Convergence tolerance on q of the damped fixed-point iteration.
+_Q_TOL = 1e-10
+
+
+def solve_adra_q(N: int, delta: int, p: float, tol: float = _Q_TOL,
                  max_iter: int = 10**5) -> float:
     """Per-attempt success probability under the age-threshold policy.
 
@@ -150,14 +154,14 @@ _COARSE_WINDOW = 1e-6
 _ARRAY_ITER = 1000
 
 
-def _adra_mean_aoi_grid(N: int, delta: int, p: np.ndarray,
-                        tol: float = 1e-10) -> np.ndarray:
+def _adra_mean_aoi_grid(N: int, delta: int, p: np.ndarray) -> np.ndarray:
     """:func:`adra_mean_aoi` at every access probability in ``p``.
 
-    Runs the damped iteration of :func:`solve_adra_q` on arrays.  A point
-    is NaN where this pass cannot settle it: its congested guess underflows
-    below the smallest normal float, a value is not finite, or it has not
-    converged within ``_ARRAY_ITER`` iterations.
+    Runs the damped iteration of :func:`solve_adra_q`, with its default
+    tolerance, on arrays.  A point is NaN where this pass cannot settle
+    it: its congested guess underflows below the smallest normal float, a
+    value is not finite, or it has not converged within ``_ARRAY_ITER``
+    iterations.
     """
     idle = max(delta - 1, 0)
     q_fixed = np.full(p.shape, np.nan)
@@ -171,7 +175,7 @@ def _adra_mean_aoi_grid(N: int, delta: int, p: np.ndarray,
             mean_busy = 1.0 / (pa * q)
             a = mean_busy / (idle + mean_busy)
             q_new = np.exp((N - 1) * np.log1p(-pa * a))
-            done = np.abs(q_new - q) < tol
+            done = np.abs(q_new - q) < _Q_TOL
             q_fixed[idx[done]] = q_new[done]
             go = ~done & np.isfinite(q_new)
             idx, pa, q = idx[go], pa[go], 0.5 * (q[go] + q_new[go])
