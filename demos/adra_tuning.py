@@ -2,8 +2,7 @@
 
 Prints ``optimize_adra(N)`` for N = 3..n-max, with p in hex so that two
 versions of the optimizer can be compared bit for bit by diffing the
-output, and the wall time of each tuning.  Past N = 115 tuning raises;
-the script prints the error in place of the pair.
+output, and the wall time of each tuning.
 
     python demos/adra_tuning.py [--n-max 100]
 """
@@ -13,7 +12,6 @@ import time
 import scipy.optimize  # noqa: F401  (loaded here, so no tuning's time includes it)
 
 from ncsim.aoi import adra_mean_aoi, optimize_adra
-from ncsim.errors import OptimizationError
 
 
 def main():
@@ -26,12 +24,7 @@ def main():
     total = 0.0
     for n in range(3, args.n_max + 1):
         t0 = time.perf_counter()
-        try:
-            delta, p = optimize_adra(n)
-        except OptimizationError as err:
-            total += time.perf_counter() - t0
-            print(f"{n:4d} {'raises':>9s} {err}")
-            continue
+        delta, p = optimize_adra(n)
         dt = time.perf_counter() - t0
         total += dt
         print(f"{n:4d} {delta:9d} {p.hex():>22s} {p:10.6f} "

@@ -27,13 +27,13 @@ def main():
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
-    systems, classes = systems_from_classes(args.n)
-    cfgs = [SimConfig(systems=systems, classes=classes,
+    systems = systems_from_classes(args.n)
+    cfgs = [SimConfig(systems=systems,
                       policy=SchedulerPolicy(variant),
                       channel=DEFAULT_COMPARISON_CHANNEL, seed=args.seed)
             for variant in VARIANTS]
     rows = {variant: res["summary"] for variant, res in zip(
-        VARIANTS, run_replication_sets(cfgs, reps=args.reps, jobs=args.jobs))}
+        VARIANTS, run_replication_sets(cfgs, args.reps, jobs=args.jobs))}
 
     print(f"{'scheduler':>12s} {'mean age':>10s} {'mean nMSE':>10s} "
           f"{'LQG cost':>12s}   delivery share easy/mid/hard")

@@ -16,10 +16,10 @@ from ncsim.mac import SchedulerPolicy
 
 
 def simulate(n, policy, reps, seed):
-    systems, classes = systems_from_classes(n)
-    cfg = SimConfig(systems=systems, classes=classes, policy=policy,
+    systems = systems_from_classes(n)
+    cfg = SimConfig(systems=systems, policy=policy,
                     channel=ChannelConfig(), seed=seed)
-    out = run_replications(cfg, reps=reps)
+    out = run_replications(cfg, reps)
     return out["summary"]["aoi_mean"]["mean"]
 
 

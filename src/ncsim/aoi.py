@@ -50,12 +50,13 @@ def rr_mean_aoi(N: int) -> float:
     return (N + 1) / 2
 
 
-# Convergence tolerance on q of the damped fixed-point iteration.
+# Convergence tolerance on q of the damped fixed-point iteration, and its
+# iteration cap.
 _Q_TOL = 1e-10
+_Q_MAX_ITER = 10**5
 
 
-def solve_adra_q(N: int, delta: int, p: float, tol: float = _Q_TOL,
-                 max_iter: int = 10**5) -> float:
+def solve_adra_q(N: int, delta: int, p: float) -> float:
     """Per-attempt success probability under the age-threshold policy.
 
     A loop's renewal cycle consists of max(delta-1, 0) ineligible slots
@@ -88,11 +89,11 @@ def solve_adra_q(N: int, delta: int, p: float, tol: float = _Q_TOL,
         raise OptimizationError(
             f"congested guess (1-p)^(N-1) = {q!r} underflows for N={N}, "
             f"delta={delta}, p={p}")
-    for _ in range(max_iter):
+    for _ in range(_Q_MAX_ITER):
         mean_busy = 1.0 / (p * q)
         a = mean_busy / (idle + mean_busy)
         q_new = math.exp((N - 1) * math.log1p(-p * a))
-        if abs(q_new - q) < tol:
+        if abs(q_new - q) < _Q_TOL:
             return q_new
         q = 0.5 * (q + q_new)
     raise OptimizationError(
@@ -150,14 +151,14 @@ def adra_model_valid(N: int, delta: int, p: float) -> bool:
 # feasible grid point for N = 3..115.
 _COARSE_WINDOW = 1e-6
 # Array iterations before a grid point is left to the scalar solver; far
-# below solve_adra_q's max_iter, so a point settled here converges there.
+# below solve_adra_q's _Q_MAX_ITER, so a point settled here converges there.
 _ARRAY_ITER = 1000
 
 
 def _adra_mean_aoi_grid(N: int, delta: int, p: np.ndarray) -> np.ndarray:
     """:func:`adra_mean_aoi` at every access probability in ``p``.
 
-    Runs the damped iteration of :func:`solve_adra_q`, with its default
+    Runs the damped iteration of :func:`solve_adra_q`, with its
     tolerance, on arrays.  A point is NaN where this pass cannot settle
     it: its congested guess underflows below the smallest normal float, a
     value is not finite, or it has not converged within ``_ARRAY_ITER``
@@ -208,18 +209,19 @@ def _coarse_argmin(N: int, delta: int, feasible: list[float]) -> float:
                key=lambda p: adra_mean_aoi(N, delta, p))
 
 
-def optimize_adra(N: int, delta_max: int = 60) -> tuple[int, float]:
-    """Best (threshold, access probability) pair for N loops.
+_DELTA_MAX = 60     # largest threshold optimize_adra scans
 
-    Scans integer thresholds; per threshold, brackets the feasible access
+
+def optimize_adra(N: int) -> tuple[int, float]:
+    """Best (threshold, access probability) pair for N >= 3 loops.
+
+    Thresholds 0 and 1 leave every loop always eligible, which is slotted
+    access, whose optimum (0, 1/N) is the starting best.  Scans the integer
+    thresholds 2.._DELTA_MAX; per threshold, brackets the feasible access
     probabilities (see :func:`adra_model_valid`) on a coarse grid and
-    polishes with a bounded scalar search.
-
-    Returns a pair for N = 3..115.  From N = 116 on, the congested guess
-    (1-p)^(N-1) of :func:`solve_adra_q` underflows for threshold 0 at
-    p = 0.998 (and, as N grows, at smaller p), so this raises
-    :class:`~ncsim.errors.OptimizationError` naming N, the threshold and
-    the first such p.
+    polishes with a bounded scalar search.  Where no threshold beats
+    slotted access, as at N = 20..160, 200, 1000 and 10000, it returns
+    (0, 1/N).
     """
     from scipy.optimize import minimize_scalar
 
@@ -228,10 +230,9 @@ def optimize_adra(N: int, delta_max: int = 60) -> tuple[int, float]:
     p_grid = [i / 500 for i in range(1, 500)]
     drain = [cold_start_drain(N, p) for p in p_grid]
     best = (sa_mean_aoi(N, 1.0 / N), 0, 1.0 / N)
-    for delta in range(delta_max + 1):
+    for delta in range(2, _DELTA_MAX + 1):
         # adra_model_valid(N, delta, p), with each p's drain computed once.
-        feasible = [p for p, d in zip(p_grid, drain)
-                    if delta <= 1 or d <= delta - 1]
+        feasible = [p for p, d in zip(p_grid, drain) if d <= delta - 1]
         if not feasible:
             continue
         coarse = _coarse_argmin(N, delta, feasible)

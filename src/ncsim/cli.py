@@ -14,37 +14,28 @@ from dataclasses import replace
 
 from .channel import ChannelConfig
 from .errors import ConfigurationError, InvariantViolation, OptimizationError, SynthesisError
-from .experiments import (ExperimentSpec, emit_nmse_curves, emit_pendulum,
-                          emit_results, emit_validation, parse_config,
-                          pendulum_case_study, run_single, run_sweep,
-                          validate_theory)
+from .experiments import (DEFAULT_COMPARISON_CHANNEL, ExperimentSpec,
+                          emit_nmse_curves, emit_pendulum, emit_results,
+                          emit_validation, parse_config, pendulum_case_study,
+                          run_single, run_sweep, validate_theory)
 from .mac import SchedulerPolicy
 
-_DEFAULT_SPECS = {
-    "run": lambda: ExperimentSpec(
-        scenario="single",
-        protocols=[SchedulerPolicy(v) for v in
-                   ("round_robin", "mef", "wifresh", "pmef")]),
-    "sweep": lambda: ExperimentSpec(
-        scenario="sweep",
-        protocols=[SchedulerPolicy(v) for v in
-                   ("round_robin", "mef", "wifresh", "pmef")]),
-    "pendulum": lambda: ExperimentSpec(
-        scenario="pendulum",
-        protocols=[SchedulerPolicy(v) for v in
-                   ("round_robin", "mef", "wifresh", "pmef")]),
+_SCHEDULERS = ("round_robin", "mef", "wifresh", "pmef")
+
+# Subcommand -> its help, the scenario its config must name, and the
+# protocols and channel of its default spec.  validate's parameter-free
+# entries take their defaults from SchedulerPolicy.resolved.
+_COMMANDS = {
+    "run": ("replicated runs of the configured protocols at one N",
+            "single", _SCHEDULERS, DEFAULT_COMPARISON_CHANNEL),
+    "sweep": ("protocols across a range of network sizes",
+              "sweep", _SCHEDULERS, DEFAULT_COMPARISON_CHANNEL),
+    "validate": ("mean-age theory validation on the ideal channel",
+                 "validate", ("round_robin", "slotted_aloha", "adra"),
+                 ChannelConfig()),
+    "pendulum": ("mixed easy/pendulum/hard case study",
+                 "pendulum", _SCHEDULERS, DEFAULT_COMPARISON_CHANNEL),
 }
-
-
-def _default_validate_spec():
-    # Parameter-free entries: slotted ALOHA gets p = 1/N and the threshold
-    # policy its optimized pair inside validate_theory.
-    return ExperimentSpec(
-        scenario="validate",
-        protocols=[SchedulerPolicy("round_robin"),
-                   SchedulerPolicy("slotted_aloha"),
-                   SchedulerPolicy("adra")],
-        channel=ChannelConfig())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,11 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ncsim",
         description="Simulate feedback control loops on a shared wireless hop")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("run", "replicated runs of the configured protocols at one N"),
-            ("sweep", "protocols across a range of network sizes"),
-            ("validate", "mean-age theory validation on the ideal channel"),
-            ("pendulum", "mixed easy/pendulum/hard case study")):
+    for name, (help_text, *_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH",
                        help="YAML experiment file (defaults per subcommand)")
@@ -72,12 +59,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_spec(args) -> ExperimentSpec:
+    _, scenario, protocols, channel = _COMMANDS[args.command]
     if args.config:
         spec = parse_config(args.config)
-    elif args.command == "validate":
-        spec = _default_validate_spec()
+        if spec.scenario != scenario:
+            raise ConfigurationError(
+                f"{args.config}: scenario {spec.scenario!r} does not match "
+                f"'{args.command}', which runs scenario {scenario!r}")
     else:
-        spec = _DEFAULT_SPECS[args.command]()
+        spec = ExperimentSpec(
+            scenario=scenario,
+            protocols=[SchedulerPolicy(v) for v in protocols],
+            channel=channel)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed

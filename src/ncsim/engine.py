@@ -32,6 +32,7 @@ import concurrent.futures
 import contextlib
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,18 +60,21 @@ _SUM_BLOCK_VALUES = 1 << 12
 
 @dataclass
 class SimConfig:
-    """Everything one simulation run depends on."""
+    """Everything one simulation run depends on.
+
+    The sampling period ``T_s`` is fixed at 10 ms, the period the preset
+    plants are discretized at.
+    """
+
+    T_s: ClassVar[float] = 0.010
 
     systems: list[LtiSystem]
     policy: SchedulerPolicy
     channel: ChannelConfig = field(default_factory=ChannelConfig)
-    classes: list[str] | None = None     # per-loop labels for resource shares
     duration_s: float = 30.0
     warmup_s: float = 5.0
     cooldown_s: float = 5.0
-    T_s: float = 0.010
     seed: int = 0
-    replications: int = 20
     record_series: bool = False          # keep per-tick AoI and state arrays
 
     def __post_init__(self):
@@ -79,8 +83,6 @@ class SimConfig:
         if self.duration_s <= self.warmup_s + self.cooldown_s:
             raise ConfigurationError(
                 "duration must exceed warmup plus cooldown")
-        if self.T_s <= 0:
-            raise ConfigurationError("T_s must be positive")
         if round(self.channel.tx_duration * 1e6) < 1:
             raise ConfigurationError(
                 "tx_duration must be at least 1 us, the clock's resolution")
@@ -90,12 +92,11 @@ class SimConfig:
             raise ConfigurationError("slot_duration must not exceed T_s")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
-        if self.replications < 1:
-            raise ConfigurationError("replications must be >= 1")
-        if self.classes is None:
-            self.classes = [s.name or "?" for s in self.systems]
-        if len(self.classes) != len(self.systems):
-            raise ConfigurationError("one class label per loop required")
+
+    @property
+    def classes(self) -> list[str]:
+        """Per-loop labels for resource shares: the systems' names."""
+        return [s.name or "?" for s in self.systems]
 
     @property
     def n_loops(self) -> int:
@@ -116,8 +117,8 @@ _PRESET_CACHE: dict[str, LtiSystem] = {}
 def systems_from_classes(n_loops: int, pattern=("easy", "mid", "hard")):
     """Cycle the class pattern over the loops (loop 1 gets pattern[0]).
 
-    Returns (systems, class labels); synthesized presets are cached and
-    shared, which is safe because they are never mutated by a run.
+    Synthesized presets are cached and shared, which is safe because they
+    are never mutated by a run.
     """
     if n_loops < 1:
         raise ConfigurationError("n_loops must be >= 1")
@@ -125,7 +126,7 @@ def systems_from_classes(n_loops: int, pattern=("easy", "mid", "hard")):
     for cls in set(labels):
         if cls not in _PRESET_CACHE:
             _PRESET_CACHE[cls] = make_preset(cls)
-    return [_PRESET_CACHE[c] for c in labels], labels
+    return [_PRESET_CACHE[c] for c in labels]
 
 
 def _stream(seed: int, i: int, purpose: int) -> np.random.Generator:
@@ -243,11 +244,6 @@ class _Run:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.policy = cfg.policy.resolved(cfg.n_loops)
-        if self.policy.variant == "adra" and (
-                self.policy.p is None or self.policy.threshold is None):
-            raise ConfigurationError(
-                "the age-threshold policy needs both p and threshold; "
-                "use optimize_adra to pick them")
         self.channel = cfg.channel
         self.N = N = cfg.n_loops
         self.Ts_us = round(cfg.T_s * 1e6)
@@ -482,10 +478,8 @@ def run_task(task: tuple[SimConfig, int]) -> dict:
 
 
 def replication_tasks(cfg: SimConfig,
-                      reps: int | None = None) -> list[tuple[SimConfig, int]]:
-    """Tasks for ``reps`` replications (default ``cfg.replications``) with
-    seeds seed, seed+1, ..."""
-    reps = cfg.replications if reps is None else reps
+                      reps: int) -> list[tuple[SimConfig, int]]:
+    """Tasks for ``reps`` replications with seeds seed, seed+1, ..."""
     if reps < 1:
         raise ConfigurationError("need at least one replication")
     return [(cfg, cfg.seed + r) for r in range(reps)]
@@ -532,7 +526,7 @@ def run_tasks(tasks: list[tuple[SimConfig, int]], jobs: int = 1) -> list:
         return [f.result() for f in futures]
 
 
-def run_replications(cfg: SimConfig, reps: int | None = None,
+def run_replications(cfg: SimConfig, reps: int,
                      jobs: int = 1) -> dict:
     """Independent replications (seed, seed+1, ...) with 99% intervals.
 
@@ -544,7 +538,7 @@ def run_replications(cfg: SimConfig, reps: int | None = None,
     return run_replication_sets([cfg], reps, jobs)[0]
 
 
-def run_replication_sets(cfgs: list[SimConfig], reps: int | None = None,
+def run_replication_sets(cfgs: list[SimConfig], reps: int,
                          jobs: int = 1) -> list[dict]:
     """:func:`run_replications` for each config, with every replication of
     every config queued as one task list in one pool."""

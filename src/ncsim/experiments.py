@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 import yaml
 
-from .aoi import adra_mean_aoi, optimize_adra, rr_mean_aoi, sa_mean_aoi
+from .aoi import adra_mean_aoi, rr_mean_aoi, sa_mean_aoi
 from .channel import ChannelConfig
 from .engine import (SimConfig, replication_tasks, run_replication_sets,
                      run_task, run_tasks, summarize_replications,
@@ -84,12 +84,12 @@ class ExperimentSpec:
 
     def sim_config(self, n: int, policy: SchedulerPolicy,
                    record_series: bool = False) -> SimConfig:
-        systems, classes = systems_from_classes(n, self.classes)
+        """The run of ``policy``, its defaults resolved, at ``n`` loops."""
         return SimConfig(
-            systems=systems, classes=classes, policy=policy,
-            channel=self.channel, duration_s=self.duration_s,
-            warmup_s=self.warmup_s, cooldown_s=self.cooldown_s,
-            seed=self.seed, replications=self.replications,
+            systems=systems_from_classes(n, self.classes),
+            policy=policy.resolved(n), channel=self.channel,
+            duration_s=self.duration_s, warmup_s=self.warmup_s,
+            cooldown_s=self.cooldown_s, seed=self.seed,
             record_series=record_series)
 
 
@@ -218,15 +218,20 @@ def emit_results(results: dict, out_dir: str):
                ["protocol", "N", "class", "delivery_fraction"], fractions_rows)
 
 
-def emit_nmse_curves(out_dir: str, max_age: int = 60):
+# Ages 1..NMSE_CURVE_AGES of the error-versus-age curves.
+NMSE_CURVE_AGES = 60
+
+
+def emit_nmse_curves(out_dir: str):
     """Error-versus-age curves for every preset, including the pendulum's
     raw MSE before normalization."""
     classes = ("easy", "mid", "hard", "pendulum")
     table = MseTable([make_preset(c) for c in classes])
-    ages = np.repeat(np.arange(1, max_age + 1)[:, None], len(classes), 1)
+    age_list = range(1, NMSE_CURVE_AGES + 1)
+    ages = np.repeat(np.array(age_list)[:, None], len(classes), 1)
     nmse = table.errors(ages).tolist()
     raw = table.errors(ages, use_nmse=False)[:, 3].tolist()
-    rows = [[age, *n, m] for age, n, m in zip(range(1, max_age + 1), nmse, raw)]
+    rows = [[age, *n, m] for age, n, m in zip(age_list, nmse, raw)]
     _write_csv(os.path.join(out_dir, "nmse_vs_age.csv"),
                ["age", *classes, "pendulum_raw_mse"], rows)
 
@@ -240,27 +245,22 @@ def _label(policy: SchedulerPolicy) -> str:
     return policy.variant
 
 
-def _replicate(cfgs: list[SimConfig], jobs: int) -> dict:
+def _replicate(cfgs: list[SimConfig], reps: int, jobs: int) -> dict:
     """:func:`run_replication_sets` keyed by (protocol label, N)."""
+    results = run_replication_sets(cfgs, reps, jobs)
     return {(_label(cfg.policy), cfg.n_loops): res
-            for cfg, res in zip(cfgs, run_replication_sets(cfgs, jobs=jobs))}
+            for cfg, res in zip(cfgs, results)}
 
 
 def run_single(spec: ExperimentSpec, jobs: int = 1) -> dict:
     return _replicate([spec.sim_config(spec.n_loops, policy)
-                       for policy in spec.protocols], jobs)
+                       for policy in spec.protocols], spec.replications, jobs)
 
 
 def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> dict:
     lo, hi = spec.n_range
     return _replicate([spec.sim_config(n, policy) for policy in spec.protocols
-                       for n in range(lo, hi + 1)], jobs)
-
-
-def _tuned(policy: SchedulerPolicy, n: int) -> SchedulerPolicy:
-    """``policy`` with the age-threshold pair optimized for ``n`` loops."""
-    threshold, p = optimize_adra(n)
-    return replace(policy, p=p, threshold=threshold)
+                       for n in range(lo, hi + 1)], spec.replications, jobs)
 
 
 def _theory(policy: SchedulerPolicy, n: int) -> float:
@@ -276,8 +276,8 @@ def validate_theory(spec: ExperimentSpec, jobs: int = 1) -> dict:
 
     Requires the idealized channel (strict collisions, no erasures).
     Returns a report whose ``passed`` flag reflects the per-protocol
-    tolerances; parameter-free protocols use their defaults: slotted
-    ALOHA p = 1/N, the age-threshold policy its optimized pair.
+    tolerances; parameter-free protocols use their defaults from
+    :meth:`SchedulerPolicy.resolved`.
 
     Every tuning and replication is a task in one pool of at most ``jobs``
     workers.  The tunings go first, and each one's replications are queued
@@ -306,14 +306,16 @@ def validate_theory(spec: ExperimentSpec, jobs: int = 1) -> dict:
     n_tasks = len(tune) + len(plan) * spec.replications
     runs = {}   # row index -> (policy as run, replication futures)
     with task_pool(jobs, n_tasks) as pool:
-        def submit(k, pol):
-            tasks = replication_tasks(spec.sim_config(plan[k][1], pol))
-            runs[k] = pol, [pool.submit(run_task, t) for t in tasks]
+        def submit(k, policy):
+            cfg = spec.sim_config(plan[k][1], policy)
+            tasks = replication_tasks(cfg, spec.replications)
+            runs[k] = cfg.policy, [pool.submit(run_task, t) for t in tasks]
 
-        tunings = {pool.submit(_tuned, *plan[k]): k for k in tune}
-        for k, (policy, n) in enumerate(plan):
+        tunings = {pool.submit(plan[k][0].resolved, plan[k][1]): k
+                   for k in tune}
+        for k, (policy, _) in enumerate(plan):
             if k not in tune:
-                submit(k, policy.resolved(n))
+                submit(k, policy)
         for future in concurrent.futures.as_completed(tunings):
             submit(tunings[future], future.result())
         rows = []
@@ -345,15 +347,15 @@ PENDULUM_PATTERN = ("easy", "pendulum", "hard")
 STABILIZATION_DEG = 10.0
 
 
-def pendulum_case_study(spec: ExperimentSpec, jobs: int = 1,
-                        include_raw_ablation: bool = True) -> dict:
+def pendulum_case_study(spec: ExperimentSpec, jobs: int = 1) -> dict:
     """Mixed network of easy / pendulum / hard loops under the schedulers.
 
     For each protocol: per-class error statistics, per-pendulum angle and
     position envelopes over the evaluated window (min/max across
     replications), and a stabilization verdict (|angle| within
-    10 degrees).  Optionally adds the raw-MSE ablation of the framed
-    scheduler, whose pendulum age trajectories document starvation.
+    10 degrees).  With the framed scheduler on its normalized error, adds
+    its raw-MSE ablation, whose pendulum age trajectories document
+    starvation.
     Every replication of every scheduler is a task in one pool of at most
     ``jobs`` workers; the report does not depend on ``jobs``.
 
@@ -364,13 +366,13 @@ def pendulum_case_study(spec: ExperimentSpec, jobs: int = 1,
     """
     spec = replace(spec, classes=PENDULUM_PATTERN, n_loops=15)
     policies = list(spec.protocols)
-    if include_raw_ablation and any(
-            p.variant == "mef" and p.use_nmse for p in policies):
+    if any(p.variant == "mef" and p.use_nmse for p in policies):
         policies.append(SchedulerPolicy(variant="mef", use_nmse=False))
     cfgs = [spec.sim_config(spec.n_loops, policy, record_series=True)
             for policy in policies]
     results = iter(run_tasks(
-        [t for cfg in cfgs for t in replication_tasks(cfg)], jobs))
+        [t for cfg in cfgs
+         for t in replication_tasks(cfg, spec.replications)], jobs))
     report = {}
     for policy, cfg in zip(policies, cfgs):
         ips = [i for i, c in enumerate(cfg.classes, start=1)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import aoi
 from .errors import ConfigurationError
 from .metrics import MseTable
 from .systems import LtiSystem
@@ -145,8 +146,7 @@ class SchedulerPolicy:
         if self.variant not in PROTOCOLS:
             raise ConfigurationError(
                 f"unknown protocol {self.variant!r}; expected one of {PROTOCOLS}")
-        # p / threshold may stay None here: slotted ALOHA's p is filled in
-        # by resolved(N), the threshold policy's pair by optimize_adra.
+        # p / threshold may stay None here: resolved(N) fills them in.
         if self.p is not None and not 0.0 < self.p < 1.0:
             raise ConfigurationError(
                 f"{self.variant}: access probability must be in (0,1)")
@@ -164,8 +164,14 @@ class SchedulerPolicy:
         return self.variant in POLLING_PROTOCOLS
 
     def resolved(self, n_loops: int) -> SchedulerPolicy:
-        """This policy for ``n_loops`` loops: slotted ALOHA without an
-        explicit p gets its default p = 1/N."""
+        """This policy for ``n_loops`` loops, with every default filled in:
+        slotted ALOHA without an explicit p gets p = 1/N, and the
+        age-threshold policy missing p or threshold gets the pair
+        :func:`~ncsim.aoi.optimize_adra` picks for N."""
+        if self.variant == "adra" and (self.p is None
+                                       or self.threshold is None):
+            threshold, p = aoi.optimize_adra(n_loops)
+            return replace(self, p=p, threshold=threshold)
         if self.variant != "slotted_aloha" or self.p is not None:
             return self
         if n_loops == 1:

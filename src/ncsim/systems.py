@@ -105,12 +105,10 @@ class LtiSystem:
 
 @dataclass(frozen=True)
 class DareSolution:
-    """Cost-to-go matrix, feedback gain and solver diagnostics."""
+    """Cost-to-go matrix and feedback gain."""
 
     P: np.ndarray
     gain: np.ndarray
-    residual: float
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -176,37 +174,41 @@ def lqg_stage_cost(sys: LtiSystem, x, u) -> float:
     return float(x @ sys.Q @ x + u @ sys.R @ u)
 
 
-def solve_dare(sys: LtiSystem, tol: float = 1e-10, max_iter: int = 10**6) -> DareSolution:
+# Convergence tolerance on the max-abs change of P, and the iteration cap.
+_DARE_TOL = 1e-10
+_DARE_MAX_ITER = 10**6
+
+
+def solve_dare(sys: LtiSystem) -> DareSolution:
     """Solve the discrete algebraic Riccati equation by fixed-point iteration.
 
     Iterates the Riccati recursion from P = Q until the max-abs element
-    change drops below ``tol``, then forms the feedback gain and verifies
-    that the closed loop is strictly stable.
+    change drops below ``_DARE_TOL``, then forms the feedback gain and
+    verifies that the closed loop is strictly stable.
     """
     A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
     P = Q.copy()
-    for it in range(1, max_iter + 1):
+    for _ in range(_DARE_MAX_ITER):
         BtP = B.T @ P
         K = np.linalg.solve(R + BtP @ B, BtP)
         P_next = Q + A.T @ (P - P @ B @ K) @ A
         change = float(np.max(np.abs(P_next - P)))
         P = P_next
-        if change < tol:
+        if change < _DARE_TOL:
             break
     else:
         raise SynthesisError(
             f"Riccati iteration for system {sys.name!r} did not converge "
-            f"within {max_iter} iterations")
+            f"within {_DARE_MAX_ITER} iterations")
     P = 0.5 * (P + P.T)
     BtP = B.T @ P
     gain = np.linalg.solve(R + BtP @ B, BtP @ A)
-    residual = dare_residual(sys, P)
     rho = float(np.max(np.abs(np.linalg.eigvals(A - B @ gain))))
     if rho >= 1.0:
         raise SynthesisError(
             f"closed loop for system {sys.name!r} is unstable "
             f"(spectral radius {rho:.6f})")
-    return DareSolution(P=P, gain=gain, residual=residual, iterations=it)
+    return DareSolution(P=P, gain=gain)
 
 
 def dare_residual(sys: LtiSystem, P: np.ndarray) -> float:

@@ -61,42 +61,40 @@ WIDE_VARIANTS = ("aloha", "mef", "pmef")
 SINGLE_PARAMS = {**POLICY_PARAMS, "slotted_aloha": {"p": 0.5}}
 
 
-def _config(systems, classes, variant, channel, params=POLICY_PARAMS):
+def _config(systems, variant, channel, params=POLICY_PARAMS):
     policy = SchedulerPolicy(variant=variant, **params.get(variant, {}))
-    return SimConfig(systems=systems, classes=classes, policy=policy,
+    return SimConfig(systems=systems, policy=policy,
                      channel=channel, duration_s=2.0, warmup_s=0.5,
-                     cooldown_s=0.5, seed=0, replications=REPS,
-                     record_series=True)
+                     cooldown_s=0.5, seed=0, record_series=True)
 
 
 def cases():
     """(case name, SimConfig) for every cell of the grid."""
     for mix, pattern in MIXES.items():
-        systems, classes = systems_from_classes(N_LOOPS, pattern)
+        systems = systems_from_classes(N_LOOPS, pattern)
         for chan, channel in CHANNELS.items():
             for variant in PROTOCOLS:
                 yield f"{mix}-{chan}-{variant}", _config(
-                    systems, classes, variant, channel)
+                    systems, variant, channel)
     easy = make_preset("easy")
     systems = [easy, UNSTABLE, easy, UNSTABLE]
-    classes = [s.name for s in systems]
     for variant in PROTOCOLS:
         yield f"diverge-capture-{variant}", _config(
-            systems, classes, variant, CHANNELS["capture"])
-    systems, classes = systems_from_classes(WIDE_N, MIXES["pendulum"])
+            systems, variant, CHANNELS["capture"])
+    systems = systems_from_classes(WIDE_N, MIXES["pendulum"])
     for chan in ("capture", "tied"):
         for variant in WIDE_VARIANTS:
             yield f"wide-{chan}-{variant}", _config(
-                systems, classes, variant, CHANNELS[chan])
+                systems, variant, CHANNELS[chan])
     # One-loop groups: the pendulum's window sums are a single column.
-    systems, classes = systems_from_classes(3, MIXES["pendulum"])
+    systems = systems_from_classes(3, MIXES["pendulum"])
     for variant in PROTOCOLS:
         yield f"trio-capture-{variant}", _config(
-            systems, classes, variant, CHANNELS["capture"])
-    systems, classes = systems_from_classes(1, ("easy",))
+            systems, variant, CHANNELS["capture"])
+    systems = systems_from_classes(1, ("easy",))
     for variant in PROTOCOLS:
         yield f"single-capture-{variant}", _config(
-            systems, classes, variant, CHANNELS["capture"], SINGLE_PARAMS)
+            systems, variant, CHANNELS["capture"], SINGLE_PARAMS)
 
 
 def _series_digest(res) -> str:
@@ -115,7 +113,7 @@ def fingerprint() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in cases():
-            res = run_replications(cfg)
+            res = run_replications(cfg, REPS)
             emit_results({(cfg.policy.variant, cfg.n_loops): res}, tmp)
             with open(os.path.join(tmp, "per_run.csv"), "rb") as fh:
                 csv_digest = hashlib.sha256(fh.read()).hexdigest()

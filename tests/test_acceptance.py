@@ -31,8 +31,8 @@ def report(num, name, ok, detail=""):
 
 
 def sim_cfg(n, policy, channel=None, seed=0, pattern=("easy", "mid", "hard")):
-    systems, classes = systems_from_classes(n, pattern)
-    return SimConfig(systems=systems, classes=classes, policy=policy,
+    systems = systems_from_classes(n, pattern)
+    return SimConfig(systems=systems, policy=policy,
                      channel=channel or ChannelConfig(), seed=seed)
 
 

@@ -143,12 +143,12 @@ def test_optimize_adra_pairs_pinned(N):
     assert (delta, p.hex()) == ADRA_PAIRS[N]
 
 
-@pytest.mark.parametrize("N", [116, 117, 121])
-def test_optimize_adra_raises_past_its_range(N):
-    # At N=116..120 the congested guess at p=0.998 is subnormal and 1/(pq)
-    # overflows; from N=121 it is zero.
-    with pytest.raises(OptimizationError, match=f"N={N}, delta=0, p=0.998"):
-        optimize_adra(N)
+@pytest.mark.parametrize("N", [116, 117, 121, 200, 1000, 10000])
+def test_optimize_adra_is_slotted_access_past_115(N):
+    # Thresholds 0 and 1 are slotted access, whose optimum is the starting
+    # best, so the congested guess at threshold 0 (subnormal or zero at
+    # p=0.998 from N=116) is never evaluated.
+    assert optimize_adra(N) == (0, 1 / N)
 
 
 def test_optimize_adra_defined_up_to_115():

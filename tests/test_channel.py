@@ -221,10 +221,10 @@ def uniform_streams(cfg, seeds, size=64):
 def test_strict_run_builds_no_offset_streams():
     """Offsets are drawn only on the capture channel, so a strict run's
     loops keep their channel streams for nothing else."""
-    systems, classes = systems_from_classes(3)
+    systems = systems_from_classes(3)
     for variant in ("aloha", "slotted_aloha"):
         def run_for(channel):
-            return _Run(SimConfig(systems=systems, classes=classes,
+            return _Run(SimConfig(systems=systems,
                                   policy=SchedulerPolicy(variant, p=0.3),
                                   channel=channel, duration_s=1.0,
                                   warmup_s=0.2, cooldown_s=0.2))

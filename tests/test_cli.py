@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import ncsim.engine
+from ncsim.aoi import optimize_adra
 from ncsim.cli import build_parser, main
 from ncsim.errors import InvariantViolation
 from ncsim.experiments import parse_config, run_sweep
@@ -100,6 +101,36 @@ def test_bad_config_exits_one(tmp_path, capsys):
     rc = main(["run", "--config", path])
     assert rc == 1
     assert "warp_drive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("run", "sweep"), ("sweep", "single"), ("validate", "single"),
+    ("pendulum", "validate")])
+def test_scenario_must_match_subcommand(tmp_path, capsys, command,
+                                        scenario):
+    path = cfg_file(tmp_path, RUN_CFG.replace("scenario: single",
+                                              f"scenario: {scenario}"))
+    rc = main([command, "--config", path, "--out", str(tmp_path / "res")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(tmp_path / "res")
+
+
+def test_run_tunes_a_parameter_free_adra_entry(tmp_path):
+    """A bare adra entry runs with optimize_adra's pair for its N."""
+    threshold, p = optimize_adra(5)
+    per_run = []
+    for entry in ("adra", f"{{name: adra, threshold: {threshold}, "
+                          f"p: {p!r}}}"):
+        cfg = RUN_CFG.replace(
+            "protocols: [round_robin, {name: slotted_aloha, p: 0.3}]",
+            f"protocols: [{entry}]").replace("n_loops: 3", "n_loops: 5")
+        out = tmp_path / f"res{len(per_run)}"
+        rc = main(["run", "--config", cfg_file(tmp_path, cfg),
+                   "--out", str(out)])
+        assert rc == 0
+        per_run.append((out / "per_run.csv").read_bytes())
+    assert per_run[0] == per_run[1]
 
 
 def test_bad_jobs_exits_one(tmp_path, capsys):

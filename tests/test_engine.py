@@ -1,7 +1,7 @@
 """Event-driven run semantics: timing, determinism, and conservation."""
 import copy
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,8 +20,8 @@ from ncsim.systems import estimate_state, make_preset
 
 def cfg_for(n, variant, channel=None, duration=3.0, trim=0.5, seed=0,
             series=False, pattern=("easy", "mid", "hard"), **pol):
-    systems, classes = systems_from_classes(n, pattern)
-    return SimConfig(systems=systems, classes=classes,
+    systems = systems_from_classes(n, pattern)
+    return SimConfig(systems=systems,
                      policy=SchedulerPolicy(variant=variant, **pol),
                      channel=channel or ChannelConfig(),
                      duration_s=duration, warmup_s=trim, cooldown_s=trim,
@@ -29,15 +29,15 @@ def cfg_for(n, variant, channel=None, duration=3.0, trim=0.5, seed=0,
 
 
 def test_config_validation():
-    systems, classes = systems_from_classes(2)
+    systems = systems_from_classes(2)
     with pytest.raises(ConfigurationError):
         SimConfig(systems=[], policy=SchedulerPolicy("round_robin"))
     with pytest.raises(ConfigurationError):
-        SimConfig(systems=systems, classes=classes,
+        SimConfig(systems=systems,
                   policy=SchedulerPolicy("round_robin"),
                   duration_s=5.0, warmup_s=3.0, cooldown_s=3.0)
     with pytest.raises(ConfigurationError):
-        run(cfg_for(3, "adra"))   # threshold/p unresolved
+        run(cfg_for(2, "adra"))   # no tuned default pair below N=3
     # A 0.4 us transmission rounds to 0 us on the clock: a poll, its
     # arrival and its reply would fall on one instant forever.
     with pytest.raises(ConfigurationError):
@@ -52,13 +52,27 @@ def test_config_validation():
         tx_duration=0.010, slot_duration=0.010))
 
 
+def test_config_holds_only_what_a_run_reads():
+    """The sampling period is fixed, and each loop's class label is its
+    system's name, as run() reports it."""
+    assert {f.name for f in fields(SimConfig)} == {
+        "systems", "policy", "channel", "duration_s", "warmup_s",
+        "cooldown_s", "seed", "record_series"}
+    cfg = cfg_for(4, "round_robin", pattern=("easy", "pendulum"))
+    assert cfg.T_s == SimConfig.T_s == 0.010
+    names = [s.name for s in cfg.systems]
+    assert names == ["easy", "pendulum", "easy", "pendulum"]
+    assert cfg.classes == names
+    assert run(cfg)["metrics"]["loop_classes"] == names
+
+
 @pytest.mark.parametrize("variant, tx", [("round_robin", 80), ("aloha", 80),
                                          ("wifresh", 132)])
 def test_last_slot_delivery_is_dropped(variant, tx):
     """With no cooldown the window ends on the last tick.  The last
     transmission counts, but its delivery lands after the run ends."""
-    systems, classes = systems_from_classes(1)
-    res = run(SimConfig(systems=systems, classes=classes,
+    systems = systems_from_classes(1)
+    res = run(SimConfig(systems=systems,
                         policy=SchedulerPolicy(variant), duration_s=1.0,
                         warmup_s=0.2, cooldown_s=0.0))
     pl = res["metrics"]["per_loop"]

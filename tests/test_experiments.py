@@ -166,10 +166,10 @@ def test_per_run_rows_cover_loops_and_reps(tmp_path):
 
 def test_emit_nmse_curves(tmp_path):
     out = str(tmp_path / "curves")
-    emit_nmse_curves(out, max_age=30)
+    emit_nmse_curves(out)
     with open(os.path.join(out, "nmse_vs_age.csv")) as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 30
+    assert len(rows) == 60
     first = rows[0]
     for col in ("easy", "mid", "hard", "pendulum"):
         assert float(first[col]) == pytest.approx(1.0)
@@ -216,7 +216,7 @@ def test_pendulum_window_is_the_engines(duration, cooldown, t_end):
     window, steps 101..t_end, which the engine's own mean age covers."""
     spec = tiny_spec(scenario="pendulum", duration_s=duration, warmup_s=1.0,
                      cooldown_s=cooldown, replications=1)
-    (entry,) = pendulum_case_study(spec, include_raw_ablation=False).values()
+    (entry,) = pendulum_case_study(spec).values()
     (run,) = entry["runs"]
     assert entry["per_ip"]
     for i, verdict in entry["per_ip"].items():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncsim.aoi import optimize_adra
 from ncsim.engine import SimConfig, _Run, systems_from_classes
 from ncsim.errors import ConfigurationError
 from ncsim.mac import (Gateway, SchedulerPolicy, mef_build_schedule,
@@ -17,8 +18,8 @@ from ncsim.systems import LtiSystem, make_preset
 
 def hand_run(variant="round_robin", n=2):
     """A run whose ticks, slots and deliveries the test drives by hand."""
-    systems, classes = systems_from_classes(n)
-    return _Run(SimConfig(systems=systems, classes=classes,
+    systems = systems_from_classes(n)
+    return _Run(SimConfig(systems=systems,
                           policy=SchedulerPolicy(variant), duration_s=3.0,
                           warmup_s=0.5, cooldown_s=0.5))
 
@@ -374,3 +375,10 @@ def test_policy_parameters_may_be_deferred():
     # Network-size-dependent defaults are resolved where the policy is
     # used, so a bare construction must succeed.
     assert SchedulerPolicy("slotted_aloha").p is None
+    assert SchedulerPolicy("slotted_aloha").resolved(5).p == 1 / 5
+    # A missing threshold or p tunes the whole age-threshold pair.
+    threshold, p = optimize_adra(5)
+    tuned = SchedulerPolicy("adra", p=p, threshold=threshold)
+    for partial in ({}, {"p": 0.3}, {"threshold": 2}):
+        assert SchedulerPolicy("adra", **partial).resolved(5) == tuned
+    assert tuned.resolved(7) is tuned

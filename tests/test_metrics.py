@@ -206,8 +206,8 @@ def test_table_matches_reference_through_any_growth(data):
 
 def hand_run(n=2):
     """A run whose ticks and deliveries the test drives by hand."""
-    systems, classes = systems_from_classes(n)
-    return _Run(SimConfig(systems=systems, classes=classes,
+    systems = systems_from_classes(n)
+    return _Run(SimConfig(systems=systems,
                           policy=SchedulerPolicy("round_robin"),
                           duration_s=3.0, warmup_s=0.5, cooldown_s=0.5))
 
