@@ -12,7 +12,8 @@ toward the fast dynamics.
 """
 import argparse
 
-from ncsim.engine import SimConfig, run_replication_sets, systems_from_classes
+from ncsim.engine import (SimConfig, run_replication_sets,
+                          summarize_replications, systems_from_classes)
 from ncsim.experiments import DEFAULT_COMPARISON_CHANNEL
 from ncsim.mac import SchedulerPolicy
 
@@ -32,8 +33,9 @@ def main():
                       policy=SchedulerPolicy(variant),
                       channel=DEFAULT_COMPARISON_CHANNEL, seed=args.seed)
             for variant in VARIANTS]
-    rows = {variant: res["summary"] for variant, res in zip(
-        VARIANTS, run_replication_sets(cfgs, args.reps, jobs=args.jobs))}
+    rows = {cfg.policy.variant: summarize_replications(runs)["summary"]
+            for cfg, runs in run_replication_sets(cfgs, args.reps,
+                                                  jobs=args.jobs)}
 
     print(f"{'scheduler':>12s} {'mean age':>10s} {'mean nMSE':>10s} "
           f"{'LQG cost':>12s}   delivery share easy/mid/hard")

@@ -2,16 +2,16 @@
 
 Time advances in fixed sampling periods on an integer-microsecond clock.
 Every period each loop's controller consumes the freshest delivered sample,
-applies its feedback law, the plant steps forward, and the new sample
-replaces the loop's pending one.  A sample is named by its generation step
-alone: its state is that step's entry of the loop's state history.  The
-selected medium-access policy moves pending samples across the shared
-channel.  Slotted contention and beacon-framed scheduling use one slot per
-period, and a slot's deliveries land before the next tick.  Polling runs
-back-to-back transactions between ticks as one coroutine, so at most one
-is outstanding; its events due at or before a tick's instant are handled
-before that tick.  Acknowledgements are instantaneous and lossless, so
-the source's view of its age is the gateway's.
+applies its feedback law, the plant steps forward, and the new sample replaces
+the loop's older one: a loop always has one sample to send.  A sample is named
+by its generation step alone: its state is that step's entry of the loop's
+state history.  The selected medium-access policy moves samples across the
+shared channel.  Slotted contention and beacon-framed scheduling use one slot
+per period, and a slot's deliveries land before the next tick.  Polling runs
+back-to-back transactions between ticks as one coroutine, so at most one is
+outstanding; its events due at or before a tick's instant are handled before
+that tick.  Acknowledgements are instantaneous and lossless, so the source's
+view of its age is the gateway's.
 
 A run holds its state as arrays over the loop indices k = 0..N-1, which
 name the loops in the run, the channel and the MAC alike; loop id k + 1
@@ -25,6 +25,10 @@ window's ages, errors and costs are summed in step order, a block of steps
 at a time, and handed to the metrics.  Random draws come from one
 stream per loop and purpose; the contention streams are read through
 buffers drawn a block at a time, which gives the same values.
+
+:func:`run_replication_sets` is the one path that runs replications:
+each config's policy tuning and seeded runs are tasks of one worker
+pool, and the results do not depend on the number of workers.
 """
 from __future__ import annotations
 
@@ -44,8 +48,7 @@ from .mac import (Gateway, SchedulerPolicy, mef_build_schedule, pmef_next,
 from .metrics import MetricsAccumulator
 from .systems import LtiSystem, make_preset
 
-__all__ = ["SimConfig", "systems_from_classes", "run", "run_task",
-           "replication_tasks", "task_pool", "run_tasks", "run_replications",
+__all__ = ["SimConfig", "systems_from_classes", "run", "run_replications",
            "run_replication_sets", "summarize_replications",
            "DIVERGENCE_THRESHOLD"]
 
@@ -122,6 +125,8 @@ def systems_from_classes(n_loops: int, pattern=("easy", "mid", "hard")):
     """
     if n_loops < 1:
         raise ConfigurationError("n_loops must be >= 1")
+    if not pattern:
+        raise ConfigurationError("the class pattern names no class")
     labels = [pattern[k % len(pattern)] for k in range(n_loops)]
     for cls in set(labels):
         if cls not in _PRESET_CACHE:
@@ -232,13 +237,12 @@ class _ChannelStreams(dict):
 class _Run:
     """One run's state, held as arrays over the loop indices k.
 
-    ``nu`` is each loop's freshest delivered generation and ``pending``
-    whether it has a sample to send, namely the last tick's.  Loops of
-    equal dimensions form one :class:`_Plants` group (``at[k]`` is loop
-    k's group and row), and each tick steps every group with a fixed
-    number of array operations.  The tick keeps every step's ages
-    (``ages``), states and inputs; the metrics are reduced from them once
-    the run ends.
+    ``nu`` is each loop's freshest delivered generation.  A loop always has a
+    sample to send: the last tick's, or its initial state x[0] before the first
+    tick.  Loops of equal dimensions form one :class:`_Plants` group (``at[k]``
+    is loop k's group and row), and each tick steps every group with a fixed
+    number of array operations.  The tick keeps every step's ages (``ages``),
+    states and inputs; the metrics are reduced from them once the run ends.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -252,7 +256,6 @@ class _Run:
         self.metrics = MetricsAccumulator(N, *cfg.window, cfg.classes)
         self.gateway = Gateway(cfg.systems)
         self.nu = np.zeros(N, np.int64)
-        self.pending = np.zeros(N, bool)
         self.ages = np.zeros((self.steps + 1, N), np.int64)
         self.groups, self.at = [], [None] * N
         dims = {}
@@ -291,12 +294,11 @@ class _Run:
     def on_tick(self, t: int):
         """Tick t (ticks come in order): every controller estimates x[t]
         from its freshest sample and applies its gain, the plants step, and
-        x[t] becomes each loop's pending sample."""
+        x[t] becomes each loop's sample to send."""
         self.current_step = t
         self.ages[t] = np.subtract(t, self.nu, out=self.gateway.est_age)
         for group in self.groups:
             group.tick(t)
-        self.pending.fill(True)
 
     def _window_sums(self) -> np.ndarray:
         """Each loop's age, MSE, nMSE and stage cost summed over the
@@ -341,13 +343,13 @@ class _Run:
     # ---- slotted medium access ------------------------------------------
 
     def _contention_transmitters(self) -> np.ndarray:
-        """Indices of this slot's transmitters, ascending: every loop with
-        a pending sample (aloha), each with probability p (slotted ALOHA),
-        or each whose age reached the threshold with probability p."""
-        want = self.pending
+        """Indices of this slot's transmitters, ascending: every loop
+        (aloha), each with probability p (slotted ALOHA), or each whose age
+        reached the threshold with probability p."""
         if self.policy.variant == "adra":
-            want = want & (self.gateway.est_age >= self.policy.threshold)
-        ks = want.nonzero()[0]
+            ks = (self.gateway.est_age >= self.policy.threshold).nonzero()[0]
+        else:
+            ks = np.arange(self.N)
         if self.access is not None:
             ks = ks[self.access.take(ks) < self.policy.p]
         return ks
@@ -365,17 +367,15 @@ class _Run:
             if deliver:
                 for k in decoded.tolist():
                     self.on_delivery(k, t)
-            self.pending[ks] = False
         else:  # round_robin or mef
             if self.policy.variant == "round_robin":
                 k = rr_next(t, self.N)
             else:
                 k = self.mef_schedule[(t - 1) % self.policy.frame_len]
-            if self.pending[k]:
-                self.metrics.record_tx(k, t)
-                ok = resolve_pointtopoint(self.channel, self.rng_channel[k])
-                if ok and deliver:
-                    self.on_delivery(k, t)
+            self.metrics.record_tx(k, t)
+            ok = resolve_pointtopoint(self.channel, self.rng_channel[k])
+            if ok and deliver:
+                self.on_delivery(k, t)
 
     # ---- deliveries -------------------------------------------------------
 
@@ -416,9 +416,6 @@ class _Run:
             self.gateway.record_poll(k, now_s)
             if resolve_pointtopoint(self.channel, self.rng_channel[k]):
                 yield now + self.tx_us
-                if not self.pending[k]:
-                    raise InvariantViolation(
-                        f"loop {k + 1} polled with no pending sample")
                 gen = self.current_step
                 self.metrics.record_tx(k, gen)
                 if resolve_pointtopoint(self.channel, self.rng_channel[k]):
@@ -433,7 +430,6 @@ class _Run:
     # ---- main loop -------------------------------------------------------
 
     def execute(self) -> dict:
-        self.pending.fill(True)     # each loop's initial state, x[0] = 0
         polling = self.policy.is_polling
         framed = self.policy.variant == "mef"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -470,19 +466,9 @@ def run(cfg: SimConfig) -> dict:
     return _Run(cfg).execute()
 
 
-def run_task(task: tuple[SimConfig, int]) -> dict:
-    """Run one ``(cfg, seed)`` replication task; a pool worker's unit of
-    work."""
-    cfg, seed = task
+def _replicate(cfg: SimConfig, seed: int) -> dict:
+    """Run ``cfg`` with ``seed``; a pool worker's unit of work."""
     return run(replace(cfg, seed=seed))
-
-
-def replication_tasks(cfg: SimConfig,
-                      reps: int) -> list[tuple[SimConfig, int]]:
-    """Tasks for ``reps`` replications with seeds seed, seed+1, ..."""
-    if reps < 1:
-        raise ConfigurationError("need at least one replication")
-    return [(cfg, cfg.seed + r) for r in range(reps)]
 
 
 class _InProcess:
@@ -495,16 +481,10 @@ class _InProcess:
 
 
 @contextlib.contextmanager
-def task_pool(jobs: int, n_tasks: int):
-    """The executor for ``n_tasks`` tasks run by up to ``jobs`` processes.
-
-    Yields a process pool of ``min(jobs, n_tasks)`` workers, or, when that
-    is one, an executor that runs each task in the calling process.  Read
-    every result inside the block: leaving it cancels the queued tasks.  A
-    worker that dies surfaces as ``concurrent.futures.BrokenExecutor`` from
-    the results; an exception raised in a task reaches the caller as itself.
-    """
-    workers = min(jobs, n_tasks)
+def _pool(workers: int):
+    """A process pool of ``workers`` processes or, for one, an executor
+    that runs each task in the calling process.  Leaving the block cancels
+    the queued tasks: after a failure they would only delay its report."""
     if workers <= 1:
         yield _InProcess()
         return
@@ -514,16 +494,7 @@ def task_pool(jobs: int, n_tasks: int):
     try:
         yield pool
     finally:
-        # After a failure the queued tasks would only delay its report.
         pool.shutdown(cancel_futures=True)
-
-
-def run_tasks(tasks: list[tuple[SimConfig, int]], jobs: int = 1) -> list:
-    """Run ``(cfg, seed)`` tasks in one :func:`task_pool`; results in task
-    order, identical for every ``jobs``."""
-    with task_pool(jobs, len(tasks)) as pool:
-        futures = [pool.submit(run_task, t) for t in tasks]
-        return [f.result() for f in futures]
 
 
 def run_replications(cfg: SimConfig, reps: int,
@@ -535,17 +506,43 @@ def run_replications(cfg: SimConfig, reps: int,
     ``jobs > 1`` the replications run in one pool of at most ``jobs``
     worker processes; the result does not depend on ``jobs``.
     """
-    return run_replication_sets([cfg], reps, jobs)[0]
+    _, results = run_replication_sets([cfg], reps, jobs)[0]
+    return summarize_replications(results)
 
 
-def run_replication_sets(cfgs: list[SimConfig], reps: int,
-                         jobs: int = 1) -> list[dict]:
-    """:func:`run_replications` for each config, with every replication of
-    every config queued as one task list in one pool."""
-    sets = [replication_tasks(cfg, reps) for cfg in cfgs]
-    results = iter(run_tasks([t for tasks in sets for t in tasks], jobs))
-    return [summarize_replications([next(results) for _ in tasks])
-            for tasks in sets]
+def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1
+                         ) -> list[tuple[SimConfig, list[dict]]]:
+    """``reps`` replications (seed, seed+1, ...) of each config, every one
+    a task in one pool of at most ``jobs`` worker processes.
+
+    A config whose policy needs tuning (see
+    :attr:`~ncsim.mac.SchedulerPolicy.needs_tuning`) is tuned as a task in
+    the same pool, ahead of all runs, and its replications are queued as
+    soon as the tuning returns, so they overlap the other configs' runs.
+    Returns, per config, the config as run (its policy resolved) and its
+    replication results in seed order, identical for every ``jobs``.  A
+    worker that dies surfaces as ``concurrent.futures.BrokenExecutor``; an
+    exception raised in a task reaches the caller as itself.
+    """
+    if reps < 1:
+        raise ConfigurationError("need at least one replication")
+    tune = [k for k, cfg in enumerate(cfgs) if cfg.policy.needs_tuning]
+    sets = [None] * len(cfgs)
+    with _pool(min(jobs, len(tune) + len(cfgs) * reps)) as pool:
+        def submit(k, policy):
+            cfg = replace(cfgs[k], policy=policy)
+            sets[k] = cfg, [pool.submit(_replicate, cfg, cfg.seed + r)
+                            for r in range(reps)]
+
+        tunings = {pool.submit(cfgs[k].policy.resolved, cfgs[k].n_loops): k
+                   for k in tune}
+        for k, cfg in enumerate(cfgs):
+            if not cfg.policy.needs_tuning:
+                submit(k, cfg.policy.resolved(cfg.n_loops))
+        for future in concurrent.futures.as_completed(tunings):
+            submit(tunings[future], future.result())
+        return [(cfg, [f.result() for f in futures])
+                for cfg, futures in sets]
 
 
 def summarize_replications(results: list[dict]) -> dict:

@@ -14,7 +14,6 @@ the closed-form expressions on an idealized channel), and ``pendulum``
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import math
 import os
@@ -25,9 +24,8 @@ import yaml
 
 from .aoi import adra_mean_aoi, rr_mean_aoi, sa_mean_aoi
 from .channel import ChannelConfig
-from .engine import (SimConfig, replication_tasks, run_replication_sets,
-                     run_task, run_tasks, summarize_replications,
-                     systems_from_classes, task_pool)
+from .engine import (SimConfig, run_replication_sets, summarize_replications,
+                     systems_from_classes)
 from .errors import ConfigurationError
 from .mac import SchedulerPolicy
 from .metrics import MseTable
@@ -56,6 +54,13 @@ SCENARIOS = ("single", "sweep", "validate", "pendulum")
 VALIDATE_TOL = {"round_robin": 0.05, "slotted_aloha": 0.05, "adra": 0.10}
 
 
+def _label(policy: SchedulerPolicy) -> str:
+    """The protocol's name in reports and CSVs."""
+    if policy.variant in ("mef", "pmef") and not policy.use_nmse:
+        return policy.variant + "_raw"
+    return policy.variant
+
+
 @dataclass
 class ExperimentSpec:
     scenario: str
@@ -78,16 +83,20 @@ class ExperimentSpec:
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if not self.protocols:
             raise ConfigurationError("at least one protocol required")
+        labels = [_label(p) for p in self.protocols]
+        if len(set(labels)) < len(labels):
+            raise ConfigurationError(
+                f"protocols {labels} repeat a name; results are keyed by it")
         lo, hi = self.n_range
         if lo > hi or lo < 1:
             raise ConfigurationError(f"empty or invalid n_range {self.n_range}")
 
     def sim_config(self, n: int, policy: SchedulerPolicy,
                    record_series: bool = False) -> SimConfig:
-        """The run of ``policy``, its defaults resolved, at ``n`` loops."""
+        """The run of ``policy`` at ``n`` loops."""
         return SimConfig(
             systems=systems_from_classes(n, self.classes),
-            policy=policy.resolved(n), channel=self.channel,
+            policy=policy, channel=self.channel,
             duration_s=self.duration_s, warmup_s=self.warmup_s,
             cooldown_s=self.cooldown_s, seed=self.seed,
             record_series=record_series)
@@ -239,17 +248,11 @@ def emit_nmse_curves(out_dir: str):
 # --------------------------------------------------------------------------
 # Scenarios
 
-def _label(policy: SchedulerPolicy) -> str:
-    if policy.variant in ("mef", "pmef") and not policy.use_nmse:
-        return policy.variant + "_raw"
-    return policy.variant
-
-
 def _replicate(cfgs: list[SimConfig], reps: int, jobs: int) -> dict:
-    """:func:`run_replication_sets` keyed by (protocol label, N)."""
-    results = run_replication_sets(cfgs, reps, jobs)
-    return {(_label(cfg.policy), cfg.n_loops): res
-            for cfg, res in zip(cfgs, results)}
+    """Each config's summarized replications, keyed by (protocol label,
+    N)."""
+    return {(_label(cfg.policy), cfg.n_loops): summarize_replications(runs)
+            for cfg, runs in run_replication_sets(cfgs, reps, jobs)}
 
 
 def run_single(spec: ExperimentSpec, jobs: int = 1) -> dict:
@@ -279,16 +282,15 @@ def validate_theory(spec: ExperimentSpec, jobs: int = 1) -> dict:
     tolerances; parameter-free protocols use their defaults from
     :meth:`SchedulerPolicy.resolved`.
 
-    Every tuning and replication is a task in one pool of at most ``jobs``
-    workers.  The tunings go first, and each one's replications are queued
-    as soon as it is done, so they overlap the other protocols' runs.
+    Every tuning and replication is a task of one
+    :func:`~ncsim.engine.run_replication_sets` call.
     """
     ch = spec.channel
     if ch.mode != "strict_collision" or ch.erasure_prob != 0.0:
         raise ConfigurationError(
             "theory validation needs mode=strict_collision and erasure_prob=0")
     allowed = set(VALIDATE_TOL)
-    plan = []   # (policy, n) per report row
+    cfgs = []   # one per report row
     for policy in spec.protocols:
         if policy.variant not in allowed:
             raise ConfigurationError(
@@ -299,38 +301,19 @@ def validate_theory(spec: ExperimentSpec, jobs: int = 1) -> dict:
         else:
             n_list = [n for n in (3, 5, 7)
                       if spec.n_range[0] <= n <= spec.n_range[1]] or [3, 5, 7]
-        plan += [(policy, n) for n in n_list]
-    tune = [k for k, (policy, _) in enumerate(plan)
-            if policy.variant == "adra"
-            and (policy.p is None or policy.threshold is None)]
-    n_tasks = len(tune) + len(plan) * spec.replications
-    runs = {}   # row index -> (policy as run, replication futures)
-    with task_pool(jobs, n_tasks) as pool:
-        def submit(k, policy):
-            cfg = spec.sim_config(plan[k][1], policy)
-            tasks = replication_tasks(cfg, spec.replications)
-            runs[k] = cfg.policy, [pool.submit(run_task, t) for t in tasks]
-
-        tunings = {pool.submit(plan[k][0].resolved, plan[k][1]): k
-                   for k in tune}
-        for k, (policy, _) in enumerate(plan):
-            if k not in tune:
-                submit(k, policy)
-        for future in concurrent.futures.as_completed(tunings):
-            submit(tunings[future], future.result())
-        rows = []
-        for k, (policy, n) in enumerate(plan):
-            pol, futures = runs[k]
-            res = summarize_replications([f.result() for f in futures])
-            sim = res["summary"]["aoi_mean"]["mean"]
-            theory = _theory(pol, n)
-            rel = abs(sim - theory) / theory
-            rows.append({
-                "protocol": policy.variant, "N": n,
-                "params": {"p": pol.p, "threshold": pol.threshold},
-                "simulated": sim, "theory": theory, "rel_err": rel,
-                "tol": VALIDATE_TOL[policy.variant],
-                "ok": rel <= VALIDATE_TOL[policy.variant]})
+        cfgs += [spec.sim_config(n, policy) for n in n_list]
+    rows = []
+    for cfg, runs in run_replication_sets(cfgs, spec.replications, jobs):
+        pol, n = cfg.policy, cfg.n_loops
+        sim = summarize_replications(runs)["summary"]["aoi_mean"]["mean"]
+        theory = _theory(pol, n)
+        rel = abs(sim - theory) / theory
+        tol = VALIDATE_TOL[pol.variant]
+        rows.append({
+            "protocol": pol.variant, "N": n,
+            "params": {"p": pol.p, "threshold": pol.threshold},
+            "simulated": sim, "theory": theory, "rel_err": rel,
+            "tol": tol, "ok": rel <= tol})
     return {"rows": rows, "passed": all(r["ok"] for r in rows)}
 
 
@@ -353,11 +336,11 @@ def pendulum_case_study(spec: ExperimentSpec, jobs: int = 1) -> dict:
     For each protocol: per-class error statistics, per-pendulum angle and
     position envelopes over the evaluated window (min/max across
     replications), and a stabilization verdict (|angle| within
-    10 degrees).  With the framed scheduler on its normalized error, adds
-    its raw-MSE ablation, whose pendulum age trajectories document
-    starvation.
-    Every replication of every scheduler is a task in one pool of at most
-    ``jobs`` workers; the report does not depend on ``jobs``.
+    10 degrees).  With the framed scheduler on its normalized error and
+    not on its raw MSE, adds that raw-MSE ablation, whose pendulum age
+    trajectories document starvation.  Every replication of every
+    scheduler is a task of one :func:`~ncsim.engine.run_replication_sets`
+    call; the report does not depend on ``jobs``.
 
     ``aoi_monotone`` is False under every scheduler in this model: every
     loop is served again sooner or later, so its age is a sawtooth.  Even
@@ -366,18 +349,16 @@ def pendulum_case_study(spec: ExperimentSpec, jobs: int = 1) -> dict:
     """
     spec = replace(spec, classes=PENDULUM_PATTERN, n_loops=15)
     policies = list(spec.protocols)
-    if any(p.variant == "mef" and p.use_nmse for p in policies):
+    labels = {_label(p) for p in policies}
+    if "mef" in labels and "mef_raw" not in labels:
         policies.append(SchedulerPolicy(variant="mef", use_nmse=False))
-    cfgs = [spec.sim_config(spec.n_loops, policy, record_series=True)
-            for policy in policies]
-    results = iter(run_tasks(
-        [t for cfg in cfgs
-         for t in replication_tasks(cfg, spec.replications)], jobs))
+    sets = run_replication_sets(
+        [spec.sim_config(spec.n_loops, policy, record_series=True)
+         for policy in policies], spec.replications, jobs)
     report = {}
-    for policy, cfg in zip(policies, cfgs):
+    for cfg, runs in sets:
         ips = [i for i, c in enumerate(cfg.classes, start=1)
                if c == "pendulum"]
-        runs = [next(results) for _ in range(spec.replications)]
         t_start, t_end = cfg.window
         window = slice(t_start - 1, t_end)   # series index 0 holds step 1
         per_ip = {}
@@ -401,7 +382,7 @@ def pendulum_case_study(spec: ExperimentSpec, jobs: int = 1) -> dict:
             vals = [float(r["metrics"]["per_loop"]["nmse_mean"][k])
                     for r in runs for k in idx]
             per_class[cls] = vals
-        report[_label(policy)] = {
+        report[_label(cfg.policy)] = {
             "per_ip": per_ip, "per_class_nmse": per_class,
             "classes": cfg.classes, "runs": runs}
     return report

@@ -163,14 +163,25 @@ class SchedulerPolicy:
     def is_polling(self):
         return self.variant in POLLING_PROTOCOLS
 
+    @property
+    def needs_tuning(self):
+        """Whether :meth:`resolved` tunes this policy: the age-threshold
+        policy missing p or threshold."""
+        return self.variant == "adra" and (self.p is None
+                                           or self.threshold is None)
+
     def resolved(self, n_loops: int) -> SchedulerPolicy:
         """This policy for ``n_loops`` loops, with every default filled in:
-        slotted ALOHA without an explicit p gets p = 1/N, and the
-        age-threshold policy missing p or threshold gets the pair
-        :func:`~ncsim.aoi.optimize_adra` picks for N."""
-        if self.variant == "adra" and (self.p is None
-                                       or self.threshold is None):
-            threshold, p = aoi.optimize_adra(n_loops)
+        slotted ALOHA without an explicit p gets p = 1/N, and a policy that
+        needs tuning gets the pair :func:`~ncsim.aoi.optimize_adra` picks
+        for N."""
+        if self.needs_tuning:
+            try:
+                threshold, p = aoi.optimize_adra(n_loops)
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"adra with N={n_loops} needs an explicit p and "
+                    f"threshold: {exc}") from exc
             return replace(self, p=p, threshold=threshold)
         if self.variant != "slotted_aloha" or self.p is not None:
             return self

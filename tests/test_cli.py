@@ -133,6 +133,27 @@ def test_run_tunes_a_parameter_free_adra_entry(tmp_path):
     assert per_run[0] == per_run[1]
 
 
+def test_empty_class_pattern_exits_one(tmp_path, capsys):
+    path = cfg_file(tmp_path, RUN_CFG + "classes: []\n")
+    rc = main(["run", "--config", path, "--out", str(tmp_path / "res")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: the class pattern")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bare_adra_below_three_loops_names_policy_and_n(tmp_path, capsys,
+                                                        jobs):
+    """The default sweep starts at N = 2, where no tuned pair exists; the
+    error crosses the pool at --jobs 2."""
+    path = cfg_file(tmp_path, JOBS_CFGS["sweep"].replace(
+        "[round_robin, mef]", "[adra]").replace("n_range: [2, 3]\n", ""))
+    rc = main(["sweep", "--config", path, "--out", str(tmp_path / "res"),
+               "--jobs", jobs])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: adra with N=2 needs an explicit p and threshold")
+
+
 def test_bad_jobs_exits_one(tmp_path, capsys):
     path = cfg_file(tmp_path, RUN_CFG)
     rc = main(["run", "--config", path, "--jobs", "0"])
@@ -233,6 +254,24 @@ def test_jobs_use_one_pool_and_write_serial_bytes(command, tmp_path, pools):
     assert written[1] and written[1] == written[2]
 
 
+def test_sweep_tunes_bare_adra_in_the_pool(tmp_path, pools):
+    """Each N's tuning is a task of the run's one pool, counted with the
+    runs when the pool is sized: 2 tunings and 2 runs fill 3 workers."""
+    path = cfg_file(tmp_path, JOBS_CFGS["sweep"].replace(
+        "[round_robin, mef]", "[adra]").replace("[2, 3]", "[3, 4]").replace(
+        "replications: 2", "replications: 1"))
+    written = {}
+    for jobs in (1, 2, 3):
+        out = str(tmp_path / f"jobs{jobs}")
+        pools.clear()
+        rc = main(["sweep", "--config", path, "--out", out,
+                   "--jobs", str(jobs)])
+        assert rc == 0
+        assert pools == ([] if jobs == 1 else [jobs])
+        written[jobs] = _csv_bytes(out)
+    assert written[1] and written[1] == written[2] == written[3]
+
+
 def test_pool_never_exceeds_task_count(tmp_path, pools):
     two_tasks = RUN_CFG.replace(
         "protocols: [round_robin, {name: slotted_aloha, p: 0.3}]",
@@ -267,16 +306,32 @@ def test_worker_invariant_violation_reaches_caller(tmp_path, monkeypatch,
     assert capsys.readouterr().err.startswith("error: rx > tx in seed")
 
 
-def test_import_loads_no_scipy():
-    """scipy is imported by the functions that use it, so starting the
-    CLI does not pay for it."""
+def scipy_modules_after(code):
+    """The scipy modules loaded in a fresh interpreter that ran ``code``."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ncsim; print(sorted("
+        [sys.executable, "-c", code + "\nimport sys; print(sorted("
          "m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env=env, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported by the functions that use it, so starting the
+    CLI does not pay for it."""
+    assert scipy_modules_after("import ncsim") == "[]"
+
+
+def test_pendulum_loads_no_scipy(tmp_path):
+    """The case study reads its runs raw: no confidence interval, so no
+    scipy."""
+    path = cfg_file(tmp_path, JOBS_CFGS["pendulum"])
+    out = str(tmp_path / "res")
+    assert scipy_modules_after(
+        "from ncsim.cli import main\n"
+        f"assert main(['pendulum', '--config', {path!r}, '--out', {out!r}])"
+        " == 0") == "[]"

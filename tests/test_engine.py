@@ -281,18 +281,15 @@ def test_only_strictly_fresher_deliveries_change_the_gateway(steps):
 
 
 def test_contention_sender_waits_for_the_next_sample():
-    """Each tick replaces the pending sample with its own; a contention
-    transmission takes it, and the loop stays silent until the next tick."""
+    """Each tick replaces a loop's sample with its own, and its slot sends
+    it; the loop then waits for the next tick's.  So under aloha every loop
+    transmits once in every slot of the window, and two loops collide in
+    every one."""
     r = _Run(cfg_for(2, "aloha"))
-    r.on_tick(1)
-    r.on_tick(2)
-    assert r.pending.tolist() == [True, True] and r.current_step == 2
-    r.on_slot(2)
-    assert r.pending.tolist() == [False, False]
-    assert r._contention_transmitters().tolist() == []
-    r.on_tick(3)
-    assert r._contention_transmitters().tolist() == [0, 1]
-    assert r.pending[0] and r.current_step == 3
+    out = r.execute()["metrics"]["per_loop"]
+    t_start, t_end = r.cfg.window
+    assert out["tx"].tolist() == [t_end - t_start + 1] * 2
+    assert out["rx"].tolist() == [0, 0]
 
 
 def test_single_loop_slotted_aloha_needs_explicit_p():

@@ -2,11 +2,12 @@
 import csv
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 import yaml
 
+import ncsim.engine
 from ncsim.channel import ChannelConfig
 from ncsim.errors import ConfigurationError
 from ncsim.experiments import (DEFAULT_COMPARISON_CHANNEL, ExperimentSpec,
@@ -40,6 +41,34 @@ def test_spec_validation():
         tiny_spec(protocols=[])
     with pytest.raises(ConfigurationError):
         tiny_spec(n_range=(9, 2))
+
+
+def test_spec_rejects_repeated_protocol_labels():
+    """Results are keyed by protocol label, so two entries of one label
+    would keep only one entry's runs."""
+    with pytest.raises(ConfigurationError, match="repeat a name"):
+        tiny_spec(protocols=[SchedulerPolicy("slotted_aloha", p=0.2),
+                             SchedulerPolicy("slotted_aloha", p=0.3)])
+    tiny_spec(protocols=[SchedulerPolicy("mef"),
+                         SchedulerPolicy("mef", use_nmse=False)])
+
+
+def test_pendulum_adds_the_raw_ablation_only_when_unlisted(monkeypatch):
+    """A listed raw-MSE framed scheduler is the ablation: it is run and
+    reported once, in list order."""
+    runs = []
+    engine_run = ncsim.engine.run
+    monkeypatch.setattr(ncsim.engine, "run",
+                        lambda cfg: runs.append(cfg) or engine_run(cfg))
+    spec = tiny_spec(scenario="pendulum", duration_s=1.0, warmup_s=0.3,
+                     cooldown_s=0.2, replications=1)
+    for protocols, labels in (
+            ([SchedulerPolicy("mef")], ["mef", "mef_raw"]),
+            ([SchedulerPolicy("mef", use_nmse=False), SchedulerPolicy("mef")],
+             ["mef_raw", "mef"])):
+        runs.clear()
+        report = pendulum_case_study(replace(spec, protocols=protocols))
+        assert list(report) == labels and len(runs) == 2
 
 
 def test_parse_minimal_config(tmp_path):

@@ -1,4 +1,4 @@
-"""Pending samples, gateway state, and the scheduling decision rules."""
+"""Samples to send, gateway state, and the scheduling decision rules."""
 import functools
 import math
 from collections import deque
@@ -31,34 +31,41 @@ def estimate(r, k):
 
 
 def test_lcfs_keeps_only_freshest():
-    """A loop holds one pending sample (last come, first served): each
-    tick's sample replaces the older one, and a transmission takes it."""
-    r = hand_run("aloha")
-    assert not r.pending[0]
-    for t in (1, 2, 3):
-        r.on_tick(t)
-    assert r.pending[0] and r.current_step == 3
-    r.on_slot(3)
-    assert not r.pending[0]
+    """A loop holds one sample to send (last come, first served): each
+    tick's sample replaces the older one, so a slot delivers the sample of
+    the tick just before it.  The last slot's delivery lands after the
+    run ends."""
+    r = hand_run("aloha", n=1)
+    delivered = []
+    deliver = r.on_delivery
+    r.on_delivery = lambda k, gen: (delivered.append((gen, r.current_step)),
+                                    deliver(k, gen))
+    r.execute()
+    assert delivered == [(t, t) for t in range(1, r.steps)]
 
 
-@settings(max_examples=50, deadline=None)
-@given(ops=st.lists(st.booleans(), min_size=1, max_size=50))
-def test_lcfs_single_slot_property(ops):
-    """Under any interleaving of ticks (True) and contention slots (False),
-    the pending sample is the latest tick's, or none once a slot took it."""
-    r = hand_run("aloha")
-    t, taken = 0, True
-    for is_tick in ops:
-        if is_tick:
-            t += 1
-            r.on_tick(t)
-            taken = False
-        elif t:
-            r.on_slot(t)
-            taken = True
-        assert r.current_step == t
-        assert r.pending.tolist() == [not taken] * r.N
+@settings(max_examples=30, deadline=None)
+@given(variant=st.sampled_from(["aloha", "slotted_aloha", "adra",
+                                "round_robin", "mef"]),
+       n=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_lcfs_single_slot_property(variant, n, seed):
+    """Under every slotted policy, slot t follows tick t and sends each of
+    its transmitters' sample of that tick, at most once per loop."""
+    pol = {"p": 0.5, "threshold": 2} if variant in ("slotted_aloha",
+                                                    "adra") else {}
+    r = _Run(SimConfig(systems=systems_from_classes(n),
+                       policy=SchedulerPolicy(variant, **pol),
+                       duration_s=1.0, warmup_s=0.2, cooldown_s=0.2,
+                       seed=seed))
+    sent = []
+    record_tx = r.metrics.record_tx
+    r.metrics.record_tx = lambda loop, gen: (
+        sent.append((gen, r.current_step, np.atleast_1d(loop).tolist())),
+        record_tx(loop, gen))
+    r.execute()
+    assert [gen for gen, _, _ in sent] == list(range(1, r.steps + 1))
+    for gen, now, loops in sent:
+        assert gen == now and len(set(loops)) == len(loops)
 
 
 def test_rr_rule():
