@@ -14,8 +14,7 @@ from .mac import (Gateway, SchedulerPolicy, mef_build_schedule, pmef_next,
                   rr_next, wifresh_next)
 from .metrics import (MetricsAccumulator, MseTable, error_covariance,
                       mse_of_age, nmse_of_age)
-from .systems import (DareSolution, LtiSystem, PendulumParams, control_input,
-                      discretize_zoh, estimate_state, lqg_stage_cost,
-                      make_preset, pendulum_continuous, solve_dare, step_plant)
+from .systems import (DareSolution, LtiSystem, PendulumParams, discretize_zoh,
+                      make_preset, pendulum_continuous, solve_dare)
 
 __version__ = "0.1.0"

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type tests of
+user-supplied values that raise :class:`ConfigurationError`."""
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -15,3 +17,13 @@ class OptimizationError(RuntimeError):
 
 class InvariantViolation(AssertionError):
     """Internal consistency failure; aborts the current run."""
+
+
+def is_integer(v) -> bool:
+    """Whether ``v`` is an integer; a bool is not one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    """Whether ``v`` is a real number; a bool is not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)

@@ -26,7 +26,7 @@ from .aoi import adra_mean_aoi, rr_mean_aoi, sa_mean_aoi
 from .channel import ChannelConfig
 from .engine import (SimConfig, run_replication_sets, summarize_replications,
                      systems_from_classes)
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_integer, is_real
 from .mac import SchedulerPolicy
 from .metrics import MseTable
 from .systems import make_preset
@@ -87,9 +87,19 @@ class ExperimentSpec:
         if len(set(labels)) < len(labels):
             raise ConfigurationError(
                 f"protocols {labels} repeat a name; results are keyed by it")
-        lo, hi = self.n_range
-        if lo > hi or lo < 1:
-            raise ConfigurationError(f"empty or invalid n_range {self.n_range}")
+        for key in ("n_loops", "seed", "replications"):
+            if not is_integer(getattr(self, key)):
+                raise ConfigurationError(
+                    f"{key} must be an integer, got {getattr(self, key)!r}")
+        for key in ("duration_s", "warmup_s", "cooldown_s"):
+            if not is_real(getattr(self, key)):
+                raise ConfigurationError(
+                    f"{key} must be a number, got {getattr(self, key)!r}")
+        if not (len(self.n_range) == 2 and all(map(is_integer, self.n_range))
+                and 1 <= self.n_range[0] <= self.n_range[1]):
+            raise ConfigurationError(
+                f"n_range must be two integers lo <= hi with lo >= 1, "
+                f"got {list(self.n_range)}")
 
     def sim_config(self, n: int, policy: SchedulerPolicy,
                    record_series: bool = False) -> SimConfig:
@@ -147,6 +157,10 @@ def parse_config(path: str) -> ExperimentSpec:
     _reject_unknown(raw, _TOP_KEYS, path)
     if "scenario" not in raw or "protocols" not in raw:
         raise ConfigurationError(f"{path}: 'scenario' and 'protocols' required")
+    for key in ("protocols", "n_range", "classes"):
+        if key in raw and not isinstance(raw[key], list):
+            raise ConfigurationError(
+                f"{path}: {key} must be a list, got {raw[key]!r}")
     kwargs = dict(raw)
     kwargs["protocols"] = [_parse_protocol(e) for e in raw["protocols"]]
     if "channel" in raw:
@@ -334,10 +348,12 @@ def pendulum_case_study(spec: ExperimentSpec, jobs: int = 1) -> dict:
     """Mixed network of easy / pendulum / hard loops under the schedulers.
 
     For each protocol: per-class error statistics, per-pendulum angle and
-    position envelopes over the evaluated window (min/max across
-    replications), and a stabilization verdict (|angle| within
-    10 degrees).  With the framed scheduler on its normalized error and
-    not on its raw MSE, adds that raw-MSE ablation, whose pendulum age
+    position extremes over the evaluated window (min/max across
+    replications) with a stabilization verdict (|angle| within
+    10 degrees), and the per-step ``envelope`` of angle and position over
+    every replication and pendulum, all read from one stack of the
+    pendulums' series.  With the framed scheduler on its normalized error
+    and not on its raw MSE, adds that raw-MSE ablation, whose pendulum age
     trajectories document starvation.  Every replication of every
     scheduler is a task of one :func:`~ncsim.engine.run_replication_sets`
     call; the report does not depend on ``jobs``.
@@ -361,21 +377,28 @@ def pendulum_case_study(spec: ExperimentSpec, jobs: int = 1) -> dict:
                if c == "pendulum"]
         t_start, t_end = cfg.window
         window = slice(t_start - 1, t_end)   # series index 0 holds step 1
+        # (replication, pendulum, step) arrays of every pendulum's series.
+        states = np.stack([[r["series"][i]["state"] for i in ips]
+                           for r in runs])
+        phi, xi = np.degrees(states[..., 2]), states[..., 0]
+        aoi = np.stack([[r["series"][i]["aoi"] for i in ips] for r in runs])
         per_ip = {}
-        for i in ips:
-            phi = np.concatenate([np.degrees(
-                r["series"][i]["state"][window, 2]) for r in runs])
-            xi = np.concatenate([
-                r["series"][i]["state"][window, 0] for r in runs])
-            aoi = np.stack([r["series"][i]["aoi"] for r in runs])
+        for j, i in enumerate(ips):
+            ip_phi, ip_xi, ip_aoi = (a[:, j, window] for a in (phi, xi, aoi))
             per_ip[i] = {
-                "phi_min": float(phi.min()), "phi_max": float(phi.max()),
-                "xi_min": float(xi.min()), "xi_max": float(xi.max()),
-                "stabilized": bool(np.max(np.abs(phi)) <= STABILIZATION_DEG),
-                "aoi_window_mean": float(aoi[:, window].mean()),
-                "aoi_monotone": bool(np.all(np.diff(
-                    aoi[:, window], axis=1) >= 0)),
+                "phi_min": float(ip_phi.min()),
+                "phi_max": float(ip_phi.max()),
+                "xi_min": float(ip_xi.min()), "xi_max": float(ip_xi.max()),
+                "stabilized": bool(np.max(np.abs(ip_phi))
+                                   <= STABILIZATION_DEG),
+                "aoi_window_mean": float(ip_aoi.mean()),
+                "aoi_monotone": bool(np.all(np.diff(ip_aoi, axis=1) >= 0)),
             }
+        # Per-step extremes over every replication and pendulum.
+        envelope = {"phi_min": phi.min(axis=(0, 1)),
+                    "phi_max": phi.max(axis=(0, 1)),
+                    "xi_min": xi.min(axis=(0, 1)),
+                    "xi_max": xi.max(axis=(0, 1))}
         per_class = {}
         for cls in dict.fromkeys(cfg.classes):
             idx = [k for k, c in enumerate(cfg.classes) if c == cls]
@@ -383,8 +406,9 @@ def pendulum_case_study(spec: ExperimentSpec, jobs: int = 1) -> dict:
                     for r in runs for k in idx]
             per_class[cls] = vals
         report[_label(cfg.policy)] = {
-            "per_ip": per_ip, "per_class_nmse": per_class,
-            "classes": cfg.classes, "runs": runs}
+            "per_ip": per_ip, "envelope": envelope,
+            "per_class_nmse": per_class, "classes": cfg.classes,
+            "runs": runs}
     return report
 
 
@@ -399,17 +423,11 @@ def emit_pendulum(report: dict, out_dir: str):
                                  d["phi_min"], d["phi_max"],
                                  d["xi_min"], d["xi_max"],
                                  d["aoi_window_mean"], d["aoi_monotone"]])
-        runs = entry["runs"]
-        ips = sorted(entry["per_ip"])
-        steps = runs[0]["series"][ips[0]]["state"].shape[0]
-        phi = np.stack([np.degrees(r["series"][i]["state"][:, 2])
-                        for r in runs for i in ips])
-        xi = np.stack([r["series"][i]["state"][:, 0]
-                       for r in runs for i in ips])
-        for t in range(steps):
-            env_rows.append([label, t + 1,
-                             float(phi[:, t].min()), float(phi[:, t].max()),
-                             float(xi[:, t].min()), float(xi[:, t].max())])
+        env = entry["envelope"]
+        columns = [env[key].tolist()
+                   for key in ("phi_min", "phi_max", "xi_min", "xi_max")]
+        env_rows += [[label, t, *row]
+                     for t, row in enumerate(zip(*columns), start=1)]
     _write_csv(os.path.join(out_dir, "pendulum_nmse.csv"),
                ["protocol", "class", "mean_nmse"], box_rows)
     _write_csv(os.path.join(out_dir, "pendulum_envelopes.csv"),

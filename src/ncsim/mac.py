@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import aoi
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_integer, is_real
 from .metrics import MseTable
 from .systems import LtiSystem
 
@@ -147,13 +147,21 @@ class SchedulerPolicy:
             raise ConfigurationError(
                 f"unknown protocol {self.variant!r}; expected one of {PROTOCOLS}")
         # p / threshold may stay None here: resolved(N) fills them in.
-        if self.p is not None and not 0.0 < self.p < 1.0:
+        if self.p is not None and not (is_real(self.p)
+                                       and 0.0 < self.p < 1.0):
             raise ConfigurationError(
-                f"{self.variant}: access probability must be in (0,1)")
-        if self.threshold is not None and self.threshold < 0:
-            raise ConfigurationError("threshold must be non-negative")
-        if self.frame_len < 1:
-            raise ConfigurationError("frame_len must be >= 1")
+                f"{self.variant}: access probability must be in (0,1), "
+                f"got {self.p!r}")
+        # Ages and frame slots are whole periods; a fractional threshold
+        # would gate like its ceiling but be reported as itself.
+        if self.threshold is not None and not (is_integer(self.threshold)
+                                               and self.threshold >= 0):
+            raise ConfigurationError(
+                f"threshold must be a non-negative integer, "
+                f"got {self.threshold!r}")
+        if not (is_integer(self.frame_len) and self.frame_len >= 1):
+            raise ConfigurationError(
+                f"frame_len must be an integer >= 1, got {self.frame_len!r}")
 
     @property
     def is_contention(self):

@@ -1,17 +1,18 @@
-"""Linear plant models, remote state estimation and LQR controller synthesis.
+"""Linear plant models and LQR controller synthesis.
 
 All plants are discrete-time LTI systems
 
     x[t+1] = A x[t] + B u[t] + w[t],      w ~ N(0, Sigma)
 
-driven at a fixed sampling period. A controller that last heard from the
-plant ``delta`` periods ago reconstructs the conditional mean of the current
-state from the stale sample and its own input history, and applies a static
-feedback gain obtained from the infinite-horizon LQR problem.
+driven at a fixed sampling period, each with a static feedback gain from
+the infinite-horizon LQR problem.  This module says what a plant is: its
+model, the synthesis of its gain and the shipped presets.  How the loops
+run, a controller's estimate from a stale sample, its control law and
+the stage cost, is the engine's (:mod:`ncsim.engine`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +22,6 @@ __all__ = [
     "LtiSystem",
     "DareSolution",
     "PendulumParams",
-    "step_plant",
-    "estimate_state",
-    "control_input",
-    "lqg_stage_cost",
     "solve_dare",
     "discretize_zoh",
     "pendulum_continuous",
@@ -48,7 +45,9 @@ class LtiSystem:
     """Immutable description of one plant/controller pair.
 
     ``gain`` is filled in by :func:`solve_dare` (via :func:`make_preset` for
-    the shipped presets) and is required before the control law can be used.
+    the shipped presets).  A loop without one runs open loop: the engine
+    applies u = 0, or (-0) x-hat to a one-state loop, which is nan once
+    the estimate is infinite.
     """
 
     A: np.ndarray
@@ -126,52 +125,6 @@ class PendulumParams:
         for f in ("cart_mass", "pend_mass", "friction", "length", "inertia", "gravity"):
             if getattr(self, f) <= 0:
                 raise ConfigurationError(f"{f} must be strictly positive")
-
-
-def step_plant(sys: LtiSystem, x, u, w):
-    """Advance the plant one period: A x + B u + w."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape != (sys.n,) or u.shape != (sys.m,) or w.shape != (sys.n,):
-        raise ConfigurationError(
-            f"step_plant dimension mismatch: x{x.shape} u{u.shape} w{w.shape} "
-            f"for n={sys.n}, m={sys.m}")
-    return sys.A @ x + sys.B @ u + w
-
-
-def estimate_state(sys: LtiSystem, stale_state, inputs):
-    """Conditional mean of the current state given a sample that is
-    ``len(inputs)`` periods old.
-
-    ``inputs`` holds the inputs applied since the sample was taken, in
-    chronological order; the age of the sample equals ``len(inputs)`` and
-    must be at least 1.
-    """
-    delta = len(inputs)
-    if delta < 1:
-        raise ConfigurationError("estimate_state needs age >= 1")
-    xhat = np.asarray(stale_state, dtype=float)
-    A, B = sys.A, sys.B
-    for u in inputs:
-        xhat = A @ xhat + B @ np.asarray(u, dtype=float)
-    return xhat
-
-
-def control_input(sys: LtiSystem, xhat):
-    """Static feedback law u = -gain @ xhat."""
-    if sys.gain is None:
-        raise SynthesisError(f"system {sys.name!r} has no synthesized gain")
-    return -(sys.gain @ np.asarray(xhat, dtype=float))
-
-
-def lqg_stage_cost(sys: LtiSystem, x, u) -> float:
-    """One addend of the quadratic running cost: x'Qx + u'Ru."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (sys.n,) or u.shape != (sys.m,):
-        raise ConfigurationError("lqg_stage_cost dimension mismatch")
-    return float(x @ sys.Q @ x + u @ sys.R @ u)
 
 
 # Convergence tolerance on the max-abs change of P, and the iteration cap.

@@ -103,6 +103,39 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert "warp_drive" in capsys.readouterr().err
 
 
+def with_line(text, line):
+    """``text`` with the top-level line of ``line``'s key replaced by it."""
+    key = line.partition(":")[0]
+    kept = [row for row in text.splitlines() if not row.startswith(key + ":")]
+    return "\n".join(kept + [line]) + "\n"
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("run", "n_range: [2, 3, 4]", "n_range"),
+    ("run", "n_range: 5", "n_range"),
+    ("run", 'duration_s: "1.0"', "duration_s"),
+    ("run", "replications: 1.5", "replications"),
+    ("run", "n_loops: 2.5", "n_loops"),
+    ("run", "seed: 1.5", "seed"),
+    ("run", "protocols: round_robin", "protocols"),
+    ("run", "classes: easy", "classes"),
+    ("run", "protocols: [{name: mef, frame_len: 2.5}]", "frame_len"),
+    # Ages are whole periods: a threshold of 2.5 would run as 3 but be
+    # checked against the closed form at 2.5.
+    ("validate", "protocols: [{name: adra, threshold: 2.5, p: 0.3}]",
+     "threshold"),
+])
+def test_malformed_value_exits_one_naming_its_key(tmp_path, capsys, command,
+                                                  line, key):
+    base = VALIDATE_OK_CFG if command == "validate" else RUN_CFG
+    path = cfg_file(tmp_path, with_line(base, line))
+    rc = main([command, "--config", path, "--out", str(tmp_path / "res")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} must" in err
+    assert not os.path.exists(tmp_path / "res")
+
+
 @pytest.mark.parametrize("command, scenario", [
     ("run", "sweep"), ("sweep", "single"), ("validate", "single"),
     ("pendulum", "validate")])

@@ -1,14 +1,17 @@
-"""Plant stepping, remote estimation, and controller synthesis."""
+"""Plant models and controller synthesis, and the loop model as the
+engine runs it: the plant step, the controller's replay of a stale sample,
+the control law and the stage cost of :class:`ncsim.engine._Plants`."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_discrete_are
 
-from ncsim.errors import ConfigurationError, SynthesisError
-from ncsim.systems import (LtiSystem, PendulumParams, control_input,
-                           dare_residual, discretize_zoh, estimate_state,
-                           lqg_stage_cost, make_preset, pendulum_continuous,
-                           solve_dare, step_plant)
+from ncsim.engine import SimConfig, _Plants, run
+from ncsim.errors import ConfigurationError
+from ncsim.mac import SchedulerPolicy
+from ncsim.systems import (PENDULUM_A, PENDULUM_B, PENDULUM_SIGMA, LtiSystem,
+                           PendulumParams, dare_residual, discretize_zoh,
+                           make_preset, pendulum_continuous, solve_dare)
 
 PRESETS = ["easy", "mid", "hard", "pendulum"]
 
@@ -49,56 +52,85 @@ def test_pendulum_params_positive():
         PendulumParams(cart_mass=0.0)
 
 
-# ---- step_plant ----------------------------------------------------------
+def one_loop(sys, steps=3):
+    """A one-row stack of ``sys`` without process noise."""
+    plants = _Plants([sys], np.zeros(1, np.int64), steps, seed=0)
+    plants.noise[:] = 0.0
+    return plants
+
+
+def col(v):
+    """A one-row stack of the column ``v``."""
+    return np.reshape(np.asarray(v, float), (1, -1, 1))
+
+
+def rollout(sys, x, inputs):
+    """x carried through noiseless plant steps A x + B u, on 1-D arrays."""
+    for u in inputs:
+        x = sys.A @ x + sys.B @ u
+    return x
+
+
+def replay(sys, x, inputs):
+    """The engine's estimate ``len(inputs)`` steps after the sample x."""
+    plants = one_loop(sys, steps=len(inputs))
+    plants.X[0] = col(x)
+    plants.U[:len(inputs)] = np.reshape(inputs, (len(inputs), 1, sys.m, 1))
+    return plants.replay(0, 0, len(inputs))[:, 0]
+
+
+def control(sys, xhat):
+    plants = one_loop(sys)
+    return plants.control(col(xhat), np.empty((1, sys.m, 1)))[0, :, 0]
+
+
+def stage_cost(sys, x, u):
+    return float(one_loop(sys).cost(col(x), col(u))[0, 0, 0])
+
+
+# ---- the plant step: _Plants.tick -----------------------------------------
 
 def test_step_plant_cancellation():
-    sys = scalar_sys(1.0)
-    assert step_plant(sys, [2.0], [-2.0], [0.0]) == pytest.approx([0.0])
+    # Gain 1 at the estimate 2 applies u = -2, which cancels x = 2.
+    plants = one_loop(scalar_sys(1.0, gain=[[1.0]]))
+    plants.X[1], plants.xhat = col([2.0]), col([2.0])
+    plants.tick(1)
+    assert plants.U[1, 0, 0, 0] == -2.0
+    assert plants.X[2, 0, 0, 0] == 0.0
 
 
 def test_step_plant_autonomous_growth():
-    sys = scalar_sys(1.2)
-    assert step_plant(sys, [1.0], [0.0], [0.0]) == pytest.approx([1.2])
+    plants = one_loop(scalar_sys(1.2))
+    plants.X[1] = col([1.0])
+    plants.tick(1)
+    assert plants.X[2, 0, 0, 0] == pytest.approx(1.2)
 
 
 def test_step_plant_equilibrium():
-    sys = make_preset("pendulum")
-    x = step_plant(sys, np.zeros(4), np.zeros(1), np.zeros(4))
-    assert np.all(x == 0.0)
+    plants = one_loop(make_preset("pendulum"))
+    for t in (1, 2, 3):
+        plants.tick(t)
+    assert np.all(plants.X == 0.0) and np.all(plants.U == 0.0)
 
 
-def test_step_plant_dimension_mismatch():
-    with pytest.raises(ConfigurationError):
-        step_plant(scalar_sys(), [1.0, 2.0], [0.0], [0.0])
-
-
-# ---- estimate_state ------------------------------------------------------
+# ---- the controller's estimate: _Plants.replay ----------------------------
 
 def test_estimate_single_addend():
-    assert estimate_state(scalar_sys(1.0), [3.0], [[1.0]]) == pytest.approx([4.0])
+    assert replay(scalar_sys(1.0), [3.0], [[1.0]]) == pytest.approx([4.0])
 
 
 def test_estimate_two_steps_autonomous():
-    got = estimate_state(scalar_sys(1.2), [1.0], [[0.0], [0.0]])
+    got = replay(scalar_sys(1.2), [1.0], [[0.0], [0.0]])
     assert got == pytest.approx([1.44])
 
 
-def test_estimate_requires_history():
-    with pytest.raises(ConfigurationError):
-        estimate_state(scalar_sys(), [1.0], [])
-
-
 def test_estimate_matches_noiseless_rollout():
-    # Oracle: apply the plant map three times with zero noise.
     sys = make_preset("pendulum")
     rng = np.random.default_rng(1)
     x = rng.normal(size=4)
     us = [rng.normal(size=1) for _ in range(3)]
-    ref = x
-    for u in us:
-        ref = step_plant(sys, ref, u, np.zeros(4))
-    got = estimate_state(sys, x, us)
-    np.testing.assert_allclose(got, ref, rtol=1e-12)
+    np.testing.assert_allclose(replay(sys, x, us), rollout(sys, x, us),
+                               rtol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -110,10 +142,7 @@ def test_noiseless_roundtrip_property(k, cls, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=sys.n)
     us = [rng.normal(size=sys.m) for _ in range(k)]
-    ref = x
-    for u in us:
-        ref = step_plant(sys, ref, u, np.zeros(sys.n))
-    np.testing.assert_allclose(estimate_state(sys, x, us), ref,
+    np.testing.assert_allclose(replay(sys, x, us), rollout(sys, x, us),
                                rtol=1e-9, atol=1e-12)
 
 
@@ -135,35 +164,52 @@ def test_estimator_error_is_zero_mean():
         assert np.all(np.abs(mean) <= 4 * np.maximum(se, 1e-300))
 
 
-# ---- control_input / lqg_stage_cost --------------------------------------
+# ---- _Plants.control / _Plants.cost -----------------------------------------
 
 def test_control_zero_estimate():
     sys = scalar_sys(gain=[[0.9]])
-    assert control_input(sys, [0.0]) == pytest.approx([0.0])
+    assert control(sys, [0.0]) == pytest.approx([0.0])
 
 
 def test_control_scalar_product():
     sys = scalar_sys(gain=[[0.9]])
-    assert control_input(sys, [2.0]) == pytest.approx([-1.8])
-
-
-def test_control_requires_gain():
-    with pytest.raises(SynthesisError):
-        control_input(scalar_sys(), [1.0])
+    assert control(sys, [2.0]) == pytest.approx([-1.8])
 
 
 def test_control_unit_cart_offset():
     sys = make_preset("pendulum")
-    got = control_input(sys, np.eye(4)[0])
+    got = control(sys, np.eye(4)[0])
     np.testing.assert_allclose(got, -sys.gain[:, 0])
+
+
+def test_control_of_gainless_loops():
+    """A gainless loop runs open loop.  Beside a gained pendulum in its
+    stack, a gainless one applies u = 0, also to an infinite estimate; a
+    one-state loop computes (-0) x-hat, which is -0 for a finite estimate
+    and nan for an infinite one (the diverging golden cases rely on it).
+    Runs ignore invalid operations, and so does this test."""
+    gained = make_preset("pendulum")
+    free = LtiSystem(A=PENDULUM_A, B=PENDULUM_B, noise_cov=PENDULUM_SIGMA,
+                     Q=np.eye(4), R=[[1.0]])
+    plants = _Plants([gained, free], np.arange(2), 1, seed=0)
+    xhat = np.stack([np.eye(4)[:, :1], np.full((4, 1), np.inf)])
+    with np.errstate(invalid="ignore"):
+        u = plants.control(xhat, np.empty((2, 1, 1)))
+        scalar_inf = control(scalar_sys(1.2), [np.inf])
+    np.testing.assert_array_equal(u[:, :, 0], [-gained.gain[:, 0], [0.0]])
+    assert np.isnan(scalar_inf).all()
+    u = control(scalar_sys(1.2), [2.0])
+    assert u[0] == 0.0 and np.signbit(u[0])
 
 
 def test_stage_cost_examples():
     sys = scalar_sys()
-    assert lqg_stage_cost(sys, [2.0], [1.0]) == pytest.approx(401.0)
-    assert lqg_stage_cost(sys, [0.0], [0.0]) == 0.0
+    assert stage_cost(sys, [2.0], [1.0]) == pytest.approx(401.0)
+    assert stage_cost(sys, [0.0], [0.0]) == 0.0
     ip = make_preset("pendulum")
-    assert lqg_stage_cost(ip, [0.1, 0.0, 0.05, 0.0], [0.0]) == pytest.approx(50.25)
+    assert stage_cost(ip, [0.1, 0.0, 0.05, 0.0], [0.0]) == pytest.approx(50.25)
+    # R = 1 adds u'Ru = 4.
+    assert stage_cost(ip, [0.1, 0.0, 0.05, 0.0], [2.0]) == pytest.approx(54.25)
 
 
 # ---- solve_dare ----------------------------------------------------------
@@ -249,19 +295,12 @@ def test_preset_unknown_class():
 
 @pytest.mark.parametrize("cls", PRESETS)
 def test_ideal_channel_cost_bounded(cls):
-    """With one-period-old information the closed loop never diverges."""
-    sys = make_preset(cls)
-    rng = np.random.default_rng(3)
-    x = np.zeros(sys.n)
-    prev_x, prev_u = x.copy(), np.zeros(sys.m)
-    total = 0.0
-    for t in range(2000):
-        xhat = estimate_state(sys, prev_x, [prev_u]) if t else x
-        u = control_input(sys, xhat)
-        total += lqg_stage_cost(sys, x, u)
-        prev_x = x
-        w = rng.normal(size=sys.n) * sys.noise_std
-        x = step_plant(sys, x, u, w)
-        prev_u = u
-        assert np.max(np.abs(x)) < 1e12
-    assert np.isfinite(total / 2000)
+    """With one-period-old information the closed loop never diverges: a
+    lone loop under round-robin on the ideal channel is served every
+    slot."""
+    res = run(SimConfig(systems=[make_preset(cls)],
+                        policy=SchedulerPolicy("round_robin"),
+                        duration_s=20.0, seed=3))
+    network = res["metrics"]["network"]
+    assert not network["any_diverged"]
+    assert np.isfinite(network["lqg_mean"])
