@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_real
 
 __all__ = ["ChannelConfig", "BlockStreams", "resolve_slot",
            "resolve_pointtopoint"]
@@ -35,6 +35,11 @@ class ChannelConfig:
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"channel mode must be one of {MODES}, got {self.mode!r}")
+        for key in ("erasure_prob", "tx_duration", "slot_duration",
+                    "capture_prob"):
+            if not is_real(getattr(self, key)):
+                raise ConfigurationError(
+                    f"{key} must be a number, got {getattr(self, key)!r}")
         if not 0.0 <= self.erasure_prob < 1.0:
             raise ConfigurationError("erasure_prob must be in [0, 1)")
         if not 0.0 <= self.capture_prob <= 1.0:

@@ -22,8 +22,15 @@ arithmetic, so results do not depend on how loops are grouped.  A
 delivery brings its loop's estimate up to the current step at once.
 States, inputs and ages are kept for every step; when the run ends, the
 window's ages, errors and costs are summed in step order, a block of steps
-at a time, and handed to the metrics.  Random draws come from one
-stream per loop and purpose; the contention streams are read through
+at a time, and handed to the metrics.
+
+Random draws come from one stream per loop and purpose (noise, access,
+channel; the shared channel stream is loop id 0's), the stream
+``np.random.default_rng((seed, loop id, purpose))`` gives.  A run does not
+build a SeedSequence per stream: it computes the state words of every key
+in one pass of numpy's SeedSequence hash over arrays of loop ids
+(:func:`_seed_words`) and starts each stream's PCG64 from its row, so
+every draw keeps its bits.  The contention streams are read through
 buffers drawn a block at a time, which gives the same values.
 
 :func:`run_replication_sets` is the one path that runs replications:
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
@@ -83,6 +91,10 @@ class SimConfig:
     def __post_init__(self):
         if not self.systems:
             raise ConfigurationError("need at least one loop")
+        for key in ("warmup_s", "cooldown_s"):
+            if getattr(self, key) < 0:
+                raise ConfigurationError(
+                    f"{key} must be non-negative, got {getattr(self, key)!r}")
         if self.duration_s <= self.warmup_s + self.cooldown_s:
             raise ConfigurationError(
                 "duration must exceed warmup plus cooldown")
@@ -134,49 +146,166 @@ def systems_from_classes(n_loops: int, pattern=("easy", "mid", "hard")):
     return [_PRESET_CACHE[c] for c in labels]
 
 
-def _stream(seed: int, i: int, purpose: int) -> np.random.Generator:
-    """Loop i's random stream for one purpose: what ``default_rng`` builds
-    from the same SeedSequence, without its per-call overhead."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((seed, i, purpose))))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4.
+# hashmix call k xors its word with h_k = INIT * MULT**k, multiplies it by
+# h_(k+1), mod 2**32, and xors it with itself shifted right by 16; the
+# pool uses the A pair, the output words the B pair.
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+_SHIFT = np.uint32(16)
+
+
+def _hashmix_constants(init: int, mult: int, calls) -> tuple:
+    """The xor and multiplier columns of the listed hashmix calls."""
+    h = lambda k: init * pow(mult, k, 1 << 32) % (1 << 32)
+    return (np.array([h(k) for k in calls], np.uint32)[:, None],
+            np.array([h(k + 1) for k in calls], np.uint32)[:, None])
+
+
+# Calls 0-3 fill the pool.  Calls 4 + 3s.. mix source word s into the other
+# three in index order; _seed_words updates them in the order s+1, s+2,
+# s+3 (mod 4), so each step's columns follow that order.
+_FILL = _hashmix_constants(_INIT_A, _MULT_A, range(4))
+_SPREAD = [_hashmix_constants(
+    _INIT_A, _MULT_A, [4 + 3 * s + d - (d > s)
+                       for d in ((s + 1) % 4, (s + 2) % 4, (s + 3) % 4)])
+           for s in range(4)]
+_OUTPUT = tuple(c.reshape(2, 4, 1)
+                for c in _hashmix_constants(_INIT_B, _MULT_B, range(8)))
+_PURPOSES = np.array([[_RNG_NOISE], [_RNG_ACCESS], [_RNG_CHANNEL]], np.uint32)
+
+
+def _hashmix(v, xor, mul):
+    v = v ^ xor
+    v *= mul
+    v ^= v >> _SHIFT
+    return v
+
+
+def _mix_into(x, y):
+    """x = mix(x, y) = (L x - R y) xor-shifted, in place."""
+    r = x * _MIX_L
+    y *= _MIX_R
+    r -= y
+    np.bitwise_xor(r, r >> _SHIFT, out=x)
+
+
+def _seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
+    """``words[purpose, j]`` is
+    ``np.random.SeedSequence((seed, ids[j], purpose)).generate_state(4,
+    np.uint64)`` for each purpose 0-2 and id (each below 2**32).
+
+    numpy's hash, computed for every row at once on uint32 arrays.  The
+    entropy is the seed's 32-bit words, low first, then the id and the
+    purpose; a seed of 2**64 or more makes it longer than the pool, and
+    its extra words are mixed into every pool word after the pool's own
+    mixing.
+    """
+    key = []
+    while True:
+        key.append(seed % (1 << 32))
+        seed >>= 32
+        if not seed:
+            break
+    n = len(key)
+    entropy = np.zeros((max(n + 2, 4), 3, len(ids)), np.uint32)
+    entropy[:n] = np.array(key, np.uint32)[:, None, None]
+    entropy[n] = ids
+    entropy[n + 1] = _PURPOSES
+    entropy = entropy.reshape(len(entropy), -1)
+    # Pool word d lives at b[d] until step d - 1 has mixed it, then at
+    # b[d + 4]: step s mixes b[s] into b[s + 1:s + 4], and b[4:] ends as
+    # the pool.
+    b = np.empty((8, entropy.shape[1]), np.uint32)
+    b[:4] = _hashmix(entropy[:4], *_FILL)
+    b[4] = b[0]
+    for s in range(4):
+        if s > 1:
+            b[s + 3] = b[s - 1]
+        _mix_into(b[s + 1:s + 4], _hashmix(b[s], *_SPREAD[s]))
+    b[7] = b[3]
+    for j in range(4, len(entropy)):
+        _mix_into(b[4:], _hashmix(entropy[j], *_hashmix_constants(
+            _INIT_A, _MULT_A, range(4 * j, 4 * j + 4))))
+    # The eight output words cycle through the pool twice; read as
+    # little-endian pairs, they are the four 64-bit words.
+    out = _hashmix(b[4:], *_OUTPUT).reshape(8, -1)
+    out = np.ascontiguousarray(out.T).astype("<u4", copy=False)
+    return out.view("<u8").astype(np.uint64, copy=False).reshape(
+        3, len(ids), 4)
+
+
+@functools.cache
+def _seed_state() -> type:
+    """The seed-sequence type that hands out a state computed beforehand:
+    one row of :func:`_seed_words`, the four 64-bit words PCG64 asks for.
+
+    Defined on first use: subclassing numpy's ISeedSequence imports
+    numpy.random (about 0.2 s), which ``import ncsim`` does not load.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("holds exactly four 64-bit words")
+            return self.words
+
+    return SeedState
+
+
+def _stream(words: np.ndarray) -> np.random.Generator:
+    """The stream ``default_rng((seed, i, purpose))`` builds, from that
+    key's row of :func:`_seed_words`."""
+    return np.random.Generator(np.random.PCG64(_seed_state()(words)))
 
 
 class _Plants:
     """Loops of one state size n and input size m, stepped as stacks.
 
-    Row j is loop ``loops[j]``.  States and inputs are stacks of columns,
-    shape (k, n, 1) and (k, m, 1), kept for the whole run: ``X[t]`` is
-    x[t], ``U[t]`` the input applied at step t and ``noise[t]`` the process
-    noise added after it, drawn from each loop's own stream.  ``xhat`` is
+    Row j is loop ``loops[j]``, whose system is ``plants[plant[j]]``.
+    States and inputs are stacks of columns, shape (k, n, 1) and (k, m, 1),
+    kept for the whole run: ``X[t]`` is x[t], ``U[t]`` the input applied at
+    step t and ``noise[t]`` the process noise added after it, drawn from
+    the row's own stream, seeded by its row of ``words``.  ``xhat`` is
     the estimate of the last tick.  Every product is computed per row
     exactly as for a single loop; one-state one-input loops use elementwise
     products, which give the bits of 1x1 matrix products at a fraction of
     their cost.
     """
 
-    def __init__(self, systems, loops: np.ndarray, steps: int, seed: int):
-        k, n, m = len(systems), systems[0].n, systems[0].m
+    def __init__(self, plants, plant: np.ndarray, loops: np.ndarray,
+                 steps: int, words: np.ndarray):
+        k, n, m = len(loops), plants[0].n, plants[0].m
         self.loops = loops
         self.X = np.zeros((steps + 2, k, n, 1))
         self.U = np.zeros((steps + 1, k, m, 1))
+        # Per-plant parameters, gathered by each row's plant index.
+        stack = lambda entry: np.array([entry(s) for s in plants],
+                                       float)[plant]
         self.noise = np.empty((steps + 1, k, n, 1))
-        for j, (i, sys) in enumerate(zip(loops.tolist(), systems)):
-            self.noise[:, j, :, 0] = _stream(seed, i + 1, _RNG_NOISE).normal(
-                size=(steps + 1, n)) * sys.noise_std
+        for j, row in enumerate(words):
+            self.noise[:, j, :, 0] = _stream(row).normal(size=(steps + 1, n))
+        self.noise[..., 0] *= stack(lambda s: s.noise_std)
         self.xhat = np.zeros((k, n, 1))
-        stack = lambda entry: np.array([entry(s) for s in systems], float)
         self.A, self.B = stack(lambda s: s.A), stack(lambda s: s.B)
         self.Q, self.R = stack(lambda s: s.Q), stack(lambda s: s.R)
         self.K = stack(lambda s: np.zeros((m, n)) if s.gain is None
                        else s.gain)
         self.scalar = n == m == 1
         self.mul = np.multiply if self.scalar else np.matmul
+        self.free = None
         if self.scalar:
             self.K = -self.K               # u = (-g) x, as for one loop
-        # Gainless loops with more states apply u = 0, not -(0 x), which
-        # is nan for an infinite estimate.
-        free = np.flatnonzero([s.gain is None for s in systems])
-        self.free = free if len(free) and not self.scalar else None
+        else:
+            # Gainless loops with more states apply u = 0, not -(0 x),
+            # which is nan for an infinite estimate.
+            free = np.flatnonzero(stack(lambda s: s.gain is None))
+            self.free = free if len(free) else None
         self.bu = self.Bu(self.U[0])       # B u of the last tick
 
     def Ax(self, x, rows=slice(None)):
@@ -220,17 +349,18 @@ class _Plants:
 
 
 class _ChannelStreams(dict):
-    """Loop index -> that loop's channel stream, built on its first draw;
-    most loops of a short large-N scheduled run never draw.  A stream
-    depends only on its SeedSequence, so building it late changes no draw.
+    """Loop index -> that loop's channel stream, built on its first draw
+    from the seed words of loop id k + 1, ``words[k + 1]``; most loops of a
+    short large-N scheduled run never draw.  A stream depends only on its
+    seed words, so building it late changes no draw.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, words: np.ndarray):
         super().__init__()
-        self.seed = seed
+        self.words = words
 
     def __missing__(self, k: int) -> np.random.Generator:
-        rng = self[k] = _stream(self.seed, k + 1, _RNG_CHANNEL)
+        rng = self[k] = _stream(self.words[k + 1])
         return rng
 
 
@@ -257,23 +387,30 @@ class _Run:
         self.gateway = Gateway(cfg.systems)
         self.nu = np.zeros(N, np.int64)
         self.ages = np.zeros((self.steps + 1, N), np.int64)
+        # words[purpose, i]: the seed words of loop id i's stream.
+        words = _seed_words(cfg.seed, np.arange(N + 1))
+        table = self.gateway.table
+        sizes = [(sys.n, sys.m) for sys in table.plants]
         self.groups, self.at = [], [None] * N
-        dims = {}
-        for k, sys in enumerate(cfg.systems):
-            dims.setdefault((sys.n, sys.m), []).append(k)
-        for ks in dims.values():
-            group = _Plants([cfg.systems[k] for k in ks], np.array(ks),
-                            self.steps, cfg.seed)
+        for size in dict.fromkeys(sizes):
+            # The group's plants, and each loop's plant index among them
+            # (-1 for loops of another size).
+            ps = [p for p, other in enumerate(sizes) if other == size]
+            plant = np.array([ps.index(p) if p in ps else -1
+                              for p in range(len(sizes))])[table.plant]
+            ks = (plant >= 0).nonzero()[0]
+            group = _Plants([table.plants[p] for p in ps], plant[ks], ks,
+                            self.steps, words[_RNG_NOISE, ks + 1])
             self.groups.append(group)
-            for j, k in enumerate(ks):
+            for j, k in enumerate(ks.tolist()):
                 self.at[k] = (group, j)
-        self.rng_channel = _ChannelStreams(cfg.seed)
+        self.rng_channel = _ChannelStreams(words[_RNG_CHANNEL])
         self.access = self.offsets = self.rng_shared = None
         if self.policy.is_contention:
             # Capture and erasure coins of every slot.
-            self.rng_shared = _stream(cfg.seed, 0, _RNG_CHANNEL)
-            streams = lambda purpose: [_stream(cfg.seed, i, purpose)
-                                       for i in range(1, N + 1)]
+            self.rng_shared = _stream(words[_RNG_CHANNEL, 0])
+            streams = lambda purpose: [_stream(row)
+                                       for row in words[purpose, 1:]]
             if self.policy.variant in ("slotted_aloha", "adra"):
                 self.access = BlockStreams(
                     streams(_RNG_ACCESS), lambda rng, size: rng.random(size))

@@ -162,6 +162,9 @@ class SchedulerPolicy:
         if not (is_integer(self.frame_len) and self.frame_len >= 1):
             raise ConfigurationError(
                 f"frame_len must be an integer >= 1, got {self.frame_len!r}")
+        if not isinstance(self.use_nmse, (bool, np.bool_)):
+            raise ConfigurationError(
+                f"use_nmse must be true or false, got {self.use_nmse!r}")
 
     @property
     def is_contention(self):

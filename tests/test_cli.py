@@ -124,6 +124,11 @@ def with_line(text, line):
     # checked against the closed form at 2.5.
     ("validate", "protocols: [{name: adra, threshold: 2.5, p: 0.3}]",
      "threshold"),
+    ("run", "warmup_s: -0.5", "warmup_s"),
+    ("run", "cooldown_s: -0.5", "cooldown_s"),
+    ("run", 'channel: {erasure_prob: "0.1"}', "erasure_prob"),
+    ("run", "channel: {mode: [strict_collision]}", "mode"),
+    ("run", 'protocols: [{name: mef, use_nmse: "no"}]', "use_nmse"),
 ])
 def test_malformed_value_exits_one_naming_its_key(tmp_path, capsys, command,
                                                   line, key):
@@ -339,8 +344,9 @@ def test_worker_invariant_violation_reaches_caller(tmp_path, monkeypatch,
     assert capsys.readouterr().err.startswith("error: rx > tx in seed")
 
 
-def scipy_modules_after(code):
-    """The scipy modules loaded in a fresh interpreter that ran ``code``."""
+def modules_after(code, package="scipy"):
+    """The modules of ``package`` loaded in a fresh interpreter that ran
+    ``code``."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
@@ -348,15 +354,17 @@ def scipy_modules_after(code):
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys; print(sorted("
-         "m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+         f"m for m in sys.modules if (m + '.').startswith({package!r} + '.')"
+         "))"],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     return proc.stdout.strip().splitlines()[-1]
 
 
 def test_import_loads_no_scipy():
     """scipy is imported by the functions that use it, so starting the
-    CLI does not pay for it."""
-    assert scipy_modules_after("import ncsim") == "[]"
+    CLI does not pay for it; numpy.random is loaded by the first run."""
+    assert modules_after("import ncsim") == "[]"
+    assert modules_after("import ncsim", "numpy.random") == "[]"
 
 
 def test_pendulum_loads_no_scipy(tmp_path):
@@ -364,7 +372,7 @@ def test_pendulum_loads_no_scipy(tmp_path):
     scipy."""
     path = cfg_file(tmp_path, JOBS_CFGS["pendulum"])
     out = str(tmp_path / "res")
-    assert scipy_modules_after(
+    assert modules_after(
         "from ncsim.cli import main\n"
         f"assert main(['pendulum', '--config', {path!r}, '--out', {out!r}])"
         " == 0") == "[]"

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 import ncsim.engine
 import ncsim.mac
 from ncsim.channel import ChannelConfig
-from ncsim.engine import (SimConfig, _Run, run, run_replications,
-                          summarize_replications, systems_from_classes)
+from ncsim.engine import (SimConfig, _Run, _seed_words, _stream, run,
+                          run_replications, summarize_replications,
+                          systems_from_classes)
 from ncsim.errors import ConfigurationError
 from ncsim.mac import SchedulerPolicy
 from ncsim.metrics import mse_of_age, nmse_of_age
@@ -43,6 +44,12 @@ def test_config_validation():
         SimConfig(systems=systems,
                   policy=SchedulerPolicy("round_robin"),
                   duration_s=5.0, warmup_s=3.0, cooldown_s=3.0)
+    # A negative trim would start the window before step 1, or end it
+    # after the last step.
+    for trim in ("warmup_s", "cooldown_s"):
+        with pytest.raises(ConfigurationError, match=f"{trim} must"):
+            SimConfig(systems=systems, policy=SchedulerPolicy("round_robin"),
+                      duration_s=2.0, **{trim: -0.5})
     with pytest.raises(ConfigurationError):
         run(cfg_for(2, "adra"))   # no tuned default pair below N=3
     # A 0.4 us transmission rounds to 0 us on the clock: a poll, its
@@ -494,6 +501,70 @@ def test_equal_plant_copies_match_shared_presets(n, pattern, variant):
         for key in ("aoi", "state"):
             np.testing.assert_array_equal(a["series"][i][key],
                                           b["series"][i][key])
+
+
+# ---- random streams: seed words for every loop at once --------------------
+
+# Seeds whose entropy takes one to five 32-bit words: the pool holds four,
+# so from 2**64 on the extra words are mixed in after the pool's own mixing.
+SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
+                                   2**96, 2**130]),
+                  st.integers(0, 2**130))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, ids=st.lists(st.integers(0, 10**4), max_size=6))
+def test_seed_words_match_seed_sequence(seed, ids):
+    """Row for row, the array hash gives SeedSequence's state words."""
+    ids = [0, *ids, 10**4]
+    words = _seed_words(seed, np.array(ids))
+    assert words.shape == (3, len(ids), 4) and words.dtype == np.uint64
+    for purpose in range(3):
+        for j, i in enumerate(ids):
+            ref = np.random.SeedSequence((seed, i, purpose)).generate_state(
+                4, np.uint64)
+            assert words[purpose, j].tolist() == ref.tolist()
+
+
+@pytest.mark.parametrize("seed, i, purpose", [
+    (0, 0, 2), (7, 1, 0), (2**32 - 1, 15, 1), (2**64 + 3, 10**4, 2)])
+def test_streams_draw_as_default_rng(seed, i, purpose):
+    """A stream built from its seed words draws what ``default_rng`` of the
+    same key draws."""
+    rng = _stream(_seed_words(seed, np.array([i]))[purpose, 0])
+    ref = np.random.default_rng((seed, i, purpose))
+    for draw in (lambda g: g.normal(size=50), lambda g: g.random(50),
+                 lambda g: g.uniform(0.0, 0.007, 50)):
+        assert draw(rng).tolist() == draw(ref).tolist()
+
+
+@pytest.mark.parametrize("variant", ["pmef", "slotted_aloha", "aloha"])
+def test_runs_seed_no_stream_one_by_one(variant, monkeypatch):
+    """A run builds no SeedSequence and calls no ``default_rng``: every
+    PCG64 starts from seed words computed for all loops at once."""
+    seeded, rngs, pcgs = [], [], []
+
+    class CountedSeed(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            seeded.append(args)
+            super().__init__(*args, **kwargs)
+
+    class CountedPcg(np.random.PCG64):
+        def __init__(self, seed=None):
+            pcgs.append(type(seed))
+            super().__init__(seed)
+
+    def counted_rng(*args):
+        rngs.append(args)
+        return np.random.Generator(np.random.PCG64(*args))
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountedSeed)
+    monkeypatch.setattr(np.random, "PCG64", CountedPcg)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    run(cfg_for(50, variant, channel=ChannelConfig(
+        mode="offset_capture", erasure_prob=0.01), duration=1.0, trim=0.2))
+    assert seeded == [] and rngs == []
+    assert len(pcgs) >= 50 and set(pcgs) == {ncsim.engine._seed_state()}
 
 
 def test_replications_deterministic_metric_gives_zero_width():

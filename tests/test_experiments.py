@@ -157,6 +157,20 @@ def test_parse_rejects_bad_values(tmp_path):
     path = write_config(tmp_path, "- just\n- a list\n")
     with pytest.raises(ConfigurationError, match="mapping"):
         parse_config(path)
+    # YAML values of the wrong type are rejected where they enter.
+    for text, key in [
+            ('channel: {erasure_prob: "0.1"}', "erasure_prob"),
+            ("channel: {tx_duration: [0.003]}", "tx_duration"),
+            ("channel: {slot_duration: null}", "slot_duration"),
+            ("channel: {capture_prob: true}", "capture_prob"),
+            ("channel: {mode: 3}", "mode"),
+            ('protocols: [{name: mef, use_nmse: "no"}]', "use_nmse"),
+            ("protocols: [{name: pmef, use_nmse: 1}]", "use_nmse")]:
+        if not text.startswith("protocols"):
+            text = "protocols: [round_robin]\n" + text
+        path = write_config(tmp_path, f"scenario: single\n{text}\n")
+        with pytest.raises(ConfigurationError, match=f"{key} must"):
+            parse_config(path)
 
 
 def test_class_pattern_cycles_over_loops():
