@@ -9,8 +9,6 @@ output, and the wall time of each tuning.
 import argparse
 import time
 
-import scipy.optimize  # noqa: F401  (loaded here, so no tuning's time includes it)
-
 from ncsim.aoi import adra_mean_aoi, optimize_adra
 
 

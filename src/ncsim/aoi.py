@@ -209,6 +209,87 @@ def _coarse_argmin(N: int, delta: int, feasible: list[float]) -> float:
                key=lambda p: adra_mean_aoi(N, delta, p))
 
 
+# Absolute tolerance on p of the bounded search, and its cap on
+# evaluations of the objective.
+_XATOL = 1e-6
+_MAX_EVALS = 500
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _bounded_min(f, a: float, b: float) -> tuple[float, float]:
+    """``(x, f(x))`` at the minimum of ``f`` over [a, b] by Brent's bounded
+    search: golden-section steps, with parabolic steps where they are
+    acceptable.
+
+    A port of scipy's ``minimize_scalar(f, bounds=(a, b),
+    method="bounded", options={"xatol": _XATOL})`` (scipy 1.17.1,
+    ``_minimize_scalar_bounded``), with the same operations in the same
+    order, so it returns the same bits.
+    """
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if (abs(p) < abs(0.5 * q * r) and p > q * (a - xf)
+                    and p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                # Too close to a bound: step tol1 towards the middle.
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (1.0 if xm - xf >= 0 else -1.0)
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALS:
+            break
+    return xf, fx
+
+
 _DELTA_MAX = 60     # largest threshold optimize_adra scans
 
 
@@ -219,12 +300,12 @@ def optimize_adra(N: int) -> tuple[int, float]:
     access, whose optimum (0, 1/N) is the starting best.  Scans the integer
     thresholds 2.._DELTA_MAX; per threshold, brackets the feasible access
     probabilities (see :func:`adra_model_valid`) on a coarse grid and
-    polishes with a bounded scalar search.  Where no threshold beats
-    slotted access, as at N = 20..160, 200, 1000 and 10000, it returns
-    (0, 1/N).
+    polishes with a bounded scalar search (:func:`_bounded_min`).  For
+    N >= 20 no threshold in 2.._DELTA_MAX is feasible (the smallest
+    cold-start drain over the grid is already 59.8 slots at N = 20), so
+    the search never runs, and no threshold beats slotted access: it
+    returns (0, 1/N).
     """
-    from scipy.optimize import minimize_scalar
-
     if N < 3:
         raise ConfigurationError("optimization defined for N >= 3")
     p_grid = [i / 500 for i in range(1, 500)]
@@ -238,10 +319,8 @@ def optimize_adra(N: int) -> tuple[int, float]:
         coarse = _coarse_argmin(N, delta, feasible)
         lo = max(min(feasible), coarse - 0.01)
         hi = min(max(feasible), coarse + 0.01)
-        res = minimize_scalar(
-            lambda p: adra_mean_aoi(N, delta, p),
-            bounds=(lo, hi), method="bounded", options={"xatol": 1e-6})
-        val, p_opt = float(res.fun), float(res.x)
+        p_opt, val = _bounded_min(lambda p: adra_mean_aoi(N, delta, p),
+                                  lo, hi)
         if not adra_model_valid(N, delta, p_opt):
             val, p_opt = adra_mean_aoi(N, delta, coarse), coarse
         if val < best[0]:

@@ -121,16 +121,29 @@ def test_optimize_adra_matches_grid_oracle():
         assert returned <= best * 1.01
 
 
-# (threshold, p.hex()) as returned before the scan was vectorized; the
-# tuning must keep returning these exact bits.
+# (threshold, p.hex()) as returned by the tuning with scipy's
+# minimize_scalar as its bounded search (N = 3..7, 10, 15, 30, 60 and 100
+# also before the scan was vectorized); the tuning must keep returning
+# these exact bits.  N = 3..19 are the only N where the bounded search
+# runs: from N = 20 no threshold is feasible.
 ADRA_PAIRS = {
     3: (6, "0x1.18935e8ddf0aep-1"),
     4: (9, "0x1.d9165acdeb241p-2"),
     5: (12, "0x1.9168465309dc6p-2"),
     6: (15, "0x1.5a1c7fab1a3ebp-2"),
     7: (18, "0x1.2d0e29a701ab3p-2"),
+    8: (21, "0x1.0830fa8c61eccp-2"),
+    9: (24, "0x1.d2f15141b99c0p-3"),
     10: (27, "0x1.9db1d45428339p-3"),
+    11: (31, "0x1.9580ad6aaf5e9p-3"),
+    12: (34, "0x1.6c8aeadb53359p-3"),
+    13: (37, "0x1.47adbbc0b3772p-3"),
+    14: (41, "0x1.3f7c94d73aa22p-3"),
     15: (44, "0x1.22d08ca613b8ap-3"),
+    16: (48, "0x1.1a9f65bc9ae3bp-3"),
+    17: (51, "0x1.020bf1003064bp-3"),
+    18: (55, "0x1.fbe6bb16e7f46p-4"),
+    19: (59, "0x1.eb846d43f64a6p-4"),
     30: (0, "0x1.1111111111111p-5"),
     60: (0, "0x1.1111111111111p-6"),
     100: (0, "0x1.47ae147ae147bp-7"),
@@ -194,6 +207,96 @@ def test_coarse_pick_is_scalar_where_array_order_differs(monkeypatch):
     assert skewed.argmin() != best
     monkeypatch.setattr(aoi, "_adra_mean_aoi_grid", lambda *args: skewed)
     assert aoi._coarse_argmin(N, delta, P_GRID) == P_GRID[best]
+
+
+def scipy_bounded(f, lo, hi):
+    """``(x, f(x)).hex()`` of scipy's bounded search, as optimize_adra ran
+    it before the port."""
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-6})
+    return float(res.x).hex(), float(res.fun).hex()
+
+
+def port_bounded(f, lo, hi):
+    x, fx = aoi._bounded_min(f, lo, hi)
+    return float(x).hex(), float(fx).hex()
+
+
+def test_bounded_min_stops_at_scipys_evaluation_cap():
+    """Over a bracket so wide that golden-section steps need more than
+    500 evaluations to reach xatol, both stop at the same 500th."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1e-200 * x
+
+    assert port_bounded(f, 0.0, 1e150) == scipy_bounded(f, 0.0, 1e150)
+    assert len(calls) == 2 * 500
+
+
+# Objectives on +, -, *, abs, max and floor only, whose values do not
+# depend on whether x arrives as a float or a numpy float64.
+OBJECTIVES = {
+    # Smooth and unimodal; the minimum is at c, or at a bound if c is
+    # outside the bracket.
+    "parabola": lambda c, k: lambda x: k * (x - c) * (x - c) + 1.0,
+    "quartic": lambda c, k: (
+        lambda x: (x - c) * (x - c) * ((x - c) * (x - c) + k) - k * (x - c)),
+    "vee": lambda c, k: lambda x: max(k * (c - x), (x - c) / k),
+    "slope": lambda c, k: lambda x: k * (x - c),
+    # Flat stretches and exact ties.
+    "trough": lambda c, k: lambda x: max(abs(x - c) - 1.0 / k, 0.0),
+    "terraces": lambda c, k: lambda x: math.floor(k * (x - c) * (x - c)),
+    "stairs": lambda c, k: lambda x: math.floor(k * (x - c)),
+    "constant": lambda c, k: lambda x: k,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(sorted(OBJECTIVES)),
+       lo=st.floats(-10.0, 10.0), width=st.floats(0.0, 10.0),
+       at=st.floats(-0.5, 1.5), k=st.floats(0.1, 100.0))
+def test_bounded_min_is_scipys_bit_for_bit(kind, lo, width, at, k):
+    """The port returns scipy's x and f(x) to the bit, for a minimum
+    inside the bracket, at or past either bound, on a plateau or among
+    exact ties."""
+    hi = lo + width
+    f = OBJECTIVES[kind](lo + at * width, k)
+    assert port_bounded(f, lo, hi) == scipy_bounded(f, lo, hi)
+
+
+@pytest.mark.parametrize("kind", sorted(OBJECTIVES))
+@pytest.mark.parametrize("at", [0.0, 1e-7, -0.3, 0.5, 1.3, 1 - 1e-7, 1.0])
+def test_bounded_min_at_and_near_the_bounds(kind, at):
+    """Minima at a bound, past it, or within tol2 of it, where a parabolic
+    step is nudged back towards the middle."""
+    lo, hi = -3.0, 0.25
+    f = OBJECTIVES[kind](lo + at * (hi - lo), 3.0)
+    assert port_bounded(f, lo, hi) == scipy_bounded(f, lo, hi)
+
+
+def feasible_ps(N, delta):
+    drain = [cold_start_drain(N, p) for p in P_GRID]
+    return [p for p, dr in zip(P_GRID, drain) if dr <= delta - 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(3, 19), data=st.data())
+def test_bounded_min_is_scipys_on_adra_brackets(N, data):
+    """On optimize_adra's own objective over a feasible bracket: the
+    bracket it polishes, or any sub-bracket of the feasible range."""
+    delta = data.draw(st.integers(2, 60).filter(
+        lambda d: feasible_ps(N, d)), label="delta")
+    feasible = feasible_ps(N, delta)
+    coarse = aoi._coarse_argmin(N, delta, feasible)
+    lo, hi = data.draw(st.one_of(
+        st.just((max(min(feasible), coarse - 0.01),
+                 min(max(feasible), coarse + 0.01))),
+        st.tuples(st.sampled_from(feasible), st.sampled_from(feasible)).map(
+            sorted)), label="bracket")
+    f = lambda p: adra_mean_aoi(N, delta, p)  # noqa: E731
+    assert port_bounded(f, lo, hi) == scipy_bounded(f, lo, hi)
 
 
 def test_optimize_adra_rejects_small_networks():

@@ -1,4 +1,5 @@
 """Exit codes, flag handling, and file emission of the console entry point."""
+import ast
 import concurrent.futures
 import os
 import subprocess
@@ -365,6 +366,37 @@ def test_import_loads_no_scipy():
     CLI does not pay for it; numpy.random is loaded by the first run."""
     assert modules_after("import ncsim") == "[]"
     assert modules_after("import ncsim", "numpy.random") == "[]"
+
+
+# One replication of a parameter-free adra at N=5, so optimize_adra's
+# bounded search runs (N=5 tunes to threshold 12).
+TUNED_RUN = (
+    "from ncsim.engine import (SimConfig, run_replication_sets,\n"
+    "                          summarize_replications, systems_from_classes)\n"
+    "from ncsim.mac import SchedulerPolicy\n"
+    "cfg = SimConfig(systems=systems_from_classes(5), duration_s=1.0,\n"
+    "                warmup_s=0.2, cooldown_s=0.2,\n"
+    "                policy=SchedulerPolicy('adra'))\n"
+    "[(tuned, results)] = run_replication_sets([cfg], 1)\n"
+    "assert tuned.policy.threshold == 12\n")
+
+
+def test_tuned_single_replication_loads_no_scipy():
+    """The tuning's bounded search is ncsim's own, and one replication has
+    no confidence interval, so neither loads any scipy module."""
+    assert modules_after(
+        TUNED_RUN + "summarize_replications(results)\n") == "[]"
+
+
+def test_tuning_and_interval_load_no_optimize_or_stats():
+    """A half-width needs scipy.special only: neither the tuning nor the
+    Student-t quantile loads scipy.optimize or scipy.stats."""
+    loaded = ast.literal_eval(modules_after(
+        TUNED_RUN + "out = summarize_replications(results * 3)\n"
+        "assert out['summary']['unbounded'] == {}\n"))
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded
+                if m.startswith(("scipy.optimize", "scipy.stats"))]
 
 
 def test_pendulum_loads_no_scipy(tmp_path):

@@ -626,6 +626,18 @@ def test_summary_names_unbounded_half_widths():
     assert bounded["summary"]["unbounded"] == {}
 
 
+def test_half_width_quantile_is_student_t_ppf():
+    """summarize_replications takes the 99% Student-t quantile from
+    scipy.special.stdtrit, which equals scipy.stats.t.ppf bit for bit for
+    every df up to 2000; a scipy that breaks this would move every
+    reported half-width."""
+    from scipy import stats
+    from scipy.special import stdtrit
+    df = range(1, 2001)
+    assert ([float(stdtrit(d, 0.995)) for d in df]
+            == stats.t.ppf(0.995, np.array(df)).tolist())
+
+
 def test_parallel_jobs_match_serial():
     cfg = cfg_for(3, "slotted_aloha", p=0.3)
     serial = run_replications(cfg, reps=3, jobs=1)
