@@ -1,6 +1,7 @@
 """Exit codes, flag handling, and file emission of the console entry point."""
 import ast
 import concurrent.futures
+import hashlib
 import os
 import subprocess
 import sys
@@ -277,6 +278,72 @@ def _csv_bytes(out):
         with open(os.path.join(out, name), "rb") as fh:
             files[name] = fh.read()
     return files
+
+
+# SHA-256 of every CSV that each JOBS_CFGS command writes, recorded with
+# the csv module's writer: a change to how CSVs are written must keep
+# every byte.
+EMITTED_SHA256 = {
+    "pendulum": {
+        "pendulum_envelopes.csv":
+            "36fac78b5b0d697dd563f0e972eaa2328d34e46e57c52664a38015f610fef487",
+        "pendulum_nmse.csv":
+            "6847edcbc9c26aeb0d6324c788be80fead3c51f498489dfe134a119012ba0191",
+        "pendulum_verdicts.csv":
+            "e618d0b64c62c71ac952b7ba2521be4a1d3c5da601a53244966900c34464433f",
+    },
+    "run": {
+        "aoi_vs_n.csv":
+            "dd013388edb31891733cc14dd58901fd81728d4d4abe4fdf452f257c01a04faa",
+        "fractions.csv":
+            "b42b2c5aa7850799322fe628060c1b58665389c3275e5031da6ed2f90924d267",
+        "lqg_vs_n.csv":
+            "c4b780c6efdb418dd6378520879cdd4ac000b2b7d47d0b5732a25f9cb3f36d10",
+        "mse_vs_n.csv":
+            "1f8da8a2b0f07674d3f93d1d951fc434733a15ba5aeb59f546fcf48f8927b1a2",
+        "nmse_vs_n.csv":
+            "1f8da8a2b0f07674d3f93d1d951fc434733a15ba5aeb59f546fcf48f8927b1a2",
+        "per_run.csv":
+            "0ec1a31b1f5ffd9243978ee8929aa9ad88bf421a40a0fa8f0add0183388790c7",
+        "summary.csv":
+            "f2826040ca9b1afb7a8c9036bbf1ccce8fd64c7c8eb270387e3def7ad91746c9",
+    },
+    "sweep": {
+        "aoi_vs_n.csv":
+            "51db77d77bdee8d52c7c0cbd787968b2af39f6280fba77aa91971c9125686ed9",
+        "fractions.csv":
+            "b986d18f148678317da2d3628ed968c7b7664c9eefe8f521a05f6c6e096d12f2",
+        "lqg_vs_n.csv":
+            "cd5f695ef09e51c5375b9ee8e640583a5c97889ce8fce3cf2f65e45e4e7e85b0",
+        "mse_vs_n.csv":
+            "4f42f5fbde0de9f4d9cc5b580e89567312ac77c4d255e43d473a72681e2bdba6",
+        "nmse_vs_age.csv":
+            "25ab31df6e7a14e4359221a53240607b8d82afe4e3992234a814a0d796cf8769",
+        "nmse_vs_n.csv":
+            "4f42f5fbde0de9f4d9cc5b580e89567312ac77c4d255e43d473a72681e2bdba6",
+        "per_run.csv":
+            "a5dc9fc68ca8a78ec16d7341cc4d659e066befdee6e12a4ad89558aa73a04c7e",
+        "summary.csv":
+            "f4d7017155b44d84c5e28d50cdc5a76afbe1fdd9d34f4505fbf0d17a2735ffb4",
+    },
+    "validate": {
+        "validation.csv":
+            "d9ab74d6d3ba89db59264f08fcb016684d55e2b842677bc87f8c3690be5cb47d",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(JOBS_CFGS))
+def test_commands_write_pinned_bytes(command, tmp_path):
+    """Every file a command writes keeps its recorded bytes, the empty
+    cells of validate's parameter-free round_robin row included."""
+    out = str(tmp_path / "out")
+    rc = main([command, "--config", cfg_file(tmp_path, JOBS_CFGS[command]),
+               "--out", out])
+    assert rc in ((0, 2) if command == "validate" else (0,))
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in _csv_bytes(out).items()} == \
+        EMITTED_SHA256[command]
 
 
 @pytest.mark.parametrize("command", sorted(JOBS_CFGS))

@@ -1,5 +1,6 @@
 """Config parsing, CSV emission, and the theory-validation scenario."""
 import csv
+import hashlib
 import math
 import os
 from dataclasses import fields, replace
@@ -8,6 +9,7 @@ import pytest
 import yaml
 
 import ncsim.engine
+import ncsim.experiments
 from ncsim.channel import ChannelConfig
 from ncsim.errors import ConfigurationError
 from ncsim.experiments import (DEFAULT_COMPARISON_CHANNEL, ExperimentSpec,
@@ -267,3 +269,48 @@ def test_pendulum_window_is_the_engines(duration, cooldown, t_end):
         assert verdict["aoi_window_mean"] == aoi[100:t_end].mean()
         assert verdict["aoi_window_mean"] == \
             run["metrics"]["per_loop"]["aoi_mean"][i - 1]
+
+
+# SHA-256 of every CSV emit_results writes for record_golden.py's
+# diverge-* cases, recorded with the csv module's writer.  Their summary
+# carries inf means and half-widths, and per_run.csv the inf that stands
+# for a nan cost.
+DIVERGE_SHA256 = {
+    "aoi_vs_n.csv":
+        "851ff620660dd199aa761b7884ce332c3731f8c0dd19c2df916dfc993a0fa826",
+    "fractions.csv":
+        "4038b95421a690e5997e578d3eca792bbb87c19df9f0e4300635260c746747c1",
+    "lqg_vs_n.csv":
+        "d0b008930d0525b9bee8ad9b4b066d623a199686b5e313a896c6d37e701ea5c3",
+    "mse_vs_n.csv":
+        "912a178162c54aa481114d1dd963c90411a23d1b2c2238406c3e96abacd7539b",
+    "nmse_vs_n.csv":
+        "912a178162c54aa481114d1dd963c90411a23d1b2c2238406c3e96abacd7539b",
+    "per_run.csv":
+        "ac661f9bce29702b62fd1ca3489d6628e11fda918eb286f5aff45c97c1e072f8",
+    "summary.csv":
+        "db62ecac6b7fcf80e2e4f89e057316c43f988bac3459785155402f646f02743a",
+}
+
+
+def test_diverging_run_single_writes_pinned_bytes(tmp_path, monkeypatch):
+    """run_single over the golden fixture's diverging network, every
+    policy at its fixed parameters, 2 replications: every file keeps its
+    recorded bytes."""
+    from record_golden import CHANNELS, REPS, cases
+    diverging = [cfg for name, cfg in cases() if name.startswith("diverge-")]
+    systems = diverging[0].systems
+    monkeypatch.setattr(ncsim.experiments, "systems_from_classes",
+                        lambda n, classes: systems)
+    spec = tiny_spec(protocols=[cfg.policy for cfg in diverging],
+                     n_loops=len(systems), channel=CHANNELS["capture"],
+                     replications=REPS)
+    out = str(tmp_path / "diverge")
+    emit_results(run_single(spec), out)
+    written = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            written[name] = fh.read()
+    assert b",inf,inf\r\n" in written["summary.csv"]
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in written.items()} == DIVERGE_SHA256
