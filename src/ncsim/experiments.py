@@ -11,13 +11,20 @@ Four scenarios exist: ``single`` (one N, listed protocols), ``sweep``
 (protocols across a range of N), ``validate`` (simulated mean age versus
 the closed-form expressions on an idealized channel), and ``pendulum``
 (the mixed easy/pendulum/hard network under the schedulers).
+
+Results are CSV files with a header row and ``\\r\\n`` line ends.  A float
+is written as its Python ``repr`` (shortest round trip) and nan as ``inf``
+(nan only arises downstream of divergence), a numpy scalar as its Python
+value, None as an empty cell, and any other value as its ``str``.  A cell
+holding a comma, a double quote or a line break is quoted as the csv
+module quotes it by default (QUOTE_MINIMAL).
 """
 from __future__ import annotations
 
-import csv
-import math
 import os
+import re
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain, repeat
 
 import numpy as np
 import yaml
@@ -182,27 +189,67 @@ def parse_config(path: str) -> ExperimentSpec:
 # --------------------------------------------------------------------------
 # CSV emission
 
-def _fmt(v):
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "inf"  # nan only arises downstream of divergence
-        return repr(v)
-    return v
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+# Equal values of these types are one value, with one cell.
+_EXACT = {str, int, type(None)}
 
 
-def _write_csv(path, header, rows):
+def _cell(value) -> str:
+    """One value's cell (see the module docstring)."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return "inf" if value != value else repr(value)
+    text = str(value)
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(column) -> list[str]:
+    """A column's cells, each distinct value's made once by _cell.  Values
+    are told apart by their bits in a number array (-0.0 == 0.0, yet their
+    cells differ), by themselves in a list of _EXACT types and by their
+    repr otherwise."""
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        keys = column.view(f"i{column.itemsize}").tolist()
+    elif set(map(type, values)) <= _EXACT:
+        keys = values
+    else:
+        keys = list(map(repr, values))
+    cell = {key: _cell(v) for key, v in dict(zip(keys, values)).items()}
+    return list(map(cell.__getitem__, keys))
+
+
+def _write_csv(path, header, columns):
+    """Write ``header`` and the rows of ``columns``, arrays or sequences of
+    equal length, with one write."""
+    rows = map(",".join, zip(*map(_cells, columns), strict=True))
+    text = "\r\n".join([",".join(_cells(header)), *rows, ""])
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        fh.write(text)
+
+
+def _joined(arrays: list) -> np.ndarray:
+    """The arrays end to end."""
+    return np.concatenate(arrays) if arrays else np.empty(0)
+
+
+def _repeat(values, counts) -> list:
+    """Each of ``values`` as many times as its count, in order."""
+    return list(chain.from_iterable(map(repeat, values, counts)))
 
 
 PER_RUN_HEADER = ["run_id", "protocol", "N", "rep", "loop_id", "class",
                   "mean_aoi", "mean_mse", "mean_nmse", "lqg_cost",
                   "tx_count", "rx_count", "delivery_ratio", "diverged"]
-SUMMARY_HEADER = ["protocol", "N", "metric", "mean", "ci99_half"]
+PER_LOOP_KEYS = ("aoi_mean", "mse_mean", "nmse_mean", "lqg_mean", "tx", "rx",
+                 "delivery_ratio", "diverged")
+METRICS, STATS = PER_LOOP_KEYS[:4], ("mean", "ci99_half")
 
 
 def emit_results(results: dict, out_dir: str):
@@ -210,35 +257,39 @@ def emit_results(results: dict, out_dir: str):
 
     ``results`` maps (protocol label, N) to a run_replications result.
     """
-    per_run, summary, by_metric = [], [], {}
-    fractions_rows = []
-    for (label, n), res in sorted(results.items()):
-        for rep, r in enumerate(res["replications"]):
-            pl = r["metrics"]["per_loop"]
-            for li in range(len(pl["aoi_mean"])):
-                per_run.append([
-                    f"{label}-N{n}-r{rep}", label, n, rep, li + 1,
-                    r["metrics"]["loop_classes"][li],
-                    float(pl["aoi_mean"][li]), float(pl["mse_mean"][li]),
-                    float(pl["nmse_mean"][li]), float(pl["lqg_mean"][li]),
-                    int(pl["tx"][li]), int(pl["rx"][li]),
-                    float(pl["delivery_ratio"][li]), bool(pl["diverged"][li])])
-        for metric in ("aoi_mean", "mse_mean", "nmse_mean", "lqg_mean"):
-            s = res["summary"][metric]
-            summary.append([label, n, metric, s["mean"], s["ci99_half"]])
-            by_metric.setdefault(metric, []).append(
-                [label, n, s["mean"], s["ci99_half"]])
-        for cls, frac in res["summary"]["fractions"].items():
-            fractions_rows.append([label, n, cls, frac])
-    _write_csv(os.path.join(out_dir, "per_run.csv"), PER_RUN_HEADER, per_run)
-    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_HEADER, summary)
-    fig_name = {"aoi_mean": "aoi_vs_n.csv", "lqg_mean": "lqg_vs_n.csv",
-                "mse_mean": "mse_vs_n.csv", "nmse_mean": "nmse_vs_n.csv"}
-    for metric, rows in by_metric.items():
-        _write_csv(os.path.join(out_dir, fig_name[metric]),
-                   ["protocol", "N", "mean", "ci99_half"], rows)
+    keys = sorted(results)
+    runs = [(f"{label}-N{n}-r{rep}", label, n, rep, r["metrics"])
+            for label, n in keys
+            for rep, r in enumerate(results[label, n]["replications"])]
+    metrics = [run[-1] for run in runs]
+    loops = [len(m["loop_classes"]) for m in metrics]
+    _write_csv(os.path.join(out_dir, "per_run.csv"), PER_RUN_HEADER, [
+        *(_repeat([run[i] for run in runs], loops) for i in range(4)),
+        _joined([np.arange(1, k + 1) for k in loops]),
+        list(chain.from_iterable(m["loop_classes"] for m in metrics)),
+        *(_joined([m["per_loop"][key] for m in metrics])
+          for key in PER_LOOP_KEYS)])
+    summaries = [results[key]["summary"] for key in keys]
+    labels, ns = [key[0] for key in keys], [key[1] for key in keys]
+    per_key = [len(METRICS)] * len(keys)
+    _write_csv(os.path.join(out_dir, "summary.csv"),
+               ["protocol", "N", "metric", *STATS],
+               [_repeat(labels, per_key), _repeat(ns, per_key),
+                list(METRICS) * len(keys),
+                *([s[metric][stat] for s in summaries for metric in METRICS]
+                  for stat in STATS)])
+    for metric in METRICS:
+        _write_csv(os.path.join(out_dir, metric.replace("_mean", "_vs_n.csv")),
+                   ["protocol", "N", *STATS],
+                   [labels, ns, *([s[metric][stat] for s in summaries]
+                                  for stat in STATS)])
+    fractions = [s["fractions"] for s in summaries]
+    counts = list(map(len, fractions))
     _write_csv(os.path.join(out_dir, "fractions.csv"),
-               ["protocol", "N", "class", "delivery_fraction"], fractions_rows)
+               ["protocol", "N", "class", "delivery_fraction"],
+               [_repeat(labels, counts), _repeat(ns, counts),
+                [cls for f in fractions for cls in f],
+                [frac for f in fractions for frac in f.values()]])
 
 
 # Ages 1..NMSE_CURVE_AGES of the error-versus-age curves.
@@ -250,13 +301,12 @@ def emit_nmse_curves(out_dir: str):
     raw MSE before normalization."""
     classes = ("easy", "mid", "hard", "pendulum")
     table = MseTable([make_preset(c) for c in classes])
-    age_list = range(1, NMSE_CURVE_AGES + 1)
-    ages = np.repeat(np.array(age_list)[:, None], len(classes), 1)
-    nmse = table.errors(ages).tolist()
-    raw = table.errors(ages, use_nmse=False)[:, 3].tolist()
-    rows = [[age, *n, m] for age, n, m in zip(age_list, nmse, raw)]
+    ages = np.arange(1, NMSE_CURVE_AGES + 1)
+    grid = np.repeat(ages[:, None], len(classes), 1)
     _write_csv(os.path.join(out_dir, "nmse_vs_age.csv"),
-               ["age", *classes, "pendulum_raw_mse"], rows)
+               ["age", *classes, "pendulum_raw_mse"],
+               [ages, *table.errors(grid).T,
+                table.errors(grid, use_nmse=False)[:, 3]])
 
 
 # --------------------------------------------------------------------------
@@ -332,12 +382,11 @@ def validate_theory(spec: ExperimentSpec, jobs: int = 1) -> dict:
 
 
 def emit_validation(report: dict, out_dir: str):
-    rows = [[r["protocol"], r["N"], r["params"]["p"], r["params"]["threshold"],
-             r["simulated"], r["theory"], r["rel_err"], r["tol"], r["ok"]]
-            for r in report["rows"]]
-    _write_csv(os.path.join(out_dir, "validation.csv"),
-               ["protocol", "N", "p", "threshold", "simulated", "theory",
-                "rel_err", "tol", "ok"], rows)
+    header = ["protocol", "N", "p", "threshold", "simulated", "theory",
+              "rel_err", "tol", "ok"]
+    rows = [{**r, **r["params"]} for r in report["rows"]]
+    _write_csv(os.path.join(out_dir, "validation.csv"), header,
+               [[r[key] for r in rows] for key in header])
 
 
 PENDULUM_PATTERN = ("easy", "pendulum", "hard")
@@ -413,27 +462,30 @@ def pendulum_case_study(spec: ExperimentSpec, jobs: int = 1) -> dict:
 
 
 def emit_pendulum(report: dict, out_dir: str):
-    box_rows, env_rows, verdict_rows = [], [], []
-    for label, entry in report.items():
-        for cls, vals in entry["per_class_nmse"].items():
-            for v in vals:
-                box_rows.append([label, cls, v])
-        for i, d in entry["per_ip"].items():
-            verdict_rows.append([label, i, d["stabilized"],
-                                 d["phi_min"], d["phi_max"],
-                                 d["xi_min"], d["xi_max"],
-                                 d["aoi_window_mean"], d["aoi_monotone"]])
-        env = entry["envelope"]
-        columns = [env[key].tolist()
-                   for key in ("phi_min", "phi_max", "xi_min", "xi_max")]
-        env_rows += [[label, t, *row]
-                     for t, row in enumerate(zip(*columns), start=1)]
+    boxes = [(label, cls, vals) for label, entry in report.items()
+             for cls, vals in entry["per_class_nmse"].items()]
+    counts = [len(vals) for *_, vals in boxes]
     _write_csv(os.path.join(out_dir, "pendulum_nmse.csv"),
-               ["protocol", "class", "mean_nmse"], box_rows)
+               ["protocol", "class", "mean_nmse"],
+               [_repeat([b[0] for b in boxes], counts),
+                _repeat([b[1] for b in boxes], counts),
+                list(chain.from_iterable(vals for *_, vals in boxes))])
+    envelopes = [entry["envelope"] for entry in report.values()]
+    steps = [len(env["phi_min"]) for env in envelopes]
     _write_csv(os.path.join(out_dir, "pendulum_envelopes.csv"),
                ["protocol", "step", "phi_min_deg", "phi_max_deg",
-                "xi_min", "xi_max"], env_rows)
+                "xi_min", "xi_max"],
+               [_repeat(report, steps),
+                _joined([np.arange(1, k + 1) for k in steps]),
+                *(_joined([env[key] for env in envelopes])
+                  for key in ("phi_min", "phi_max", "xi_min", "xi_max"))])
+    verdicts = [(label, i, d) for label, entry in report.items()
+                for i, d in entry["per_ip"].items()]
     _write_csv(os.path.join(out_dir, "pendulum_verdicts.csv"),
                ["protocol", "loop_id", "stabilized", "phi_min_deg",
                 "phi_max_deg", "xi_min", "xi_max", "aoi_window_mean",
-                "aoi_monotone"], verdict_rows)
+                "aoi_monotone"],
+               [[v[0] for v in verdicts], [v[1] for v in verdicts],
+                *([d[key] for *_, d in verdicts]
+                  for key in ("stabilized", "phi_min", "phi_max", "xi_min",
+                              "xi_max", "aoi_window_mean", "aoi_monotone"))])

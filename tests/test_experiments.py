@@ -5,15 +5,18 @@ import math
 import os
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import ncsim.engine
 import ncsim.experiments
 from ncsim.channel import ChannelConfig
 from ncsim.errors import ConfigurationError
 from ncsim.experiments import (DEFAULT_COMPARISON_CHANNEL, ExperimentSpec,
-                               emit_nmse_curves, emit_results, parse_config,
+                               _write_csv, emit_nmse_curves, emit_results,
+                               emit_validation, parse_config,
                                pendulum_case_study, run_single,
                                validate_theory)
 from ncsim.mac import SchedulerPolicy
@@ -314,3 +317,123 @@ def test_diverging_run_single_writes_pinned_bytes(tmp_path, monkeypatch):
     assert b",inf,inf\r\n" in written["summary.csv"]
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in written.items()} == DIVERGE_SHA256
+
+
+def _fmt(v):
+    """A cell as the csv module's writer was given it, before CSVs were
+    written column by column."""
+    if isinstance(v, float):
+        if math.isnan(v):
+            return "inf"  # nan only arises downstream of divergence
+        return repr(v)
+    return v
+
+
+def oracle_csv(path, header, rows):
+    """The row-by-row writer that _write_csv must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) for v in row])
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+TEXT = st.text(st.sampled_from('ab ,"\r\n\t;\x00\u00e9'), max_size=6)
+FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2])
+CELLS = FLOATS | st.integers() | st.booleans() | st.none() | TEXT
+
+
+@st.composite
+def tables(draw, cells=CELLS):
+    width = draw(st.integers(2, 5))
+    header = draw(st.lists(TEXT, min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width),
+                         max_size=12))
+    return header, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+# Equal values whose cells differ, within a column.
+@example(table=(["a", "b", "c", "d"], [[1, 0.0, None, math.nan],
+                                       [True, -0.0, "", "inf"],
+                                       [0, 1.0, "None", 5e-324],
+                                       [False, 1, "nan", True]]))
+def test_write_csv_is_the_csv_module_writer(tmp_path_factory, table):
+    """Mixed columns of floats (nan, +-inf, -0.0, subnormals, exponents),
+    ints, bools, None and text that needs quoting or none: the same bytes
+    as csv.writer over the cells of the row-by-row writer."""
+    header, rows = table
+    tmp = tmp_path_factory.mktemp("csv")
+    oracle_csv(tmp / "rows.csv", header, rows)
+    columns = [list(c) for c in zip(*rows)] or [[] for _ in header]
+    _write_csv(str(tmp / "columns.csv"), header, columns)
+    assert read_bytes(tmp / "columns.csv") == read_bytes(tmp / "rows.csv")
+
+
+# Element strategies and dtypes of array columns; numpy text arrays drop
+# trailing NULs, so their text holds none.
+ARRAY_KINDS = [
+    (FLOATS, np.float64), (st.floats(width=32), np.float32),
+    (st.integers(-2**63, 2**63 - 1), np.int64), (st.booleans(), bool),
+    (st.text(st.sampled_from('ab ,"\r\n\u00e9'), max_size=6), str)]
+
+
+@st.composite
+def array_columns(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(ARRAY_KINDS), min_size=2,
+                          max_size=4))
+    return [np.array(draw(st.lists(elements, min_size=n, max_size=n)),
+                     dtype=dtype) for elements, dtype in kinds]
+
+
+@settings(max_examples=300, deadline=None)
+@given(array_columns())
+def test_array_column_writes_its_python_scalars(tmp_path_factory, columns):
+    """An array column writes the bytes of the list of Python scalars it
+    holds (repeated values, -0.0 beside 0.0 and nan payloads included),
+    which are the row-by-row writer's."""
+    tmp = tmp_path_factory.mktemp("csv")
+    header = [f"c{j}" for j in range(len(columns))]
+    scalars = [c.tolist() for c in columns]
+    _write_csv(str(tmp / "arrays.csv"), header, columns)
+    _write_csv(str(tmp / "lists.csv"), header, scalars)
+    oracle_csv(tmp / "rows.csv", header, zip(*scalars))
+    assert read_bytes(tmp / "arrays.csv") == read_bytes(tmp / "lists.csv") \
+        == read_bytes(tmp / "rows.csv")
+
+
+def test_numpy_scalars_write_their_python_values(tmp_path):
+    """Under numpy 2 the repr of np.float64(0.1) is 'np.float64(0.1)', which
+    the row-by-row writer wrote for a numpy float it was given; every
+    numpy scalar is now written as its Python value."""
+    path = tmp_path / "scalars.csv"
+    _write_csv(str(path), ["a", "b"],
+               [[np.float64(0.1), np.float64("nan"), np.float32(0.1)],
+                [np.int64(3), np.bool_(True), np.str_("x,y")]])
+    assert read_bytes(path) == (
+        b'a,b\r\n0.1,3\r\ninf,True\r\n0.10000000149011612,"x,y"\r\n')
+    report = {"rows": [{
+        "protocol": "adra", "N": np.int64(3),
+        "params": {"p": np.float64(0.3), "threshold": np.int64(4)},
+        "simulated": np.float64(2.5), "theory": np.float64(2.25),
+        "rel_err": np.float64(1 / 9), "tol": 0.1, "ok": np.bool_(False)}]}
+    emit_validation(report, str(tmp_path))
+    with open(tmp_path / "validation.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row == {"protocol": "adra", "N": "3", "p": "0.3", "threshold": "4",
+                   "simulated": "2.5", "theory": "2.25",
+                   "rel_err": repr(1 / 9), "tol": "0.1", "ok": "False"}
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        _write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1, 2], [3]])
+    assert not (tmp_path / "t.csv").exists()
