@@ -459,8 +459,7 @@ class _Run:
             values[0] = total
             rows = values[1:]
             rows[:, 0] = ages
-            rows[:, 1] = table.errors(ages, use_nmse=False)
-            rows[:, 2] = table.errors(ages)
+            rows[:, 1], rows[:, 2] = table.mse_and_nmse(ages)
             for g in self.groups:
                 rows[:, 3, g.loops] = g.cost(g.X[steps], g.U[steps])[..., 0, 0]
             np.fmin(rows, math.inf, out=rows)

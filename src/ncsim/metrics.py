@@ -10,7 +10,9 @@ and its normalized variant divides by the one-period value, making loops
 with different state dimensions and units comparable.  A run's one
 :class:`MseTable` grows both laws on demand for each of its plants, only
 as far as that plant's own loops ask, and stacks the curves so that the
-engine and the schedulers read every loop's error with one gather.
+engine and the schedulers read every loop's error with one gather.  A
+one-state plant's curves grow by two array scans per extension, a larger
+plant's one age at a time, both with the operations of :func:`mse_of_age`.
 :class:`MetricsAccumulator` counts transmissions and receptions in the
 window and takes the window's per-loop sums of age, error and cost in
 one call once the run ends.
@@ -79,10 +81,11 @@ class MseTable:
 
     Loops that share a system object share its plant: ``plants`` holds
     the distinct systems and ``plant[k]`` is loop k's.  Each plant's
-    curves are computed one age at a time by the recurrence of
-    :func:`mse_of_age`, only as far as its own loops ask (``depth``);
-    after the first overflow every value is +inf.  The curves are stacked
-    so that one gather reads every loop's error.
+    curves follow the recurrence of :func:`mse_of_age`, only as far as its
+    own loops ask (``depth``); after the first overflow every value is
+    +inf.  A one-state plant's extension is two scans over all its new
+    ages (:meth:`_scan`), a larger plant's is one step per age.  The
+    curves are stacked so that one gather reads every loop's error.
     """
 
     def __init__(self, systems: list[LtiSystem]):
@@ -129,28 +132,55 @@ class MseTable:
         self._reach = self.depth[self.plant]
 
     def _extend(self, p: int, hi: int):
-        sys, G = self.plants[p], self._G[p]
+        sys = self.plants[p]
         lo = int(self.depth[p]) + 1
         mse = self._curves[0, p]
-        total = float(mse[lo - 1])
-        for a in range(lo, hi + 1):
-            # Once overflowed the tail is +inf; G is left alone, since its
-            # inf entries would breed nans against zeros in A.
-            if math.isfinite(total):
-                total += float(np.trace(G @ sys.noise_cov))
-                G = sys.A.T @ G @ sys.A
-                if not math.isfinite(total):
-                    total = math.inf
-            mse[a] = total
+        if sys.n == 1:
+            self._scan(p, lo, hi)
+        else:
+            G, total = self._G[p], float(mse[lo - 1])
+            for a in range(lo, hi + 1):
+                # Once overflowed the tail is +inf; G is left alone, since
+                # its inf entries would breed nans against zeros in A.
+                if math.isfinite(total):
+                    total += float(np.trace(G @ sys.noise_cov))
+                    G = sys.A.T @ G @ sys.A
+                    if not math.isfinite(total):
+                        total = math.inf
+                mse[a] = total
+            self._G[p] = G
         self._curves[1, p, lo:hi + 1] = mse[lo:hi + 1] / self._base[p]
-        self._G[p] = G
         self.depth[p] = hi
+
+    def _scan(self, p: int, lo: int, hi: int):
+        """Ages lo..hi of a one-state plant by two scans that multiply and
+        add in the recurrence's order, so every value keeps its bits: the
+        1x1 product (A' G) A is (g * a) * a, and the MSE is the running
+        total of g * sigma.  An overflow carries through both scans as
+        +inf (a is finite, and g is 0 for good once a is 0), so the tail
+        after it is +inf, never nan, as in :func:`mse_of_age`."""
+        sys, k = self.plants[p], hi - lo + 1
+        # Every second partial product of g, a, a, ... is the next G.
+        factors = np.full(2 * k + 1, sys.A.item())
+        factors[0] = self._G[p].item()
+        G = np.multiply.accumulate(factors)[::2]
+        terms = np.empty(k + 1)
+        terms[0] = self._curves[0, p, lo - 1]
+        np.multiply(G[:-1], sys.noise_cov.item(), out=terms[1:])
+        np.add.accumulate(terms, out=self._curves[0, p, lo - 1:hi + 1])
+        self._G[p][0, 0] = G[-1]
 
     def errors(self, ages: np.ndarray, use_nmse: bool = True) -> np.ndarray:
         """Each loop's nMSE (or MSE) at its entry of ``ages``, whose last
         axis runs over the loops."""
         self.grow(ages)
         return self._curves[int(use_nmse)].reshape(-1)[self._row + ages]
+
+    def mse_and_nmse(self, ages: np.ndarray) -> np.ndarray:
+        """Each loop's MSE and nMSE at its entry of ``ages``, stacked on a
+        new first axis: one growth check and one gather for both."""
+        self.grow(ages)
+        return self._curves.reshape(2, -1)[:, self._row + ages]
 
 
 class MetricsAccumulator:

@@ -204,6 +204,73 @@ def test_table_matches_reference_through_any_growth(data):
         width = tab._curves.shape[2]
 
 
+def test_scalar_tables_grow_without_a_step_per_age(monkeypatch):
+    """A one-state plant's curves come from array scans: growing them to
+    2,000 ages, past the hard plant's overflow, calls no ``np.trace``,
+    which the per-age step calls.  A pendulum table still takes that
+    step, and grows once ``np.trace`` is back."""
+    classes = ("easy", "mid", "hard")
+    tables = [MseTable([make_preset(c)]) for c in classes]
+    pendulum = MseTable([make_preset("pendulum")])
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("np.trace called")
+
+    monkeypatch.setattr(np, "trace", no_trace)
+    calls = (1, 2, 7, 300, 1950, 2000)
+    got = [[table_errors(tab, [age], use_nmse) for age in calls
+            for use_nmse in (False, True)] for tab in tables]
+    with pytest.raises(AssertionError, match="np.trace"):
+        pendulum.grow(np.array([3]))
+    monkeypatch.undo()
+    with np.errstate(over="ignore"):
+        assert got == [[[law(make_preset(c), age)] for age in calls
+                        for law in (mse_of_age, nmse_of_age)]
+                       for c in classes]
+    assert [tab.depth.tolist() for tab in tables] == [[2000]] * 3
+    assert table_errors(pendulum, [40]) == \
+        [nmse_of_age(make_preset("pendulum"), 40)]
+
+
+# One-state plants by the kind of A: negative, 0, inside the unit
+# circle, 1, outside it, and so large that the MSE overflows at once.
+SCALAR_A = (st.floats(-1e300, -1e-300) | st.just(0.0)
+            | st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+            | st.just(1.0) | st.floats(1.0, 10.0, exclude_min=True)
+            | st.floats(10.0, 1e40) | st.floats(1e40, 1e300))
+SIGMA = st.floats(1e-3, 1e3) | st.floats(1e-300, 1e300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=SCALAR_A, sigma=SIGMA, data=st.data())
+def test_scalar_table_matches_reference_bit_for_bit(a, sigma, data):
+    """A one-state plant's table, grown in several calls through any ages,
+    holds :func:`mse_of_age` and :func:`nmse_of_age` bit for bit at every
+    age it computed, +inf and never nan past an overflow, and the same
+    bits as a table grown at once or one age at a time."""
+    sys = LtiSystem(A=[[a]], B=[[1.0]], noise_cov=[[sigma]], Q=[[1.0]],
+                    R=[[1.0]])
+    tab = MseTable([sys])
+    for _ in range(data.draw(st.integers(1, 5), label="calls")):
+        ages = data.draw(st.lists(st.integers(0, 120), min_size=1,
+                                  max_size=3), label="ages")
+        tab.grow(np.array(ages)[:, None])
+    every = [[age] for age in range(int(tab.depth[0]) + 1)]
+    curves = [table_errors(tab, every, use_nmse) for use_nmse in (False, True)]
+    # Overflow is expected: it is what makes the value +inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert curves == [[[law(sys, age)] for [age] in every]
+                          for law in (mse_of_age, nmse_of_age)]
+    assert not np.isnan(curves).any()
+    at_once, one_by_one = MseTable([sys]), MseTable([sys])
+    at_once.grow(np.array([len(every) - 1]))
+    for [age] in every:
+        one_by_one.grow(np.array([age]))
+    for other in (at_once, one_by_one):
+        assert [table_errors(other, every, use_nmse)
+                for use_nmse in (False, True)] == curves
+
+
 def hand_run(n=2):
     """A run whose ticks and deliveries the test drives by hand."""
     systems = systems_from_classes(n)
