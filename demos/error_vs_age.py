@@ -15,9 +15,7 @@ import argparse
 import numpy as np
 
 from ncsim.metrics import MseTable
-from ncsim.systems import make_preset
-
-CLASSES = ("easy", "mid", "hard", "pendulum")
+from ncsim.systems import PRESET_CLASSES as CLASSES, make_preset
 
 
 def main():
@@ -29,7 +27,7 @@ def main():
     table = MseTable([make_preset(c) for c in CLASSES])
     oldest = max(args.max_age, 499)
     ages = np.repeat(np.arange(1, oldest + 1)[:, None], len(CLASSES), 1)
-    mse, nmse = table.errors(ages, use_nmse=False), table.errors(ages)
+    mse, nmse = table.mse_and_nmse(ages)
 
     for title, curves in (("raw error MSE(age):", mse),
                           ("\nnormalized error nMSE(age) = MSE(age) / MSE(1):",

@@ -14,13 +14,13 @@ from dataclasses import replace
 
 from .channel import ChannelConfig
 from .errors import ConfigurationError, InvariantViolation, OptimizationError, SynthesisError
-from .experiments import (DEFAULT_COMPARISON_CHANNEL, ExperimentSpec,
+from .experiments import (DEFAULT_COMPARISON_CHANNEL, THEORY, ExperimentSpec,
                           emit_nmse_curves, emit_pendulum, emit_results,
                           emit_validation, parse_config, pendulum_case_study,
                           run_single, run_sweep, validate_theory)
-from .mac import SchedulerPolicy
+from .mac import POLLING_PROTOCOLS, SCHEDULED_PROTOCOLS, SchedulerPolicy
 
-_SCHEDULERS = ("round_robin", "mef", "wifresh", "pmef")
+_SCHEDULERS = SCHEDULED_PROTOCOLS + POLLING_PROTOCOLS
 
 # Subcommand -> its help, the scenario its config must name, and the
 # protocols and channel of its default spec.  validate's parameter-free
@@ -31,8 +31,7 @@ _COMMANDS = {
     "sweep": ("protocols across a range of network sizes",
               "sweep", _SCHEDULERS, DEFAULT_COMPARISON_CHANNEL),
     "validate": ("mean-age theory validation on the ideal channel",
-                 "validate", ("round_robin", "slotted_aloha", "adra"),
-                 ChannelConfig()),
+                 "validate", tuple(THEORY), ChannelConfig()),
     "pendulum": ("mixed easy/pendulum/hard case study",
                  "pendulum", _SCHEDULERS, DEFAULT_COMPARISON_CHANNEL),
 }

@@ -58,7 +58,7 @@ from .systems import LtiSystem, make_preset
 
 __all__ = ["SimConfig", "systems_from_classes", "run", "run_replications",
            "run_replication_sets", "summarize_replications",
-           "DIVERGENCE_THRESHOLD"]
+           "DEFAULT_CLASSES", "DIVERGENCE_THRESHOLD"]
 
 DIVERGENCE_THRESHOLD = 1e12
 POLL_GUARD_S = 0.002  # extra wait before a poll transaction is declared lost
@@ -127,9 +127,11 @@ class SimConfig:
 
 
 _PRESET_CACHE: dict[str, LtiSystem] = {}
+# The class pattern of a network that names none.
+DEFAULT_CLASSES = ("easy", "mid", "hard")
 
 
-def systems_from_classes(n_loops: int, pattern=("easy", "mid", "hard")):
+def systems_from_classes(n_loops: int, pattern=DEFAULT_CLASSES):
     """Cycle the class pattern over the loops (loop 1 gets pattern[0]).
 
     Synthesized presets are cached and shared, which is safe because they

@@ -31,12 +31,12 @@ import yaml
 
 from .aoi import adra_mean_aoi, rr_mean_aoi, sa_mean_aoi
 from .channel import ChannelConfig
-from .engine import (SimConfig, run_replication_sets, summarize_replications,
-                     systems_from_classes)
+from .engine import (DEFAULT_CLASSES, SimConfig, run_replication_sets,
+                     summarize_replications, systems_from_classes)
 from .errors import ConfigurationError, is_integer, is_real
 from .mac import SchedulerPolicy
 from .metrics import MseTable
-from .systems import make_preset
+from .systems import PRESET_CLASSES, make_preset
 
 __all__ = [
     "ExperimentSpec",
@@ -45,6 +45,7 @@ __all__ = [
     "run_single",
     "run_sweep",
     "validate_theory",
+    "THEORY",
     "pendulum_case_study",
     "emit_results",
 ]
@@ -57,8 +58,17 @@ DEFAULT_COMPARISON_CHANNEL = ChannelConfig(
 
 SCENARIOS = ("single", "sweep", "validate", "pendulum")
 
-# Relative tolerances for validate_theory.
-VALIDATE_TOL = {"round_robin": 0.05, "slotted_aloha": 0.05, "adra": 0.10}
+# Each protocol validate_theory checks, in the validate command's default
+# order: its closed-form mean age, of the resolved policy and N, and the
+# relative error tolerated.
+THEORY = {
+    "round_robin": (lambda policy, n: rr_mean_aoi(n), 0.05),
+    "slotted_aloha": (lambda policy, n: sa_mean_aoi(n, policy.p), 0.05),
+    "adra": (lambda policy, n: adra_mean_aoi(n, policy.threshold, policy.p),
+             0.10),
+}
+# The N of a contention protocol's validate rows, those inside n_range.
+CONTENTION_NS = (3, 5, 7)
 
 
 def _label(policy: SchedulerPolicy) -> str:
@@ -76,11 +86,11 @@ class ExperimentSpec:
     n_range: tuple[int, int] = (2, 15)
     channel: ChannelConfig = field(
         default_factory=lambda: DEFAULT_COMPARISON_CHANNEL)
-    classes: tuple[str, ...] = ("easy", "mid", "hard")
-    duration_s: float = 30.0
-    warmup_s: float = 5.0
-    cooldown_s: float = 5.0
-    seed: int = 0
+    classes: tuple[str, ...] = DEFAULT_CLASSES
+    duration_s: float = SimConfig.duration_s
+    warmup_s: float = SimConfig.warmup_s
+    cooldown_s: float = SimConfig.cooldown_s
+    seed: int = SimConfig.seed
     replications: int = 20
     out_dir: str = "results"
 
@@ -299,14 +309,13 @@ NMSE_CURVE_AGES = 60
 def emit_nmse_curves(out_dir: str):
     """Error-versus-age curves for every preset, including the pendulum's
     raw MSE before normalization."""
-    classes = ("easy", "mid", "hard", "pendulum")
-    table = MseTable([make_preset(c) for c in classes])
+    table = MseTable([make_preset(c) for c in PRESET_CLASSES])
     ages = np.arange(1, NMSE_CURVE_AGES + 1)
-    grid = np.repeat(ages[:, None], len(classes), 1)
+    mse, nmse = table.mse_and_nmse(
+        np.repeat(ages[:, None], len(PRESET_CLASSES), 1))
     _write_csv(os.path.join(out_dir, "nmse_vs_age.csv"),
-               ["age", *classes, "pendulum_raw_mse"],
-               [ages, *table.errors(grid).T,
-                table.errors(grid, use_nmse=False)[:, 3]])
+               ["age", *PRESET_CLASSES, "pendulum_raw_mse"],
+               [ages, *nmse.T, mse[:, PRESET_CLASSES.index("pendulum")]])
 
 
 # --------------------------------------------------------------------------
@@ -330,21 +339,15 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> dict:
                        for n in range(lo, hi + 1)], spec.replications, jobs)
 
 
-def _theory(policy: SchedulerPolicy, n: int) -> float:
-    if policy.variant == "round_robin":
-        return rr_mean_aoi(n)
-    if policy.variant == "slotted_aloha":
-        return sa_mean_aoi(n, policy.p)
-    return adra_mean_aoi(n, policy.threshold, policy.p)
-
-
 def validate_theory(spec: ExperimentSpec, jobs: int = 1) -> dict:
     """Simulated network mean age versus the closed-form expressions.
 
-    Requires the idealized channel (strict collisions, no erasures).
-    Returns a report whose ``passed`` flag reflects the per-protocol
-    tolerances; parameter-free protocols use their defaults from
-    :meth:`SchedulerPolicy.resolved`.
+    Requires the idealized channel (strict collisions, no erasures) and
+    protocols of :data:`THEORY`.  Round-robin runs at every N of
+    ``n_range``, a contention protocol at each of :data:`CONTENTION_NS`
+    inside it.  Returns a report whose ``passed`` flag reflects the
+    per-protocol tolerances; parameter-free protocols use their defaults
+    from :meth:`SchedulerPolicy.resolved`.
 
     Every tuning and replication is a task of one
     :func:`~ncsim.engine.run_replication_sets` call.
@@ -353,26 +356,30 @@ def validate_theory(spec: ExperimentSpec, jobs: int = 1) -> dict:
     if ch.mode != "strict_collision" or ch.erasure_prob != 0.0:
         raise ConfigurationError(
             "theory validation needs mode=strict_collision and erasure_prob=0")
-    allowed = set(VALIDATE_TOL)
+    lo, hi = spec.n_range
     cfgs = []   # one per report row
     for policy in spec.protocols:
-        if policy.variant not in allowed:
+        if policy.variant not in THEORY:
             raise ConfigurationError(
                 f"no closed form for {policy.variant!r}; "
-                f"validate supports {sorted(allowed)}")
+                f"validate supports {sorted(THEORY)}")
         if policy.variant == "round_robin":
-            n_list = list(range(spec.n_range[0], spec.n_range[1] + 1))
+            n_list = range(lo, hi + 1)
         else:
-            n_list = [n for n in (3, 5, 7)
-                      if spec.n_range[0] <= n <= spec.n_range[1]] or [3, 5, 7]
+            n_list = [n for n in CONTENTION_NS if lo <= n <= hi]
+            if not n_list:
+                raise ConfigurationError(
+                    f"validate runs {policy.variant} at N in "
+                    f"{list(CONTENTION_NS)}, none of them in n_range "
+                    f"{list(spec.n_range)}")
         cfgs += [spec.sim_config(n, policy) for n in n_list]
     rows = []
     for cfg, runs in run_replication_sets(cfgs, spec.replications, jobs):
         pol, n = cfg.policy, cfg.n_loops
         sim = summarize_replications(runs)["summary"]["aoi_mean"]["mean"]
-        theory = _theory(pol, n)
+        mean_aoi, tol = THEORY[pol.variant]
+        theory = mean_aoi(pol, n)
         rel = abs(sim - theory) / theory
-        tol = VALIDATE_TOL[pol.variant]
         rows.append({
             "protocol": pol.variant, "N": n,
             "params": {"p": pol.p, "threshold": pol.threshold},

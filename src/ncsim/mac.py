@@ -89,8 +89,8 @@ def rr_next(t: int, N: int) -> int:
     return (t - 1) % N
 
 
-def mef_build_schedule(gw: Gateway, frame_len: int = 20,
-                       use_nmse: bool = True) -> list[int]:
+def mef_build_schedule(gw: Gateway, frame_len: int,
+                       use_nmse: bool) -> list[int]:
     """Greedy frame schedule, as loop indices: fill each slot with the
     loop of largest predicted error, assuming every scheduled transmission
     succeeds.
@@ -119,7 +119,7 @@ def wifresh_next(gw: Gateway, now: float) -> int:
     return int((gw.reliability(now) * gw.est_age).argmax())
 
 
-def pmef_next(gw: Gateway, now: float, use_nmse: bool = True) -> int:
+def pmef_next(gw: Gateway, now: float, use_nmse: bool) -> int:
     """Poll target's index by reliability x (normalized) estimation
     error."""
     errors = gw.table.errors(gw.est_age, use_nmse)

@@ -8,10 +8,11 @@ The mean squared estimation error of a loop whose freshest sample is
 
 and its normalized variant divides by the one-period value, making loops
 with different state dimensions and units comparable.  A run's one
-:class:`MseTable` grows both laws on demand for each of its plants, only
+:class:`MseTable` grows the MSE law on demand for each of its plants, only
 as far as that plant's own loops ask, and stacks the curves so that the
-engine and the schedulers read every loop's error with one gather.  A
-one-state plant's curves grow by two array scans per extension, a larger
+engine and the schedulers read every loop's error with one gather; the
+nMSE is that gather divided by each loop's one-period value.  A
+one-state plant's curve grows by two array scans per extension, a larger
 plant's one age at a time, both with the operations of :func:`mse_of_age`.
 :class:`MetricsAccumulator` counts transmissions and receptions in the
 window and takes the window's per-loop sums of age, error and cost in
@@ -77,15 +78,18 @@ def nmse_of_age(sys: LtiSystem, delta: int) -> float:
 
 
 class MseTable:
-    """MSE(age) and nMSE(age) of every loop's plant, grown on demand.
+    """MSE(age) of every loop's plant, grown on demand, and the nMSE read
+    from it.
 
     Loops that share a system object share its plant: ``plants`` holds
     the distinct systems and ``plant[k]`` is loop k's.  Each plant's
-    curves follow the recurrence of :func:`mse_of_age`, only as far as its
+    curve follows the recurrence of :func:`mse_of_age`, only as far as its
     own loops ask (``depth``); after the first overflow every value is
     +inf.  A one-state plant's extension is two scans over all its new
     ages (:meth:`_scan`), a larger plant's is one step per age.  The
-    curves are stacked so that one gather reads every loop's error.
+    curves are stacked so that one gather reads every loop's error; a
+    loop's nMSE is that value divided by its MSE at age one, as in
+    :func:`nmse_of_age`.
     """
 
     def __init__(self, systems: list[LtiSystem]):
@@ -96,35 +100,36 @@ class MseTable:
                 row[id(sys)] = len(self.plants)
                 self.plants.append(sys)
         self.plant = np.array([row[id(sys)] for sys in systems])
-        self._base = [float(np.trace(s.noise_cov)) for s in self.plants]
-        if any(base <= 0 for base in self._base):
+        base = np.array([float(np.trace(s.noise_cov)) for s in self.plants])
+        if (base <= 0).any():
             raise ConfigurationError(
                 "nMSE undefined: noise covariance has zero trace")
+        self._base = base[self.plant]      # each loop's MSE at age one
         self._G = [np.eye(s.n) for s in self.plants]  # next (A')^a A^a
-        # MSE and nMSE of plant p at age a are _curves[:, p, a] for a up to
-        # depth[p]; later columns are storage not yet computed.  Gathers
-        # index the flattened rows, loop k's starting at _row[k].
+        # The MSE of plant p at age a is _mse[p, a] for a up to depth[p];
+        # later columns are storage not yet computed.  Gathers index the
+        # flattened rows, loop k's starting at _row[k].
         self.depth = np.zeros(len(self.plants), np.int64)
         self._reach = self.depth[self.plant]                  # per loop
-        self._curves = np.zeros((2, len(self.plants), 16))
+        self._mse = np.zeros((len(self.plants), 16))
         self._row = self.plant * 16
 
     def grow(self, ages: np.ndarray):
-        """Compute each plant's curves through the oldest of its own loops'
-        ``ages`` (last axis over the loops), if they stop short of it.
+        """Compute each plant's curve through the oldest of its own loops'
+        ``ages`` (last axis over the loops), if it stops short of it.
         Storage widens by doubling, so each age is stacked once."""
         if not (ages > self._reach).any():
             return
         need = np.zeros(len(self.plants), np.int64)
         np.maximum.at(need, self.plant,
                       ages.reshape(-1, len(self.plant)).max(axis=0))
-        width = self._curves.shape[2]
+        width = self._mse.shape[1]
         if need.max() >= width:
-            wider = np.zeros((2, len(self.plants),
+            wider = np.zeros((len(self.plants),
                               max(2 * width, int(need.max()) + 1)))
-            wider[:, :, :width] = self._curves
-            self._curves = wider
-            self._row = self.plant * wider.shape[2]
+            wider[:, :width] = self._mse
+            self._mse = wider
+            self._row = self.plant * wider.shape[1]
         # Overflow is expected: it starts the +inf tail.
         with np.errstate(over="ignore", invalid="ignore"):
             for p in np.flatnonzero(need > self.depth).tolist():
@@ -134,10 +139,10 @@ class MseTable:
     def _extend(self, p: int, hi: int):
         sys = self.plants[p]
         lo = int(self.depth[p]) + 1
-        mse = self._curves[0, p]
         if sys.n == 1:
             self._scan(p, lo, hi)
         else:
+            mse = self._mse[p]
             G, total = self._G[p], float(mse[lo - 1])
             for a in range(lo, hi + 1):
                 # Once overflowed the tail is +inf; G is left alone, since
@@ -149,7 +154,6 @@ class MseTable:
                         total = math.inf
                 mse[a] = total
             self._G[p] = G
-        self._curves[1, p, lo:hi + 1] = mse[lo:hi + 1] / self._base[p]
         self.depth[p] = hi
 
     def _scan(self, p: int, lo: int, hi: int):
@@ -165,22 +169,23 @@ class MseTable:
         factors[0] = self._G[p].item()
         G = np.multiply.accumulate(factors)[::2]
         terms = np.empty(k + 1)
-        terms[0] = self._curves[0, p, lo - 1]
+        terms[0] = self._mse[p, lo - 1]
         np.multiply(G[:-1], sys.noise_cov.item(), out=terms[1:])
-        np.add.accumulate(terms, out=self._curves[0, p, lo - 1:hi + 1])
+        np.add.accumulate(terms, out=self._mse[p, lo - 1:hi + 1])
         self._G[p][0, 0] = G[-1]
 
-    def errors(self, ages: np.ndarray, use_nmse: bool = True) -> np.ndarray:
+    def errors(self, ages: np.ndarray, use_nmse: bool) -> np.ndarray:
         """Each loop's nMSE (or MSE) at its entry of ``ages``, whose last
         axis runs over the loops."""
         self.grow(ages)
-        return self._curves[int(use_nmse)].reshape(-1)[self._row + ages]
+        mse = self._mse.reshape(-1)[self._row + ages]
+        return np.divide(mse, self._base, out=mse) if use_nmse else mse
 
-    def mse_and_nmse(self, ages: np.ndarray) -> np.ndarray:
-        """Each loop's MSE and nMSE at its entry of ``ages``, stacked on a
-        new first axis: one growth check and one gather for both."""
-        self.grow(ages)
-        return self._curves.reshape(2, -1)[:, self._row + ages]
+    def mse_and_nmse(self, ages: np.ndarray) -> tuple:
+        """Each loop's MSE and nMSE at its entry of ``ages``: one growth
+        check and one gather for both."""
+        mse = self.errors(ages, use_nmse=False)
+        return mse, mse / self._base
 
 
 class MetricsAccumulator:
@@ -188,17 +193,18 @@ class MetricsAccumulator:
 
     Only steps t with ``t_start <= t <= t_end`` contribute.  Transmission
     and reception counters are gated by the same window so that resource
-    fractions describe the evaluated interval.
+    fractions describe the evaluated interval.  ``classes[k]`` is loop k's
+    label for the per-class shares.
     """
 
     def __init__(self, n_loops: int, t_start: int, t_end: int,
-                 classes: list[str] | None = None):
+                 classes: list[str]):
         if t_end < t_start:
             raise ConfigurationError("empty evaluation window")
         self.n_loops = n_loops
         self.t_start = t_start
         self.t_end = t_end
-        self.classes = classes or ["?"] * n_loops
+        self.classes = classes
         self.tx = np.zeros(n_loops, np.int64)
         self.rx = np.zeros(n_loops, np.int64)
         self.diverged = np.zeros(n_loops, dtype=bool)

@@ -222,6 +222,17 @@ def test_validate_outside_tolerance_exits_two(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "validation.csv"))
 
 
+def test_validate_contention_outside_n_range_exits_one(tmp_path, capsys):
+    """slotted_aloha is checked at N = 3, 5, 7 only; none lies in [8, 10]."""
+    text = with_line(VALIDATE_OK_CFG, "protocols: [slotted_aloha]")
+    path = cfg_file(tmp_path, with_line(text, "n_range: [8, 10]"))
+    rc = main(["validate", "--config", path, "--out", str(tmp_path / "res")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "slotted_aloha" in err and "[8, 10]" in err
+    assert not os.path.exists(tmp_path / "res")
+
+
 # Small configs of every subcommand, each with several tasks: validate
 # tunes its parameter-free adra entry in the pool, and pendulum returns
 # per-tick series from the workers (pendulum_envelopes.csv).

@@ -256,6 +256,23 @@ def test_validate_round_robin_is_exact():
         assert math.isclose(r["theory"], (r["N"] + 1) / 2)
 
 
+def test_validate_runs_contention_protocols_only_inside_n_range():
+    """A contention protocol is checked at those of N = 3, 5, 7 that lie
+    in n_range; with none of them there it is a configuration error that
+    names the protocol and the range, raised before anything runs."""
+    spec = tiny_spec(scenario="validate", channel=ChannelConfig(),
+                     protocols=[SchedulerPolicy("round_robin"),
+                                SchedulerPolicy("slotted_aloha")],
+                     n_range=(4, 6), replications=1)
+    report = validate_theory(spec)
+    assert [(r["protocol"], r["N"]) for r in report["rows"]] == [
+        ("round_robin", 4), ("round_robin", 5), ("round_robin", 6),
+        ("slotted_aloha", 5)]
+    with pytest.raises(ConfigurationError,
+                       match=r"slotted_aloha.*n_range \[8, 10\]"):
+        validate_theory(replace(spec, n_range=(8, 10)))
+
+
 @pytest.mark.parametrize("duration, cooldown, t_end",
                          [(4.0, 1.015, 299), (4.025, 1.0, 302)])
 def test_pendulum_window_is_the_engines(duration, cooldown, t_end):

@@ -152,13 +152,13 @@ def gateway_for(classes, ages=None):
 
 def test_mef_fair_rotation_for_identical_loops():
     gw = gateway_for(["mid", "mid", "mid"], [1, 1, 1])
-    sched = mef_build_schedule(gw, frame_len=6)
+    sched = mef_build_schedule(gw, frame_len=6, use_nmse=True)
     assert sched == [0, 1, 2, 0, 1, 2]
 
 
 def test_mef_huge_age_occupies_first_slot():
     gw = gateway_for(["easy", "easy", "hard"], [2, 2, 90])
-    sched = mef_build_schedule(gw, frame_len=4)
+    sched = mef_build_schedule(gw, frame_len=4, use_nmse=True)
     assert sched[0] == 2
 
 
@@ -181,7 +181,7 @@ def test_mef_greedy_trace_oracle():
         expect.append(pick)
         ages = {i: 1 if i == pick else d + 1 for i, d in ages.items()}
     got = mef_build_schedule(gateway_for(classes.values(), [1, 1, 1]),
-                             frame_len=6)
+                             frame_len=6, use_nmse=True)
     assert got == expect
 
 
@@ -190,7 +190,7 @@ def test_mef_starves_slow_loops_when_slots_are_scarce():
     # frame's slack the fast dynamics crowd out the slow ones.
     classes = {k: ["easy", "mid", "hard"][k % 3] for k in range(15)}
     sched = mef_build_schedule(gateway_for(classes.values(), [1] * 15),
-                               frame_len=20)
+                               frame_len=20, use_nmse=True)
     by_class = {c: sum(classes[i] == c for i in sched)
                 for c in ("easy", "mid", "hard")}
     assert by_class["hard"] > by_class["mid"] > by_class["easy"]
@@ -198,7 +198,7 @@ def test_mef_starves_slow_loops_when_slots_are_scarce():
 
 def test_mef_schedule_shape():
     sched = mef_build_schedule(gateway_for(["easy", "hard"], [5, 5]),
-                               frame_len=20)
+                               frame_len=20, use_nmse=True)
     assert len(sched) == 20
     assert set(sched) <= {0, 1}
 
@@ -216,13 +216,13 @@ def test_wifresh_tie_breaks_low_id():
 def test_pmef_prefers_faster_dynamics():
     gw = gateway_for(["easy", "hard"], [4, 3])
     # error(1.2-dynamics, age 3) = 4.5136 > error(1.0-dynamics, age 4) = 4
-    assert pmef_next(gw, 0.0) == 1
+    assert pmef_next(gw, 0.0, use_nmse=True) == 1
 
 
 def test_pmef_equals_wifresh_for_identical_scalar_loops():
     for ages in [(1, 5, 3), (2, 2, 9), (4, 4, 4)]:
         gw = gateway_for(["mid", "mid", "mid"], ages)
-        assert pmef_next(gw, 0.0) == wifresh_next(gw, 0.0)
+        assert pmef_next(gw, 0.0, use_nmse=True) == wifresh_next(gw, 0.0)
 
 
 def test_reliability_window_keeps_its_edge():
@@ -238,9 +238,10 @@ def test_overflowed_errors_tie_to_lowest_id():
     wins, and MEF then serves the next overflowed loop."""
     gw = Gateway([PLANTS[c] for c in ("easy", "unstable", "easy", "unstable")])
     gw.est_age[:] = [30, 6, 30, 9]
-    assert gw.table.errors(gw.est_age).tolist()[1::2] == [math.inf, math.inf]
-    assert pmef_next(gw, 0.0) == 1
-    assert mef_build_schedule(gw, frame_len=2) == [1, 3]
+    errors = gw.table.errors(gw.est_age, use_nmse=True)
+    assert errors.tolist()[1::2] == [math.inf, math.inf]
+    assert pmef_next(gw, 0.0, use_nmse=True) == 1
+    assert mef_build_schedule(gw, frame_len=2, use_nmse=True) == [1, 3]
 
 
 # ---- plain-Python references for the array schedulers -------------------

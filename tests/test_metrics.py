@@ -118,6 +118,17 @@ def table_errors(tab, ages, use_nmse=True):
     return tab.errors(np.array(ages), use_nmse).tolist()
 
 
+def both_reads(tab, ages, stacked_first=False):
+    """The table's MSE and nMSE at ``ages`` read both ways, as lists: by
+    :meth:`MseTable.errors` and by :meth:`MseTable.mse_and_nmse`, the
+    latter first, so that it is the read that grows the table, if
+    ``stacked_first``."""
+    stacked = lambda: [a.tolist() for a in tab.mse_and_nmse(np.array(ages))]
+    first = stacked() if stacked_first else None
+    by_flag = [table_errors(tab, ages, use_nmse) for use_nmse in (False, True)]
+    return by_flag, first if stacked_first else stacked()
+
+
 @pytest.mark.parametrize("cls", PRESETS)
 def test_table_agrees_with_direct_evaluation(cls):
     sys = make_preset(cls)
@@ -142,7 +153,7 @@ def test_argmax_normalization_matters():
     # easy, mid and hard at age a, the pendulum at age d.
     ages = [(a, a, a, d) for a in (1, 2, 3) for d in range(1, 51)]
     raw = tab.errors(np.array(ages), use_nmse=False).argmax(axis=1)
-    nmse = tab.errors(np.array(ages)).argmax(axis=1)
+    nmse = tab.errors(np.array(ages), use_nmse=True).argmax(axis=1)
     assert "pendulum" not in {PRESETS[k] for k in raw.tolist()}
     assert "pendulum" in {PRESETS[k] for k in nmse.tolist()}
     # The raw-MSE crossover exists but is far out: age 54 against peers
@@ -174,9 +185,10 @@ def reference_error(plant, age, use_nmse):
 @given(data=st.data())
 def test_table_matches_reference_through_any_growth(data):
     """Grown in several calls, in any order of ages and past the
-    overflow, the table returns the reference laws bit for bit, grows
-    each plant exactly to the oldest age its own loops asked, and never
-    narrows its storage."""
+    overflow, the table returns the reference laws bit for bit through
+    both of its reads, grows each plant exactly to the oldest age its own
+    loops asked, and never narrows its storage, which holds the MSE
+    alone."""
     n = data.draw(st.integers(1, 6), label="n")
     names = data.draw(st.lists(st.sampled_from(sorted(PLANTS)),
                                min_size=n, max_size=n), label="plants")
@@ -185,23 +197,24 @@ def test_table_matches_reference_through_any_growth(data):
         [PLANTS[c] for c in names]
     assert len(tab.plants) == len(set(names))
     oldest = {c: 0 for c in names}
-    width = tab._curves.shape[2]
+    width = tab._mse.shape[1]
     for _ in range(data.draw(st.integers(1, 5), label="calls")):
         rows = data.draw(st.integers(1, 3), label="rows")
         ages = data.draw(st.lists(
             st.lists(st.integers(0, 60) | st.integers(1944, 1948),
                      min_size=n, max_size=n),
             min_size=rows, max_size=rows), label="ages")
-        use_nmse = data.draw(st.booleans(), label="use_nmse")
-        got = table_errors(tab, ages, use_nmse)
-        assert got == [[reference_error(c, a, use_nmse)
-                        for c, a in zip(names, row)] for row in ages]
+        want = [[[reference_error(c, a, use_nmse) for c, a in zip(names, row)]
+                 for row in ages] for use_nmse in (False, True)]
+        stacked_first = data.draw(st.booleans(), label="stacked_first")
+        assert both_reads(tab, ages, stacked_first) == (want, want)
         for row in ages:
             for c, a in zip(names, row):
                 oldest[c] = max(oldest[c], a)
         assert tab.depth.tolist() == [oldest[c] for c in dict.fromkeys(names)]
-        assert tab._curves.shape[2] >= max(width, tab.depth.max() + 1)
-        width = tab._curves.shape[2]
+        assert tab._mse.shape == (len(tab.plants), tab._mse.shape[1])
+        assert tab._mse.shape[1] >= max(width, tab.depth.max() + 1)
+        width = tab._mse.shape[1]
 
 
 def test_scalar_tables_grow_without_a_step_per_age(monkeypatch):
@@ -245,9 +258,10 @@ SIGMA = st.floats(1e-3, 1e3) | st.floats(1e-300, 1e300)
 @given(a=SCALAR_A, sigma=SIGMA, data=st.data())
 def test_scalar_table_matches_reference_bit_for_bit(a, sigma, data):
     """A one-state plant's table, grown in several calls through any ages,
-    holds :func:`mse_of_age` and :func:`nmse_of_age` bit for bit at every
-    age it computed, +inf and never nan past an overflow, and the same
-    bits as a table grown at once or one age at a time."""
+    reads :func:`mse_of_age` and :func:`nmse_of_age` bit for bit at every
+    age it computed through both :meth:`MseTable.errors` and
+    :meth:`MseTable.mse_and_nmse`, +inf and never nan past an overflow,
+    and the same bits as a table grown at once or one age at a time."""
     sys = LtiSystem(A=[[a]], B=[[1.0]], noise_cov=[[sigma]], Q=[[1.0]],
                     R=[[1.0]])
     tab = MseTable([sys])
@@ -256,7 +270,8 @@ def test_scalar_table_matches_reference_bit_for_bit(a, sigma, data):
                                   max_size=3), label="ages")
         tab.grow(np.array(ages)[:, None])
     every = [[age] for age in range(int(tab.depth[0]) + 1)]
-    curves = [table_errors(tab, every, use_nmse) for use_nmse in (False, True)]
+    curves, stacked = both_reads(tab, every)
+    assert stacked == curves and (tab.depth == len(every) - 1).all()
     # Overflow is expected: it is what makes the value +inf.
     with np.errstate(over="ignore", invalid="ignore"):
         assert curves == [[[law(sys, age)] for [age] in every]
@@ -315,7 +330,7 @@ def test_aoi_tracker_never_regresses(gens):
 
 
 def make_acc(n=2, t0=1, t1=4, classes=None):
-    return MetricsAccumulator(n, t0, t1, classes)
+    return MetricsAccumulator(n, t0, t1, classes or ["?"] * n)
 
 
 def sums(**rows):
@@ -360,4 +375,4 @@ def test_accumulator_fractions():
 
 def test_accumulator_rejects_empty_window():
     with pytest.raises(ConfigurationError):
-        MetricsAccumulator(1, 5, 4)
+        MetricsAccumulator(1, 5, 4, ["?"])
