@@ -13,35 +13,44 @@ outstanding; its events due at or before a tick's instant are handled before
 that tick.  Acknowledgements are instantaneous and lossless, so the source's
 view of its age is the gateway's.
 
-A run holds its state as arrays over the loop indices k = 0..N-1, which
-name the loops in the run, the channel and the MAC alike; loop id k + 1
-appears only in seed keys, error messages and outputs.  Loops of equal state
+The loop indices k = 0..N-1 name the loops in the run, the channel and
+the MAC alike; loop id k + 1 appears only in seed keys, error messages and
+outputs.  Runs of one config that differ only in their seed are ticked
+together as one batch of R replications (:class:`_Run`), with the
+replication as a second axis: the batch holds its state as arrays over
+R·N rows, row r·N + k being loop k of replication r.  Rows of equal state
 and input size are stepped together: a tick is a fixed number of array
-operations whatever N is.  Each row's arithmetic is the single-loop
-arithmetic, so results do not depend on how loops are grouped.  A
-delivery brings its loop's estimate up to the current step at once.
-States, inputs and ages are kept for every step; when the run ends, the
-window's ages, errors and costs are summed in step order, a block of steps
-at a time, and handed to the metrics.
+operations whatever N and R are, and so are a slot's transmissions and
+its deliveries.  Each row's arithmetic is the single-loop arithmetic, so
+results do not depend on how loops or replications are grouped: a
+replication of a batch gives the bits its lone run gives.  What a
+replication decides on its own (its gateway's schedule, its slot's
+collisions, its polls) it decides with its own streams.  A delivery brings
+its loop's estimate up to the current step at once.  States, inputs and
+ages are kept for every step; when the run ends, the window's ages,
+errors and costs are summed in step order, a block of steps at a time,
+and handed to the metrics.
 
 Random draws come from one stream per loop and purpose (noise, access,
 channel; the shared channel stream is loop id 0's), the stream
-``np.random.default_rng((seed, loop id, purpose))`` gives.  A run does not
-build a SeedSequence per stream: it computes the state words of every key
-in one pass of numpy's SeedSequence hash over arrays of loop ids
-(:func:`_seed_words`) and starts each stream's PCG64 from its row, so
-every draw keeps its bits.  The contention streams are read through
-buffers drawn a block at a time, which gives the same values.
+``np.random.default_rng((seed, loop id, purpose))`` gives.  A batch does
+not build a SeedSequence per stream: it computes the state words of every
+key of every replication in one pass of numpy's SeedSequence hash over
+arrays of seeds and loop ids (:func:`_seed_words`) and starts each
+stream's PCG64 from its row, so every draw keeps its bits.  The
+contention streams are read through buffers drawn a block at a time,
+which gives the same values.
 
 :func:`run_replication_sets` is the one path that runs replications:
-each config's policy tuning and seeded runs are tasks of one worker
-pool, and the results do not depend on the number of workers.
+each config's policy tuning and batches of seeded runs are tasks of one
+worker pool, and the results do not depend on the number of workers.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
@@ -67,6 +76,9 @@ POLL_GUARD_S = 0.002  # extra wait before a poll transaction is declared lost
 _RNG_NOISE, _RNG_ACCESS, _RNG_CHANNEL = 0, 1, 2
 # Loop-steps per block of the end-of-run window sums; bounds their memory.
 _SUM_BLOCK_VALUES = 1 << 12
+# Rows (loops times replications) of one batch of replications at most,
+# unless one replication has more: the history one N=1000 run keeps.
+_BATCH_LOOPS = 1000
 
 
 @dataclass
@@ -193,28 +205,32 @@ def _mix_into(x, y):
     np.bitwise_xor(r, r >> _SHIFT, out=x)
 
 
-def _seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
+def _seed_words(seeds, ids) -> np.ndarray:
     """``words[purpose, j]`` is
-    ``np.random.SeedSequence((seed, ids[j], purpose)).generate_state(4,
-    np.uint64)`` for each purpose 0-2 and id (each below 2**32).
+    ``np.random.SeedSequence((seeds[j], ids[j], purpose)).generate_state(4,
+    np.uint64)`` for each purpose 0-2 and row j (each id below 2**32).
 
-    numpy's hash, computed for every row at once on uint32 arrays.  The
-    entropy is the seed's 32-bit words, low first, then the id and the
-    purpose; a seed of 2**64 or more makes it longer than the pool, and
-    its extra words are mixed into every pool word after the pool's own
-    mixing.
+    numpy's hash, computed for every row at once on uint32 arrays.  A
+    row's entropy is its seed's 32-bit words, low first, then the id and
+    the purpose; a seed of 2**64 or more makes it longer than the pool,
+    and its extra words are mixed into every pool word after the pool's
+    own mixing, in the rows that have them.
     """
-    key = []
-    while True:
-        key.append(seed % (1 << 32))
-        seed >>= 32
-        if not seed:
-            break
-    n = len(key)
-    entropy = np.zeros((max(n + 2, 4), 3, len(ids)), np.uint32)
-    entropy[:n] = np.array(key, np.uint32)[:, None, None]
-    entropy[n] = ids
-    entropy[n + 1] = _PURPOSES
+    # Each distinct seed's word count and words (zero past its count), and
+    # each row's seed among them.
+    index = {seed: j for j, seed in enumerate(dict.fromkeys(map(int, seeds)))}
+    which = np.fromiter(map(index.__getitem__, seeds), np.int64, len(seeds))
+    counts = [max(1, -(-seed.bit_length() // 32)) for seed in index]
+    words = np.array([[seed >> 32 * w & 0xFFFFFFFF for seed in index]
+                      for w in range(max(counts))], np.uint32)
+    ids, n = np.asarray(ids), np.array(counts)[which]
+    entropy = np.zeros((max(max(counts) + 2, 4), 3, len(ids)), np.uint32)
+    entropy[:len(words)] = words[:, None, which]
+    # The id and the purpose follow each row's own seed words.
+    for count in set(counts):
+        rows = n == count
+        entropy[count, :, rows] = ids[rows, None]
+        entropy[count + 1, :, rows] = _PURPOSES.T
     entropy = entropy.reshape(len(entropy), -1)
     # Pool word d lives at b[d] until step d - 1 has mixed it, then at
     # b[d + 4]: step s mixes b[s] into b[s + 1:s + 4], and b[4:] ends as
@@ -228,8 +244,11 @@ def _seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
         _mix_into(b[s + 1:s + 4], _hashmix(b[s], *_SPREAD[s]))
     b[7] = b[3]
     for j in range(4, len(entropy)):
-        _mix_into(b[4:], _hashmix(entropy[j], *_hashmix_constants(
+        pool = b[4:].copy()
+        _mix_into(pool, _hashmix(entropy[j], *_hashmix_constants(
             _INIT_A, _MULT_A, range(4 * j, 4 * j + 4))))
+        # Only columns whose entropy has word j mix it in.
+        b[4:] = np.where(np.tile(n + 2 > j, 3), pool, b[4:])
     # The eight output words cycle through the pool twice; read as
     # little-endian pairs, they are the four 64-bit words.
     out = _hashmix(b[4:], *_OUTPUT).reshape(8, -1)
@@ -269,21 +288,21 @@ def _stream(words: np.ndarray) -> np.random.Generator:
 class _Plants:
     """Loops of one state size n and input size m, stepped as stacks.
 
-    Row j is loop ``loops[j]``, whose system is ``plants[plant[j]]``.
-    States and inputs are stacks of columns, shape (k, n, 1) and (k, m, 1),
-    kept for the whole run: ``X[t]`` is x[t], ``U[t]`` the input applied at
-    step t and ``noise[t]`` the process noise added after it, drawn from
-    the row's own stream, seeded by its row of ``words``.  ``xhat`` is
-    the estimate of the last tick.  Every product is computed per row
-    exactly as for a single loop; one-state one-input loops use elementwise
-    products, which give the bits of 1x1 matrix products at a fraction of
-    their cost.
+    Row j is the batch's row ``rows[j]`` (see :class:`_Run`), whose system
+    is ``plants[plant[j]]``.  States and inputs are stacks of columns,
+    shape (k, n, 1) and (k, m, 1), kept for the whole run: ``X[t]`` is
+    x[t], ``U[t]`` the input applied at step t and ``noise[t]`` the
+    process noise added after it, drawn from the row's own stream, seeded
+    by its row of ``words``.  ``xhat`` is the estimate of the last tick.
+    Every product is computed per row exactly as for a single loop;
+    one-state one-input loops use elementwise products, which give the
+    bits of 1x1 matrix products at a fraction of their cost.
     """
 
-    def __init__(self, plants, plant: np.ndarray, loops: np.ndarray,
+    def __init__(self, plants, plant: np.ndarray, rows: np.ndarray,
                  steps: int, words: np.ndarray):
-        k, n, m = len(loops), plants[0].n, plants[0].m
-        self.loops = loops
+        k, n, m = len(rows), plants[0].n, plants[0].m
+        self.rows = rows
         self.X = np.zeros((steps + 2, k, n, 1))
         self.U = np.zeros((steps + 1, k, m, 1))
         # Per-plant parameters, gathered by each row's plant index.
@@ -351,68 +370,95 @@ class _Plants:
 
 
 class _ChannelStreams(dict):
-    """Loop index -> that loop's channel stream, built on its first draw
-    from the seed words of loop id k + 1, ``words[k + 1]``; most loops of a
-    short large-N scheduled run never draw.  A stream depends only on its
-    seed words, so building it late changes no draw.
+    """Batch row -> that row's channel stream, built on its first draw
+    from its seed words, ``words[row]``; most loops of a short large-N
+    scheduled run never draw.  A stream depends only on its seed words, so
+    building it late changes no draw.
     """
 
     def __init__(self, words: np.ndarray):
         super().__init__()
         self.words = words
 
-    def __missing__(self, k: int) -> np.random.Generator:
-        rng = self[k] = _stream(self.words[k + 1])
+    def __missing__(self, row: int) -> np.random.Generator:
+        rng = self[row] = _stream(self.words[row])
         return rng
 
 
 class _Run:
-    """One run's state, held as arrays over the loop indices k.
+    """R replications of one config, ticked together: the runs with seeds
+    ``seeds`` (R = len(seeds), by default the config's own seed alone).
 
-    ``nu`` is each loop's freshest delivered generation.  A loop always has a
-    sample to send: the last tick's, or its initial state x[0] before the first
-    tick.  Loops of equal dimensions form one :class:`_Plants` group (``at[k]``
-    is loop k's group and row), and each tick steps every group with a fixed
-    number of array operations.  The tick keeps every step's ages (``ages``),
-    states and inputs; the metrics are reduced from them once the run ends.
+    State is held as arrays over the batch's R·N rows: row i = r·N + k is
+    loop k of replication r.  ``nu`` is each row's freshest delivered
+    generation.  A loop always has a sample to send: the last tick's, or
+    its initial state x[0] before the first tick.  Rows of equal
+    dimensions form one :class:`_Plants` group (``at[i]`` is row i's
+    group and row in it), and each tick steps every group with a fixed
+    number of array operations, for all replications at once.  The tick
+    keeps every step's ages (``ages``), states and inputs; the metrics are
+    reduced from them once the run ends.
+
+    What a replication cannot share it keeps to itself: its seed's
+    streams, its :class:`~ncsim.mac.Gateway` (``gateways[r]``, whose
+    ``est_age`` is row r of the batch's ``est_age``), its MEF schedule,
+    its slot resolution with its own shared stream, its poll coroutine
+    and its results.  The gateways share one error table, as a curve
+    depends only on its plant.
     """
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, seeds=None):
         self.cfg = cfg
+        self.seeds = [cfg.seed] if seeds is None else list(seeds)
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigurationError(
+                "need at least one seed, each non-negative")
         self.policy = cfg.policy.resolved(cfg.n_loops)
         self.channel = cfg.channel
         self.N = N = cfg.n_loops
+        self.R = R = len(self.seeds)
         self.Ts_us = round(cfg.T_s * 1e6)
         self.tx_us = round(cfg.channel.tx_duration * 1e6)
         self.steps = round(cfg.duration_s / cfg.T_s)
-        self.metrics = MetricsAccumulator(N, *cfg.window, cfg.classes)
-        self.gateway = Gateway(cfg.systems)
-        self.nu = np.zeros(N, np.int64)
-        self.ages = np.zeros((self.steps + 1, N), np.int64)
-        # words[purpose, i]: the seed words of loop id i's stream.
-        words = _seed_words(cfg.seed, np.arange(N + 1))
-        table = self.gateway.table
+        self.metrics = MetricsAccumulator(N, *cfg.window, cfg.classes, R)
+        self.est_age = np.ones((R, N), np.int64)
+        self.age_of = self.est_age.reshape(-1)       # by batch row
+        first = Gateway(cfg.systems, self.est_age[0])
+        self.gateways = [first] + [Gateway(cfg.systems, ages, first.table)
+                                   for ages in self.est_age[1:]]
+        self.firsts = np.arange(R) * N    # each replication's first row
+        self.nu = np.zeros(R * N, np.int64)
+        self.ages = np.zeros((self.steps + 1, R * N), np.int64)
+        # words[purpose, r (N + 1) + i]: the seed words of loop id i's
+        # stream in replication r; row i's loop id key is keys[i].
+        words = _seed_words([s for s in self.seeds for _ in range(N + 1)],
+                            np.arange(R * (N + 1)) % (N + 1))
+        row = np.arange(R * N)
+        loop, keys = row % N, row + row // N + 1
+        table = first.table
         sizes = [(sys.n, sys.m) for sys in table.plants]
-        self.groups, self.at = [], [None] * N
+        self.groups, self.at = [], [None] * (R * N)
         for size in dict.fromkeys(sizes):
-            # The group's plants, and each loop's plant index among them
-            # (-1 for loops of another size).
+            # The group's plants, and each row's plant index among them
+            # (-1 for rows of another size).
             ps = [p for p, other in enumerate(sizes) if other == size]
             plant = np.array([ps.index(p) if p in ps else -1
-                              for p in range(len(sizes))])[table.plant]
-            ks = (plant >= 0).nonzero()[0]
-            group = _Plants([table.plants[p] for p in ps], plant[ks], ks,
-                            self.steps, words[_RNG_NOISE, ks + 1])
+                              for p in range(len(sizes))])[table.plant[loop]]
+            rows = (plant >= 0).nonzero()[0]
+            group = _Plants([table.plants[p] for p in ps], plant[rows], rows,
+                            self.steps, words[_RNG_NOISE, keys[rows]])
             self.groups.append(group)
-            for j, k in enumerate(ks.tolist()):
-                self.at[k] = (group, j)
-        self.rng_channel = _ChannelStreams(words[_RNG_CHANNEL])
-        self.access = self.offsets = self.rng_shared = None
+            for j, i in enumerate(rows.tolist()):
+                self.at[i] = (group, j)
+        self.rng_channel = _ChannelStreams(words[_RNG_CHANNEL, keys])
+        self.access = self.offsets = None
+        self.rng_shared = []
         if self.policy.is_contention:
-            # Capture and erasure coins of every slot.
-            self.rng_shared = _stream(words[_RNG_CHANNEL, 0])
-            streams = lambda purpose: [_stream(row)
-                                       for row in words[purpose, 1:]]
+            # Each replication's capture and erasure coins.
+            self.rng_shared = [_stream(w)
+                               for w in words[_RNG_CHANNEL, ::N + 1]]
+            streams = lambda purpose: [_stream(w)
+                                       for w in words[purpose, keys]]
             if self.policy.variant in ("slotted_aloha", "adra"):
                 self.access = BlockStreams(
                     streams(_RNG_ACCESS), lambda rng, size: rng.random(size))
@@ -422,7 +468,7 @@ class _Run:
                     streams(_RNG_CHANNEL),
                     lambda rng, size: rng.uniform(0.0, top, size))
         self.current_step = 0
-        self.mef_schedule: list[int] = []
+        self.mef_schedules = [[]] * R
         self.end_us = self.steps * self.Ts_us
         # A poll or its reply that is lost is given up this long after
         # the poll was sent.
@@ -435,178 +481,223 @@ class _Run:
         from its freshest sample and applies its gain, the plants step, and
         x[t] becomes each loop's sample to send."""
         self.current_step = t
-        self.ages[t] = np.subtract(t, self.nu, out=self.gateway.est_age)
+        self.ages[t] = np.subtract(t, self.nu, out=self.age_of)
         for group in self.groups:
             group.tick(t)
 
     def _window_sums(self) -> np.ndarray:
-        """Each loop's age, MSE, nMSE and stage cost summed over the
-        metrics window, as rows of a (4, N) array.
+        """Each row's age, MSE, nMSE and stage cost summed over the
+        metrics window, as rows of a (4, R·N) array.
 
         The steps are added in order, as a running total would add them,
         a block at a time with the total so far as each block's first row.
         numpy sums pairwise only along the fast axis in memory, which in a
-        block runs over the quantities and loops, so reducing over its
+        block runs over the quantities and rows, so reducing over its
         steps adds row after row; a one-loop column summed on its own
         would be summed pairwise and round differently.  A diverged loop
         can produce nan (inf times a zero weight); it counts as +inf.
         """
-        m, table = self.metrics, self.gateway.table
-        total = np.zeros((4, self.N))
-        block = max(1, _SUM_BLOCK_VALUES // self.N)
+        m, table = self.metrics, self.gateways[0].table
+        width = self.R * self.N
+        total = np.zeros((4, width))
+        block = max(1, _SUM_BLOCK_VALUES // width)
         for lo in range(m.t_start, m.t_end + 1, block):
             steps = slice(lo, min(lo + block, m.t_end + 1))
             ages = self.ages[steps]
-            values = np.empty((len(ages) + 1, 4, self.N))
+            values = np.empty((len(ages) + 1, 4, width))
             values[0] = total
             rows = values[1:]
             rows[:, 0] = ages
-            rows[:, 1], rows[:, 2] = table.mse_and_nmse(ages)
+            # The table's curves run over one replication's loops.
+            by_rep = rows.reshape(len(ages), 4, self.R, self.N)
+            by_rep[:, 1], by_rep[:, 2] = table.mse_and_nmse(
+                ages.reshape(len(ages), self.R, self.N))
             for g in self.groups:
-                rows[:, 3, g.loops] = g.cost(g.X[steps], g.U[steps])[..., 0, 0]
+                rows[:, 3, g.rows] = g.cost(g.X[steps], g.U[steps])[..., 0, 0]
             np.fmin(rows, math.inf, out=rows)
             total = np.add.reduce(values, axis=0)
         return total
 
     def _flag_diverged(self):
-        """Flag each loop whose state ever left the divergence bound."""
+        """Flag each row whose state ever left the divergence bound."""
         for g in self.groups:
             # x[2..steps+1], the states the ticks produced; max and min
             # propagate nan, which fails both comparisons.
             axes = (0, 2, 3)
             ok = ((g.X[2:].max(axis=axes) <= DIVERGENCE_THRESHOLD)
                   & (g.X[2:].min(axis=axes) >= -DIVERGENCE_THRESHOLD))
-            self.metrics.flag_diverged(g.loops[~ok])
+            self.metrics.flag_diverged(g.rows[~ok])
 
     # ---- slotted medium access ------------------------------------------
 
     def _contention_transmitters(self) -> np.ndarray:
-        """Indices of this slot's transmitters, ascending: every loop
+        """Rows of this slot's transmitters, ascending: every loop
         (aloha), each with probability p (slotted ALOHA), or each whose age
         reached the threshold with probability p."""
         if self.policy.variant == "adra":
-            ks = (self.gateway.est_age >= self.policy.threshold).nonzero()[0]
+            rows = (self.age_of >= self.policy.threshold).nonzero()[0]
         else:
-            ks = np.arange(self.N)
+            rows = np.arange(self.R * self.N)
         if self.access is not None:
-            ks = ks[self.access.take(ks) < self.policy.p]
-        return ks
+            rows = rows[self.access.take(rows) < self.policy.p]
+        return rows
 
     def on_slot(self, t: int):
-        """Slot t starts on tick t's instant.  Its deliveries land before
-        the next tick and are applied here; the last slot's land after the
-        run ends and are dropped."""
+        """Slot t starts on tick t's instant, in every replication.  Its
+        deliveries land before the next tick and are applied here; the
+        last slot's land after the run ends and are dropped."""
         deliver = t < self.steps
         if self.policy.is_contention:
-            ks = self._contention_transmitters()
-            offsets = None if self.offsets is None else self.offsets.take(ks)
-            decoded = resolve_slot(ks, offsets, self.channel, self.rng_shared)
-            self.metrics.record_tx(ks, t)
-            if deliver:
-                for k in decoded.tolist():
-                    self.on_delivery(k, t)
+            rows = self._contention_transmitters()
+            offsets = None if self.offsets is None else self.offsets.take(rows)
+            if self.R == 1:     # the split below would cost as much
+                decoded = resolve_slot(rows, offsets, self.channel,
+                                       self.rng_shared[0])
+            else:   # each replication resolves its own transmitters
+                cuts = rows.searchsorted(self.firsts).tolist() + [len(rows)]
+                decoded = np.concatenate([
+                    resolve_slot(rows[lo:hi], offsets if offsets is None
+                                 else offsets[lo:hi], self.channel, rng)
+                    for lo, hi, rng in zip(cuts, cuts[1:], self.rng_shared)])
+            self.metrics.record_tx(rows, t)
+            if deliver and len(decoded):
+                self._deliver_slot(decoded, t)
         else:  # round_robin or mef
             if self.policy.variant == "round_robin":
-                k = rr_next(t, self.N)
+                rows = self.firsts + rr_next(t, self.N)
             else:
-                k = self.mef_schedule[(t - 1) % self.policy.frame_len]
-            self.metrics.record_tx(k, t)
-            ok = resolve_pointtopoint(self.channel, self.rng_channel[k])
-            if ok and deliver:
-                self.on_delivery(k, t)
+                slot = (t - 1) % self.policy.frame_len
+                rows = self.firsts + [s[slot] for s in self.mef_schedules]
+            self.metrics.record_tx(rows, t)
+            ok = [resolve_pointtopoint(self.channel, self.rng_channel[i])
+                  for i in rows.tolist()]
+            if deliver:
+                self._deliver_slot(rows[ok], t)
 
     # ---- deliveries -------------------------------------------------------
 
-    def on_delivery(self, k: int, gen: int):
-        """Loop k's sample from step ``gen`` arrives.  The gateway accepts
+    def _deliver_slot(self, rows: np.ndarray, t: int):
+        """The samples of step t, the current step, of the listed rows
+        (distinct) arrive, as :meth:`on_delivery` would take them: each is
+        fresher than its row's last, which an earlier slot delivered, and
+        bringing an estimate to the current step copies the state."""
+        self.metrics.record_rx(rows, t)
+        self.nu[rows] = t
+        self.age_of[rows] = 1
+        for i in rows.tolist():
+            group, j = self.at[i]
+            group.xhat[j] = group.X[t, j]
+
+    def on_delivery(self, i: int, gen: int):
+        """Row i's sample from step ``gen`` arrives.  The gateway accepts
         only strictly fresher generations; the age estimate becomes the
         sample's age on the gateway's sampling grid, floored at one.  The
         controller's estimate is brought to the current step at once, so
         the next tick rolls it forward."""
-        self.metrics.record_rx(k, gen)
-        if gen > self.nu[k]:
+        self.metrics.record_rx(i, gen)
+        if gen > self.nu[i]:
             now = self.current_step
             if gen > now:
                 raise InvariantViolation(
-                    f"loop {k + 1}: sample from step {gen} delivered at {now}")
-            self.nu[k] = gen
-            group, j = self.at[k]
+                    f"loop {i % self.N + 1}: sample from step {gen} "
+                    f"delivered at {now}")
+            self.nu[i] = gen
+            group, j = self.at[i]
             group.xhat[j] = group.replay(j, gen, now)
-            self.gateway.est_age[k] = max(1, now - gen)
+            self.age_of[i] = max(1, now - gen)
 
     # ---- polling: one transaction outstanding at a time ------------------
 
-    def _polls(self):
-        """Back-to-back poll transactions from time 0 until the run ends.
+    def _polls(self, r: int):
+        """Replication r's back-to-back poll transactions from time 0
+        until the run ends.
 
         Yields the time of each event of the outstanding transaction and
         handles it when resumed: a poll's arrival, the reply's arrival, or
         the time a lost poll or reply is given up, from when the poll was
         sent.  A finished transaction sends the next poll at once.
         """
+        gw, first = self.gateways[r], r * self.N
         now = 0
         while now < self.end_us:
             now_s = now * 1e-6
             if self.policy.variant == "wifresh":
-                k = wifresh_next(self.gateway, now_s)
+                k = wifresh_next(gw, now_s)
             else:
-                k = pmef_next(self.gateway, now_s, self.policy.use_nmse)
-            self.gateway.record_poll(k, now_s)
-            if resolve_pointtopoint(self.channel, self.rng_channel[k]):
+                k = pmef_next(gw, now_s, self.policy.use_nmse)
+            gw.record_poll(k, now_s)
+            rng = self.rng_channel[first + k]
+            if resolve_pointtopoint(self.channel, rng):
                 yield now + self.tx_us
                 gen = self.current_step
-                self.metrics.record_tx(k, gen)
-                if resolve_pointtopoint(self.channel, self.rng_channel[k]):
+                self.metrics.record_tx(first + k, gen)
+                if resolve_pointtopoint(self.channel, rng):
                     now += 2 * self.tx_us
                     yield now
-                    self.on_delivery(k, gen)
-                    self.gateway.record_data(k, now * 1e-6)
+                    self.on_delivery(first + k, gen)
+                    gw.record_data(k, now * 1e-6)
                     continue
             now += self.poll_wait_us    # the poll or its reply was lost
             yield now
 
     # ---- main loop -------------------------------------------------------
 
-    def execute(self) -> dict:
+    def execute(self) -> list[dict]:
+        """Run the batch; one result per replication, in seed order."""
         polling = self.policy.is_polling
         framed = self.policy.variant == "mef"
         with np.errstate(over="ignore", invalid="ignore"):
-            polls = self._polls() if polling else iter(())
-            due = next(polls, None)     # sends the first poll, at time 0
+            polls = [self._polls(r) for r in range(self.R)] if polling else []
+            # Sends each replication's first poll, at time 0.
+            due = [next(p, None) for p in polls]
             for t in range(1, self.steps + 1):
                 # Poll events on the tick's instant come before it.
-                while due is not None and due <= t * self.Ts_us:
-                    due = next(polls, None)
+                for r, p in enumerate(polls):
+                    while due[r] is not None and due[r] <= t * self.Ts_us:
+                        due[r] = next(p, None)
                 self.on_tick(t)
                 if polling:
                     continue
                 if framed and (t - 1) % self.policy.frame_len == 0:
-                    self.mef_schedule = mef_build_schedule(
-                        self.gateway, self.policy.frame_len,
-                        self.policy.use_nmse)
+                    self.mef_schedules = [
+                        mef_build_schedule(gw, self.policy.frame_len,
+                                           self.policy.use_nmse)
+                        for gw in self.gateways]
                 self.on_slot(t)
             self._flag_diverged()
             sums = self._window_sums()
-        result = {"metrics": self.metrics.finalize(*sums),
-                  "seed": self.cfg.seed}
+        return [self._result(r, sums) for r in range(self.R)]
+
+    def _result(self, r: int, sums: np.ndarray) -> dict:
+        """Replication r's result: its metrics and, if recorded, its
+        loops' series."""
+        N, first = self.N, r * self.N
+        result = {"metrics": self.metrics.finalize(*sums[:, first:first + N],
+                                                   rep=r),
+                  "seed": self.seeds[r]}
         if self.cfg.record_series:
             result["series"] = series = {}
-            for k, (g, j) in enumerate(self.at):
+            for k in range(N):
+                g, j = self.at[first + k]
                 state = g.X[1:-1, j, :, 0]
-                series[k + 1] = {"aoi": self.ages[1:, k].copy(),
+                series[k + 1] = {"aoi": self.ages[1:, first + k].copy(),
                                  "state": (state[:, 0] if g.scalar
                                            else state).copy()}
         return result
 
 
-def run(cfg: SimConfig) -> dict:
-    """One deterministic simulation run."""
-    return _Run(cfg).execute()
+def run(cfg: SimConfig, seeds=None):
+    """One deterministic simulation run.  Given ``seeds``, the runs of
+    ``cfg`` with each seed, ticked as one batch (:class:`_Run`), as a
+    list in seed order; each equals ``run(replace(cfg, seed=s))``."""
+    results = _Run(cfg, seeds).execute()
+    return results[0] if seeds is None else results
 
 
-def _replicate(cfg: SimConfig, seed: int) -> dict:
-    """Run ``cfg`` with ``seed``; a pool worker's unit of work."""
-    return run(replace(cfg, seed=seed))
+def _replicate(cfg: SimConfig, seeds: list[int]) -> list[dict]:
+    """Run ``cfg`` with each of ``seeds`` as one batch; a pool worker's
+    unit of work."""
+    return run(cfg, seeds)
 
 
 class _InProcess:
@@ -648,15 +739,31 @@ def run_replications(cfg: SimConfig, reps: int,
     return summarize_replications(results)
 
 
+def _batch_sizes(reps: int, n_loops: int, share: int) -> list[int]:
+    """A config's replications split into ``share`` batches (at most
+    ``reps``), or into more where a batch would hold more than
+    ``_BATCH_LOOPS // n_loops`` replications; sizes in seed order, the
+    larger first, differing by at most one."""
+    count = max(min(reps, share),
+                -(-reps // max(1, _BATCH_LOOPS // n_loops)))
+    size, extra = divmod(reps, count)
+    return [size + (b < extra) for b in range(count)]
+
+
 def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1
                          ) -> list[tuple[SimConfig, list[dict]]]:
-    """``reps`` replications (seed, seed+1, ...) of each config, every one
-    a task in one pool of at most ``jobs`` worker processes.
+    """``reps`` replications (seed, seed+1, ...) of each config, run in
+    batches (:func:`run` with seeds), every batch a task in one pool of at
+    most ``jobs`` worker processes.
 
-    A config whose policy needs tuning (see
+    Each config's replications are split into ``ceil(jobs / len(cfgs))``
+    batches, at most ``reps``, so that the pool has work for every worker;
+    a batch holds at most ``max(1, _BATCH_LOOPS // N)`` replications, so
+    that no batch keeps more rows of history than one run of
+    ``_BATCH_LOOPS`` loops.  A config whose policy needs tuning (see
     :attr:`~ncsim.mac.SchedulerPolicy.needs_tuning`) is tuned as a task in
-    the same pool, ahead of all runs, and its replications are queued as
-    soon as the tuning returns, so they overlap the other configs' runs.
+    the same pool, ahead of all runs, and its batches are queued as soon
+    as the tuning returns, so they overlap the other configs' runs.
     Returns, per config, the config as run (its policy resolved) and its
     replication results in seed order, identical for every ``jobs``.  A
     worker that dies surfaces as ``concurrent.futures.BrokenExecutor``; an
@@ -665,12 +772,16 @@ def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1
     if reps < 1:
         raise ConfigurationError("need at least one replication")
     tune = [k for k, cfg in enumerate(cfgs) if cfg.policy.needs_tuning]
+    splits = [_batch_sizes(reps, cfg.n_loops, -(-jobs // len(cfgs)))
+              for cfg in cfgs]
     sets = [None] * len(cfgs)
-    with _pool(min(jobs, len(tune) + len(cfgs) * reps)) as pool:
+    with _pool(min(jobs, len(tune) + sum(map(len, splits)))) as pool:
         def submit(k, policy):
             cfg = replace(cfgs[k], policy=policy)
-            sets[k] = cfg, [pool.submit(_replicate, cfg, cfg.seed + r)
-                            for r in range(reps)]
+            seeds = iter(range(cfg.seed, cfg.seed + reps))
+            sets[k] = cfg, [
+                pool.submit(_replicate, cfg, list(itertools.islice(seeds, n)))
+                for n in splits[k]]
 
         tunings = {pool.submit(cfgs[k].policy.resolved, cfgs[k].n_loops): k
                    for k in tune}
@@ -679,8 +790,8 @@ def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1
                 submit(k, cfg.policy.resolved(cfg.n_loops))
         for future in concurrent.futures.as_completed(tunings):
             submit(tunings[future], future.result())
-        return [(cfg, [f.result() for f in futures])
-                for cfg, futures in sets]
+        return [(cfg, [result for f in batches for result in f.result()])
+                for cfg, batches in sets]
 
 
 def summarize_replications(results: list[dict]) -> dict:

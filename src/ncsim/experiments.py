@@ -108,6 +108,9 @@ class ExperimentSpec:
             if not is_integer(getattr(self, key)):
                 raise ConfigurationError(
                     f"{key} must be an integer, got {getattr(self, key)!r}")
+        if self.replications < 1:
+            raise ConfigurationError(
+                f"replications must be >= 1, got {self.replications!r}")
         for key in ("duration_s", "warmup_s", "cooldown_s"):
             if not is_real(getattr(self, key)):
                 raise ConfigurationError(

@@ -41,22 +41,23 @@ class Gateway:
     """What the gateway knows about the loops, as arrays over their
     indices k.
 
-    The engine writes the age estimates ``est_age`` every tick.  Polls and
-    polled replies of the last ``RELIABILITY_WINDOW_S``, counted per loop in
-    ``polls`` and ``datas``, give the reliability (RX + 1) / (TX + 1).
-    Their times never decrease, so one time-ordered deque, trimmed at each
-    poll, leaves every loop the counts that trimming its own history
-    would.  ``table`` is the run's :class:`MseTable`, the loops' error
-    curves.
+    The engine writes the age estimates ``est_age`` every tick; it may
+    pass them in as its own array's row.  Polls and polled replies of the
+    last ``RELIABILITY_WINDOW_S``, counted per loop in ``polls`` and
+    ``datas``, give the reliability (RX + 1) / (TX + 1).  Their times
+    never decrease, so one time-ordered deque, trimmed at each poll,
+    leaves every loop the counts that trimming its own history would.
+    ``table`` is the :class:`MseTable` of the loops' error curves, built
+    for them or passed in by gateways of the same systems that share it.
     """
 
-    def __init__(self, systems: list[LtiSystem]):
+    def __init__(self, systems: list[LtiSystem], est_age=None, table=None):
         n = len(systems)
-        self.est_age = np.ones(n, np.int64)
+        self.est_age = np.ones(n, np.int64) if est_age is None else est_age
         self.polls, self.datas = [0] * n, [0] * n
         self._rel = np.ones(n)             # (datas + 1) / (polls + 1)
         self._window = deque()             # (time, k, polls or datas)
-        self.table = MseTable(systems)
+        self.table = MseTable(systems) if table is None else table
 
     def _count(self, counts: list[int], k: int, step: int):
         counts[k] += step

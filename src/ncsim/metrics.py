@@ -1,5 +1,5 @@
 """Estimation-error metrics as functions of information age, plus the
-per-run accumulator that turns a run's window sums into windowed means.
+accumulator that turns each run's window sums into windowed means.
 
 The mean squared estimation error of a loop whose freshest sample is
 ``delta`` periods old has the closed form
@@ -7,16 +7,17 @@ The mean squared estimation error of a loop whose freshest sample is
     MSE(delta) = sum_{d=1..delta} tr((A')^{d-1} A^{d-1} Sigma)
 
 and its normalized variant divides by the one-period value, making loops
-with different state dimensions and units comparable.  A run's one
-:class:`MseTable` grows the MSE law on demand for each of its plants, only
-as far as that plant's own loops ask, and stacks the curves so that the
+with different state dimensions and units comparable.  A batch of runs'
+one :class:`MseTable` grows the MSE law on demand for each of its plants,
+only as far as that plant's own loops ask, and stacks the curves so that the
 engine and the schedulers read every loop's error with one gather; the
 nMSE is that gather divided by each loop's one-period value.  A
 one-state plant's curve grows by two array scans per extension, a larger
 plant's one age at a time, both with the operations of :func:`mse_of_age`.
 :class:`MetricsAccumulator` counts transmissions and receptions in the
-window and takes the window's per-loop sums of age, error and cost in
-one call once the run ends.
+window, for every replication of a batch, and takes each replication's
+per-loop sums of age, error and cost over the window in one call once
+the batch ends.
 """
 from __future__ import annotations
 
@@ -189,28 +190,30 @@ class MseTable:
 
 
 class MetricsAccumulator:
-    """Windowed per-loop and network-wide means of age, error and cost.
+    """Windowed per-loop and network-wide means of age, error and cost,
+    for ``reps`` replications of ``n_loops`` loops.
 
     Only steps t with ``t_start <= t <= t_end`` contribute.  Transmission
     and reception counters are gated by the same window so that resource
-    fractions describe the evaluated interval.  ``classes[k]`` is loop k's
-    label for the per-class shares.
+    fractions describe the evaluated interval.  They count per row, row
+    r * n_loops + k being loop k of replication r.  ``classes[k]`` is loop
+    k's label for the per-class shares.
     """
 
     def __init__(self, n_loops: int, t_start: int, t_end: int,
-                 classes: list[str]):
+                 classes: list[str], reps: int = 1):
         if t_end < t_start:
             raise ConfigurationError("empty evaluation window")
         self.n_loops = n_loops
         self.t_start = t_start
         self.t_end = t_end
         self.classes = classes
-        self.tx = np.zeros(n_loops, np.int64)
-        self.rx = np.zeros(n_loops, np.int64)
-        self.diverged = np.zeros(n_loops, dtype=bool)
+        self.tx = np.zeros(reps * n_loops, np.int64)
+        self.rx = np.zeros(reps * n_loops, np.int64)
+        self.diverged = np.zeros(reps * n_loops, dtype=bool)
 
     def record_tx(self, loop, t: int):
-        """Count a transmission of ``loop`` (an index or distinct indices)."""
+        """Count a transmission of ``loop`` (a row or distinct rows)."""
         if self.t_start <= t <= self.t_end:
             self.tx[loop] += 1
 
@@ -221,12 +224,15 @@ class MetricsAccumulator:
     def flag_diverged(self, loop):
         self.diverged[loop] = True
 
-    def finalize(self, aoi, mse, nmse, cost) -> dict:
-        """Per-loop and network-wide means, delivery ratios and per-class
-        shares of successful deliveries, from each loop's age, MSE, nMSE
-        and stage cost summed over the window's steps."""
+    def finalize(self, aoi, mse, nmse, cost, rep: int = 0) -> dict:
+        """Replication ``rep``'s per-loop and network-wide means, delivery
+        ratios and per-class shares of successful deliveries, from each of
+        its loops' age, MSE, nMSE and stage cost summed over the window's
+        steps."""
         steps = self.t_end - self.t_start + 1
-        tx, rx = self.tx.copy(), self.rx.copy()
+        rows = slice(rep * self.n_loops, (rep + 1) * self.n_loops)
+        tx, rx = self.tx[rows].copy(), self.rx[rows].copy()
+        diverged = self.diverged[rows].copy()
         per_loop = {
             "aoi_mean": aoi / steps,
             "mse_mean": mse / steps,
@@ -236,7 +242,7 @@ class MetricsAccumulator:
             "rx": rx,
             "delivery_ratio": np.divide(
                 rx, tx, out=np.zeros(self.n_loops), where=tx > 0),
-            "diverged": self.diverged.copy(),
+            "diverged": diverged,
         }
         total_rx = int(rx.sum())
         fractions = {}
@@ -248,7 +254,7 @@ class MetricsAccumulator:
             "mse_mean": float(np.mean(per_loop["mse_mean"])),
             "nmse_mean": float(np.mean(per_loop["nmse_mean"])),
             "lqg_mean": float(np.mean(per_loop["lqg_mean"])),
-            "any_diverged": bool(self.diverged.any()),
+            "any_diverged": bool(diverged.any()),
         }
         return {
             "per_loop": per_loop,

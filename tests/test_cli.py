@@ -131,12 +131,18 @@ def with_line(text, line):
     ("run", 'channel: {erasure_prob: "0.1"}', "erasure_prob"),
     ("run", "channel: {mode: [strict_collision]}", "mode"),
     ("run", 'protocols: [{name: mef, use_nmse: "no"}]', "use_nmse"),
+    ("run", "replications: 0", "replications"),
+    # A line starting with -- is a command-line option, not a config line.
+    ("run", "--reps 0", "replications"),
+    ("validate", "--reps -1", "replications"),
 ])
 def test_malformed_value_exits_one_naming_its_key(tmp_path, capsys, command,
                                                   line, key):
     base = VALIDATE_OK_CFG if command == "validate" else RUN_CFG
-    path = cfg_file(tmp_path, with_line(base, line))
-    rc = main([command, "--config", path, "--out", str(tmp_path / "res")])
+    option = line.split() if line.startswith("--") else []
+    path = cfg_file(tmp_path, base if option else with_line(base, line))
+    rc = main([command, "--config", path, "--out", str(tmp_path / "res"),
+               *option])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{key} must" in err
@@ -401,7 +407,7 @@ def test_pool_never_exceeds_task_count(tmp_path, pools):
 
 def test_dead_worker_exits_one(tmp_path, monkeypatch, capsys):
     # Forked workers inherit the patch and die mid-task.
-    monkeypatch.setattr(ncsim.engine, "run", lambda cfg: os._exit(1))
+    monkeypatch.setattr(ncsim.engine, "run", lambda cfg, seeds: os._exit(1))
     rc = main(["run", "--config", cfg_file(tmp_path, RUN_CFG),
                "--out", str(tmp_path / "res"), "--jobs", "2"])
     assert rc == 1
@@ -410,8 +416,8 @@ def test_dead_worker_exits_one(tmp_path, monkeypatch, capsys):
 
 def test_worker_invariant_violation_reaches_caller(tmp_path, monkeypatch,
                                                    capsys):
-    def violate(cfg):
-        raise InvariantViolation(f"rx > tx in seed {cfg.seed}")
+    def violate(cfg, seeds):
+        raise InvariantViolation(f"rx > tx in seed {seeds[0]}")
 
     monkeypatch.setattr(ncsim.engine, "run", violate)
     path = cfg_file(tmp_path, JOBS_CFGS["sweep"])

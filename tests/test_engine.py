@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 import ncsim.engine
 import ncsim.mac
 from ncsim.channel import ChannelConfig
-from ncsim.engine import (SimConfig, _Run, _seed_words, _stream, run,
+from ncsim.engine import (SimConfig, _batch_sizes, _Run, _seed_words,
+                          _stream, run, run_replication_sets,
                           run_replications, summarize_replications,
                           systems_from_classes)
 from ncsim.errors import ConfigurationError
 from ncsim.mac import SchedulerPolicy
 from ncsim.metrics import mse_of_age, nmse_of_age
+from ncsim.systems import LtiSystem, make_preset
 
 
 def cold_replay(sys, x, inputs):
@@ -52,6 +54,9 @@ def test_config_validation():
                       duration_s=2.0, **{trim: -0.5})
     with pytest.raises(ConfigurationError):
         run(cfg_for(2, "adra"))   # no tuned default pair below N=3
+    for seeds in ([], [3, -1]):   # a batch needs seeds, none negative
+        with pytest.raises(ConfigurationError, match="seed"):
+            run(cfg_for(2, "round_robin"), seeds)
     # A 0.4 us transmission rounds to 0 us on the clock: a poll, its
     # arrival and its reply would fall on one instant forever.
     with pytest.raises(ConfigurationError):
@@ -232,7 +237,7 @@ def test_polling_stops_at_the_run_end(tx, n_polls, n_replies):
     r = _Run(cfg_for(2, "wifresh", duration=1.0, trim=0.2,
                      channel=ChannelConfig(tx_duration=tx)))
     polls, replies, delivered = [], [], []
-    gw, deliver = r.gateway, r.on_delivery
+    gw, deliver = r.gateways[0], r.on_delivery
     record_poll, record_data = gw.record_poll, gw.record_data
     gw.record_poll = lambda k, now: (polls.append(now), record_poll(k, now))
     gw.record_data = lambda k, now: (replies.append(now),
@@ -279,7 +284,7 @@ def test_only_strictly_fresher_deliveries_change_the_gateway(steps):
     r = _Run(cfg_for(2, "round_robin"))
     group, j = r.at[0]
     group.X[:, j, 0, 0] = np.arange(len(group.X))
-    est_age = r.gateway.est_age
+    est_age = r.gateways[0].est_age
     for step, lag in steps:
         r.current_step += step
         gen = max(0, r.current_step - lag)
@@ -300,7 +305,7 @@ def test_contention_sender_waits_for_the_next_sample():
     transmits once in every slot of the window, and two loops collide in
     every one."""
     r = _Run(cfg_for(2, "aloha"))
-    out = r.execute()["metrics"]["per_loop"]
+    out = r.execute()[0]["metrics"]["per_loop"]
     t_start, t_end = r.cfg.window
     assert out["tx"].tolist() == [t_end - t_start + 1] * 2
     assert out["rx"].tolist() == [0, 0]
@@ -399,7 +404,7 @@ def test_batched_state_invariants(cfg):
 
     def checked_tick(t):
         tick(t)
-        assert (r.gateway.est_age >= 1).all()
+        assert (r.gateways[0].est_age >= 1).all()
         assert (r.metrics.rx <= r.metrics.tx).all()
         assert (r.nu >= seen).all()
         seen[:] = r.nu
@@ -415,9 +420,10 @@ def test_batched_state_invariants(cfg):
 
 @pytest.mark.parametrize("variant", ["round_robin", "aloha", "mef", "pmef"])
 def test_tables_grow_only_to_their_own_loops_ages(variant, monkeypatch):
-    """Each plant's table reaches the oldest age its own loops asked for:
-    window ages for the metrics, MEF's frame reach for its loops, and the
-    ages of every poll decision."""
+    """A batch's one table grows each plant's curve to the oldest age its
+    own loops asked for in any replication: window ages for the metrics,
+    MEF's frame reach for its loops, and the ages of every poll
+    decision."""
     cfg = cfg_for(15, variant, pattern=("easy", "pendulum", "hard"),
                   duration=4.0, trim=1.0, series=True,
                   channel=ChannelConfig(mode="offset_capture",
@@ -429,17 +435,19 @@ def test_tables_grow_only_to_their_own_loops_ages(variant, monkeypatch):
         return pick(gw, *args)
 
     monkeypatch.setattr(ncsim.engine, "pmef_next", recording_pick)
-    r = _Run(cfg)
-    res = r.execute()
-    ages = np.array([res["series"][k + 1]["aoi"] for k in range(15)]).T
-    window = ages[r.metrics.t_start - 1:r.metrics.t_end]   # row t-1: tick t
-    tab, frame = r.gateway.table, cfg.policy.frame_len
+    r = _Run(cfg, seeds=[0, 1, 2])
+    # ages[rep, t - 1, k]: loop k's age at tick t.
+    ages = np.array([[res["series"][k + 1]["aoi"] for k in range(15)]
+                     for res in r.execute()]).transpose(0, 2, 1)
+    window = ages[:, r.metrics.t_start - 1:r.metrics.t_end]
+    tab, frame = r.gateways[0].table, cfg.policy.frame_len
+    assert all(gw.table is tab for gw in r.gateways)
     for p in range(len(tab.plants)):
         own = tab.plant == p
-        want = window[:, own].max()
+        want = window[..., own].max()
         if variant == "mef":
             for t in range(1, r.steps + 1, frame):
-                want = max(want, ages[t - 1, own].max() + frame - 1)
+                want = max(want, ages[:, t - 1, own].max() + frame - 1)
         if polled:
             want = max(want, np.array(polled)[:, own].max())
         assert tab.depth[p] == want
@@ -455,8 +463,9 @@ PLANT_MIXES = [(9, ("easy", "mid", "hard"), "mef"),
 
 @pytest.mark.parametrize("n, pattern, variant", PLANT_MIXES)
 def test_one_mse_table_per_plant(n, pattern, variant, monkeypatch):
-    """A run builds one table, with one row per distinct system object;
-    every grown entry equals the reference law."""
+    """A batch builds one table, which all its replications' gateways
+    share, with one row per distinct system object; every grown entry
+    equals the reference law."""
     cfg = cfg_for(n, variant, pattern=pattern)
     built = []
 
@@ -466,10 +475,11 @@ def test_one_mse_table_per_plant(n, pattern, variant, monkeypatch):
             super().__init__(systems)
 
     monkeypatch.setattr(ncsim.mac, "MseTable", CountedTable)
-    r = _Run(cfg)
+    r = _Run(cfg, seeds=[0, 1, 2])
     r.execute()
-    tab = r.gateway.table
+    tab = r.gateways[0].table
     assert built == [tab]
+    assert all(gw.table is tab for gw in r.gateways)
     assert len(tab.plants) == len({id(s) for s in cfg.systems}) == 3
     assert all(tab.plants[p] is s
                for p, s in zip(tab.plant.tolist(), cfg.systems))
@@ -513,14 +523,18 @@ SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=SEEDS, ids=st.lists(st.integers(0, 10**4), max_size=6))
-def test_seed_words_match_seed_sequence(seed, ids):
-    """Row for row, the array hash gives SeedSequence's state words."""
-    ids = [0, *ids, 10**4]
-    words = _seed_words(seed, np.array(ids))
-    assert words.shape == (3, len(ids), 4) and words.dtype == np.uint64
+@given(keys=st.lists(st.tuples(SEEDS, st.integers(0, 10**4)), max_size=6))
+def test_seed_words_match_seed_sequence(keys):
+    """Row for row, the array hash gives SeedSequence's state words, also
+    when one call mixes seeds of one to five 32-bit words: rows on both
+    sides of 2**32 and of 2**64 are always among them."""
+    keys = [(0, 0), *keys, (2**32 - 1, 3), (2**32, 3), (2**64 - 1, 10**4),
+            (2**64, 10**4)]
+    seeds, ids = zip(*keys)
+    words = _seed_words(seeds, np.array(ids))
+    assert words.shape == (3, len(keys), 4) and words.dtype == np.uint64
     for purpose in range(3):
-        for j, i in enumerate(ids):
+        for j, (seed, i) in enumerate(keys):
             ref = np.random.SeedSequence((seed, i, purpose)).generate_state(
                 4, np.uint64)
             assert words[purpose, j].tolist() == ref.tolist()
@@ -531,7 +545,7 @@ def test_seed_words_match_seed_sequence(seed, ids):
 def test_streams_draw_as_default_rng(seed, i, purpose):
     """A stream built from its seed words draws what ``default_rng`` of the
     same key draws."""
-    rng = _stream(_seed_words(seed, np.array([i]))[purpose, 0])
+    rng = _stream(_seed_words([seed], [i])[purpose, 0])
     ref = np.random.default_rng((seed, i, purpose))
     for draw in (lambda g: g.normal(size=50), lambda g: g.random(50),
                  lambda g: g.uniform(0.0, 0.007, 50)):
@@ -565,6 +579,120 @@ def test_runs_seed_no_stream_one_by_one(variant, monkeypatch):
         mode="offset_capture", erasure_prob=0.01), duration=1.0, trim=0.2))
     assert seeded == [] and rngs == []
     assert len(pcgs) >= 50 and set(pcgs) == {ncsim.engine._seed_state()}
+
+
+def test_replications_tick_as_one_batch(monkeypatch):
+    """At one job, a config's replications are one batch: every plant
+    group ticks once per step for all four, not once per replication."""
+    ticks = []
+    tick = ncsim.engine._Plants.tick
+    monkeypatch.setattr(ncsim.engine._Plants, "tick",
+                        lambda plants, t: (ticks.append(t), tick(plants, t)))
+    cfg = cfg_for(6, "wifresh", pattern=("easy", "pendulum"), duration=1.0,
+                  trim=0.2)
+    [(_, results)] = run_replication_sets([cfg], reps=4, jobs=1)
+    assert [r["seed"] for r in results] == [0, 1, 2, 3]
+    assert len(ticks) == 100 * 2      # steps x groups
+
+
+# ---- replication batches: bit for bit the lone runs ------------------------
+
+# An open-loop unstable plant without a controller: its state overflows to
+# inf, then nan, and its MSE is +inf from age 7.
+UNSTABLE = LtiSystem(A=[[1e30]], B=[[1.0]], noise_cov=[[1.0]], Q=[[1.0]],
+                     R=[[1.0]], name="unstable")
+BATCH_SYSTEMS = {c: make_preset(c) for c in CLASSES}
+BATCH_SYSTEMS["unstable"] = UNSTABLE
+
+
+def bits(value):
+    """A result's exact content: arrays as dtype, shape and bytes, floats
+    by repr (which tells -0.0 and nan apart), containers item by item."""
+    if isinstance(value, dict):
+        return {key: bits(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return value
+
+
+@st.composite
+def batch_configs(draw):
+    """A config and one to five seeds, also repeated ones and ones of
+    one to three 32-bit words in one batch."""
+    n = draw(st.integers(1, 12))
+    pattern = draw(st.lists(st.sampled_from(sorted(BATCH_SYSTEMS)),
+                            min_size=1, max_size=4))
+    variant = draw(st.sampled_from(ncsim.mac.PROTOCOLS))
+    pol = {}
+    if variant in ("slotted_aloha", "adra"):
+        pol["p"] = draw(st.sampled_from([0.05, 0.3, 0.7]))
+    if variant == "adra":
+        pol["threshold"] = draw(st.integers(0, 5))
+    if variant == "mef":
+        pol["frame_len"] = draw(st.integers(1, 20))
+    if variant in ("mef", "pmef"):
+        pol["use_nmse"] = draw(st.booleans())
+    # 5 ms puts poll replies on tick instants; 10 ms fills the slot.
+    channel = ChannelConfig(
+        mode=draw(st.sampled_from(["strict_collision", "offset_capture"])),
+        erasure_prob=draw(st.sampled_from([0.0, 0.05])),
+        tx_duration=draw(st.sampled_from([0.003, 0.005, 0.010])))
+    cfg = SimConfig(
+        systems=[BATCH_SYSTEMS[pattern[k % len(pattern)]] for k in range(n)],
+        policy=SchedulerPolicy(variant, **pol), channel=channel,
+        duration_s=0.4, warmup_s=0.1, cooldown_s=0.1,
+        record_series=draw(st.booleans()))
+    seeds = draw(st.lists(st.one_of(st.integers(0, 5), st.sampled_from(
+        [2**32 - 1, 2**32, 2**64 - 1, 2**64])), min_size=1, max_size=5))
+    return cfg, seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=batch_configs())
+def test_batch_equals_lone_runs(batch):
+    """Each replication of a batch gives, bit for bit, what a run of its
+    own seed gives: per-loop metrics, tx and rx counts, network means,
+    fractions, divergence flags and series."""
+    cfg, seeds = batch
+    batched = _Run(cfg, seeds).execute()
+    assert len(batched) == len(seeds)
+    for seed, result in zip(seeds, batched):
+        assert bits(result) == bits(run(replace(cfg, seed=seed)))
+
+
+@pytest.mark.parametrize("reps, n_loops, share, sizes", [
+    (4, 2, 1, [4]), (5, 3, 2, [3, 2]), (2, 15, 3, [1, 1]),
+    (20, 15, 1, [20]), (25, 100, 1, [9, 8, 8]), (3, 2000, 1, [1, 1, 1])])
+def test_batch_sizes(reps, n_loops, share, sizes):
+    """``share`` batches of nearly equal size in seed order, more where a
+    batch would hold more than 1000 // N replications."""
+    assert _batch_sizes(reps, n_loops, share) == sizes
+
+
+def test_batches_do_not_change_results(monkeypatch):
+    """Five replications split 3 + 2 over two workers, split by a smaller
+    row cap, or run one by one give the same results."""
+    cfg = cfg_for(4, "slotted_aloha", p=0.3, series=True,
+                  channel=ChannelConfig(mode="offset_capture",
+                                        erasure_prob=0.05))
+    batches = []
+    engine_run = ncsim.engine.run
+    monkeypatch.setattr(ncsim.engine, "run", lambda cfg, seeds: (
+        batches.append(seeds), engine_run(cfg, seeds))[1])
+    lone = [bits(run(replace(cfg, seed=s))) for s in range(5)]
+    [(_, serial)] = run_replication_sets([cfg], reps=5, jobs=1)
+    assert batches == [[0, 1, 2, 3, 4]]
+    monkeypatch.setattr(ncsim.engine, "_BATCH_LOOPS", 8)
+    [(_, capped)] = run_replication_sets([cfg], reps=5, jobs=1)
+    assert batches[1:] == [[0, 1], [2, 3], [4]]
+    monkeypatch.undo()
+    [(_, pooled)] = run_replication_sets([cfg], reps=5, jobs=2)
+    assert ([bits(r) for r in serial] == [bits(r) for r in capped]
+            == [bits(r) for r in pooled] == lone)
 
 
 def test_replications_deterministic_metric_gives_zero_width():

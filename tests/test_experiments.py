@@ -63,8 +63,8 @@ def test_pendulum_adds_the_raw_ablation_only_when_unlisted(monkeypatch):
     reported once, in list order."""
     runs = []
     engine_run = ncsim.engine.run
-    monkeypatch.setattr(ncsim.engine, "run",
-                        lambda cfg: runs.append(cfg) or engine_run(cfg))
+    monkeypatch.setattr(ncsim.engine, "run", lambda cfg, seeds: runs.append(
+        cfg) or engine_run(cfg, seeds))
     spec = tiny_spec(scenario="pendulum", duration_s=1.0, warmup_s=0.3,
                      cooldown_s=0.2, replications=1)
     for protocols, labels in (
@@ -170,7 +170,9 @@ def test_parse_rejects_bad_values(tmp_path):
             ("channel: {capture_prob: true}", "capture_prob"),
             ("channel: {mode: 3}", "mode"),
             ('protocols: [{name: mef, use_nmse: "no"}]', "use_nmse"),
-            ("protocols: [{name: pmef, use_nmse: 1}]", "use_nmse")]:
+            ("protocols: [{name: pmef, use_nmse: 1}]", "use_nmse"),
+            ("replications: 0", "replications"),
+            ("replications: -2", "replications")]:
         if not text.startswith("protocols"):
             text = "protocols: [round_robin]\n" + text
         path = write_config(tmp_path, f"scenario: single\n{text}\n")

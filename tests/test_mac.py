@@ -37,9 +37,10 @@ def test_lcfs_keeps_only_freshest():
     run ends."""
     r = hand_run("aloha", n=1)
     delivered = []
-    deliver = r.on_delivery
-    r.on_delivery = lambda k, gen: (delivered.append((gen, r.current_step)),
-                                    deliver(k, gen))
+    deliver = r._deliver_slot
+    r._deliver_slot = lambda rows, gen: (
+        delivered.extend((gen, r.current_step) for _ in rows),
+        deliver(rows, gen))
     r.execute()
     assert delivered == [(t, t) for t in range(1, r.steps)]
 
@@ -91,7 +92,7 @@ def hand_delivery_run():
 def test_gw_on_data_age_update():
     r = hand_delivery_run()
     r.on_delivery(1, 7)
-    assert r.gateway.est_age[1] == 3
+    assert r.gateways[0].est_age[1] == 3
     # The acknowledgement is instantaneous: the sender's loop knows gen 7,
     # and its controller rolls x[7] forward to step 10.
     assert r.nu[1] == 7 and estimate(r, 1) == 0.5 * 1.1 * 1.1 * 1.1
@@ -104,9 +105,9 @@ def test_gw_on_data_ignores_duplicates_and_stale():
     accepted = estimate(r, 1)
     r.current_step = 11
     r.on_delivery(1, 7)    # duplicate
-    assert r.gateway.est_age[1] == 3 and estimate(r, 1) == accepted
+    assert r.gateways[0].est_age[1] == 3 and estimate(r, 1) == accepted
     r.on_delivery(1, 4)    # stale
-    assert r.gateway.est_age[1] == 3 and r.nu[1] == 7
+    assert r.gateways[0].est_age[1] == 3 and r.nu[1] == 7
     assert estimate(r, 1) == accepted
 
 
@@ -115,10 +116,10 @@ def test_gw_view_age_grows_per_tick():
     for t in range(1, 11):
         r.on_tick(t)
     r.on_delivery(1, 7)
-    assert r.gateway.est_age[1] == 3 and r.nu[1] == 7
+    assert r.gateways[0].est_age[1] == 3 and r.nu[1] == 7
     for t in range(11, 16):
         r.on_tick(t)
-    assert r.gateway.est_age[1] == 3 + 5
+    assert r.gateways[0].est_age[1] == 3 + 5
 
 
 def test_reliability_window():
