@@ -20,13 +20,15 @@ together as one batch of R replications (:class:`_Run`), with the
 replication as a second axis: the batch holds its state as arrays over
 R·N rows, row r·N + k being loop k of replication r.  Rows of equal state
 and input size are stepped together: a tick is a fixed number of array
-operations whatever N and R are, and so are a slot's transmissions and
-its deliveries.  Each row's arithmetic is the single-loop arithmetic, so
-results do not depend on how loops or replications are grouped: a
-replication of a batch gives the bits its lone run gives.  What a
-replication decides on its own (its gateway's schedule, its slot's
-collisions, its polls) it decides with its own streams.  A delivery brings
-its loop's estimate up to the current step at once.  States, inputs and
+operations whatever N and R are, and so is a contention slot's count of
+transmissions.  A slot's deliveries are taken one row at a time, as is
+each replication's one transmission in a scheduled slot.  Each row's
+arithmetic is the single-loop arithmetic, so results do not depend on
+how loops or replications are grouped: a replication of a batch gives
+the bits its lone run gives.  What a replication decides on its own (its
+gateway's schedule, its slot's collisions, its polls) it decides with
+its own streams.  A delivery brings its loop's estimate up to the
+current step at once.  States, inputs and
 ages are kept for every step; when the run ends, the window's ages,
 errors and costs are summed in step order, a block of steps at a time,
 and handed to the metrics.
@@ -206,31 +208,29 @@ def _mix_into(x, y):
 
 
 def _seed_words(seeds, ids) -> np.ndarray:
-    """``words[purpose, j]`` is
-    ``np.random.SeedSequence((seeds[j], ids[j], purpose)).generate_state(4,
-    np.uint64)`` for each purpose 0-2 and row j (each id below 2**32).
+    """``words[purpose, r * len(ids) + j]`` is
+    ``np.random.SeedSequence((seeds[r], ids[j], purpose)).generate_state(4,
+    np.uint64)`` for each purpose 0-2, seed r and id j (each id below
+    2**32).
 
-    numpy's hash, computed for every row at once on uint32 arrays.  A
-    row's entropy is its seed's 32-bit words, low first, then the id and
+    numpy's hash, computed for every key at once on uint32 arrays.  A
+    key's entropy is its seed's 32-bit words, low first, then the id and
     the purpose; a seed of 2**64 or more makes it longer than the pool,
     and its extra words are mixed into every pool word after the pool's
-    own mixing, in the rows that have them.
+    own mixing, in the keys that have them.
     """
-    # Each distinct seed's word count and words (zero past its count), and
-    # each row's seed among them.
-    index = {seed: j for j, seed in enumerate(dict.fromkeys(map(int, seeds)))}
-    which = np.fromiter(map(index.__getitem__, seeds), np.int64, len(seeds))
-    counts = [max(1, -(-seed.bit_length() // 32)) for seed in index]
-    words = np.array([[seed >> 32 * w & 0xFFFFFFFF for seed in index]
-                      for w in range(max(counts))], np.uint32)
-    ids, n = np.asarray(ids), np.array(counts)[which]
-    entropy = np.zeros((max(max(counts) + 2, 4), 3, len(ids)), np.uint32)
-    entropy[:len(words)] = words[:, None, which]
-    # The id and the purpose follow each row's own seed words.
-    for count in set(counts):
-        rows = n == count
-        entropy[count, :, rows] = ids[rows, None]
-        entropy[count + 1, :, rows] = _PURPOSES.T
+    ids, seeds = np.asarray(ids), [int(seed) for seed in seeds]
+    counts = np.array([max(1, -(-seed.bit_length() // 32)) for seed in seeds])
+    words = np.array([[seed >> 32 * w & 0xFFFFFFFF for seed in seeds]
+                      for w in range(counts.max())], np.uint32)
+    entropy = np.zeros((max(len(words) + 2, 4), 3, len(seeds), len(ids)),
+                       np.uint32)
+    entropy[:len(words)] = words[:, None, :, None]
+    # The id and the purpose follow each seed's own words.
+    for count in set(counts.tolist()):
+        entropy[count][:, counts == count] = ids
+        entropy[count + 1][:, counts == count] = _PURPOSES[:, None]
+    n = np.broadcast_to(counts[None, :, None], entropy.shape[1:]).reshape(-1)
     entropy = entropy.reshape(len(entropy), -1)
     # Pool word d lives at b[d] until step d - 1 has mixed it, then at
     # b[d + 4]: step s mixes b[s] into b[s + 1:s + 4], and b[4:] ends as
@@ -248,13 +248,13 @@ def _seed_words(seeds, ids) -> np.ndarray:
         _mix_into(pool, _hashmix(entropy[j], *_hashmix_constants(
             _INIT_A, _MULT_A, range(4 * j, 4 * j + 4))))
         # Only columns whose entropy has word j mix it in.
-        b[4:] = np.where(np.tile(n + 2 > j, 3), pool, b[4:])
+        b[4:] = np.where(n + 2 > j, pool, b[4:])
     # The eight output words cycle through the pool twice; read as
     # little-endian pairs, they are the four 64-bit words.
     out = _hashmix(b[4:], *_OUTPUT).reshape(8, -1)
     out = np.ascontiguousarray(out.T).astype("<u4", copy=False)
     return out.view("<u8").astype(np.uint64, copy=False).reshape(
-        3, len(ids), 4)
+        3, len(seeds) * len(ids), 4)
 
 
 @functools.cache
@@ -431,8 +431,7 @@ class _Run:
         self.ages = np.zeros((self.steps + 1, R * N), np.int64)
         # words[purpose, r (N + 1) + i]: the seed words of loop id i's
         # stream in replication r; row i's loop id key is keys[i].
-        words = _seed_words([s for s in self.seeds for _ in range(N + 1)],
-                            np.arange(R * (N + 1)) % (N + 1))
+        words = _seed_words(self.seeds, np.arange(N + 1))
         row = np.arange(R * N)
         loop, keys = row % N, row + row // N + 1
         table = first.table
@@ -560,33 +559,23 @@ class _Run:
                                  else offsets[lo:hi], self.channel, rng)
                     for lo, hi, rng in zip(cuts, cuts[1:], self.rng_shared)])
             self.metrics.record_tx(rows, t)
-            if deliver and len(decoded):
-                self._deliver_slot(decoded, t)
-        else:  # round_robin or mef
+            if deliver:
+                for i in decoded.tolist():
+                    self.on_delivery(i, t)
+        else:  # round_robin or mef: one loop of each replication sends
             if self.policy.variant == "round_robin":
-                rows = self.firsts + rr_next(t, self.N)
+                ks = [rr_next(t, self.N)] * self.R
             else:
                 slot = (t - 1) % self.policy.frame_len
-                rows = self.firsts + [s[slot] for s in self.mef_schedules]
-            self.metrics.record_tx(rows, t)
-            ok = [resolve_pointtopoint(self.channel, self.rng_channel[i])
-                  for i in rows.tolist()]
-            if deliver:
-                self._deliver_slot(rows[ok], t)
+                ks = [s[slot] for s in self.mef_schedules]
+            for first, k in zip(range(0, self.R * self.N, self.N), ks):
+                self.metrics.record_tx(first + k, t)
+                ok = resolve_pointtopoint(self.channel,
+                                          self.rng_channel[first + k])
+                if ok and deliver:
+                    self.on_delivery(first + k, t)
 
     # ---- deliveries -------------------------------------------------------
-
-    def _deliver_slot(self, rows: np.ndarray, t: int):
-        """The samples of step t, the current step, of the listed rows
-        (distinct) arrive, as :meth:`on_delivery` would take them: each is
-        fresher than its row's last, which an earlier slot delivered, and
-        bringing an estimate to the current step copies the state."""
-        self.metrics.record_rx(rows, t)
-        self.nu[rows] = t
-        self.age_of[rows] = 1
-        for i in rows.tolist():
-            group, j = self.at[i]
-            group.xhat[j] = group.X[t, j]
 
     def on_delivery(self, i: int, gen: int):
         """Row i's sample from step ``gen`` arrives.  The gateway accepts

@@ -41,19 +41,21 @@ class Gateway:
     """What the gateway knows about the loops, as arrays over their
     indices k.
 
-    The engine writes the age estimates ``est_age`` every tick; it may
-    pass them in as its own array's row.  Polls and polled replies of the
-    last ``RELIABILITY_WINDOW_S``, counted per loop in ``polls`` and
-    ``datas``, give the reliability (RX + 1) / (TX + 1).  Their times
-    never decrease, so one time-ordered deque, trimmed at each poll,
-    leaves every loop the counts that trimming its own history would.
+    ``est_age`` holds the age estimates, the array it is given; the
+    engine passes a row of its own array and writes it every tick.  Polls
+    and polled replies of the last ``RELIABILITY_WINDOW_S``, counted per
+    loop in ``polls`` and ``datas``, give the reliability
+    (RX + 1) / (TX + 1).  Their times never decrease, so one time-ordered
+    deque, trimmed at each poll, leaves every loop the counts that
+    trimming its own history would.
     ``table`` is the :class:`MseTable` of the loops' error curves, built
     for them or passed in by gateways of the same systems that share it.
     """
 
-    def __init__(self, systems: list[LtiSystem], est_age=None, table=None):
+    def __init__(self, systems: list[LtiSystem], est_age: np.ndarray,
+                 table=None):
         n = len(systems)
-        self.est_age = np.ones(n, np.int64) if est_age is None else est_age
+        self.est_age = est_age
         self.polls, self.datas = [0] * n, [0] * n
         self._rel = np.ones(n)             # (datas + 1) / (polls + 1)
         self._window = deque()             # (time, k, polls or datas)

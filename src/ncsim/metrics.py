@@ -201,7 +201,7 @@ class MetricsAccumulator:
     """
 
     def __init__(self, n_loops: int, t_start: int, t_end: int,
-                 classes: list[str], reps: int = 1):
+                 classes: list[str], reps: int):
         if t_end < t_start:
             raise ConfigurationError("empty evaluation window")
         self.n_loops = n_loops
@@ -224,7 +224,7 @@ class MetricsAccumulator:
     def flag_diverged(self, loop):
         self.diverged[loop] = True
 
-    def finalize(self, aoi, mse, nmse, cost, rep: int = 0) -> dict:
+    def finalize(self, aoi, mse, nmse, cost, rep: int) -> dict:
         """Replication ``rep``'s per-loop and network-wide means, delivery
         ratios and per-class shares of successful deliveries, from each of
         its loops' age, MSE, nMSE and stage cost summed over the window's

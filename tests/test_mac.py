@@ -37,10 +37,9 @@ def test_lcfs_keeps_only_freshest():
     run ends."""
     r = hand_run("aloha", n=1)
     delivered = []
-    deliver = r._deliver_slot
-    r._deliver_slot = lambda rows, gen: (
-        delivered.extend((gen, r.current_step) for _ in rows),
-        deliver(rows, gen))
+    deliver = r.on_delivery
+    r.on_delivery = lambda k, gen: (delivered.append((gen, r.current_step)),
+                                    deliver(k, gen))
     r.execute()
     assert delivered == [(t, t) for t in range(1, r.steps)]
 
@@ -145,10 +144,8 @@ def test_reliability_bounds():
 def gateway_for(classes, ages=None):
     """A gateway over loops of the given classes (one table each),
     with the given age estimates."""
-    gw = Gateway([make_preset(c) for c in classes])
-    if ages is not None:
-        gw.est_age[:] = ages
-    return gw
+    ages = np.ones(len(classes), np.int64) if ages is None else ages
+    return Gateway([make_preset(c) for c in classes], np.array(ages))
 
 
 def test_mef_fair_rotation_for_identical_loops():
@@ -237,8 +234,8 @@ def test_reliability_window_keeps_its_edge():
 def test_overflowed_errors_tie_to_lowest_id():
     """Loops whose error has overflowed to +inf tie; the lowest index
     wins, and MEF then serves the next overflowed loop."""
-    gw = Gateway([PLANTS[c] for c in ("easy", "unstable", "easy", "unstable")])
-    gw.est_age[:] = [30, 6, 30, 9]
+    gw = Gateway([PLANTS[c] for c in ("easy", "unstable", "easy", "unstable")],
+                 np.array([30, 6, 30, 9]))
     errors = gw.table.errors(gw.est_age, use_nmse=True)
     assert errors.tolist()[1::2] == [math.inf, math.inf]
     assert pmef_next(gw, 0.0, use_nmse=True) == 1
@@ -308,7 +305,7 @@ HISTORIES = st.lists(st.tuples(st.sampled_from([0.0, 0.125, 0.25, 0.5]),
 def replay(n, history):
     """Feed a history to a gateway and to per-loop windows; yield both
     after each query the gateway would make before recording an event."""
-    gw = Gateway([PLANTS["easy"]] * n)
+    gw = Gateway([PLANTS["easy"]] * n, np.ones(n, np.int64))
     ref = [LoopWindow() for _ in range(n)]
     now = 0.0
     for gap, k, is_poll in history:
@@ -347,8 +344,7 @@ def test_argmax_schedulers_match_reference(data, history, use_nmse,
                                 min_size=n, max_size=n), label="plants")
     ages = data.draw(st.lists(st.integers(1, 4) | st.integers(5, 60),
                               min_size=n, max_size=n), label="ages")
-    gw = Gateway([PLANTS[c] for c in plants])
-    gw.est_age[:] = ages
+    gw = Gateway([PLANTS[c] for c in plants], np.array(ages))
     windows = [LoopWindow() for _ in range(n)]
     now = 0.0
     for gap, k, is_poll in history + [(0.5, 0, True)]:

@@ -330,7 +330,7 @@ def test_aoi_tracker_never_regresses(gens):
 
 
 def make_acc(n=2, t0=1, t1=4, classes=None):
-    return MetricsAccumulator(n, t0, t1, classes or ["?"] * n)
+    return MetricsAccumulator(n, t0, t1, classes or ["?"] * n, 1)
 
 
 def sums(**rows):
@@ -343,8 +343,8 @@ def sums(**rows):
 
 def test_accumulator_constant_age():
     acc = make_acc()
-    out = acc.finalize(**sums(aoi=[8, 8], mse=[4.0, 4.0], nmse=[4.0, 4.0],
-                              cost=[2.0, 2.0]))
+    out = acc.finalize(rep=0, **sums(aoi=[8, 8], mse=[4.0, 4.0],
+                                     nmse=[4.0, 4.0], cost=[2.0, 2.0]))
     assert out["network"]["aoi_mean"] == pytest.approx(2.0)
     assert out["expected_samples"] == 4
     assert list(out["samples_per_loop"]) == [4, 4]
@@ -356,7 +356,7 @@ def test_accumulator_window_gating():
     acc = make_acc(n=1, t0=2, t1=3)
     for t in range(1, 6):
         acc.record_tx(0, t)
-    out = acc.finalize(**sums(aoi=[2 + 3]))
+    out = acc.finalize(rep=0, **sums(aoi=[2 + 3]))
     assert out["per_loop"]["aoi_mean"][0] == pytest.approx(2.5)
     assert out["per_loop"]["tx"][0] == 2
 
@@ -367,7 +367,7 @@ def test_accumulator_fractions():
         acc.record_rx(0, 1)
     for _ in range(100):
         acc.record_rx(1, 1)
-    out = acc.finalize(**sums(aoi=[4, 4]))
+    out = acc.finalize(rep=0, **sums(aoi=[4, 4]))
     assert out["fractions"]["a"] == pytest.approx(0.75)
     assert out["fractions"]["b"] == pytest.approx(0.25)
     assert out["loop_classes"] == ["a", "b"]
@@ -375,4 +375,4 @@ def test_accumulator_fractions():
 
 def test_accumulator_rejects_empty_window():
     with pytest.raises(ConfigurationError):
-        MetricsAccumulator(1, 5, 4, ["?"])
+        MetricsAccumulator(1, 5, 4, ["?"], 1)

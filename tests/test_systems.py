@@ -193,7 +193,7 @@ def test_control_of_gainless_loops():
     free = LtiSystem(A=PENDULUM_A, B=PENDULUM_B, noise_cov=PENDULUM_SIGMA,
                      Q=np.eye(4), R=[[1.0]])
     plants = _Plants([gained, free], np.arange(2), np.arange(2), 1,
-                     _seed_words([0, 0], [1, 2])[0])
+                     _seed_words([0], [1, 2])[0])
     xhat = np.stack([np.eye(4)[:, :1], np.full((4, 1), np.inf)])
     with np.errstate(invalid="ignore"):
         u = plants.control(xhat, np.empty((2, 1, 1)))
