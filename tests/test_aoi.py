@@ -144,9 +144,22 @@ ADRA_PAIRS = {
     17: (51, "0x1.020bf1003064bp-3"),
     18: (55, "0x1.fbe6bb16e7f46p-4"),
     19: (59, "0x1.eb846d43f64a6p-4"),
+    # N = 20 is the first N whose smallest drain over the grid (59.8)
+    # lies above the largest threshold's gap of 59 slots.
+    20: (0, "0x1.999999999999ap-5"),
+    21: (0, "0x1.8618618618618p-5"),
+    22: (0, "0x1.745d1745d1746p-5"),
+    23: (0, "0x1.642c8590b2164p-5"),
+    24: (0, "0x1.5555555555555p-5"),
+    25: (0, "0x1.47ae147ae147bp-5"),
+    26: (0, "0x1.3b13b13b13b14p-5"),
+    27: (0, "0x1.2f684bda12f68p-5"),
+    28: (0, "0x1.2492492492492p-5"),
+    29: (0, "0x1.1a7b9611a7b96p-5"),
     30: (0, "0x1.1111111111111p-5"),
     60: (0, "0x1.1111111111111p-6"),
     100: (0, "0x1.47ae147ae147bp-7"),
+    115: (0, "0x1.1cf06ada2811dp-7"),
 }
 
 
