@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, OptimizationError
+from .errors import ConfigurationError, OptimizationError, is_integer
 
 __all__ = [
     "sa_mean_aoi",
@@ -30,11 +30,17 @@ def _check_p(p: float):
         raise ConfigurationError(f"access probability must be in (0,1), got {p}")
 
 
+def _check_integer(name: str, v):
+    if not is_integer(v):
+        raise ConfigurationError(f"{name} must be an integer, got {v!r}")
+
+
 def sa_mean_aoi(N: int, p: float) -> float:
     """Mean age of one loop under slotted random access.
 
     Valid for N >= 3; the age-optimal access probability is 1/N.
     """
+    _check_integer("N", N)
     if N < 3:
         raise ConfigurationError("slotted-access mean-age formula needs N >= 3")
     _check_p(p)
@@ -45,6 +51,7 @@ def sa_mean_aoi(N: int, p: float) -> float:
 
 def rr_mean_aoi(N: int) -> float:
     """Mean age under lossless round-robin polling of N loops."""
+    _check_integer("N", N)
     if N < 1:
         raise ConfigurationError("N must be >= 1")
     return (N + 1) / 2
@@ -74,6 +81,14 @@ def solve_adra_q(N: int, delta: int, p: float) -> float:
     guess (1-p)^{N-1}, a lower bound on every root, and increases
     monotonically to the first crossing.
     """
+    _check_integer("N", N)
+    _check_integer("threshold", delta)
+    return _solve_adra_q(N, delta, p)
+
+
+def _solve_adra_q(N: int, delta: int, p: float) -> float:
+    """:func:`solve_adra_q` without the integer checks, for the tuning,
+    whose objective solves about a thousand fixed points per tuning."""
     if N < 1:
         raise ConfigurationError("N must be >= 1")
     if delta < 0:
@@ -105,8 +120,16 @@ def adra_mean_aoi(N: int, delta: int, p: float, q: float | None = None) -> float
 
     ``q`` defaults to the fixed point from :func:`solve_adra_q`.
     """
+    _check_integer("N", N)
+    _check_integer("threshold", delta)
+    return _adra_mean_aoi(N, delta, p, q)
+
+
+def _adra_mean_aoi(N: int, delta: int, p: float, q: float | None = None) -> float:
+    """:func:`adra_mean_aoi` without the integer checks: the tuning's
+    objective."""
     if q is None:
-        q = solve_adra_q(N, delta, p)
+        q = _solve_adra_q(N, delta, p)
     pq = p * q
     return delta / 2 + 1 / pq - delta / (2 * (delta * pq + 1 - pq))
 
@@ -119,11 +142,21 @@ def cold_start_drain(N: int, p: float) -> float:
     expected waits for k = N..2 gives the time for the congested state to
     resolve into the staggered operating point.
     """
+    _check_integer("N", N)
     _check_p(p)
+    return _drain(N, p, math.inf)
+
+
+def _drain(N: int, p: float, cap: float) -> float:
+    """:func:`cold_start_drain`'s sum, or inf as soon as a partial sum
+    passes ``cap``.  The terms are positive and a float sum of positive
+    terms never decreases, so the full sum is then above ``cap`` too."""
     total = 0.0
     try:
         for k in range(2, N + 1):
             total += 1.0 / (k * p * (1.0 - p) ** (k - 1))
+            if total > cap:
+                return math.inf
     except ZeroDivisionError:  # (1-p)^(k-1) underflowed: the wait is unbounded
         return math.inf
     return total
@@ -139,59 +172,100 @@ def adra_model_valid(N: int, delta: int, p: float) -> bool:
     otherwise simultaneous eligibility self-sustains and the closed form
     is wildly optimistic.
     """
+    _check_integer("N", N)
+    _check_integer("threshold", delta)
     if delta <= 1:
         return True
-    return cold_start_drain(N, p) <= delta - 1
+    _check_p(p)
+    return _drain(N, p, delta - 1) <= delta - 1
+
+
+_DELTA_MAX = 60     # largest threshold optimize_adra scans
+# The thresholds it scans: 0 and 1 never gate access (slotted access).
+_THRESHOLDS = np.arange(2, _DELTA_MAX + 1)
+# The coarse grid of access probabilities, i / 500 for i = 1..499.
+_P_GRID = np.arange(1, 500) / 500
+
+
+def _feasible_mask(N: int) -> np.ndarray:
+    """``adra_model_valid(N, delta, p)`` for every threshold delta of
+    ``_THRESHOLDS`` (rows) and grid p (columns).
+
+    Each p's drain is summed once, and only until it passes
+    ``_DELTA_MAX - 1``: every test is drain <= delta - 1 <= _DELTA_MAX - 1,
+    so a p past that cap fails at every threshold (see :func:`_drain`).
+    No grid p then sums more than 19 terms, whatever N is, and from N = 20
+    every grid p passes the cap.
+    """
+    drain = np.array([_drain(N, p, _DELTA_MAX - 1)
+                      for p in _P_GRID.tolist()])
+    return drain <= _THRESHOLDS[:, None] - 1
 
 
 # numpy's exp and log1p are not bit-equal to math's, so the array pass
-# only shortlists the grid points within this relative distance of its
-# minimum, and the scalar adra_mean_aoi ranks them.  Where the array pass
-# settles a point, the two differ by at most 1.2e-13 relative over every
-# feasible grid point for N = 3..115.
+# only shortlists the grid points within this relative distance of a
+# threshold's minimum, and the scalar adra_mean_aoi ranks them.  Where
+# the array pass settles a point, the two differ by at most 1.2e-13
+# relative over every feasible grid point for N = 3..115.
 _COARSE_WINDOW = 1e-6
 # Array iterations before a grid point is left to the scalar solver; far
-# below solve_adra_q's _Q_MAX_ITER, so a point settled here converges there.
+# below solve_adra_q's _Q_MAX_ITER, so a point settled here converges
+# there.  The one pass over every feasible (threshold, p) point of an N
+# runs until its slowest point settles, at most this many iterations.
 _ARRAY_ITER = 1000
 
 
-def _adra_mean_aoi_grid(N: int, delta: int, p: np.ndarray) -> np.ndarray:
-    """:func:`adra_mean_aoi` at every access probability in ``p``.
+def _adra_mean_aoi_grid(N: int, delta, p: np.ndarray) -> np.ndarray:
+    """:func:`adra_mean_aoi` at every (threshold, access probability) pair
+    of ``delta`` and ``p``, an integer or integer array broadcast against
+    the array ``p``.
 
     Runs the damped iteration of :func:`solve_adra_q`, with its
-    tolerance, on arrays.  A point is NaN where this pass cannot settle
-    it: its congested guess underflows below the smallest normal float, a
-    value is not finite, or it has not converged within ``_ARRAY_ITER``
-    iterations.
+    tolerance, on arrays; every point takes its own steps, so a point's
+    value does not depend on the others in the pass.  A point is NaN
+    where this pass cannot settle it: its congested guess underflows
+    below the smallest normal float, a value is not finite, or it has not
+    converged within ``_ARRAY_ITER`` iterations.
     """
-    idle = max(delta - 1, 0)
+    delta, p = np.broadcast_arrays(delta, p)
+    idle = np.maximum(delta - 1, 0)
     q_fixed = np.full(p.shape, np.nan)
     with np.errstate(all="ignore"):
         q = np.exp((N - 1) * np.log1p(-p))
         idx = np.flatnonzero(p * q >= np.finfo(float).tiny)
-        pa, q = p[idx], q[idx]
+        pa, ia, q = p[idx], idle[idx], q[idx]
         for _ in range(_ARRAY_ITER):
             if not idx.size:
                 break
             mean_busy = 1.0 / (pa * q)
-            a = mean_busy / (idle + mean_busy)
+            a = mean_busy / (ia + mean_busy)
             q_new = np.exp((N - 1) * np.log1p(-pa * a))
             done = np.abs(q_new - q) < _Q_TOL
             q_fixed[idx[done]] = q_new[done]
             go = ~done & np.isfinite(q_new)
-            idx, pa, q = idx[go], pa[go], 0.5 * (q[go] + q_new[go])
+            idx, pa, ia = idx[go], pa[go], ia[go]
+            q = 0.5 * (q[go] + q_new[go])
         pq = p * q_fixed
         val = delta / 2 + 1 / pq - delta / (2 * (delta * pq + 1 - pq))
     val[~np.isfinite(val)] = np.nan
     return val
 
 
-def _coarse_candidates(N: int, delta: int, feasible: list[float]) -> list[float]:
+def _coarse_values(N: int, mask: np.ndarray) -> list[np.ndarray]:
+    """The array pass's values at the feasible points of ``mask`` (see
+    :func:`_feasible_mask`), in one pass over every threshold: one array
+    per threshold of ``_THRESHOLDS``, in grid order."""
+    rows, cols = np.nonzero(mask)
+    val = _adra_mean_aoi_grid(N, _THRESHOLDS[rows], _P_GRID[cols])
+    return np.split(val, np.cumsum(mask.sum(axis=1))[:-1])
+
+
+def _coarse_candidates(feasible: list[float], val: np.ndarray) -> list[float]:
     """The grid points, in grid order, that may hold the first minimum of
-    :func:`adra_mean_aoi` over ``feasible``: those the array pass puts
-    within ``_COARSE_WINDOW`` of its minimum, and those it cannot settle.
+    :func:`adra_mean_aoi` over ``feasible``: those whose array-pass values
+    ``val`` lie within ``_COARSE_WINDOW`` of their minimum, and those the
+    pass cannot settle.
     """
-    val = _adra_mean_aoi_grid(N, delta, np.array(feasible))
     settled = ~np.isnan(val)
     cut = (val[settled].min() * (1 + _COARSE_WINDOW) if settled.any()
            else math.inf)
@@ -199,14 +273,16 @@ def _coarse_candidates(N: int, delta: int, feasible: list[float]) -> list[float]
     return [p for p, k in zip(feasible, keep.tolist()) if k]
 
 
-def _coarse_argmin(N: int, delta: int, feasible: list[float]) -> float:
+def _coarse_argmin(N: int, delta: int, feasible: list[float],
+                   val: np.ndarray) -> float:
     """``min(feasible, key=lambda p: adra_mean_aoi(N, delta, p))``, with the
-    scalar values computed only for the candidates.  The scalar path also
-    raises wherever it would over the whole list: a point it fails on is
-    one the array pass cannot settle, so it is a candidate.
+    scalar values computed only for the candidates of the array-pass
+    values ``val``.  The scalar path also raises wherever it would over
+    the whole list: a point it fails on is one the array pass cannot
+    settle, so it is a candidate.
     """
-    return min(_coarse_candidates(N, delta, feasible),
-               key=lambda p: adra_mean_aoi(N, delta, p))
+    return min(_coarse_candidates(feasible, val),
+               key=lambda p: _adra_mean_aoi(N, delta, p))
 
 
 # Absolute tolerance on p of the bounded search, and its cap on
@@ -290,39 +366,49 @@ def _bounded_min(f, a: float, b: float) -> tuple[float, float]:
     return xf, fx
 
 
-_DELTA_MAX = 60     # largest threshold optimize_adra scans
-
-
 def optimize_adra(N: int) -> tuple[int, float]:
     """Best (threshold, access probability) pair for N >= 3 loops.
 
     Thresholds 0 and 1 leave every loop always eligible, which is slotted
-    access, whose optimum (0, 1/N) is the starting best.  Scans the integer
-    thresholds 2.._DELTA_MAX; per threshold, brackets the feasible access
-    probabilities (see :func:`adra_model_valid`) on a coarse grid and
-    polishes with a bounded scalar search (:func:`_bounded_min`).  For
-    N >= 20 no threshold in 2.._DELTA_MAX is feasible (the smallest
+    access, whose optimum (0, 1/N) is the starting best.  The thresholds
+    2.._DELTA_MAX are scanned over a coarse grid of access probabilities
+    in three steps:
+
+    - one mask of the feasible (threshold, p) points (see
+      :func:`adra_model_valid` and :func:`_feasible_mask`), with each
+      p's cold-start drain summed once and only up to the cap of
+      _DELTA_MAX - 1 slots;
+    - one array pass of the fixed point over every feasible point
+      (:func:`_coarse_values`);
+    - per threshold, in order: the scalar closed form ranks the pass's
+      shortlist (:func:`_coarse_argmin`), a bounded scalar search
+      (:func:`_bounded_min`) polishes p within 0.01 of that grid point,
+      and a polished p outside the feasible region falls back to it.
+
+    For N >= 20 no threshold in 2.._DELTA_MAX is feasible (the smallest
     cold-start drain over the grid is already 59.8 slots at N = 20), so
-    the search never runs, and no threshold beats slotted access: it
+    no fixed point is solved, and no threshold beats slotted access: it
     returns (0, 1/N).
     """
+    _check_integer("N", N)
     if N < 3:
         raise ConfigurationError("optimization defined for N >= 3")
-    p_grid = [i / 500 for i in range(1, 500)]
-    drain = [cold_start_drain(N, p) for p in p_grid]
+    mask = _feasible_mask(N)
+    if not mask.any():
+        return 0, 1.0 / N
     best = (sa_mean_aoi(N, 1.0 / N), 0, 1.0 / N)
-    for delta in range(2, _DELTA_MAX + 1):
-        # adra_model_valid(N, delta, p), with each p's drain computed once.
-        feasible = [p for p, d in zip(p_grid, drain) if d <= delta - 1]
-        if not feasible:
+    for delta, row, coarse_val in zip(_THRESHOLDS.tolist(), mask,
+                                      _coarse_values(N, mask)):
+        if not coarse_val.size:
             continue
-        coarse = _coarse_argmin(N, delta, feasible)
+        feasible = _P_GRID[row].tolist()
+        coarse = _coarse_argmin(N, delta, feasible, coarse_val)
         lo = max(min(feasible), coarse - 0.01)
         hi = min(max(feasible), coarse + 0.01)
-        p_opt, val = _bounded_min(lambda p: adra_mean_aoi(N, delta, p),
+        p_opt, val = _bounded_min(lambda p: _adra_mean_aoi(N, delta, p),
                                   lo, hi)
         if not adra_model_valid(N, delta, p_opt):
-            val, p_opt = adra_mean_aoi(N, delta, coarse), coarse
+            val, p_opt = _adra_mean_aoi(N, delta, coarse), coarse
         if val < best[0]:
             best = (val, delta, p_opt)
     _, delta_star, p_star = best

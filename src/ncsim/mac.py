@@ -74,8 +74,10 @@ class Gateway:
         self._count(self.datas, k, 1)
 
     def reliability(self, now: float) -> np.ndarray:
-        """Per-loop reliability over the window ending at ``now``; events
-        before ``now - RELIABILITY_WINDOW_S`` leave it.  Read-only."""
+        """Per-loop reliability over the window ending at ``now``.  Trims
+        the window first: events before ``now - RELIABILITY_WINDOW_S``
+        leave it and its counts, so ``now`` must not decrease from one
+        call to the next.  The returned array is the gateway's own."""
         horizon = now - RELIABILITY_WINDOW_S
         while self._window and self._window[0][0] < horizon:
             _, k, counts = self._window.popleft()

@@ -6,6 +6,7 @@ before asserting, so the verdict table survives a partial run.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,3 +280,37 @@ def test_12_pendulum_case_study():
            f">= {raw_age:.1f} periods; scalar loops <= {scalar_age:.1f}, "
            f"same pendulums under nMSE MEF <= {max(nmse_age.values()):.1f}), "
            f"{dt:.0f}s")
+
+
+# ---------------------------------------------------------------------------
+# 13: the paper's scaling claim on the testbed-like channel
+
+def test_13_control_awareness_gains_with_n():
+    """The paper's scaling claim: the cost advantage of polling by
+    normalized error over polling by age grows with N, while age-optimal
+    polling keeps the lower mean age.  Seed, run length and N set are
+    fixed here."""
+    t0 = time.perf_counter()
+    ns = (3, 7, 11, 15)
+    summary = {}
+    for n in ns:
+        for variant in ("wifresh", "pmef"):
+            cfg = replace(sim_cfg(n, SchedulerPolicy(variant),
+                                  channel=DEFAULT_COMPARISON_CHANNEL, seed=0),
+                          duration_s=30.0)
+            summary[n, variant] = run_replications(cfg, reps=20)["summary"]
+    ratio = [summary[n, "wifresh"]["lqg_mean"]["mean"]
+             / summary[n, "pmef"]["lqg_mean"]["mean"] for n in ns]
+    rising = all(a < b for a, b in zip(ratio, ratio[1:]))
+    separated = all(_separated(summary[n, "pmef"]["lqg_mean"],
+                               summary[n, "wifresh"]["lqg_mean"])
+                    for n in (11, 15))
+    younger = all(summary[n, "wifresh"]["aoi_mean"]["mean"]
+                  < summary[n, "pmef"]["aoi_mean"]["mean"] for n in (11, 15))
+    dt = time.perf_counter() - t0
+    report(13, "control awareness gains with N",
+           rising and separated and younger and dt < 60,
+           "wifresh/pmef lqg = "
+           + ", ".join(f"{r:.3f} (N={n})" for n, r in zip(ns, ratio))
+           + f"; rising={rising}, separated at 11 and 15={separated}, "
+           f"wifresh younger at 11 and 15={younger}, {dt:.1f}s")

@@ -204,11 +204,11 @@ def test_coarse_scan_shortlists_the_scalar_minimum(N, data):
     rel = np.abs(vector - scalar) / scalar
     assert rel.max() < aoi._COARSE_WINDOW / 100
     first_min = min(feasible, key=lambda p: adra_mean_aoi(N, delta, p))
-    assert first_min in aoi._coarse_candidates(N, delta, feasible)
-    assert aoi._coarse_argmin(N, delta, feasible) == first_min
+    assert first_min in aoi._coarse_candidates(feasible, vector)
+    assert aoi._coarse_argmin(N, delta, feasible, vector) == first_min
 
 
-def test_coarse_pick_is_scalar_where_array_order_differs(monkeypatch):
+def test_coarse_pick_is_scalar_where_array_order_differs():
     """Array values may order near-tied grid points differently from the
     scalar ones; the pick is still the scalar first minimum.  At N=8 the
     points 0.124 and 0.126 differ by 3.3e-7 relative."""
@@ -218,8 +218,43 @@ def test_coarse_pick_is_scalar_where_array_order_differs(monkeypatch):
     skewed = np.array(scalar)
     skewed[best] *= 1 + aoi._COARSE_WINDOW / 2
     assert skewed.argmin() != best
-    monkeypatch.setattr(aoi, "_adra_mean_aoi_grid", lambda *args: skewed)
-    assert aoi._coarse_argmin(N, delta, P_GRID) == P_GRID[best]
+    assert aoi._coarse_argmin(N, delta, P_GRID, skewed) == P_GRID[best]
+
+
+THRESHOLDS = range(2, aoi._DELTA_MAX + 1)
+
+
+@pytest.mark.parametrize("N", list(range(3, 20)))
+def test_coarse_values_equal_per_threshold_passes(N):
+    """The one pass over every feasible (threshold, p) point gives each
+    threshold the bits of a pass over that threshold's points alone."""
+    mask = aoi._feasible_mask(N)
+    values = aoi._coarse_values(N, mask)
+    assert len(values) == len(THRESHOLDS)
+    for delta, row, val in zip(THRESHOLDS, mask, values):
+        alone = aoi._adra_mean_aoi_grid(N, delta, np.array(P_GRID)[row])
+        assert val.tobytes() == alone.tobytes(), delta
+
+
+def test_feasible_mask_is_the_drain_test():
+    """Capping each drain at the largest gap keeps every verdict of
+    cold_start_drain(N, p) <= delta - 1."""
+    assert aoi._P_GRID.tolist() == P_GRID
+    gaps = np.array([delta - 1 for delta in THRESHOLDS])[:, None]
+    for N in [*range(3, 131), 1000]:
+        drain = np.array([cold_start_drain(N, p) for p in P_GRID])
+        assert np.array_equal(aoi._feasible_mask(N), drain <= gaps), N
+
+
+def _raise(*args):
+    raise AssertionError("no fixed point is solved from N = 20")
+
+
+@pytest.mark.parametrize("N", [20, 116, 1000])
+def test_optimize_adra_solves_nothing_from_n20(N, monkeypatch):
+    for name in ("solve_adra_q", "_solve_adra_q", "_adra_mean_aoi_grid"):
+        monkeypatch.setattr(aoi, name, _raise)
+    assert optimize_adra(N) == (0, 1 / N)
 
 
 def scipy_bounded(f, lo, hi):
@@ -302,7 +337,9 @@ def test_bounded_min_is_scipys_on_adra_brackets(N, data):
     delta = data.draw(st.integers(2, 60).filter(
         lambda d: feasible_ps(N, d)), label="delta")
     feasible = feasible_ps(N, delta)
-    coarse = aoi._coarse_argmin(N, delta, feasible)
+    coarse = aoi._coarse_argmin(
+        N, delta, feasible,
+        aoi._adra_mean_aoi_grid(N, delta, np.array(feasible)))
     lo, hi = data.draw(st.one_of(
         st.just((max(min(feasible), coarse - 0.01),
                  min(max(feasible), coarse + 0.01))),
@@ -315,6 +352,43 @@ def test_bounded_min_is_scipys_on_adra_brackets(N, data):
 def test_optimize_adra_rejects_small_networks():
     with pytest.raises(ConfigurationError):
         optimize_adra(2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sa_mean_aoi(3.5, 0.3),
+    lambda: sa_mean_aoi(True, 0.3),
+    lambda: rr_mean_aoi(4.0),
+    lambda: solve_adra_q(5.0, 2, 0.3),
+    lambda: solve_adra_q(5, 2.5, 0.3),
+    lambda: adra_mean_aoi(5.5, 2, 0.3),
+    lambda: adra_mean_aoi(5, 2.5, 0.3, q=0.5),
+    lambda: cold_start_drain(3.5, 0.3),
+    lambda: adra_model_valid(3.5, 1, 0.3),
+    lambda: adra_model_valid(3, 1.5, 0.3),
+    lambda: optimize_adra(3.5),
+], ids=["sa", "sa-bool", "rr", "q-N", "q-threshold", "mean-N",
+        "mean-threshold", "drain", "valid-N", "valid-threshold", "optimize"])
+def test_non_integer_sizes_are_configuration_errors(call):
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    N, delta = np.int64(5), np.int32(12)
+    assert sa_mean_aoi(N, 0.2) == sa_mean_aoi(5, 0.2)
+    assert adra_mean_aoi(N, delta, 0.3) == adra_mean_aoi(5, 12, 0.3)
+    assert optimize_adra(N) == optimize_adra(5)
+
+
+def test_tuning_checks_sizes_outside_its_objective(monkeypatch):
+    """The tuning checks its N once and each threshold's re-check once;
+    the objective, evaluated about a thousand times, checks nothing."""
+    calls = []
+    is_integer = aoi.is_integer
+    monkeypatch.setattr(aoi, "is_integer",
+                        lambda v: calls.append(v) or is_integer(v))
+    optimize_adra(3)
+    assert 0 < len(calls) <= 3 + 2 * len(THRESHOLDS)
 
 
 def test_cold_start_drain_properties():
