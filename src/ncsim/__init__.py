@@ -10,8 +10,8 @@ from .errors import (ConfigurationError, InvariantViolation,
 from .experiments import (DEFAULT_COMPARISON_CHANNEL, ExperimentSpec,
                           parse_config, pendulum_case_study, run_single,
                           run_sweep, validate_theory)
-from .mac import (Gateway, SchedulerPolicy, mef_build_schedule, pmef_next,
-                  rr_next, wifresh_next)
+from .mac import (ReliabilityWindow, SchedulerPolicy, mef_build_schedule,
+                  pmef_next, rr_next, wifresh_next)
 from .metrics import (MetricsAccumulator, MseTable, error_covariance,
                       mse_of_age, nmse_of_age)
 from .systems import (DareSolution, LtiSystem, PendulumParams, discretize_zoh,

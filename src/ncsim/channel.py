@@ -11,6 +11,7 @@ decoded loops are arrays of loop indices.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,10 @@ class ChannelConfig:
             if not is_real(getattr(self, key)):
                 raise ConfigurationError(
                     f"{key} must be a number, got {getattr(self, key)!r}")
+        for key in ("tx_duration", "slot_duration"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigurationError(
+                    f"{key} must be finite, got {getattr(self, key)!r}")
         if not 0.0 <= self.erasure_prob < 1.0:
             raise ConfigurationError("erasure_prob must be in [0, 1)")
         if not 0.0 <= self.capture_prob <= 1.0:

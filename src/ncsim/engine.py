@@ -25,13 +25,14 @@ transmissions.  A slot's deliveries are taken one row at a time, as is
 each replication's one transmission in a scheduled slot.  Each row's
 arithmetic is the single-loop arithmetic, so results do not depend on
 how loops or replications are grouped: a replication of a batch gives
-the bits its lone run gives.  What a replication decides on its own (its
-gateway's schedule, its slot's collisions, its polls) it decides with
-its own streams.  A delivery brings its loop's estimate up to the
-current step at once.  States, inputs and
-ages are kept for every step; when the run ends, the window's ages,
-errors and costs are summed in step order, a block of steps at a time,
-and handed to the metrics.
+the bits its lone run gives.  The batch keeps its replications' gateway
+state itself: one (R, N) array of age estimates and one error table, and
+one MEF pass per frame schedules every replication.  What a replication
+decides on its own (its slot's collisions, its polls) it decides with its
+own streams.  A delivery brings its loop's estimate up to the current
+step at once.  States, inputs and ages are kept for every step; when the
+run ends, the window's ages, errors and costs are summed in step order, a
+block of steps at a time, and handed to the metrics.
 
 Random draws come from one stream per loop and purpose (noise, access,
 channel; the shared channel stream is loop id 0's), the stream
@@ -61,10 +62,10 @@ import numpy as np
 
 from .channel import (BlockStreams, ChannelConfig, resolve_pointtopoint,
                       resolve_slot)
-from .errors import ConfigurationError, InvariantViolation
-from .mac import (Gateway, SchedulerPolicy, mef_build_schedule, pmef_next,
-                  rr_next, wifresh_next)
-from .metrics import MetricsAccumulator
+from .errors import ConfigurationError, InvariantViolation, is_integer
+from .mac import (ReliabilityWindow, SchedulerPolicy, mef_build_schedule,
+                  pmef_next, rr_next, wifresh_next)
+from .metrics import MetricsAccumulator, MseTable
 from .systems import LtiSystem, make_preset
 
 __all__ = ["SimConfig", "systems_from_classes", "run", "run_replications",
@@ -105,6 +106,10 @@ class SimConfig:
     def __post_init__(self):
         if not self.systems:
             raise ConfigurationError("need at least one loop")
+        for key in ("duration_s", "warmup_s", "cooldown_s"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigurationError(
+                    f"{key} must be finite, got {getattr(self, key)!r}")
         for key in ("warmup_s", "cooldown_s"):
             if getattr(self, key) < 0:
                 raise ConfigurationError(
@@ -119,6 +124,9 @@ class SimConfig:
             # A slot recurs every period, so its deliveries must land
             # before the next tick.
             raise ConfigurationError("slot_duration must not exceed T_s")
+        if not is_integer(self.seed):
+            raise ConfigurationError(
+                f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
 
@@ -369,22 +377,6 @@ class _Plants:
         return x[0]
 
 
-class _ChannelStreams(dict):
-    """Batch row -> that row's channel stream, built on its first draw
-    from its seed words, ``words[row]``; most loops of a short large-N
-    scheduled run never draw.  A stream depends only on its seed words, so
-    building it late changes no draw.
-    """
-
-    def __init__(self, words: np.ndarray):
-        super().__init__()
-        self.words = words
-
-    def __missing__(self, row: int) -> np.random.Generator:
-        rng = self[row] = _stream(self.words[row])
-        return rng
-
-
 class _Run:
     """R replications of one config, ticked together: the runs with seeds
     ``seeds`` (R = len(seeds), by default the config's own seed alone).
@@ -399,20 +391,24 @@ class _Run:
     keeps every step's ages (``ages``), states and inputs; the metrics are
     reduced from them once the run ends.
 
-    What a replication cannot share it keeps to itself: its seed's
-    streams, its :class:`~ncsim.mac.Gateway` (``gateways[r]``, whose
-    ``est_age`` is row r of the batch's ``est_age``), its MEF schedule,
-    its slot resolution with its own shared stream, its poll coroutine
-    and its results.  The gateways share one error table, as a curve
-    depends only on its plant.
+    The batch is its replications' gateways: ``est_age`` holds every
+    replication's age estimates as an (R, N) array (``age_of`` is its view
+    by batch row), and one :class:`~ncsim.metrics.MseTable` (``table``)
+    holds the error curves, as a curve depends only on its plant.  One MEF
+    pass per frame schedules every replication (``mef_schedule``, one
+    column each).  What a replication cannot share it keeps to itself: its
+    seed's streams, its slot resolution with its own shared stream, its
+    poll coroutine with its :class:`~ncsim.mac.ReliabilityWindow`, and its
+    results.
     """
 
     def __init__(self, cfg: SimConfig, seeds=None):
         self.cfg = cfg
         self.seeds = [cfg.seed] if seeds is None else list(seeds)
-        if not self.seeds or min(self.seeds) < 0:
+        if not (self.seeds and all(is_integer(s) and s >= 0
+                                   for s in self.seeds)):
             raise ConfigurationError(
-                "need at least one seed, each non-negative")
+                "need at least one seed, each a non-negative integer")
         self.policy = cfg.policy.resolved(cfg.n_loops)
         self.channel = cfg.channel
         self.N = N = cfg.n_loops
@@ -423,9 +419,7 @@ class _Run:
         self.metrics = MetricsAccumulator(N, *cfg.window, cfg.classes, R)
         self.est_age = np.ones((R, N), np.int64)
         self.age_of = self.est_age.reshape(-1)       # by batch row
-        first = Gateway(cfg.systems, self.est_age[0])
-        self.gateways = [first] + [Gateway(cfg.systems, ages, first.table)
-                                   for ages in self.est_age[1:]]
+        self.table = table = MseTable(cfg.systems)
         self.firsts = np.arange(R) * N    # each replication's first row
         self.nu = np.zeros(R * N, np.int64)
         self.ages = np.zeros((self.steps + 1, R * N), np.int64)
@@ -434,7 +428,6 @@ class _Run:
         words = _seed_words(self.seeds, np.arange(N + 1))
         row = np.arange(R * N)
         loop, keys = row % N, row + row // N + 1
-        table = first.table
         sizes = [(sys.n, sys.m) for sys in table.plants]
         self.groups, self.at = [], [None] * (R * N)
         for size in dict.fromkeys(sizes):
@@ -449,7 +442,12 @@ class _Run:
             self.groups.append(group)
             for j, i in enumerate(rows.tolist()):
                 self.at[i] = (group, j)
-        self.rng_channel = _ChannelStreams(words[_RNG_CHANNEL, keys])
+        # Batch row -> its channel stream, built on its first draw: most
+        # loops of a short large-N scheduled run never draw, and a stream
+        # depends only on its seed words, so building it late moves no draw.
+        channel_words = words[_RNG_CHANNEL, keys]
+        self.rng_channel = functools.cache(
+            lambda row: _stream(channel_words[row]))
         self.access = self.offsets = None
         self.rng_shared = []
         if self.policy.is_contention:
@@ -467,7 +465,7 @@ class _Run:
                     streams(_RNG_CHANNEL),
                     lambda rng, size: rng.uniform(0.0, top, size))
         self.current_step = 0
-        self.mef_schedules = [[]] * R
+        self.mef_schedule = None        # (frame_len, R), built per frame
         self.end_us = self.steps * self.Ts_us
         # A poll or its reply that is lost is given up this long after
         # the poll was sent.
@@ -496,7 +494,7 @@ class _Run:
         would be summed pairwise and round differently.  A diverged loop
         can produce nan (inf times a zero weight); it counts as +inf.
         """
-        m, table = self.metrics, self.gateways[0].table
+        m, table = self.metrics, self.table
         width = self.R * self.N
         total = np.zeros((4, width))
         block = max(1, _SUM_BLOCK_VALUES // width)
@@ -567,11 +565,11 @@ class _Run:
                 ks = [rr_next(t, self.N)] * self.R
             else:
                 slot = (t - 1) % self.policy.frame_len
-                ks = [s[slot] for s in self.mef_schedules]
+                ks = self.mef_schedule[slot].tolist()
             for first, k in zip(range(0, self.R * self.N, self.N), ks):
                 self.metrics.record_tx(first + k, t)
                 ok = resolve_pointtopoint(self.channel,
-                                          self.rng_channel[first + k])
+                                          self.rng_channel(first + k))
                 if ok and deliver:
                     self.on_delivery(first + k, t)
 
@@ -606,16 +604,18 @@ class _Run:
         the time a lost poll or reply is given up, from when the poll was
         sent.  A finished transaction sends the next poll at once.
         """
-        gw, first = self.gateways[r], r * self.N
+        first, ages = r * self.N, self.est_age[r]
+        window = ReliabilityWindow(self.N)
         now = 0
         while now < self.end_us:
             now_s = now * 1e-6
+            rel = window.reliability(now_s)
             if self.policy.variant == "wifresh":
-                k = wifresh_next(gw, now_s)
+                k = wifresh_next(ages, rel)
             else:
-                k = pmef_next(gw, now_s, self.policy.use_nmse)
-            gw.record_poll(k, now_s)
-            rng = self.rng_channel[first + k]
+                k = pmef_next(self.table, ages, rel, self.policy.use_nmse)
+            window.record_poll(k, now_s)
+            rng = self.rng_channel(first + k)
             if resolve_pointtopoint(self.channel, rng):
                 yield now + self.tx_us
                 gen = self.current_step
@@ -624,7 +624,7 @@ class _Run:
                     now += 2 * self.tx_us
                     yield now
                     self.on_delivery(first + k, gen)
-                    gw.record_data(k, now * 1e-6)
+                    window.record_data(k, now * 1e-6)
                     continue
             now += self.poll_wait_us    # the poll or its reply was lost
             yield now
@@ -648,10 +648,9 @@ class _Run:
                 if polling:
                     continue
                 if framed and (t - 1) % self.policy.frame_len == 0:
-                    self.mef_schedules = [
-                        mef_build_schedule(gw, self.policy.frame_len,
-                                           self.policy.use_nmse)
-                        for gw in self.gateways]
+                    self.mef_schedule = mef_build_schedule(
+                        self.table, self.est_age, self.policy.frame_len,
+                        self.policy.use_nmse)
                 self.on_slot(t)
             self._flag_diverged()
             sums = self._window_sums()
@@ -685,7 +684,10 @@ def run(cfg: SimConfig, seeds=None):
 
 def _replicate(cfg: SimConfig, seeds: list[int]) -> list[dict]:
     """Run ``cfg`` with each of ``seeds`` as one batch; a pool worker's
-    unit of work."""
+    unit of work.  The pool is handed this function rather than
+    :func:`run` itself: a task's function is pickled by its module-level
+    name, which a wrapper put in place of ``run`` (a tracer's closure)
+    does not have, while this function looks ``run`` up when it runs."""
     return run(cfg, seeds)
 
 

@@ -4,11 +4,14 @@ Three contention-based rules run at the sources (pure ALOHA, slotted
 ALOHA, and the age-threshold variant) and four contention-free schedulers
 run at the gateway: round-robin, beacon-framed max-error-first (MEF), and
 two polling schedulers — WiFresh (reliability x age) and pMEF
-(reliability x normalized estimation error).  MEF, WiFresh and pMEF pick
-by one numpy argmax over the :class:`Gateway`'s arrays, MEF and pMEF
-reading the errors from its :class:`~ncsim.metrics.MseTable`; the first
-maximum wins, so ties go to the lowest loop index.  Loops are named by
-their index k = 0..N-1 throughout: every scheduler returns indices.
+(reliability x normalized estimation error).  The schedulers are
+functions of the arrays the gateway keeps: the loops' age estimates, the
+error curves of a :class:`~ncsim.metrics.MseTable` (MEF and pMEF) and the
+reliabilities of a :class:`ReliabilityWindow` (WiFresh and pMEF).  Each
+picks by a numpy argmax, and the first maximum wins, so ties go to the
+lowest loop index.  MEF frames every replication of a batch in one greedy
+pass over their (R, N) ages.  Loops are named by their index k = 0..N-1
+throughout: every scheduler returns indices.
 """
 from __future__ import annotations
 
@@ -20,10 +23,9 @@ import numpy as np
 from . import aoi
 from .errors import ConfigurationError, is_integer, is_real
 from .metrics import MseTable
-from .systems import LtiSystem
 
 __all__ = [
-    "Gateway",
+    "ReliabilityWindow",
     "rr_next",
     "mef_build_schedule",
     "wifresh_next",
@@ -37,29 +39,18 @@ __all__ = [
 RELIABILITY_WINDOW_S = 0.5
 
 
-class Gateway:
-    """What the gateway knows about the loops, as arrays over their
-    indices k.
-
-    ``est_age`` holds the age estimates, the array it is given; the
-    engine passes a row of its own array and writes it every tick.  Polls
-    and polled replies of the last ``RELIABILITY_WINDOW_S``, counted per
-    loop in ``polls`` and ``datas``, give the reliability
-    (RX + 1) / (TX + 1).  Their times never decrease, so one time-ordered
-    deque, trimmed at each poll, leaves every loop the counts that
-    trimming its own history would.
-    ``table`` is the :class:`MseTable` of the loops' error curves, built
-    for them or passed in by gateways of the same systems that share it.
+class ReliabilityWindow:
+    """Polls and polled replies of the last ``RELIABILITY_WINDOW_S``,
+    counted per loop index k in ``polls`` and ``datas``, which give each
+    loop's reliability (RX + 1) / (TX + 1).  Their times never decrease,
+    so one time-ordered deque, trimmed at each query, leaves every loop
+    the counts that trimming its own history would.
     """
 
-    def __init__(self, systems: list[LtiSystem], est_age: np.ndarray,
-                 table=None):
-        n = len(systems)
-        self.est_age = est_age
+    def __init__(self, n: int):
         self.polls, self.datas = [0] * n, [0] * n
         self._rel = np.ones(n)             # (datas + 1) / (polls + 1)
         self._window = deque()             # (time, k, polls or datas)
-        self.table = MseTable(systems) if table is None else table
 
     def _count(self, counts: list[int], k: int, step: int):
         counts[k] += step
@@ -77,7 +68,7 @@ class Gateway:
         """Per-loop reliability over the window ending at ``now``.  Trims
         the window first: events before ``now - RELIABILITY_WINDOW_S``
         leave it and its counts, so ``now`` must not decrease from one
-        call to the next.  The returned array is the gateway's own."""
+        call to the next.  The returned array is the window's own."""
         horizon = now - RELIABILITY_WINDOW_S
         while self._window and self._window[0][0] < horizon:
             _, k, counts = self._window.popleft()
@@ -94,41 +85,42 @@ def rr_next(t: int, N: int) -> int:
     return (t - 1) % N
 
 
-def mef_build_schedule(gw: Gateway, frame_len: int,
-                       use_nmse: bool) -> list[int]:
-    """Greedy frame schedule, as loop indices: fill each slot with the
-    loop of largest predicted error, assuming every scheduled transmission
+def mef_build_schedule(table: MseTable, ages: np.ndarray, frame_len: int,
+                       use_nmse: bool) -> np.ndarray:
+    """Greedy frame schedules of R replications at once, as a
+    (frame_len, R) array of loop indices: fill each slot with the loop of
+    largest predicted error, assuming every scheduled transmission
     succeeds.
 
-    Predicted ages start at the gateway's estimates; the chosen loop's
-    resets to 1 for subsequent slots, everyone else's grows by one.
+    Predicted ages start at ``ages``, the (R, N) age estimates; the chosen
+    loop's resets to 1 for subsequent slots, everyone else's grows by one.
     """
     if frame_len < 1:
         raise ConfigurationError("frame_len must be >= 1")
-    pred = gw.est_age.copy()
+    pred = ages.copy()
     # The oldest age each loop can reach in this frame, so that no slot
     # grows the curves.
-    gw.table.grow(pred + (frame_len - 1))
-    schedule = []
-    for _ in range(frame_len):
-        best = int(gw.table.errors(pred, use_nmse).argmax())
-        schedule.append(best)
+    table.grow(pred + (frame_len - 1))
+    schedule = np.empty((frame_len, len(pred)), np.int64)
+    reps = np.arange(len(pred))
+    for best in schedule:
+        table.errors(pred, use_nmse).argmax(axis=1, out=best)
         pred += 1
-        pred[best] = 1
+        pred[reps, best] = 1
     return schedule
 
 
-def wifresh_next(gw: Gateway, now: float) -> int:
-    """Max-weight poll target's index: argmax of reliability x estimated
-    age."""
-    return int((gw.reliability(now) * gw.est_age).argmax())
+def wifresh_next(ages: np.ndarray, rel: np.ndarray) -> int:
+    """Max-weight poll target's index: argmax of reliability ``rel`` x
+    estimated age."""
+    return int((rel * ages).argmax())
 
 
-def pmef_next(gw: Gateway, now: float, use_nmse: bool) -> int:
-    """Poll target's index by reliability x (normalized) estimation
-    error."""
-    errors = gw.table.errors(gw.est_age, use_nmse)
-    return int((gw.reliability(now) * errors).argmax())
+def pmef_next(table: MseTable, ages: np.ndarray, rel: np.ndarray,
+              use_nmse: bool) -> int:
+    """Poll target's index by reliability ``rel`` x (normalized)
+    estimation error at the estimated ``ages``."""
+    return int((rel * table.errors(ages, use_nmse)).argmax())
 
 
 CONTENTION_PROTOCOLS = ("aloha", "slotted_aloha", "adra")

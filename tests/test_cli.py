@@ -128,6 +128,11 @@ def with_line(text, line):
      "threshold"),
     ("run", "warmup_s: -0.5", "warmup_s"),
     ("run", "cooldown_s: -0.5", "cooldown_s"),
+    ("run", "duration_s: .inf", "duration_s"),
+    ("run", "warmup_s: .nan", "warmup_s"),
+    ("run", "cooldown_s: .nan", "cooldown_s"),
+    ("run", "channel: {tx_duration: .nan}", "tx_duration"),
+    ("run", "channel: {slot_duration: .nan}", "slot_duration"),
     ("run", 'channel: {erasure_prob: "0.1"}', "erasure_prob"),
     ("run", "channel: {mode: [strict_collision]}", "mode"),
     ("run", 'protocols: [{name: mef, use_nmse: "no"}]', "use_nmse"),

@@ -16,7 +16,7 @@ from ncsim.engine import (SimConfig, _batch_sizes, _Run, _seed_words,
                           systems_from_classes)
 from ncsim.errors import ConfigurationError
 from ncsim.mac import SchedulerPolicy
-from ncsim.metrics import mse_of_age, nmse_of_age
+from ncsim.metrics import MseTable, mse_of_age, nmse_of_age
 from ncsim.systems import LtiSystem, make_preset
 
 
@@ -57,6 +57,15 @@ def test_config_validation():
     for seeds in ([], [3, -1]):   # a batch needs seeds, none negative
         with pytest.raises(ConfigurationError, match="seed"):
             run(cfg_for(2, "round_robin"), seeds)
+    # A fractional or boolean seed would run as another seed; numpy
+    # integers are integers.
+    for seed in (1.5, True, "3"):
+        with pytest.raises(ConfigurationError, match="seed must"):
+            SimConfig(systems=systems, policy=SchedulerPolicy("round_robin"),
+                      seed=seed)
+        with pytest.raises(ConfigurationError, match="seed"):
+            run(cfg_for(2, "round_robin"), [0, seed])
+    assert run(cfg_for(2, "round_robin"), [np.int64(3)])[0]["seed"] == 3
     # A 0.4 us transmission rounds to 0 us on the clock: a poll, its
     # arrival and its reply would fall on one instant forever.
     with pytest.raises(ConfigurationError):
@@ -227,7 +236,7 @@ def test_polling_throughput_under_loss():
 
 @pytest.mark.parametrize("tx, n_polls, n_replies", [(0.003, 167, 166),
                                                     (0.005, 100, 100)])
-def test_polling_stops_at_the_run_end(tx, n_polls, n_replies):
+def test_polling_stops_at_the_run_end(tx, n_polls, n_replies, monkeypatch):
     """No poll is sent at or after the run's end at 1 s, and a reply due
     after it is never delivered.  Lossless transactions take two
     transmissions, back to back from time 0: with 3 ms packets the last
@@ -237,11 +246,12 @@ def test_polling_stops_at_the_run_end(tx, n_polls, n_replies):
     r = _Run(cfg_for(2, "wifresh", duration=1.0, trim=0.2,
                      channel=ChannelConfig(tx_duration=tx)))
     polls, replies, delivered = [], [], []
-    gw, deliver = r.gateways[0], r.on_delivery
-    record_poll, record_data = gw.record_poll, gw.record_data
-    gw.record_poll = lambda k, now: (polls.append(now), record_poll(k, now))
-    gw.record_data = lambda k, now: (replies.append(now),
-                                     record_data(k, now))
+    window, deliver = ncsim.mac.ReliabilityWindow, r.on_delivery
+    record_poll, record_data = window.record_poll, window.record_data
+    monkeypatch.setattr(window, "record_poll", lambda gw, k, now: (
+        polls.append(now), record_poll(gw, k, now)))
+    monkeypatch.setattr(window, "record_data", lambda gw, k, now: (
+        replies.append(now), record_data(gw, k, now)))
     r.on_delivery = lambda k, gen: (delivered.append(k), deliver(k, gen))
     r.execute()
     assert max(polls) < 1.0 and max(replies) <= 1.0
@@ -284,7 +294,7 @@ def test_only_strictly_fresher_deliveries_change_the_gateway(steps):
     r = _Run(cfg_for(2, "round_robin"))
     group, j = r.at[0]
     group.X[:, j, 0, 0] = np.arange(len(group.X))
-    est_age = r.gateways[0].est_age
+    est_age = r.est_age[0]
     for step, lag in steps:
         r.current_step += step
         gen = max(0, r.current_step - lag)
@@ -404,7 +414,7 @@ def test_batched_state_invariants(cfg):
 
     def checked_tick(t):
         tick(t)
-        assert (r.gateways[0].est_age >= 1).all()
+        assert (r.est_age >= 1).all()
         assert (r.metrics.rx <= r.metrics.tx).all()
         assert (r.nu >= seen).all()
         seen[:] = r.nu
@@ -430,9 +440,9 @@ def test_tables_grow_only_to_their_own_loops_ages(variant, monkeypatch):
                                         erasure_prob=0.01))
     polled, pick = [], ncsim.engine.pmef_next
 
-    def recording_pick(gw, *args):
-        polled.append(gw.est_age.copy())
-        return pick(gw, *args)
+    def recording_pick(table, ages, *args):
+        polled.append(ages.copy())
+        return pick(table, ages, *args)
 
     monkeypatch.setattr(ncsim.engine, "pmef_next", recording_pick)
     r = _Run(cfg, seeds=[0, 1, 2])
@@ -440,8 +450,7 @@ def test_tables_grow_only_to_their_own_loops_ages(variant, monkeypatch):
     ages = np.array([[res["series"][k + 1]["aoi"] for k in range(15)]
                      for res in r.execute()]).transpose(0, 2, 1)
     window = ages[:, r.metrics.t_start - 1:r.metrics.t_end]
-    tab, frame = r.gateways[0].table, cfg.policy.frame_len
-    assert all(gw.table is tab for gw in r.gateways)
+    tab, frame = r.table, cfg.policy.frame_len
     for p in range(len(tab.plants)):
         own = tab.plant == p
         want = window[..., own].max()
@@ -463,23 +472,22 @@ PLANT_MIXES = [(9, ("easy", "mid", "hard"), "mef"),
 
 @pytest.mark.parametrize("n, pattern, variant", PLANT_MIXES)
 def test_one_mse_table_per_plant(n, pattern, variant, monkeypatch):
-    """A batch builds one table, which all its replications' gateways
-    share, with one row per distinct system object; every grown entry
-    equals the reference law."""
+    """A batch builds one table, which serves all its replications, with
+    one row per distinct system object; every grown entry equals the
+    reference law."""
     cfg = cfg_for(n, variant, pattern=pattern)
     built = []
 
-    class CountedTable(ncsim.mac.MseTable):
+    class CountedTable(MseTable):
         def __init__(self, systems):
             built.append(self)
             super().__init__(systems)
 
-    monkeypatch.setattr(ncsim.mac, "MseTable", CountedTable)
+    monkeypatch.setattr(ncsim.engine, "MseTable", CountedTable)
     r = _Run(cfg, seeds=[0, 1, 2])
     r.execute()
-    tab = r.gateways[0].table
+    tab = r.table
     assert built == [tab]
-    assert all(gw.table is tab for gw in r.gateways)
     assert len(tab.plants) == len({id(s) for s in cfg.systems}) == 3
     assert all(tab.plants[p] is s
                for p, s in zip(tab.plant.tolist(), cfg.systems))

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from ncsim.aoi import optimize_adra
 from ncsim.engine import SimConfig, _Run, systems_from_classes
 from ncsim.errors import ConfigurationError
-from ncsim.mac import (Gateway, SchedulerPolicy, mef_build_schedule,
+from ncsim.mac import (ReliabilityWindow, SchedulerPolicy, mef_build_schedule,
                        pmef_next, rr_next, wifresh_next)
-from ncsim.metrics import mse_of_age, nmse_of_age
+from ncsim.metrics import MseTable, mse_of_age, nmse_of_age
 from ncsim.systems import LtiSystem, make_preset
 
 
@@ -91,7 +91,7 @@ def hand_delivery_run():
 def test_gw_on_data_age_update():
     r = hand_delivery_run()
     r.on_delivery(1, 7)
-    assert r.gateways[0].est_age[1] == 3
+    assert r.est_age[0, 1] == 3
     # The acknowledgement is instantaneous: the sender's loop knows gen 7,
     # and its controller rolls x[7] forward to step 10.
     assert r.nu[1] == 7 and estimate(r, 1) == 0.5 * 1.1 * 1.1 * 1.1
@@ -104,9 +104,9 @@ def test_gw_on_data_ignores_duplicates_and_stale():
     accepted = estimate(r, 1)
     r.current_step = 11
     r.on_delivery(1, 7)    # duplicate
-    assert r.gateways[0].est_age[1] == 3 and estimate(r, 1) == accepted
+    assert r.est_age[0, 1] == 3 and estimate(r, 1) == accepted
     r.on_delivery(1, 4)    # stale
-    assert r.gateways[0].est_age[1] == 3 and r.nu[1] == 7
+    assert r.est_age[0, 1] == 3 and r.nu[1] == 7
     assert estimate(r, 1) == accepted
 
 
@@ -115,14 +115,14 @@ def test_gw_view_age_grows_per_tick():
     for t in range(1, 11):
         r.on_tick(t)
     r.on_delivery(1, 7)
-    assert r.gateways[0].est_age[1] == 3 and r.nu[1] == 7
+    assert r.est_age[0, 1] == 3 and r.nu[1] == 7
     for t in range(11, 16):
         r.on_tick(t)
-    assert r.gateways[0].est_age[1] == 3 + 5
+    assert r.est_age[0, 1] == 3 + 5
 
 
 def test_reliability_window():
-    gw = gateway_for(["mid", "mid"])
+    gw = ReliabilityWindow(2)
     for k in range(9):
         gw.record_poll(1, k * 0.01)
     for k in range(5):
@@ -135,28 +135,32 @@ def test_reliability_window():
 
 
 def test_reliability_bounds():
-    gw = gateway_for(["mid"])
+    gw = ReliabilityWindow(1)
     assert gw.reliability(0.0)[0] == 1.0
     gw.record_poll(0, 0.0)
     assert 0 < gw.reliability(0.0)[0] <= 1.0
 
 
-def gateway_for(classes, ages=None):
-    """A gateway over loops of the given classes (one table each),
-    with the given age estimates."""
-    ages = np.ones(len(classes), np.int64) if ages is None else ages
-    return Gateway([make_preset(c) for c in classes], np.array(ages))
+def table_for(classes):
+    """The error table of loops of the given classes (one plant each)."""
+    return MseTable([make_preset(c) for c in classes])
+
+
+def mef_for(classes, ages, frame_len):
+    """MEF's nMSE frame for one replication of loops of the given classes
+    with the given age estimates, as a list of loop indices."""
+    schedule = mef_build_schedule(table_for(classes), np.array([ages]),
+                                  frame_len, use_nmse=True)
+    return schedule[:, 0].tolist()
 
 
 def test_mef_fair_rotation_for_identical_loops():
-    gw = gateway_for(["mid", "mid", "mid"], [1, 1, 1])
-    sched = mef_build_schedule(gw, frame_len=6, use_nmse=True)
+    sched = mef_for(["mid", "mid", "mid"], [1, 1, 1], frame_len=6)
     assert sched == [0, 1, 2, 0, 1, 2]
 
 
 def test_mef_huge_age_occupies_first_slot():
-    gw = gateway_for(["easy", "easy", "hard"], [2, 2, 90])
-    sched = mef_build_schedule(gw, frame_len=4, use_nmse=True)
+    sched = mef_for(["easy", "easy", "hard"], [2, 2, 90], frame_len=4)
     assert sched[0] == 2
 
 
@@ -178,8 +182,7 @@ def test_mef_greedy_trace_oracle():
         pick = max(sorted(ages), key=lambda i: nmse(i, ages[i]))
         expect.append(pick)
         ages = {i: 1 if i == pick else d + 1 for i, d in ages.items()}
-    got = mef_build_schedule(gateway_for(classes.values(), [1, 1, 1]),
-                             frame_len=6, use_nmse=True)
+    got = mef_for(classes.values(), [1, 1, 1], frame_len=6)
     assert got == expect
 
 
@@ -187,45 +190,43 @@ def test_mef_starves_slow_loops_when_slots_are_scarce():
     # Three loops in six slots rotate fairly; once loops outnumber the
     # frame's slack the fast dynamics crowd out the slow ones.
     classes = {k: ["easy", "mid", "hard"][k % 3] for k in range(15)}
-    sched = mef_build_schedule(gateway_for(classes.values(), [1] * 15),
-                               frame_len=20, use_nmse=True)
+    sched = mef_for(classes.values(), [1] * 15, frame_len=20)
     by_class = {c: sum(classes[i] == c for i in sched)
                 for c in ("easy", "mid", "hard")}
     assert by_class["hard"] > by_class["mid"] > by_class["easy"]
 
 
 def test_mef_schedule_shape():
-    sched = mef_build_schedule(gateway_for(["easy", "hard"], [5, 5]),
-                               frame_len=20, use_nmse=True)
+    sched = mef_for(["easy", "hard"], [5, 5], frame_len=20)
     assert len(sched) == 20
     assert set(sched) <= {0, 1}
 
 
 def test_wifresh_uniform_reliability_picks_max_age():
-    gw = gateway_for(["mid", "mid", "mid"], [3, 1, 2])
-    assert wifresh_next(gw, 0.0) == 0
+    assert wifresh_next(np.array([3, 1, 2]), np.ones(3)) == 0
 
 
 def test_wifresh_tie_breaks_low_id():
-    gw = gateway_for(["mid", "mid"], [4, 4])
-    assert wifresh_next(gw, 0.0) == 0
+    assert wifresh_next(np.array([4, 4]), np.ones(2)) == 0
 
 
 def test_pmef_prefers_faster_dynamics():
-    gw = gateway_for(["easy", "hard"], [4, 3])
+    table = table_for(["easy", "hard"])
     # error(1.2-dynamics, age 3) = 4.5136 > error(1.0-dynamics, age 4) = 4
-    assert pmef_next(gw, 0.0, use_nmse=True) == 1
+    assert pmef_next(table, np.array([4, 3]), np.ones(2), use_nmse=True) == 1
 
 
 def test_pmef_equals_wifresh_for_identical_scalar_loops():
+    table, rel = table_for(["mid", "mid", "mid"]), np.ones(3)
     for ages in [(1, 5, 3), (2, 2, 9), (4, 4, 4)]:
-        gw = gateway_for(["mid", "mid", "mid"], ages)
-        assert pmef_next(gw, 0.0, use_nmse=True) == wifresh_next(gw, 0.0)
+        ages = np.array(ages)
+        assert (pmef_next(table, ages, rel, use_nmse=True)
+                == wifresh_next(ages, rel))
 
 
 def test_reliability_window_keeps_its_edge():
     """An event exactly ``window_len`` before the query still counts."""
-    gw = gateway_for(["mid"])
+    gw = ReliabilityWindow(1)
     gw.record_poll(0, 0.25)
     assert gw.reliability(0.75)[0] == 0.5
     assert gw.reliability(0.75 + 1e-9)[0] == 1.0
@@ -234,12 +235,14 @@ def test_reliability_window_keeps_its_edge():
 def test_overflowed_errors_tie_to_lowest_id():
     """Loops whose error has overflowed to +inf tie; the lowest index
     wins, and MEF then serves the next overflowed loop."""
-    gw = Gateway([PLANTS[c] for c in ("easy", "unstable", "easy", "unstable")],
-                 np.array([30, 6, 30, 9]))
-    errors = gw.table.errors(gw.est_age, use_nmse=True)
+    table = MseTable([PLANTS[c]
+                      for c in ("easy", "unstable", "easy", "unstable")])
+    ages = np.array([30, 6, 30, 9])
+    errors = table.errors(ages, use_nmse=True)
     assert errors.tolist()[1::2] == [math.inf, math.inf]
-    assert pmef_next(gw, 0.0, use_nmse=True) == 1
-    assert mef_build_schedule(gw, frame_len=2, use_nmse=True) == [1, 3]
+    assert pmef_next(table, ages, np.ones(4), use_nmse=True) == 1
+    assert mef_build_schedule(table, ages[None], frame_len=2,
+                              use_nmse=True)[:, 0].tolist() == [1, 3]
 
 
 # ---- plain-Python references for the array schedulers -------------------
@@ -303,9 +306,10 @@ HISTORIES = st.lists(st.tuples(st.sampled_from([0.0, 0.125, 0.25, 0.5]),
 
 
 def replay(n, history):
-    """Feed a history to a gateway and to per-loop windows; yield both
-    after each query the gateway would make before recording an event."""
-    gw = Gateway([PLANTS["easy"]] * n, np.ones(n, np.int64))
+    """Feed a history to a reliability window and to per-loop windows;
+    yield both after each query the gateway would make before recording
+    an event."""
+    gw = ReliabilityWindow(n)
     ref = [LoopWindow() for _ in range(n)]
     now = 0.0
     for gap, k, is_poll in history:
@@ -338,28 +342,37 @@ def test_argmax_schedulers_match_reference(data, history, use_nmse,
                                            frame_len):
     """WiFresh, pMEF and MEF choose what a loop-by-loop strict-``>`` scan
     chooses, over tied ages, windows straddling their edge, mixed plants
-    and errors that overflowed to +inf."""
+    and errors that overflowed to +inf.  MEF frames 1-4 replications of
+    the same loops in one pass, each as if it were alone."""
     n = data.draw(st.integers(1, 8), label="n")
     plants = data.draw(st.lists(st.sampled_from(sorted(PLANTS)),
                                 min_size=n, max_size=n), label="plants")
-    ages = data.draw(st.lists(st.integers(1, 4) | st.integers(5, 60),
-                              min_size=n, max_size=n), label="ages")
-    gw = Gateway([PLANTS[c] for c in plants], np.array(ages))
+    rows = data.draw(st.lists(st.lists(st.integers(1, 4)
+                                       | st.integers(5, 60),
+                                       min_size=n, max_size=n),
+                              min_size=1, max_size=4), label="ages")
+    ages = rows[0]
+    table = MseTable([PLANTS[c] for c in plants])
+    gw = ReliabilityWindow(n)
     windows = [LoopWindow() for _ in range(n)]
     now = 0.0
     for gap, k, is_poll in history + [(0.5, 0, True)]:
         now += gap
         rel = [w.reliability(now) for w in windows]
         err = [reference_error(c, a, use_nmse) for c, a in zip(plants, ages)]
-        assert wifresh_next(gw, now) == first_max(
+        assert wifresh_next(np.array(ages), gw.reliability(now)) == first_max(
             [r * a for r, a in zip(rel, ages)])
-        assert pmef_next(gw, now, use_nmse) == first_max(
+        assert pmef_next(table, np.array(ages), gw.reliability(now),
+                         use_nmse) == first_max(
             [r * e for r, e in zip(rel, err)])
         k %= n
         (gw.record_poll if is_poll else gw.record_data)(k, now)
         (windows[k].polls if is_poll else windows[k].datas).append(now)
-    assert mef_build_schedule(gw, frame_len, use_nmse) == \
-        reference_mef(ages, plants, frame_len, use_nmse)
+    schedule = mef_build_schedule(table, np.array(rows), frame_len, use_nmse)
+    assert schedule.shape == (frame_len, len(rows))
+    for column, row in zip(schedule.T, rows):
+        assert column.tolist() == reference_mef(row, plants, frame_len,
+                                                use_nmse)
 
 
 def test_policy_validation():

@@ -298,7 +298,7 @@ def test_aoi_tracker():
     """The gateway's age: the step minus the freshest delivered generation,
     floored at one; duplicate and stale deliveries are ignored."""
     r = hand_run()
-    est_age = r.gateways[0].est_age
+    est_age = r.est_age[0]
     for t in range(1, 6):
         r.on_tick(t)
         assert est_age[0] == t
@@ -326,7 +326,7 @@ def test_aoi_tracker_never_regresses(gens):
         seen = max(seen, g)
         assert r.nu[0] == seen and group.xhat[j].item() == float(seen)
         if seen:
-            assert r.gateways[0].est_age[0] == max(1, 100 - seen)
+            assert r.est_age[0, 0] == max(1, 100 - seen)
 
 
 def make_acc(n=2, t0=1, t1=4, classes=None):
