@@ -6,12 +6,12 @@ applies its feedback law, the plant steps forward, and the new sample replaces
 the loop's older one: a loop always has one sample to send.  A sample is named
 by its generation step alone: its state is that step's entry of the loop's
 state history.  The selected medium-access policy moves samples across the
-shared channel.  Slotted contention and beacon-framed scheduling use one slot
-per period, and a slot's deliveries land before the next tick.  Polling runs
-back-to-back transactions between ticks as one coroutine, so at most one is
-outstanding; its events due at or before a tick's instant are handled before
-that tick.  Acknowledgements are instantaneous and lossless, so the source's
-view of its age is the gateway's.
+shared channel from ages alone, so a run takes two passes: medium access,
+then the plants, each delivery taken in before the next tick.  Slotted
+contention and beacon-framed scheduling use one slot per period; polling
+runs back-to-back transactions, one outstanding at a time, and an event on
+a tick's instant comes before that tick.  Acknowledgements are instantaneous
+and lossless, so the source's view of its age is the gateway's.
 
 The loop indices k = 0..N-1 name the loops in the run, the channel and
 the MAC alike; loop id k + 1 appears only in seed keys, error messages and
@@ -26,11 +26,10 @@ each replication's one transmission in a scheduled slot.  Each row's
 arithmetic is the single-loop arithmetic, so results do not depend on
 how loops or replications are grouped: a replication of a batch gives
 the bits its lone run gives.  The batch keeps its replications' gateway
-state itself: one (R, N) array of age estimates and one error table, and
-one MEF pass per frame schedules every replication.  What a replication
+state itself: their freshest generations and one error table, and one
+MEF pass per frame schedules every replication.  What a replication
 decides on its own (its slot's collisions, its polls) it decides with its
-own streams.  A delivery brings its loop's estimate up to the current
-step at once.  States, inputs and ages are kept for every step; when the
+own streams.  States, inputs and ages are kept for every step; when the
 run ends, the window's ages, errors and costs are summed in step order, a
 block of steps at a time, and handed to the metrics.
 
@@ -382,24 +381,24 @@ class _Run:
     ``seeds`` (R = len(seeds), by default the config's own seed alone).
 
     State is held as arrays over the batch's R·N rows: row i = r·N + k is
-    loop k of replication r.  ``nu`` is each row's freshest delivered
-    generation.  A loop always has a sample to send: the last tick's, or
-    its initial state x[0] before the first tick.  Rows of equal
-    dimensions form one :class:`_Plants` group (``at[i]`` is row i's
-    group and row in it), and each tick steps every group with a fixed
-    number of array operations, for all replications at once.  The tick
-    keeps every step's ages (``ages``), states and inputs; the metrics are
-    reduced from them once the run ends.
+    loop k of replication r.  A loop always has a sample to send: the last
+    tick's, or its initial state x[0] before the first tick.  Medium access
+    (``on_slot`` or ``_polls``) moves ``nu``, each row's freshest delivered
+    generation (its age at step t is t - nu), and lists each accepted
+    sample in ``moved[t]``, t the first tick after its arrival.  Then
+    ``_tick_plants`` steps every group of rows of equal dimensions
+    (:class:`_Plants`; ``at[i]`` is row i's group and row in it) with a
+    fixed number of array operations per tick, for all replications at
+    once, and keeps every step's ages (``ages``), states and inputs; the
+    metrics are reduced from them once the run ends.
 
-    The batch is its replications' gateways: ``est_age`` holds every
-    replication's age estimates as an (R, N) array (``age_of`` is its view
-    by batch row), and one :class:`~ncsim.metrics.MseTable` (``table``)
-    holds the error curves, as a curve depends only on its plant.  One MEF
-    pass per frame schedules every replication (``mef_schedule``, one
-    column each).  What a replication cannot share it keeps to itself: its
-    seed's streams, its slot resolution with its own shared stream, its
-    poll coroutine with its :class:`~ncsim.mac.ReliabilityWindow`, and its
-    results.
+    The batch is its replications' gateways: one
+    :class:`~ncsim.metrics.MseTable` (``table``) holds the error curves, as
+    a curve depends only on its plant, and one MEF pass per frame
+    schedules every replication (``mef_schedule``, one column each).  What
+    a replication cannot share it keeps to itself: its seed's streams, its
+    slot resolution with its own shared stream, its polls with their
+    :class:`~ncsim.mac.ReliabilityWindow`, and its results.
     """
 
     def __init__(self, cfg: SimConfig, seeds=None):
@@ -417,12 +416,11 @@ class _Run:
         self.tx_us = round(cfg.channel.tx_duration * 1e6)
         self.steps = round(cfg.duration_s / cfg.T_s)
         self.metrics = MetricsAccumulator(N, *cfg.window, cfg.classes, R)
-        self.est_age = np.ones((R, N), np.int64)
-        self.age_of = self.est_age.reshape(-1)       # by batch row
         self.table = table = MseTable(cfg.systems)
         self.firsts = np.arange(R) * N    # each replication's first row
         self.nu = np.zeros(R * N, np.int64)
         self.ages = np.zeros((self.steps + 1, R * N), np.int64)
+        self.moved = [[] for _ in range(self.steps + 1)]
         # words[purpose, r (N + 1) + i]: the seed words of loop id i's
         # stream in replication r; row i's loop id key is keys[i].
         words = _seed_words(self.seeds, np.arange(N + 1))
@@ -464,23 +462,25 @@ class _Run:
                 self.offsets = BlockStreams(
                     streams(_RNG_CHANNEL),
                     lambda rng, size: rng.uniform(0.0, top, size))
-        self.current_step = 0
-        self.mef_schedule = None        # (frame_len, R), built per frame
         self.end_us = self.steps * self.Ts_us
         # A poll or its reply that is lost is given up this long after
         # the poll was sent.
         self.poll_wait_us = 2 * self.tx_us + round(POLL_GUARD_S * 1e6)
 
-    # ---- sampling-period tick -------------------------------------------
+    # ---- plant pass -------------------------------------------------------
 
-    def on_tick(self, t: int):
-        """Tick t (ticks come in order): every controller estimates x[t]
-        from its freshest sample and applies its gain, the plants step, and
-        x[t] becomes each loop's sample to send."""
-        self.current_step = t
-        self.ages[t] = np.subtract(t, self.nu, out=self.age_of)
-        for group in self.groups:
-            group.tick(t)
+    def _tick_plants(self):
+        """Ticks 1..steps: tick t replays each estimate of step t - 1 from
+        its sample in ``moved[t]``, then steps every controller and plant."""
+        nu = np.zeros_like(self.nu)
+        for t in range(1, self.steps + 1):
+            for i, gen in self.moved[t]:
+                nu[i] = gen
+                group, j = self.at[i]
+                group.xhat[j] = group.replay(j, gen, t - 1)
+            np.subtract(t, nu, out=self.ages[t])
+            for group in self.groups:
+                group.tick(t)
 
     def _window_sums(self) -> np.ndarray:
         """Each row's age, MSE, nMSE and stage cost summed over the
@@ -527,12 +527,12 @@ class _Run:
 
     # ---- slotted medium access ------------------------------------------
 
-    def _contention_transmitters(self) -> np.ndarray:
-        """Rows of this slot's transmitters, ascending: every loop
-        (aloha), each with probability p (slotted ALOHA), or each whose age
-        reached the threshold with probability p."""
+    def _contention_transmitters(self, t: int) -> np.ndarray:
+        """Rows of slot t's transmitters, ascending: every loop (aloha),
+        each with probability p (slotted ALOHA), or each whose age
+        t - nu reached the threshold with probability p."""
         if self.policy.variant == "adra":
-            rows = (self.age_of >= self.policy.threshold).nonzero()[0]
+            rows = (self.nu <= t - self.policy.threshold).nonzero()[0]
         else:
             rows = np.arange(self.R * self.N)
         if self.access is not None:
@@ -541,11 +541,11 @@ class _Run:
 
     def on_slot(self, t: int):
         """Slot t starts on tick t's instant, in every replication.  Its
-        deliveries land before the next tick and are applied here; the
-        last slot's land after the run ends and are dropped."""
+        deliveries land before the next tick; the last slot's land after
+        the run ends and are dropped."""
         deliver = t < self.steps
         if self.policy.is_contention:
-            rows = self._contention_transmitters()
+            rows = self._contention_transmitters(t)
             offsets = None if self.offsets is None else self.offsets.take(rows)
             if self.R == 1:     # the split below would cost as much
                 decoded = resolve_slot(rows, offsets, self.channel,
@@ -559,55 +559,59 @@ class _Run:
             self.metrics.record_tx(rows, t)
             if deliver:
                 for i in decoded.tolist():
-                    self.on_delivery(i, t)
+                    self.on_delivery(i, t, t)
         else:  # round_robin or mef: one loop of each replication sends
             if self.policy.variant == "round_robin":
                 ks = [rr_next(t, self.N)] * self.R
             else:
                 slot = (t - 1) % self.policy.frame_len
+                if slot == 0:
+                    self.mef_schedule = mef_build_schedule(
+                        self.table, (t - self.nu).reshape(self.R, self.N),
+                        self.policy.frame_len, self.policy.use_nmse)
                 ks = self.mef_schedule[slot].tolist()
             for first, k in zip(range(0, self.R * self.N, self.N), ks):
                 self.metrics.record_tx(first + k, t)
                 ok = resolve_pointtopoint(self.channel,
                                           self.rng_channel(first + k))
                 if ok and deliver:
-                    self.on_delivery(first + k, t)
+                    self.on_delivery(first + k, t, t)
 
     # ---- deliveries -------------------------------------------------------
 
-    def on_delivery(self, i: int, gen: int):
-        """Row i's sample from step ``gen`` arrives.  The gateway accepts
-        only strictly fresher generations; the age estimate becomes the
-        sample's age on the gateway's sampling grid, floored at one.  The
-        controller's estimate is brought to the current step at once, so
-        the next tick rolls it forward."""
+    def on_delivery(self, i: int, gen: int, step: int):
+        """Row i's sample from step ``gen`` arrives at step ``step``.  The
+        gateway accepts only strictly fresher generations, which the plant
+        pass applies before tick ``step + 1``; returns whether it did."""
         self.metrics.record_rx(i, gen)
-        if gen > self.nu[i]:
-            now = self.current_step
-            if gen > now:
-                raise InvariantViolation(
-                    f"loop {i % self.N + 1}: sample from step {gen} "
-                    f"delivered at {now}")
-            self.nu[i] = gen
-            group, j = self.at[i]
-            group.xhat[j] = group.replay(j, gen, now)
-            self.age_of[i] = max(1, now - gen)
+        if gen <= self.nu[i]:
+            return False
+        if gen > step:
+            raise InvariantViolation(
+                f"loop {i % self.N + 1}: sample from step {gen} "
+                f"delivered at {step}")
+        self.nu[i] = gen
+        self.moved[step + 1].append((i, gen))
+        return True
 
     # ---- polling: one transaction outstanding at a time ------------------
 
     def _polls(self, r: int):
-        """Replication r's back-to-back poll transactions from time 0
-        until the run ends.
-
-        Yields the time of each event of the outstanding transaction and
-        handles it when resumed: a poll's arrival, the reply's arrival, or
-        the time a lost poll or reply is given up, from when the poll was
-        sent.  A finished transaction sends the next poll at once.
-        """
-        first, ages = r * self.N, self.est_age[r]
+        """Replication r's back-to-back polls from time 0 until the run ends;
+        a lost poll or reply is given up ``poll_wait_us`` after the poll was
+        sent.  An event at ``us`` sees step (us - 1) // Ts_us; one after the
+        end is not handled.  Decisions read ``ages``, step - nu floored at
+        one, brought up to date once a tick has passed and at a delivery."""
+        first, Ts, tx, end = r * self.N, self.Ts_us, self.tx_us, self.end_us
+        nu = self.nu[first:first + self.N]
+        ages, seen = np.ones(self.N, np.int64), 0
         window = ReliabilityWindow(self.N)
         now = 0
-        while now < self.end_us:
+        while now < end:
+            step = (now - 1) // Ts
+            if step > seen:
+                seen = step
+                np.subtract(step, nu, out=ages)
             now_s = now * 1e-6
             rel = window.reliability(now_s)
             if self.policy.variant == "wifresh":
@@ -617,41 +621,36 @@ class _Run:
             window.record_poll(k, now_s)
             rng = self.rng_channel(first + k)
             if resolve_pointtopoint(self.channel, rng):
-                yield now + self.tx_us
-                gen = self.current_step
+                if now + tx > end:
+                    break
+                gen = (now + tx - 1) // Ts
                 self.metrics.record_tx(first + k, gen)
                 if resolve_pointtopoint(self.channel, rng):
-                    now += 2 * self.tx_us
-                    yield now
-                    self.on_delivery(first + k, gen)
+                    now += 2 * tx
+                    if now > end:
+                        break
+                    step = (now - 1) // Ts
+                    if step > seen:
+                        seen = step
+                        np.subtract(step, nu, out=ages)
+                    if self.on_delivery(first + k, gen, step):
+                        ages[k] = max(1, step - gen)
                     window.record_data(k, now * 1e-6)
                     continue
             now += self.poll_wait_us    # the poll or its reply was lost
-            yield now
 
     # ---- main loop -------------------------------------------------------
 
     def execute(self) -> list[dict]:
-        """Run the batch; one result per replication, in seed order."""
-        polling = self.policy.is_polling
-        framed = self.policy.variant == "mef"
+        """Run the batch, access then plants; results in seed order."""
         with np.errstate(over="ignore", invalid="ignore"):
-            polls = [self._polls(r) for r in range(self.R)] if polling else []
-            # Sends each replication's first poll, at time 0.
-            due = [next(p, None) for p in polls]
-            for t in range(1, self.steps + 1):
-                # Poll events on the tick's instant come before it.
-                for r, p in enumerate(polls):
-                    while due[r] is not None and due[r] <= t * self.Ts_us:
-                        due[r] = next(p, None)
-                self.on_tick(t)
-                if polling:
-                    continue
-                if framed and (t - 1) % self.policy.frame_len == 0:
-                    self.mef_schedule = mef_build_schedule(
-                        self.table, self.est_age, self.policy.frame_len,
-                        self.policy.use_nmse)
-                self.on_slot(t)
+            if self.policy.is_polling:
+                for r in range(self.R):
+                    self._polls(r)
+            else:
+                for t in range(1, self.steps + 1):
+                    self.on_slot(t)
+            self._tick_plants()
             self._flag_diverged()
             sums = self._window_sums()
         return [self._result(r, sums) for r in range(self.R)]

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import ncsim.engine
 import ncsim.mac
+import ncsim.metrics
 from ncsim.channel import ChannelConfig
-from ncsim.engine import (SimConfig, _batch_sizes, _Run, _seed_words,
+from ncsim.engine import (SimConfig, _batch_sizes, _Plants, _Run, _seed_words,
                           _stream, run, run_replication_sets,
                           run_replications, summarize_replications,
                           systems_from_classes)
@@ -242,21 +243,100 @@ def test_polling_stops_at_the_run_end(tx, n_polls, n_replies, monkeypatch):
     transmissions, back to back from time 0: with 3 ms packets the last
     poll goes out at 0.996 s and its reply, due at 1.002 s, is dropped;
     with 5 ms packets the last reply lands on the end and no poll
-    follows it."""
+    follows it.  An event on a tick's instant comes before that tick: a
+    poll at ``poll_us`` is counted with generation
+    (poll_us + tx_us - 1) // 10 ms, and a reply landing on tick t's
+    instant shows in ``ages[t]``."""
     r = _Run(cfg_for(2, "wifresh", duration=1.0, trim=0.2,
                      channel=ChannelConfig(tx_duration=tx)))
-    polls, replies, delivered = [], [], []
+    polls, replies, delivered, sent = [], [], [], []
     window, deliver = ncsim.mac.ReliabilityWindow, r.on_delivery
     record_poll, record_data = window.record_poll, window.record_data
+    record_tx = r.metrics.record_tx
     monkeypatch.setattr(window, "record_poll", lambda gw, k, now: (
         polls.append(now), record_poll(gw, k, now)))
     monkeypatch.setattr(window, "record_data", lambda gw, k, now: (
         replies.append(now), record_data(gw, k, now)))
-    r.on_delivery = lambda k, gen: (delivered.append(k), deliver(k, gen))
+    r.metrics.record_tx = lambda loop, gen: (
+        sent.append((round(polls[-1] * 1e6), gen)), record_tx(loop, gen))
+
+    def on_delivery(k, gen, step):
+        accepted = deliver(k, gen, step)
+        delivered.append((k, gen, accepted))
+        return accepted
+
+    r.on_delivery = on_delivery
     r.execute()
     assert max(polls) < 1.0 and max(replies) <= 1.0
     assert len(polls) == n_polls
     assert len(replies) == len(delivered) == n_replies
+    tx_us = round(tx * 1e6)
+    assert len(sent) == n_replies + (n_polls > n_replies)
+    assert all(gen == (poll_us + tx_us - 1) // 10_000
+               for poll_us, gen in sent)
+    on_tick = [(round(reply * 1e6) // 10_000, k, gen)
+               for reply, (k, gen, accepted) in zip(replies, delivered)
+               if accepted and round(reply * 1e6) % 10_000 == 0]
+    assert len(on_tick) > 10
+    for t, k, gen in on_tick:
+        assert r.ages[t, k] == t - gen
+
+
+@pytest.mark.parametrize("variant", ["wifresh", "pmef"])
+def test_poll_decisions_read_the_gateway_ages(variant, monkeypatch):
+    """Every poll decision of every replication reads each loop's age at
+    the decision's step, step - nu floored at one, nu being the freshest
+    generation delivered so far.  With 3 ms packets many replies land in
+    the step their sample was taken in, where the floor applies."""
+    r = _Run(cfg_for(3, variant, duration=2.0, trim=0.2,
+                     channel=ChannelConfig(tx_duration=0.003,
+                                           erasure_prob=0.2)), [0, 1])
+    reps, times, decisions = [], [], []
+    polls, window = _Run._polls, ncsim.mac.ReliabilityWindow
+    reliability = window.reliability
+    monkeypatch.setattr(_Run, "_polls", lambda run_, rep: (
+        reps.append(rep), polls(run_, rep)))
+    monkeypatch.setattr(window, "reliability", lambda gw, now: (
+        times.append(round(now * 1e6)), reliability(gw, now))[1])
+
+    def record(ages):
+        lo, step = reps[-1] * r.N, (times[-1] - 1) // 10_000
+        decisions.append((ages.copy(), step, r.nu[lo:lo + r.N].copy()))
+
+    wifresh_next, pmef_next = ncsim.engine.wifresh_next, ncsim.engine.pmef_next
+    monkeypatch.setattr(ncsim.engine, "wifresh_next", lambda ages, rel: (
+        record(ages), wifresh_next(ages, rel))[1])
+    monkeypatch.setattr(ncsim.engine, "pmef_next", lambda table, ages, *a: (
+        record(ages), pmef_next(table, ages, *a))[1])
+    r.execute()
+    assert reps == [0, 1] and len(decisions) > 500
+    for ages, step, nu in decisions:
+        np.testing.assert_array_equal(ages, np.maximum(step - nu, 1))
+    assert sum((nu == step).sum() for _, step, nu in decisions) > 50
+
+
+@pytest.mark.parametrize("variant", ["slotted_aloha", "mef", "pmef"])
+def test_medium_access_runs_before_the_plants(variant, monkeypatch):
+    """No medium-access decision reads a plant, so a run resolves every
+    slot or poll and counts every transmission before it ticks a plant or
+    replays an estimate."""
+    calls = []
+
+    def log(owner, name, kind):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: (
+            calls.append(kind), fn(*args))[1])
+
+    log(_Plants, "tick", "tick")
+    log(_Plants, "replay", "replay")
+    log(ncsim.metrics.MetricsAccumulator, "record_tx", "access")
+    log(ncsim.engine, "resolve_slot", "access")
+    log(ncsim.engine, "resolve_pointtopoint", "access")
+    run(cfg_for(4, variant))
+    assert {"tick", "replay", "access"} <= set(calls)
+    access = [n for n, kind in enumerate(calls) if kind == "access"]
+    plant = [n for n, kind in enumerate(calls) if kind != "access"]
+    assert max(access) < min(plant)
 
 
 def test_mef_frames_and_beacons():
@@ -266,21 +346,30 @@ def test_mef_frames_and_beacons():
         assert res["series"][i]["aoi"].max() < 60
 
 
-def test_estimator_incremental_matches_reference():
-    """The engine's rolled-forward estimate equals a cold replay, also
-    right after a delivery older than the last tick."""
+def test_estimator_incremental_matches_reference(monkeypatch):
+    """The engine's rolled-forward estimate equals a cold replay after
+    every tick, also right after a delivery older than the last tick:
+    before every seventh tick t, the sample of step t - 2 arrives."""
     r = _Run(cfg_for(1, "round_robin", pattern=("pendulum",)))
     group, j = r.at[0]
     sys = r.cfg.systems[0]
-    for t in range(1, 40):
-        if t % 7 == 0:   # as if the sample of two ticks ago arrived now
-            r.on_delivery(0, t - 2)
-        r.on_tick(t)
-        nu = int(r.nu[0])
-        ref = cold_replay(sys, group.X[nu, j][:, 0],
-                          [group.U[q, j, :, 0] for q in range(nu, t)])
-        np.testing.assert_allclose(group.xhat[j][:, 0], ref,
-                                   rtol=1e-9, atol=1e-12)
+    for t in range(7, 40, 7):
+        r.on_delivery(0, t - 2, t - 1)
+    tick, checked = _Plants.tick, []
+
+    def checked_tick(g, t):
+        tick(g, t)
+        if t < 40:
+            nu = max([0] + [s - 2 for s in range(7, t + 1, 7)])
+            ref = cold_replay(sys, g.X[nu, j][:, 0],
+                              [g.U[q, j, :, 0] for q in range(nu, t)])
+            np.testing.assert_allclose(g.xhat[j][:, 0], ref,
+                                       rtol=1e-9, atol=1e-12)
+            checked.append(ref.any())
+
+    monkeypatch.setattr(_Plants, "tick", checked_tick)
+    r._tick_plants()
+    assert len(checked) == 39 and any(checked)
 
 
 @settings(max_examples=50, deadline=None)
@@ -290,23 +379,32 @@ def test_only_strictly_fresher_deliveries_change_the_gateway(steps):
     """A stale or duplicate delivery changes neither the loop's freshest
     generation and estimate nor the gateway's age; ``nu`` never regresses.
     Loop 0 (A = B = 1, no input applied) has state x[t] = t, so an accepted
-    delivery of generation g sets its estimate to g."""
+    delivery of generation g sets its estimate to g.  The plants stand
+    still (a tick only records the estimate it finds), so every state
+    stays as set."""
     r = _Run(cfg_for(2, "round_robin"))
     group, j = r.at[0]
     group.X[:, j, 0, 0] = np.arange(len(group.X))
-    est_age = r.est_age[0]
-    for step, lag in steps:
-        r.current_step += step
-        gen = max(0, r.current_step - lag)
-        before = (int(r.nu[0]), group.xhat[j].item(), int(est_age[0]))
-        r.on_delivery(0, gen)
+    step, freshest, found = 0, {}, {}
+    for advance, lag in steps:
+        step += advance
+        gen = max(0, step - lag)
+        before = (int(r.nu[0]), len(r.moved[step + 1]))
+        accepted = r.on_delivery(0, gen, step)
         if gen > before[0]:
-            assert r.nu[0] == gen and group.xhat[j].item() == float(gen)
-            assert est_age[0] == max(1, r.current_step - gen)
+            assert accepted and r.nu[0] == gen
+            assert r.moved[step + 1][before[1]:] == [(0, gen)]
         else:
-            assert (int(r.nu[0]), group.xhat[j].item(),
-                    int(est_age[0])) == before
+            assert not accepted
+            assert (int(r.nu[0]), len(r.moved[step + 1])) == before
         assert r.nu[0] >= before[0]
+        freshest[step + 1] = int(r.nu[0])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_Plants, "tick", lambda g, t: g is group
+                  and found.setdefault(t, g.xhat[j].item()))
+        r._tick_plants()
+    for t, nu in freshest.items():
+        assert found[t] == float(nu) and r.ages[t, 0] == t - nu
 
 
 def test_contention_sender_waits_for_the_next_sample():
@@ -405,27 +503,46 @@ def random_configs(draw):
 @settings(max_examples=80, deadline=None)
 @given(cfg=random_configs())
 def test_batched_state_invariants(cfg):
-    """After every tick of random runs: every age is at least one, no loop
-    received more than it sent, ``nu`` never decreased, and each loop's
-    estimate equals a cold replay from its freshest sample over its
-    inputs."""
+    """Random runs.  Medium access: ``nu`` never decreases.  After every
+    tick: every age is at least one and is the step minus the freshest
+    generation delivered before that tick, and each loop's estimate
+    equals a cold replay from that sample over its inputs.  At the end,
+    no loop received more than it sent.  A delivered sample past step 1
+    has a nonzero state, so some estimate must be nonzero."""
     r = _Run(cfg)
-    tick, seen = r.on_tick, r.nu.copy()
+    N, deliver, arrivals = cfg.n_loops, r.on_delivery, []
 
-    def checked_tick(t):
-        tick(t)
-        assert (r.est_age >= 1).all()
-        assert (r.metrics.rx <= r.metrics.tx).all()
-        assert (r.nu >= seen).all()
-        seen[:] = r.nu
-        for k, (group, j) in enumerate(r.at):
-            nu = int(r.nu[k])
-            ref = cold_replay(cfg.systems[k], group.X[nu, j][:, 0],
+    def on_delivery(i, gen, step):
+        before = int(r.nu[i])
+        accepted = deliver(i, gen, step)
+        assert r.nu[i] >= before
+        if accepted:
+            arrivals.append((i, gen, step))
+        return accepted
+
+    fresh = np.zeros((r.steps + 2, len(r.nu)), np.int64)
+    tick, nonzero = _Plants.tick, [False]
+
+    def checked_tick(group, t):
+        if t == 1:      # medium access is done: each tick's freshest
+            for i, gen, step in arrivals:
+                fresh[step + 1:, i] = gen
+        tick(group, t)
+        assert (r.ages[t] >= 1).all()
+        np.testing.assert_array_equal(r.ages[t], t - fresh[t])
+        for j, i in enumerate(group.rows.tolist()):
+            nu = int(fresh[t, i])
+            ref = cold_replay(cfg.systems[i % N], group.X[nu, j][:, 0],
                               [group.U[q, j, :, 0] for q in range(nu, t)])
             np.testing.assert_array_equal(group.xhat[j][:, 0], ref)
+            nonzero[0] |= bool(ref.any())
 
-    r.on_tick = checked_tick
-    r.execute()
+    r.on_delivery = on_delivery
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_Plants, "tick", checked_tick)
+        r.execute()
+    assert (r.metrics.rx <= r.metrics.tx).all()
+    assert nonzero[0] or all(gen < 2 for _, gen, _ in arrivals)
 
 
 @pytest.mark.parametrize("variant", ["round_robin", "aloha", "mef", "pmef"])

@@ -1,14 +1,14 @@
 """Samples to send, gateway state, and the scheduling decision rules."""
 import functools
 import math
-from collections import deque
+from collections import defaultdict, deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncsim.aoi import optimize_adra
-from ncsim.engine import SimConfig, _Run, systems_from_classes
+from ncsim.engine import SimConfig, _Plants, _Run, systems_from_classes
 from ncsim.errors import ConfigurationError
 from ncsim.mac import (ReliabilityWindow, SchedulerPolicy, mef_build_schedule,
                        pmef_next, rr_next, wifresh_next)
@@ -24,10 +24,21 @@ def hand_run(variant="round_robin", n=2):
                           warmup_s=0.5, cooldown_s=0.5))
 
 
-def estimate(r, k):
-    """Loop k's controller estimate, as a float (scalar loops)."""
-    group, j = r.at[k]
-    return group.xhat[j].item()
+def plant_pass(r):
+    """Run r's plant pass; returns, per tick t, each row's estimate as
+    tick t finds it: the deliveries before it applied, not yet rolled
+    forward (scalar loops)."""
+    found, tick = defaultdict(dict), _Plants.tick
+
+    def spy(group, t):
+        for j, i in enumerate(group.rows.tolist()):
+            found[t][i] = group.xhat[j].item()
+        tick(group, t)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_Plants, "tick", spy)
+        r._tick_plants()
+    return found
 
 
 def test_lcfs_keeps_only_freshest():
@@ -38,8 +49,8 @@ def test_lcfs_keeps_only_freshest():
     r = hand_run("aloha", n=1)
     delivered = []
     deliver = r.on_delivery
-    r.on_delivery = lambda k, gen: (delivered.append((gen, r.current_step)),
-                                    deliver(k, gen))
+    r.on_delivery = lambda k, gen, step: (delivered.append((gen, step)),
+                                          deliver(k, gen, step))[1]
     r.execute()
     assert delivered == [(t, t) for t in range(1, r.steps)]
 
@@ -57,10 +68,11 @@ def test_lcfs_single_slot_property(variant, n, seed):
                        policy=SchedulerPolicy(variant, **pol),
                        duration_s=1.0, warmup_s=0.2, cooldown_s=0.2,
                        seed=seed))
-    sent = []
-    record_tx = r.metrics.record_tx
+    sent, slots = [], []
+    record_tx, on_slot = r.metrics.record_tx, r.on_slot
+    r.on_slot = lambda t: (slots.append(t), on_slot(t))
     r.metrics.record_tx = lambda loop, gen: (
-        sent.append((gen, r.current_step, np.atleast_1d(loop).tolist())),
+        sent.append((gen, slots[-1], np.atleast_1d(loop).tolist())),
         record_tx(loop, gen))
     r.execute()
     assert [gen for gen, _, _ in sent] == list(range(1, r.steps + 1))
@@ -78,47 +90,44 @@ def test_rr_rule():
         rr_next(0, 3)
 
 
-def hand_delivery_run():
-    """A hand-driven run at step 10, no tick taken, whose loop 1 (A = 1.1,
-    B = 1, no input applied) had state 0.5 at step 7."""
-    r = hand_run()
-    group, j = r.at[1]
-    group.X[7, j] = 0.5
-    r.current_step = 10
-    return r
-
-
 def test_gw_on_data_age_update():
-    r = hand_delivery_run()
-    r.on_delivery(1, 7)
-    assert r.est_age[0, 1] == 3
-    # The acknowledgement is instantaneous: the sender's loop knows gen 7,
-    # and its controller rolls x[7] forward to step 10.
-    assert r.nu[1] == 7 and estimate(r, 1) == 0.5 * 1.1 * 1.1 * 1.1
-    assert r.nu[0] == 0
+    """Loop 1 (A = 1.1, B = 1) accepts the sample of step 7 at step 10:
+    its age is 11 - 7 at tick 11, and its controller rolls x[7] forward
+    to step 10 through no input before that tick.  The acknowledgement is
+    instantaneous: the sender's loop knows gen 7."""
+    r = hand_run()
+    assert r.on_delivery(1, 7, 10)
+    assert r.nu[1] == 7 and r.nu[0] == 0 and r.moved[11] == [(1, 7)]
+    found = plant_pass(r)
+    group, j = r.at[1]
+    assert not group.U[7:10, j].any() and group.X[7, j] != 0
+    assert found[11][1] == group.X[7, j].item() * 1.1 * 1.1 * 1.1
+    assert r.ages[10:12, 1].tolist() == [10, 4]
+    assert r.ages[11, 0] == 11
 
 
 def test_gw_on_data_ignores_duplicates_and_stale():
-    r = hand_delivery_run()
-    r.on_delivery(1, 7)
-    accepted = estimate(r, 1)
-    r.current_step = 11
-    r.on_delivery(1, 7)    # duplicate
-    assert r.est_age[0, 1] == 3 and estimate(r, 1) == accepted
-    r.on_delivery(1, 4)    # stale
-    assert r.est_age[0, 1] == 3 and r.nu[1] == 7
-    assert estimate(r, 1) == accepted
+    """A duplicate or a stale delivery changes neither the loop's freshest
+    generation nor its ages and estimates: the run equals one that never
+    received it."""
+    r, once = hand_run(), hand_run()
+    assert r.on_delivery(1, 7, 10) and once.on_delivery(1, 7, 10)
+    assert not r.on_delivery(1, 7, 11)    # duplicate
+    assert not r.on_delivery(1, 4, 11)    # stale
+    assert r.nu[1] == 7 and r.moved[12] == []
+    found, expected = plant_pass(r), plant_pass(once)
+    assert found[12][1] == expected[12][1] and found == expected
+    assert r.ages[11:13, 1].tolist() == [4, 5]
+    assert (r.ages == once.ages).all()
 
 
 def test_gw_view_age_grows_per_tick():
     r = hand_run()
-    for t in range(1, 11):
-        r.on_tick(t)
-    r.on_delivery(1, 7)
-    assert r.est_age[0, 1] == 3 and r.nu[1] == 7
-    for t in range(11, 16):
-        r.on_tick(t)
-    assert r.est_age[0, 1] == 3 + 5
+    r.on_delivery(1, 7, 10)
+    assert r.nu[1] == 7
+    r._tick_plants()
+    assert r.ages[1:11, 1].tolist() == list(range(1, 11))
+    assert r.ages[11:16, 1].tolist() == [4, 5, 6, 7, 8]
 
 
 def test_reliability_window():

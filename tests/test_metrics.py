@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncsim.engine import SimConfig, _Run, systems_from_classes
+from ncsim.engine import SimConfig, _Plants, _Run, systems_from_classes
 from ncsim.errors import ConfigurationError
 from ncsim.mac import SchedulerPolicy
 from ncsim.metrics import (MetricsAccumulator, MseTable, error_covariance,
@@ -287,7 +287,7 @@ def test_scalar_table_matches_reference_bit_for_bit(a, sigma, data):
 
 
 def hand_run(n=2):
-    """A run whose ticks and deliveries the test drives by hand."""
+    """A run whose deliveries the test makes by hand."""
     systems = systems_from_classes(n)
     return _Run(SimConfig(systems=systems,
                           policy=SchedulerPolicy("round_robin"),
@@ -295,38 +295,47 @@ def hand_run(n=2):
 
 
 def test_aoi_tracker():
-    """The gateway's age: the step minus the freshest delivered generation,
-    floored at one; duplicate and stale deliveries are ignored."""
+    """The gateway's age: the step minus the freshest delivered
+    generation; duplicate and stale deliveries are ignored, and a sample
+    of the step it arrives in counts from the next tick, at age one.
+    (Poll decisions, which come between ticks, floor it at one:
+    test_engine.py::test_poll_decisions_read_the_gateway_ages.)"""
     r = hand_run()
-    est_age = r.est_age[0]
-    for t in range(1, 6):
-        r.on_tick(t)
-        assert est_age[0] == t
-    r.on_delivery(0, 3)
-    assert est_age[0] == 2 and r.nu[0] == 3
-    r.on_delivery(0, 3)    # duplicate
-    r.on_delivery(0, 2)    # stale
-    assert est_age[0] == 2 and r.nu[0] == 3
-    r.on_delivery(0, 5)    # sampled this step
-    assert est_age[0] == 1 and r.nu[0] == 5
+    assert r.on_delivery(0, 3, 5)
+    assert r.nu[0] == 3
+    assert not r.on_delivery(0, 3, 5)    # duplicate
+    assert not r.on_delivery(0, 2, 5)    # stale
+    assert r.nu[0] == 3
+    assert r.on_delivery(0, 5, 5)        # sampled this step
+    assert r.nu[0] == 5 and r.moved[6] == [(0, 3), (0, 5)]
+    r._tick_plants()
+    assert r.ages[1:6, 0].tolist() == [1, 2, 3, 4, 5]
+    assert r.ages[6:8, 0].tolist() == [1, 2]
 
 
 @settings(max_examples=50, deadline=None)
 @given(gens=st.lists(st.integers(0, 100), max_size=30))
 def test_aoi_tracker_never_regresses(gens):
     """Loop 0 (A = B = 1, no input applied) has state x[t] = t, so its
-    estimate is the freshest generation delivered."""
+    estimate is the freshest generation delivered.  Delivery n arrives at
+    step 100 + n, and the plants stand still (a tick only records the
+    estimate it finds), so every state stays as set."""
     r = hand_run()
     group, j = r.at[0]
     group.X[:, j, 0, 0] = np.arange(len(group.X))
-    r.current_step = 100
-    seen = 0
-    for g in gens:
-        r.on_delivery(0, g)
+    seen, freshest, found = 0, {}, {}
+    for n, g in enumerate(gens):
+        r.on_delivery(0, g, 100 + n)
         seen = max(seen, g)
-        assert r.nu[0] == seen and group.xhat[j].item() == float(seen)
-        if seen:
-            assert r.est_age[0, 0] == max(1, 100 - seen)
+        assert r.nu[0] == seen
+        freshest[101 + n] = seen
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_Plants, "tick",
+                  lambda g, t: g is group
+                  and found.setdefault(t, g.xhat[j].item()))
+        r._tick_plants()
+    for t, seen in freshest.items():
+        assert found[t] == float(seen) and r.ages[t, 0] == t - seen
 
 
 def make_acc(n=2, t0=1, t1=4, classes=None):
