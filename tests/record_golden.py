@@ -7,7 +7,8 @@ Usage (from the repository root, on a commit whose results are trusted)::
 
 Simulates a small fixed grid (every policy x three channels x two class
 mixes, N=6, 2 replications of 2 s each), a diverging network under every
-policy, an N=40 pendulum mix under three policies, an N=3 mix whose
+policy, an N=40 pendulum mix under six policies, the age-threshold
+policy at threshold 1 (which never gates), an N=3 mix whose
 pendulum is alone in its dimension group and a single loop, each under every
 policy, and writes, per case,
 the SHA-256 of the ``per_run.csv`` that ``emit_results`` writes and of every
@@ -56,7 +57,10 @@ UNSTABLE = LtiSystem(A=[[1e30]], B=[[1.0]], noise_cov=[[1.0]], Q=[[1.0]],
 # Many loops of both state dimensions: MEF fills whole frames, and polled
 # replies on the tied channel can be more than one period old.
 WIDE_N = 40
-WIDE_VARIANTS = ("aloha", "mef", "pmef")
+WIDE_VARIANTS = ("aloha", "mef", "pmef", "slotted_aloha", "adra",
+                 "round_robin")
+# A threshold of 1 never gates: a loop's age is at least 1 at every slot.
+LOW_THRESHOLD_PARAMS = {"adra": {"threshold": 1, "p": 0.3}}
 # A one-loop network: slotted ALOHA's default p = 1/N would be 1.
 SINGLE_PARAMS = {**POLICY_PARAMS, "slotted_aloha": {"p": 0.5}}
 
@@ -86,6 +90,10 @@ def cases():
         for variant in WIDE_VARIANTS:
             yield f"wide-{chan}-{variant}", _config(
                 systems, variant, CHANNELS[chan])
+    systems = systems_from_classes(N_LOOPS, MIXES["pendulum"])
+    for chan in ("capture", "tied"):
+        yield f"threshold1-{chan}-adra", _config(
+            systems, "adra", CHANNELS[chan], LOW_THRESHOLD_PARAMS)
     # One-loop groups: the pendulum's window sums are a single column.
     systems = systems_from_classes(3, MIXES["pendulum"])
     for variant in PROTOCOLS:
