@@ -11,6 +11,7 @@ decoded loops are arrays of loop indices.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,78 +61,157 @@ class ChannelConfig:
 
 
 class BlockStreams:
-    """Independent random streams, one per row, read one value per row at a
-    time but drawn ``size`` values at a time by ``draw(rng, size)``.
+    """Independent random streams, one per row, read in order through a
+    buffer that ``draw(rng, size)`` refills a block at a time.
 
-    A block draw equals the same number of single draws, so reading through
-    the buffer changes no value; a refilled row continues its own stream.
+    :meth:`head` shows each row's next k values and :meth:`advance` then
+    reads some of them: a row's unread values wait in the buffer for the
+    next head.  A block draw equals the same number of single draws, so
+    reading through the buffer changes no value; a refilled row continues
+    its own stream.
     """
 
     def __init__(self, rngs, draw, size: int = 64):
         self.rngs, self.draw, self.size = rngs, draw, size
-        # Row r's block is buf[start[r]:start[r] + size]; pos[r] is the
-        # index of its next unread value.
-        self.buf = np.concatenate([draw(rng, size) for rng in rngs])
-        self.start = np.arange(len(rngs)) * size
-        self.pos = self.start.copy()
-        self._safe = size     # reads no row can run out within
+        # Row r's buffer is buf[r]; ``at[r]`` is the flat index of its next
+        # unread value, and ``_safe`` a count of values that every row
+        # still holds unread.
+        self.buf = np.empty((len(rngs), 0))
+        self._flat = self.buf.reshape(-1)
+        self.at = np.zeros(len(rngs), np.int64)
+        self._reads = np.arange(0)[:, None]
+        self._safe = 0
 
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        """The next value of each listed row's stream (rows distinct)."""
-        if not self._safe:    # a row may be spent: refill those that are
-            spent = np.flatnonzero(self.pos - self.start == self.size)
-            for row in spent.tolist():
-                lo = row * self.size
-                self.buf[lo:lo + self.size] = self.draw(self.rngs[row],
-                                                        self.size)
-            self.pos[spent] = self.start[spent]
-            self._safe = self.size - int((self.pos - self.start).max())
-        self._safe -= 1       # each read advances a row by at most one
-        pos = self.pos[rows]
-        self.pos[rows] = pos + 1
-        return self.buf[pos]
+    def head(self, k: int) -> np.ndarray:
+        """Each row's next k values, not yet read, as the column of a
+        (k, rows) array."""
+        if k > self._safe:
+            self._refill(k)
+        self._safe -= k
+        return self._flat[self.at + self._reads[:k]]
+
+    def advance(self, counts):
+        """Read each row's first ``counts`` values of the last head (a count
+        per row, or one for all)."""
+        self.at += counts
+
+    def _refill(self, k: int):
+        """Give every row at least k unread values: a row that holds fewer
+        than k, or than half its buffer, keeps them and draws a block
+        after them."""
+        rows, width = self.buf.shape
+        start = np.arange(rows) * width
+        pos = self.at - start
+        buf, short = self.buf, np.flatnonzero(pos > width - max(k, width // 2))
+        if k > width:      # every row moves to a wider buffer
+            width = k + self.size
+            buf, short = np.empty((rows, width)), np.arange(rows)
+            self._reads = np.arange(width)[:, None]
+        for row in short.tolist():
+            unread = self.buf[row, pos[row]:]
+            buf[row, :len(unread)] = unread
+            buf[row, len(unread):] = self.draw(self.rngs[row],
+                                               width - len(unread))
+            pos[row] = 0
+        self.buf, self._flat = buf, buf.reshape(-1)
+        self.at = np.arange(rows) * width + pos
+        self._safe = width - int(pos.max())
 
 
-def resolve_slot(ks: np.ndarray, offsets: np.ndarray | None,
-                 cfg: ChannelConfig, rng) -> np.ndarray:
-    """Decoded indices, ascending, among one slot's transmitters ``ks``
-    (distinct, ascending), whose start offsets lie in [0, slot_duration -
-    tx_duration] (None on the strict channel, which ignores them).
+def resolve_slot(cells: np.ndarray, n: int, offsets: np.ndarray | None,
+                 cfg: ChannelConfig, coins: BlockStreams) -> np.ndarray:
+    """Decoded cells, ascending, among the transmitting ``cells`` of a
+    block of slots (distinct, ascending).
 
-    Sorted by (offset, index), the transmissions form pileups: a new one
-    starts where an offset is at least the previous one plus
-    ``tx_duration``.  A lone transmission survives; a pair survives whole
-    on one capture coin, flipped per pair in order of start; three or more
-    never decode.  Each survivor then flips an erasure coin, in index
-    order.  All coins come from ``rng``, the run's shared stream.
+    Cell m·n + k is transmitter k of medium m: one slot of one
+    replication's channel, which decides alone.  Medium m draws its coins
+    from stream m % streams of ``coins`` (its replication's shared
+    stream), and each stream serves its media in the order of m.  Offsets
+    (None on the strict channel, which ignores them) lie in [0,
+    slot_duration - tx_duration], one per cell.
+
+    A stable argsort of each medium's offsets orders its transmissions,
+    which form pileups: a new one starts where an offset is at least the
+    previous one plus ``tx_duration``.  A lone transmission survives; a
+    pair survives whole on one capture coin, flipped per pair in order of
+    start; three or more never decode (on the strict channel a medium is
+    one pileup).  Each survivor then flips an erasure coin, in cell
+    order, after its medium's capture coins.
     """
-    n = len(ks)
-    if offsets is not None and n:
+    if offsets is not None and len(offsets) and (
+            offsets.min() < 0.0 or offsets.max() > cfg.max_offset + 1e-12):
         bad = offsets[(offsets < 0.0) | (offsets > cfg.max_offset + 1e-12)]
-        if len(bad):
-            raise ConfigurationError(f"offset {bad[0]} outside the slot")
+        raise ConfigurationError(f"offset {bad[0]} outside the slot")
+    media = cells // n
     if cfg.mode == "strict_collision":
-        survivors = ks if n == 1 else ks[:0]
-    elif n < 2:
-        survivors = ks
+        lone = (np.bincount(media)[media] == 1).nonzero()[0]
+        pairs = seconds = lone[:0]
     else:
-        order = np.lexsort((ks, offsets))
+        # Complex keys sort by medium, then by offset.
+        order = np.argsort(media + 1j * offsets, kind="stable")
         off = offsets[order]
-        # Each pileup's first position in that order and its size.
-        cuts = (off[1:] >= off[:-1] + cfg.tx_duration).nonzero()[0] + 1
-        edges = [0, *cuts.tolist(), n]
-        piles = [(lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
-        keep = [lo for lo, size in piles if size == 1]
-        pairs = [lo for lo, size in piles if size == 2]
-        if pairs:
-            won = (rng.random(len(pairs)) < cfg.capture_prob).tolist()
-            keep += [j for lo, w in zip(pairs, won) if w for j in (lo, lo + 1)]
-        survivors = np.sort(ks[order[keep]])
-    if cfg.erasure_prob and len(survivors):
-        survivors = survivors[rng.random(len(survivors)) >= cfg.erasure_prob]
+        # new[j]: position j of the order starts a pileup (two sentinels).
+        new = np.ones(len(cells) + 2, bool)
+        new[1:-2] = (media[1:] != media[:-1]) | (off[1:] >= off[:-1]
+                                                  + cfg.tx_duration)
+        lone = np.sort(order[new[:-2] & new[1:-1]])
+        pair = new[:-3] & ~new[1:-2] & new[2:-1]
+        pairs, seconds = order[:-1][pair], order[1:][pair]
+    return cells[_flip_coins(media, lone, pairs, seconds, cfg, coins)]
+
+
+def _flip_coins(media, lone, pairs, seconds, cfg, coins) -> np.ndarray:
+    """Positions, ascending, of the transmissions that decode: the
+    ``lone`` ones, and both of each capture-winning pair (first and
+    second by offset at ``pairs`` and ``seconds``), less those erased."""
+    erase = cfg.erasure_prob > 0
+    if not (len(pairs) or erase and len(lone)):
+        return lone
+    # Medium m is slot s of stream r, m - first = s·streams + r, so that a
+    # stream's media run down column r of a (slots, streams) table.
+    streams = len(coins.rngs)
+    first = int(media[0]) - int(media[0]) % streams
+    shape = ((int(media[-1]) - first) // streams + 1, streams)
+
+    def per_medium(pos):
+        return np.bincount(media[pos] - first,
+                           minlength=shape[0] * streams).reshape(shape)
+
+    n_pairs = per_medium(pairs)
+    fixed = n_pairs + per_medium(lone) if erase else n_pairs
+    # Each stream's coins, at most: every pair survives.
+    head = coins.head(int((fixed + 2 * erase * n_pairs).sum(axis=0).max()))
+    used, survivors = fixed, lone
+    if len(pairs):
+        # A medium's capture flips follow the coins of its stream's
+        # earlier media, whose won pairs flipped two erasure coins each.
+        start = (np.cumsum(fixed, axis=0) - fixed).reshape(-1)
+        cols, extra = head.T.tolist(), [0] * streams
+        won, n_won = [], np.zeros(shape, np.int64)
+        for m, group in itertools.groupby((media[pairs] - first).tolist()):
+            count, r = len(list(group)), m % streams
+            c = int(start[m]) + extra[r]
+            won += [x < cfg.capture_prob for x in cols[r][c:c + count]]
+            n_won.flat[m] = sum(won[-count:])
+            extra[r] += 2 * erase * n_won.flat[m]
+        used = fixed + 2 * erase * n_won
+        survivors = np.sort(np.concatenate([lone, pairs[won], seconds[won]]))
+    coins.advance(used.sum(axis=0))
+    if erase and len(survivors):
+        # A survivor's coin follows its medium's capture coins and those
+        # of the survivors before it in the medium.
+        m = media[survivors] - first
+        rank = np.arange(len(m)) - m.searchsorted(m)
+        start = (np.cumsum(used, axis=0) - used + n_pairs).reshape(-1)
+        survivors = survivors[head[start[m] + rank, m % streams]
+                              >= cfg.erasure_prob]
     return survivors
 
 
-def resolve_pointtopoint(cfg: ChannelConfig, rng) -> bool:
-    """Whether a collision-free packet (poll or polled data) decodes."""
-    return cfg.erasure_prob == 0.0 or rng.random() >= cfg.erasure_prob
+def resolve_pointtopoint(cfg: ChannelConfig, rng, n: int) -> np.ndarray:
+    """Whether each of n collision-free packets (polls or polled data) of
+    one loop decodes: one erasure coin each, drawn in order from the
+    loop's channel stream ``rng``."""
+    if cfg.erasure_prob == 0.0:
+        return np.ones(n, bool)
+    return rng.random(n) >= cfg.erasure_prob

@@ -78,6 +78,9 @@ POLL_GUARD_S = 0.002  # extra wait before a poll transaction is declared lost
 _RNG_NOISE, _RNG_ACCESS, _RNG_CHANNEL = 0, 1, 2
 # Loop-steps per block of the end-of-run window sums; bounds their memory.
 _SUM_BLOCK_VALUES = 1 << 12
+# Slots times rows of one block of slotted medium access at most; bounds
+# the memory of its transmit mask, offsets and coins.
+_SLOT_BLOCK_VALUES = 1 << 15
 # Rows (loops times replications) of one batch of replications at most,
 # unless one replication has more: the history one N=1000 run keeps.
 _BATCH_LOOPS = 1000
@@ -286,6 +289,10 @@ def _seed_state() -> type:
     return SeedState
 
 
+def _random(rng, size: int) -> np.ndarray:
+    return rng.random(size)
+
+
 def _stream(words: np.ndarray) -> np.random.Generator:
     """The stream ``default_rng((seed, i, purpose))`` builds, from that
     key's row of :func:`_seed_words`."""
@@ -418,6 +425,7 @@ class _Run:
         self.metrics = MetricsAccumulator(N, *cfg.window, cfg.classes, R)
         self.table = table = MseTable(cfg.systems)
         self.firsts = np.arange(R) * N    # each replication's first row
+        self.rows = np.arange(R * N)
         self.nu = np.zeros(R * N, np.int64)
         self.ages = np.zeros((self.steps + 1, R * N), np.int64)
         self.moved = [[] for _ in range(self.steps + 1)]
@@ -446,22 +454,30 @@ class _Run:
         channel_words = words[_RNG_CHANNEL, keys]
         self.rng_channel = functools.cache(
             lambda row: _stream(channel_words[row]))
-        self.access = self.offsets = None
-        self.rng_shared = []
+        self.access = self.offsets = self.coins = None
         if self.policy.is_contention:
             # Each replication's capture and erasure coins.
-            self.rng_shared = [_stream(w)
-                               for w in words[_RNG_CHANNEL, ::N + 1]]
+            self.coins = BlockStreams(
+                [_stream(w) for w in words[_RNG_CHANNEL, ::N + 1]], _random)
             streams = lambda purpose: [_stream(w)
                                        for w in words[purpose, keys]]
             if self.policy.variant in ("slotted_aloha", "adra"):
-                self.access = BlockStreams(
-                    streams(_RNG_ACCESS), lambda rng, size: rng.random(size))
+                self.access = BlockStreams(streams(_RNG_ACCESS), _random)
             if self.channel.mode == "offset_capture":
                 top = self.channel.max_offset
                 self.offsets = BlockStreams(
                     streams(_RNG_CHANNEL),
                     lambda rng, size: rng.uniform(0.0, top, size))
+        # An age threshold of 1 or less never gates: nu <= t - 1 in slot t.
+        self.gated = (self.policy.variant == "adra"
+                      and self.policy.threshold >= 2)
+        self.sent = self.got = None
+        if not self.policy.is_polling:
+            # Each slot's transmitters and deliveries, row t for slot t;
+            # nu takes in the deliveries of slots before ``settled``.
+            self.sent = np.zeros((self.steps + 1, R * N), bool)
+            self.got = np.zeros_like(self.sent)
+            self.settled = 1
         self.end_us = self.steps * self.Ts_us
         # A poll or its reply that is lost is given up this long after
         # the poll was sent.
@@ -527,55 +543,106 @@ class _Run:
 
     # ---- slotted medium access ------------------------------------------
 
-    def _contention_transmitters(self, t: int) -> np.ndarray:
-        """Rows of slot t's transmitters, ascending: every loop (aloha),
-        each with probability p (slotted ALOHA), or each whose age
-        t - nu reached the threshold with probability p."""
-        if self.policy.variant == "adra":
-            rows = (self.nu <= t - self.policy.threshold).nonzero()[0]
+    def _blocks(self) -> list[tuple[int, int]]:
+        """(lo, hi) of each block of slots lo..hi - 1, in order: one MEF
+        frame, one slot where the age threshold gates, otherwise as many
+        slots as keep slots times rows within ``_SLOT_BLOCK_VALUES``."""
+        if self.policy.variant == "mef":
+            size = self.policy.frame_len
+        elif self.gated:
+            size = 1
         else:
-            rows = np.arange(self.R * self.N)
-        if self.access is not None:
-            rows = rows[self.access.take(rows) < self.policy.p]
-        return rows
+            size = max(1, _SLOT_BLOCK_VALUES // (self.R * self.N))
+        return [(lo, min(lo + size, self.steps + 1))
+                for lo in range(1, self.steps + 1, size)]
 
-    def on_slot(self, t: int):
-        """Slot t starts on tick t's instant, in every replication.  Its
-        deliveries land before the next tick; the last slot's land after
-        the run ends and are dropped."""
-        deliver = t < self.steps
-        if self.policy.is_contention:
-            rows = self._contention_transmitters(t)
-            offsets = None if self.offsets is None else self.offsets.take(rows)
-            if self.R == 1:     # the split below would cost as much
-                decoded = resolve_slot(rows, offsets, self.channel,
-                                       self.rng_shared[0])
-            else:   # each replication resolves its own transmitters
-                cuts = rows.searchsorted(self.firsts).tolist() + [len(rows)]
-                decoded = np.concatenate([
-                    resolve_slot(rows[lo:hi], offsets if offsets is None
-                                 else offsets[lo:hi], self.channel, rng)
-                    for lo, hi, rng in zip(cuts, cuts[1:], self.rng_shared)])
-            self.metrics.record_tx(rows, t)
-            if deliver:
-                for i in decoded.tolist():
-                    self.on_delivery(i, t, t)
-        else:  # round_robin or mef: one loop of each replication sends
-            if self.policy.variant == "round_robin":
-                ks = [rr_next(t, self.N)] * self.R
-            else:
-                slot = (t - 1) % self.policy.frame_len
-                if slot == 0:
-                    self.mef_schedule = mef_build_schedule(
-                        self.table, (t - self.nu).reshape(self.R, self.N),
-                        self.policy.frame_len, self.policy.use_nmse)
-                ks = self.mef_schedule[slot].tolist()
-            for first, k in zip(range(0, self.R * self.N, self.N), ks):
-                self.metrics.record_tx(first + k, t)
-                ok = resolve_pointtopoint(self.channel,
-                                          self.rng_channel(first + k))
-                if ok and deliver:
-                    self.on_delivery(first + k, t, t)
+    def _slots(self, lo: int, hi: int):
+        """Slots lo..hi - 1 of every replication, resolved from their rows
+        of the transmit mask ``sent``.  Slot t starts on tick t's instant;
+        its deliveries, marked in ``got``, land before the next tick and
+        set ``nu``, except the last slot's, which land after the run ends
+        and are dropped."""
+        sent = self.sent[lo:hi]
+        self._transmitters(lo, sent)
+        cells = sent.reshape(-1).nonzero()[0]
+        if self.coins is not None:
+            decoded = resolve_slot(cells, self.N, self._offsets(sent, cells),
+                                   self.channel, self.coins)
+        else:
+            decoded = self._pointtopoint(sent, cells)
+        width = sent.shape[1]
+        if hi > self.steps:
+            decoded = decoded[decoded < (self.steps - lo) * width]
+        self.got[lo:hi].reshape(-1)[decoded] = True
+
+    def _settle(self, t: int):
+        """Take the deliveries of the slots before t into ``nu``."""
+        for s in range(self.settled, t):
+            self.nu[self.got[s]] = s
+        self.settled = t
+
+    def _transmitters(self, lo: int, sent: np.ndarray):
+        """Mark each slot lo + s's transmitters in row s of ``sent``: the
+        loop round-robin serves, the loops of MEF's frame, built from the
+        ages t - nu at its first slot, every loop (aloha), each with
+        probability p (slotted ALOHA), or, in a one-slot block, each whose
+        age t - nu reached the threshold with probability p."""
+        pol, slots = self.policy, len(sent)
+        if pol.variant == "round_robin":
+            ks = np.array([[rr_next(t, self.N)] for t in range(lo, lo + slots)])
+        elif pol.variant == "mef":
+            self._settle(lo)
+            ks = mef_build_schedule(
+                self.table, (lo - self.nu).reshape(self.R, self.N),
+                pol.frame_len, pol.use_nmse)[:slots]
+        elif self.access is None:
+            sent[:] = True
+            return
+        else:
+            # A loop draws an access coin in each slot it may send in.
+            eligible = True
+            if self.gated:
+                self._settle(lo)
+                eligible = self.nu <= lo - pol.threshold
+            np.less(self.access.head(slots), pol.p, out=sent, where=eligible)
+            self.access.advance(eligible if self.gated else slots)
+            return
+        sent[np.arange(slots)[:, None], self.firsts + ks] = True
+
+    def _offsets(self, sent: np.ndarray, cells: np.ndarray):
+        """Each transmitting cell's start offset, None on the strict
+        channel: a row draws its next offset in each slot it sends in."""
+        if self.offsets is None:
+            return None
+        reads = np.cumsum(sent, axis=0)
+        count = int(reads[-1].max())
+        if not count:
+            return np.empty(0)
+        head = self.offsets.head(count)
+        self.offsets.advance(reads[-1])
+        return head[reads - 1, self.rows].reshape(-1)[cells]
+
+    def _pointtopoint(self, sent: np.ndarray, cells: np.ndarray):
+        """The decoded cells of a scheduled block: each transmission flips
+        an erasure coin of its row's channel stream, in slot order."""
+        rows = cells % sent.shape[1]
+        counts = np.bincount(rows)
+        busy = counts.nonzero()[0]
+        ok = np.concatenate([
+            resolve_pointtopoint(self.channel, self.rng_channel(i), count)
+            for i, count in zip(busy.tolist(), counts[busy].tolist())])
+        # Row after row, each in slot order: the order of the coins.
+        return np.sort(cells[np.argsort(rows, kind="stable")[ok]])
+
+    def _slotted_deliveries(self):
+        """Count the window's transmissions and deliveries, and list each
+        delivery of slot t in ``moved[t + 1]``, in row order."""
+        self.metrics.record_slots(self.sent, self.got)
+        slot, rows = np.divmod(self.got.reshape(-1).nonzero()[0],
+                               self.got.shape[1])
+        np.maximum.at(self.nu, rows, slot)
+        for i, t in zip(rows.tolist(), slot.tolist()):
+            self.moved[t + 1].append((i, t))
 
     # ---- deliveries -------------------------------------------------------
 
@@ -620,12 +687,12 @@ class _Run:
                 k = pmef_next(self.table, ages, rel, self.policy.use_nmse)
             window.record_poll(k, now_s)
             rng = self.rng_channel(first + k)
-            if resolve_pointtopoint(self.channel, rng):
+            if resolve_pointtopoint(self.channel, rng, 1)[0]:
                 if now + tx > end:
                     break
                 gen = (now + tx - 1) // Ts
                 self.metrics.record_tx(first + k, gen)
-                if resolve_pointtopoint(self.channel, rng):
+                if resolve_pointtopoint(self.channel, rng, 1)[0]:
                     now += 2 * tx
                     if now > end:
                         break
@@ -648,8 +715,9 @@ class _Run:
                 for r in range(self.R):
                     self._polls(r)
             else:
-                for t in range(1, self.steps + 1):
-                    self.on_slot(t)
+                for lo, hi in self._blocks():
+                    self._slots(lo, hi)
+                self._slotted_deliveries()
             self._tick_plants()
             self._flag_diverged()
             sums = self._window_sums()

@@ -221,6 +221,13 @@ class MetricsAccumulator:
         if self.t_start <= t <= self.t_end:
             self.rx[loop] += 1
 
+    def record_slots(self, sent: np.ndarray, got: np.ndarray):
+        """Count the transmissions and receptions of (steps, rows) masks
+        whose row t is step t's, summed over the window's steps."""
+        window = slice(self.t_start, self.t_end + 1)
+        self.tx += sent[window].sum(axis=0)
+        self.rx += got[window].sum(axis=0)
+
     def flag_diverged(self, loop):
         self.diverged[loop] = True
 

@@ -32,72 +32,87 @@ def test_config_validation():
         ChannelConfig(capture_prob=1.5)
 
 
-def slot(txs, cfg, rng):
-    """Decoded indices (a list) of ``(index, offset)`` transmissions,
-    ascending by index; the strict channel gets no offsets."""
-    ks = np.array([k for k, _ in txs], np.int64)
+def random_draws(rng, size):
+    return rng.random(size)
+
+
+def shared(*seeds):
+    """Shared coin streams, one per replication, read a block at a time."""
+    return BlockStreams([np.random.default_rng(s) for s in seeds],
+                        random_draws)
+
+
+def block(slots, cfg, coins, n=64):
+    """Decoded indices (a list per slot) of a block of slots, each a list of
+    ``(index, offset)`` transmissions with indices below n, resolved in
+    one call; slot s is medium s, so with one coin stream the slots take
+    their coins in order.  The strict channel gets no offsets."""
+    txs = [(s * n + k, off) for s, one in enumerate(slots)
+           for k, off in sorted(one)]
+    cells = np.array([c for c, _ in txs], np.int64)
     offsets = (None if cfg.mode == "strict_collision"
                else np.array([off for _, off in txs], float))
-    return resolve_slot(ks, offsets, cfg, rng).tolist()
+    out = [[] for _ in slots]
+    for c in resolve_slot(cells, n, offsets, cfg, coins).tolist():
+        out[c // n].append(c % n)
+    return out
+
+
+def slot(txs, cfg, coins):
+    """Decoded indices (a list) of one slot's ``(index, offset)``
+    transmissions, ascending by index."""
+    return block([txs], cfg, coins)[0]
 
 
 def test_strict_single_transmission_decodes():
-    rng = np.random.default_rng(0)
-    assert slot([(1, 0.0)], strict(), rng) == [1]
+    assert slot([(1, 0.0)], strict(), shared(0)) == [1]
 
 
 def test_strict_collision_loses_both():
-    rng = np.random.default_rng(0)
-    assert slot([(1, 0.0), (2, 0.0)], strict(), rng) == []
+    assert slot([(1, 0.0), (2, 0.0)], strict(), shared(0)) == []
 
 
 def test_offsets_outside_slot_rejected():
-    rng = np.random.default_rng(0)
+    coins = shared(0)
     with pytest.raises(ConfigurationError):
-        slot([(1, 0.009)], capture(), rng)
+        slot([(1, 0.009)], capture(), coins)
     for off in (-1e-9, 0.007 + 1e-9):
         with pytest.raises(ConfigurationError):
-            resolve_slot(np.array([0, 1]), np.array([0.001, off]),
-                         capture(), rng)
+            resolve_slot(np.array([0, 1]), 2, np.array([0.001, off]),
+                         capture(), coins)
         with pytest.raises(ConfigurationError):
-            resolve_slot(np.array([0]), np.array([off]), strict(), rng)
+            resolve_slot(np.array([0]), 1, np.array([off]), strict(), coins)
 
 
 def test_capture_nonoverlapping_both_decode():
-    rng = np.random.default_rng(0)
-    assert slot([(1, 0.0), (2, 0.005)], capture(), rng) == [1, 2]
+    assert slot([(1, 0.0), (2, 0.005)], capture(), shared(0)) == [1, 2]
 
 
 def test_capture_touching_intervals_do_not_overlap():
-    rng = np.random.default_rng(0)
-    assert slot([(1, 0.0), (2, 0.003)], capture(), rng) == [1, 2]
+    assert slot([(1, 0.0), (2, 0.003)], capture(), shared(0)) == [1, 2]
 
 
 def test_capture_pair_rate():
-    rng = np.random.default_rng(1)
     cfg = capture(cp=0.3)
-    hits = 0
     trials = 40_000
-    for _ in range(trials):
-        got = slot([(1, 0.0), (2, 0.001)], cfg, rng)
-        assert got in ([], [1, 2])   # all or nothing per pair
-        hits += got == [1, 2]
+    got = block([[(1, 0.0), (2, 0.001)]] * trials, cfg, shared(1))
+    assert all(g in ([], [1, 2]) for g in got)   # all or nothing per pair
+    hits = sum(g == [1, 2] for g in got)
     se = math.sqrt(0.3 * 0.7 / trials)
     assert abs(hits / trials - 0.3) < 4 * se
 
 
 def test_triple_pileup_always_lost():
-    rng = np.random.default_rng(2)
+    coins = shared(2)
     cfg = capture(cp=1.0)
     for _ in range(100):
-        assert slot([(1, 0.0), (2, 0.002), (3, 0.004)], cfg, rng) == []
+        assert slot([(1, 0.0), (2, 0.002), (3, 0.004)], cfg, coins) == []
 
 
 def test_chained_overlap_is_one_component():
     # 1 overlaps 2, 2 overlaps 3, 1 does not overlap 3: still a pileup.
-    rng = np.random.default_rng(3)
     cfg = capture(cp=1.0)
-    assert slot([(1, 0.0), (2, 0.0025), (3, 0.005)], cfg, rng) == []
+    assert slot([(1, 0.0), (2, 0.0025), (3, 0.005)], cfg, shared(3)) == []
 
 
 def test_slotted_access_success_frequency():
@@ -106,27 +121,26 @@ def test_slotted_access_success_frequency():
     N, p, slots = 4, 0.25, 100_000
     rng = np.random.default_rng(4)
     cfg = strict()
-    succ = 0
-    for _ in range(slots):
-        txs = [(k, 0.0) for k in range(N) if rng.random() < p]
-        succ += len(slot(txs, cfg, rng)) == 1
+    txs = [[(k, 0.0) for k in np.flatnonzero(sends).tolist()]
+           for sends in rng.random((slots, N)) < p]
+    succ = sum(len(got) == 1 for got in block(txs, cfg, shared(4)))
     target = N * p * (1 - p) ** (N - 1)
     se = math.sqrt(target * (1 - target) / slots)
     assert abs(succ / slots - target) <= 3 * se
 
 
 def test_erasure_rate():
-    rng = np.random.default_rng(5)
     cfg = strict(eps=0.2)
-    lost = sum(slot([(1, 0.0)], cfg, rng) == [] for _ in range(100_000))
+    lost = sum(got == [] for got in block([[(1, 0.0)]] * 100_000, cfg,
+                                          shared(5)))
     assert abs(lost / 100_000 - 0.2) < 0.01 * 0.2 + 3 * math.sqrt(0.2 * 0.8 / 100_000)
 
 
 def test_pointtopoint():
     rng = np.random.default_rng(6)
-    assert resolve_pointtopoint(strict(), rng)
+    assert resolve_pointtopoint(strict(), rng, 1).tolist() == [True]
     cfg = strict(eps=0.2)
-    lost = sum(not resolve_pointtopoint(cfg, rng) for _ in range(100_000))
+    lost = int((~resolve_pointtopoint(cfg, rng, 100_000)).sum())
     se = math.sqrt(0.2 * 0.8 / 100_000)
     assert abs(lost / 100_000 - 0.2) < 4 * se
 
@@ -138,8 +152,8 @@ def test_capture_degrades_to_strict(n_tx, seed):
     cfg = ChannelConfig(mode="offset_capture", tx_duration=0.01,
                         slot_duration=0.01, capture_prob=0.0)
     txs = [(k, 0.0) for k in range(n_tx)]
-    got = slot(txs, cfg, np.random.default_rng(seed))
-    ref = slot(txs, strict(), np.random.default_rng(seed))
+    got = slot(txs, cfg, shared(seed))
+    ref = slot(txs, strict(), shared(seed))
     assert got == ref
 
 
@@ -203,13 +217,47 @@ def test_array_resolution_matches_reference(data, mode, cp, eps, seed):
     grid = data.draw(st.lists(st.integers(0, 14), min_size=len(ks),
                               max_size=len(ks)), label="grid")
     offsets = [g * 0.0005 for g in grid]      # 0 .. max_offset = 7 ms
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = resolve_slot(np.array(ks, np.int64),
+    coins, ref_rng = shared(seed), np.random.default_rng(seed)
+    got = resolve_slot(np.array(ks, np.int64), 21,
                        None if mode == "strict_collision"
-                       else np.array(offsets), cfg, rng)
+                       else np.array(offsets), cfg, coins)
     want = reference_resolve_slot(list(zip(ks, offsets)), cfg, ref_rng)
     assert got.tolist() == sorted(want)
-    assert rng.random() == ref_rng.random()
+    assert coins.head(1)[0, 0] == ref_rng.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       mode=st.sampled_from(["strict_collision", "offset_capture"]),
+       cp=st.sampled_from([0.0, 0.3, 1.0]), eps=st.sampled_from([0.0, 0.2]),
+       reps=st.integers(1, 3), n=st.integers(1, 8), slots=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_resolution_matches_per_slot(data, mode, cp, eps, reps, n,
+                                           slots, seed):
+    """A block of several slots of several replications decodes what
+    resolving each slot of each replication on its own decodes, one coin
+    at a time from that replication's stream, slot after slot, and
+    leaves every stream at the same next value.  Offsets lie on a 0.5 ms
+    grid, where equal offsets and exactly touching intervals occur."""
+    cfg = ChannelConfig(mode=mode, erasure_prob=eps, capture_prob=cp)
+    sends = data.draw(st.lists(st.booleans(), min_size=slots * reps * n,
+                               max_size=slots * reps * n), label="sends")
+    cells = np.flatnonzero(sends)
+    grid = data.draw(st.lists(st.integers(0, 14), min_size=len(cells),
+                              max_size=len(cells)), label="grid")
+    offsets = np.array(grid) * 0.0005
+    seeds = [seed + r for r in range(reps)]
+    coins, refs = shared(*seeds), [np.random.default_rng(s) for s in seeds]
+    got = resolve_slot(cells, n, None if mode == "strict_collision"
+                       else offsets, cfg, coins)
+    want = []
+    for medium in range(slots * reps):   # slot s of replication r
+        mine = cells // n == medium
+        txs = list(zip((cells[mine] % n).tolist(), offsets[mine].tolist()))
+        ref = reference_resolve_slot(txs, cfg, refs[medium % reps])
+        want += [medium * n + k for k in sorted(ref)]
+    assert got.tolist() == want
+    assert coins.head(1)[0].tolist() == [ref.random() for ref in refs]
 
 
 def uniform_streams(cfg, seeds, size=64):
@@ -233,29 +281,36 @@ def test_strict_run_builds_no_offset_streams():
 
 
 @settings(max_examples=30, deadline=None)
-@given(reads=st.lists(st.lists(st.booleans(), min_size=3, max_size=3),
+@given(reads=st.lists(st.tuples(st.integers(0, 12),
+                                st.lists(st.integers(0, 12), min_size=3,
+                                         max_size=3)),
                       max_size=40),
        size=st.integers(1, 5))
 def test_block_streams_match_single_draws(reads, size):
-    """Reading rows in any pattern, across refills, gives each row the
-    values its generator would give one call at a time."""
+    """Reading rows in any pattern, across refills and widenings, gives
+    each row the values its generator would give one call at a time; a
+    head shows the values a row left unread again."""
     cfg = capture()
     streams = uniform_streams(cfg, [4, 5, 6], size)
     single = [np.random.default_rng(s) for s in (4, 5, 6)]
-    for mask in reads:
-        rows = np.flatnonzero(mask)
-        got = streams.take(rows).tolist()
-        assert got == [float(single[r].uniform(0.0, cfg.max_offset))
-                       for r in rows]
+    for k, counts in reads:
+        counts = [min(c, k) for c in counts]
+        head = streams.head(k)
+        assert head.shape == (k, 3)
+        streams.advance(np.array(counts))
+        for r, count in enumerate(counts):
+            assert head[:count, r].tolist() == [
+                float(single[r].uniform(0.0, cfg.max_offset))
+                for _ in range(count)]
 
 
 def test_determinism_under_fixed_seed():
     cfg = capture(eps=0.1, cp=0.5)
     def trace(seed):
-        rng = np.random.default_rng(seed)
+        coins = shared(seed)
         out = []
         for _ in range(200):
-            out.append(slot([(1, 0.0), (2, 0.001), (3, 0.006)], cfg, rng))
+            out.append(slot([(1, 0.0), (2, 0.001), (3, 0.006)], cfg, coins))
         return out
     assert trace(9) == trace(9)
     assert trace(9) != trace(10)

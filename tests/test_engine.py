@@ -19,6 +19,7 @@ from ncsim.errors import ConfigurationError
 from ncsim.mac import SchedulerPolicy
 from ncsim.metrics import MseTable, mse_of_age, nmse_of_age
 from ncsim.systems import LtiSystem, make_preset
+from test_channel import reference_resolve_slot
 
 
 def cold_replay(sys, x, inputs):
@@ -330,6 +331,7 @@ def test_medium_access_runs_before_the_plants(variant, monkeypatch):
     log(_Plants, "tick", "tick")
     log(_Plants, "replay", "replay")
     log(ncsim.metrics.MetricsAccumulator, "record_tx", "access")
+    log(ncsim.metrics.MetricsAccumulator, "record_slots", "access")
     log(ncsim.engine, "resolve_slot", "access")
     log(ncsim.engine, "resolve_pointtopoint", "access")
     run(cfg_for(4, variant))
@@ -510,21 +512,27 @@ def test_batched_state_invariants(cfg):
     no loop received more than it sent.  A delivered sample past step 1
     has a nonzero state, so some estimate must be nonzero."""
     r = _Run(cfg)
-    N, deliver, arrivals = cfg.n_loops, r.on_delivery, []
+    N, deliver, slots = cfg.n_loops, r.on_delivery, r._slots
 
     def on_delivery(i, gen, step):
         before = int(r.nu[i])
         accepted = deliver(i, gen, step)
         assert r.nu[i] >= before
-        if accepted:
-            arrivals.append((i, gen, step))
         return accepted
 
+    def checked_slots(lo, hi):
+        before = r.nu.copy()
+        slots(lo, hi)
+        assert (r.nu >= before).all()
+
     fresh = np.zeros((r.steps + 2, len(r.nu)), np.int64)
-    tick, nonzero = _Plants.tick, [False]
+    tick, nonzero, arrivals = _Plants.tick, [False], []
 
     def checked_tick(group, t):
         if t == 1:      # medium access is done: each tick's freshest
+            arrivals.extend((i, gen, step - 1)
+                            for step, samples in enumerate(r.moved)
+                            for i, gen in samples)
             for i, gen, step in arrivals:
                 fresh[step + 1:, i] = gen
         tick(group, t)
@@ -537,7 +545,7 @@ def test_batched_state_invariants(cfg):
             np.testing.assert_array_equal(group.xhat[j][:, 0], ref)
             nonzero[0] |= bool(ref.any())
 
-    r.on_delivery = on_delivery
+    r.on_delivery, r._slots = on_delivery, checked_slots
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_Plants, "tick", checked_tick)
         r.execute()
@@ -792,6 +800,102 @@ def test_batch_equals_lone_runs(batch):
     assert len(batched) == len(seeds)
     for seed, result in zip(seeds, batched):
         assert bits(result) == bits(run(replace(cfg, seed=seed)))
+
+
+# ---- slotted medium access: blocks of slots against one slot at a time ----
+
+def reference_access(r):
+    """Run r's slotted medium access one slot at a time, as the engine
+    did before it resolved blocks of slots: every access coin, offset and
+    point-to-point coin is drawn on its own from the row's stream, and each
+    replication's slot is resolved by ``reference_resolve_slot``, one
+    shared coin at a time.  Transmissions and receptions are counted and
+    deliveries taken in one by one."""
+    E, pol, cfg, N, R = ncsim.engine, r.policy, r.channel, r.N, r.R
+    words = _seed_words(r.seeds, np.arange(N + 1))
+    rows = np.arange(R * N)
+    keys = rows + rows // N + 1
+    access = [_stream(w) for w in words[E._RNG_ACCESS, keys]]
+    channel = [_stream(w) for w in words[E._RNG_CHANNEL, keys]]
+    shared = [_stream(w) for w in words[E._RNG_CHANNEL, ::N + 1]]
+    for t in range(1, r.steps + 1):
+        if pol.is_contention:
+            sent = [i for i in range(R * N) if pol.variant != "adra"
+                    or r.nu[i] <= t - pol.threshold]
+            if pol.variant != "aloha":
+                sent = [i for i in sent if access[i].random() < pol.p]
+            offset = {i: 0.0 if cfg.mode == "strict_collision"
+                      else channel[i].uniform(0.0, cfg.max_offset)
+                      for i in sent}
+            decoded = []
+            for rep in range(R):
+                txs = [(i, offset[i]) for i in sent if i // N == rep]
+                decoded += sorted(reference_resolve_slot(txs, cfg,
+                                                         shared[rep]))
+        else:
+            if pol.variant == "round_robin":
+                ks = [ncsim.mac.rr_next(t, N)] * R
+            else:
+                if (t - 1) % pol.frame_len == 0:
+                    frame = ncsim.mac.mef_build_schedule(
+                        r.table, (t - r.nu).reshape(R, N), pol.frame_len,
+                        pol.use_nmse)
+                ks = frame[(t - 1) % pol.frame_len].tolist()
+            sent = [rep * N + k for rep, k in enumerate(ks)]
+            decoded = [i for i in sent if cfg.erasure_prob == 0.0
+                       or channel[i].random() >= cfg.erasure_prob]
+        for i in sent:
+            r.metrics.record_tx(i, t)
+        if t < r.steps:      # the last slot's deliveries are dropped
+            for i in decoded:
+                r.on_delivery(i, t, t)
+
+
+@st.composite
+def slotted_batches(draw):
+    """A slotted config and one to three seeds: every slotted policy, the
+    age threshold at 0 and 1 (never gating) and at 2 and 5, both
+    channels with and without erasures, every capture regime, and 5 ms
+    transmissions, whose latest offset ends on the next tick."""
+    n = draw(st.integers(1, 12))
+    variant = draw(st.sampled_from(["aloha", "slotted_aloha", "adra",
+                                    "round_robin", "mef"]))
+    pol = {}
+    if variant in ("slotted_aloha", "adra"):
+        pol["p"] = draw(st.sampled_from([0.05, 0.3, 0.7]))
+    if variant == "adra":
+        pol["threshold"] = draw(st.sampled_from([0, 1, 2, 5]))
+    if variant == "mef":
+        pol["frame_len"] = draw(st.integers(1, 20))
+        pol["use_nmse"] = draw(st.booleans())
+    channel = ChannelConfig(
+        mode=draw(st.sampled_from(["strict_collision", "offset_capture"])),
+        erasure_prob=draw(st.sampled_from([0.0, 0.05])),
+        capture_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        tx_duration=draw(st.sampled_from([0.003, 0.005])))
+    pattern = draw(st.sampled_from([("easy", "mid", "hard"),
+                                    ("easy", "pendulum", "hard")]))
+    cfg = cfg_for(n, variant, channel=channel, duration=0.6, trim=0.1,
+                  series=True, pattern=pattern, **pol)
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3))
+    return cfg, seeds
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch=slotted_batches())
+def test_slot_blocks_match_one_slot_at_a_time(batch):
+    """A batch whose medium access resolves blocks of slots gives, bit for
+    bit, the results of the same batch run one slot at a time with every
+    random value drawn on its own: metrics, tx and rx counts, series."""
+    cfg, seeds = batch
+    ref = _Run(cfg, seeds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference_access(ref)
+        ref._tick_plants()
+        ref._flag_diverged()
+        sums = ref._window_sums()
+    want = [ref._result(k, sums) for k in range(ref.R)]
+    assert bits(_Run(cfg, seeds).execute()) == bits(want)
 
 
 @pytest.mark.parametrize("reps, n_loops, share, sizes", [

@@ -47,11 +47,10 @@ def test_lcfs_keeps_only_freshest():
     the tick just before it.  The last slot's delivery lands after the
     run ends."""
     r = hand_run("aloha", n=1)
-    delivered = []
-    deliver = r.on_delivery
-    r.on_delivery = lambda k, gen, step: (delivered.append((gen, step)),
-                                          deliver(k, gen, step))[1]
     r.execute()
+    # moved[t] lists the samples taken in at tick t, delivered at t - 1.
+    delivered = [(gen, t - 1) for t, samples in enumerate(r.moved)
+                 for _, gen in samples]
     assert delivered == [(t, t) for t in range(1, r.steps)]
 
 
@@ -68,16 +67,17 @@ def test_lcfs_single_slot_property(variant, n, seed):
                        policy=SchedulerPolicy(variant, **pol),
                        duration_s=1.0, warmup_s=0.2, cooldown_s=0.2,
                        seed=seed))
-    sent, slots = [], []
-    record_tx, on_slot = r.metrics.record_tx, r.on_slot
-    r.on_slot = lambda t: (slots.append(t), on_slot(t))
-    r.metrics.record_tx = lambda loop, gen: (
-        sent.append((gen, slots[-1], np.atleast_1d(loop).tolist())),
-        record_tx(loop, gen))
+    slots, blocks = [], r._slots
+    r._slots = lambda lo, hi: (slots.extend(range(lo, hi)), blocks(lo, hi))
     r.execute()
-    assert [gen for gen, _, _ in sent] == list(range(1, r.steps + 1))
-    for gen, now, loops in sent:
-        assert gen == now and len(set(loops)) == len(loops)
+    assert slots == list(range(1, r.steps + 1))
+    # Row t of the transmit mask is slot t's, and it sends tick t's
+    # samples: each one delivered is taken in at the next tick.
+    sent = [r.sent[t].nonzero()[0].tolist() for t in slots]
+    assert all(len(set(loops)) == len(loops) for loops in sent)
+    for t, samples in enumerate(r.moved):
+        for k, gen in samples:
+            assert gen == t - 1 and k in sent[gen - 1]
 
 
 def test_rr_rule():
