@@ -241,8 +241,11 @@ def _adra_mean_aoi_grid(N: int, delta, p: np.ndarray) -> np.ndarray:
             a = mean_busy / (ia + mean_busy)
             q_new = np.exp((N - 1) * np.log1p(-pa * a))
             done = np.abs(q_new - q) < _Q_TOL
-            q_fixed[idx[done]] = q_new[done]
             go = ~done & np.isfinite(q_new)
+            if go.all():        # nothing settled: no point leaves the pass
+                q = 0.5 * (q + q_new)
+                continue
+            q_fixed[idx[done]] = q_new[done]
             idx, pa, ia = idx[go], pa[go], ia[go]
             q = 0.5 * (q[go] + q_new[go])
         pq = p * q_fixed

@@ -6,8 +6,10 @@ transmitter used it.  ``offset_capture`` mimics a testbed where sources
 start transmitting at unsynchronized offsets inside the slot, so packets
 can miss each other in time, and two overlapping packets occasionally
 both decode (capture).  Survivors of either mode face an independent
-erasure with probability ``erasure_prob``.  A slot's transmitters and its
-decoded loops are arrays of loop indices.
+erasure with probability ``erasure_prob``.  A block of slots is resolved
+in one call: its transmitters and its decoded ones are arrays of cells,
+each a (slot, replication, loop index) of the block, and every stream is
+read through a buffer that is drawn a block at a time.
 """
 from __future__ import annotations
 
@@ -73,14 +75,18 @@ class BlockStreams:
 
     def __init__(self, rngs, draw, size: int = 64):
         self.rngs, self.draw, self.size = rngs, draw, size
-        # Row r's buffer is buf[r]; ``at[r]`` is the flat index of its next
-        # unread value, and ``_safe`` a count of values that every row
-        # still holds unread.
-        self.buf = np.empty((len(rngs), 0))
-        self._flat = self.buf.reshape(-1)
-        self.at = np.zeros(len(rngs), np.int64)
-        self._reads = np.arange(0)[:, None]
+        # Row r's buffer is buf[r], flat[start[r]:start[r] + width]; at[r]
+        # is the flat index of its next unread value, and _safe a count of
+        # values that every row still holds unread.
+        self._resize(0)
+        self.at = self.start.copy()
         self._safe = 0
+
+    def _resize(self, width: int):
+        self.buf = np.empty((len(self.rngs), width))
+        self.flat = self.buf.reshape(-1)
+        self.start = np.arange(len(self.rngs)) * width
+        self._reads = np.arange(width)[:, None]
 
     def head(self, k: int) -> np.ndarray:
         """Each row's next k values, not yet read, as the column of a
@@ -88,7 +94,7 @@ class BlockStreams:
         if k > self._safe:
             self._refill(k)
         self._safe -= k
-        return self._flat[self.at + self._reads[:k]]
+        return self.flat[self.at + self._reads[:k]]
 
     def advance(self, counts):
         """Read each row's first ``counts`` values of the last head (a count
@@ -97,25 +103,23 @@ class BlockStreams:
 
     def _refill(self, k: int):
         """Give every row at least k unread values: a row that holds fewer
-        than k, or than half its buffer, keeps them and draws a block
-        after them."""
-        rows, width = self.buf.shape
-        start = np.arange(rows) * width
-        pos = self.at - start
-        buf, short = self.buf, np.flatnonzero(pos > width - max(k, width // 2))
+        than k, or than a quarter of its buffer, keeps them and draws the
+        rest of its buffer after them."""
+        width, flat, start = self.buf.shape[1], self.flat, self.start
+        left = start + width - self.at
+        short = (left < max(k, width // 4)).nonzero()[0]
         if k > width:      # every row moves to a wider buffer
-            width = k + self.size
-            buf, short = np.empty((rows, width)), np.arange(rows)
-            self._reads = np.arange(width)[:, None]
-        for row in short.tolist():
-            unread = self.buf[row, pos[row]:]
-            buf[row, :len(unread)] = unread
-            buf[row, len(unread):] = self.draw(self.rngs[row],
-                                               width - len(unread))
-            pos[row] = 0
-        self.buf, self._flat = buf, buf.reshape(-1)
-        self.at = np.arange(rows) * width + pos
-        self._safe = width - int(pos.max())
+            self._resize(max(k + self.size, 2 * k))
+            short = np.arange(len(self.rngs))
+        wide = self.buf.shape[1]
+        for row, at, n in zip(short.tolist(), self.at[short].tolist(),
+                              left[short].tolist()):
+            lo = row * wide
+            self.flat[lo:lo + n] = flat[at:at + n]
+            self.flat[lo + n:lo + wide] = self.draw(self.rngs[row], wide - n)
+        left[short] = wide
+        self.at = self.start + wide - left
+        self._safe = int(left.min())
 
 
 def resolve_slot(cells: np.ndarray, n: int, offsets: np.ndarray | None,
@@ -144,20 +148,32 @@ def resolve_slot(cells: np.ndarray, n: int, offsets: np.ndarray | None,
         raise ConfigurationError(f"offset {bad[0]} outside the slot")
     media = cells // n
     if cfg.mode == "strict_collision":
-        lone = (np.bincount(media)[media] == 1).nonzero()[0]
+        alone = np.bincount(media)[media] == 1
+        if not cfg.erasure_prob:      # no coins to flip
+            return cells[alone]
+        lone = alone.nonzero()[0]
         pairs = seconds = lone[:0]
     else:
-        # Complex keys sort by medium, then by offset.
-        order = np.argsort(media + 1j * offsets, kind="stable")
-        off = offsets[order]
-        # new[j]: position j of the order starts a pileup (two sentinels).
-        new = np.ones(len(cells) + 2, bool)
-        new[1:-2] = (media[1:] != media[:-1]) | (off[1:] >= off[:-1]
-                                                  + cfg.tx_duration)
+        order, new = _pileups(media, offsets, cfg.tx_duration)
         lone = np.sort(order[new[:-2] & new[1:-1]])
         pair = new[:-3] & ~new[1:-2] & new[2:-1]
         pairs, seconds = order[:-1][pair], order[1:][pair]
     return cells[_flip_coins(media, lone, pairs, seconds, cfg, coins)]
+
+
+def _pileups(media, offsets, tx_duration):
+    """The transmissions' order, medium after medium and each medium's by
+    a stable argsort of its offsets, and whether each position of it
+    starts a pileup, followed by two sentinels that do."""
+    # Complex keys sort by medium, then by offset.
+    key = offsets * 1j
+    key += media
+    order = key.argsort(kind="stable")
+    del key
+    off = offsets[order]
+    new = np.ones(len(order) + 2, bool)
+    new[1:-2] = (media[1:] != media[:-1]) | (off[1:] >= off[:-1] + tx_duration)
+    return order, new
 
 
 def _flip_coins(media, lone, pairs, seconds, cfg, coins) -> np.ndarray:
@@ -173,34 +189,34 @@ def _flip_coins(media, lone, pairs, seconds, cfg, coins) -> np.ndarray:
     first = int(media[0]) - int(media[0]) % streams
     shape = ((int(media[-1]) - first) // streams + 1, streams)
 
-    def per_medium(pos):
-        return np.bincount(media[pos] - first,
-                           minlength=shape[0] * streams).reshape(shape)
+    def per_medium(m):
+        return np.bincount(m, minlength=shape[0] * streams).reshape(shape)
 
-    n_pairs = per_medium(pairs)
-    fixed = n_pairs + per_medium(lone) if erase else n_pairs
+    m = media[lone] - first
+    n_pairs = per_medium(media[pairs] - first) if len(pairs) else 0
+    fixed = n_pairs + per_medium(m) if erase else n_pairs  # known coins
     # Each stream's coins, at most: every pair survives.
     head = coins.head(int((fixed + 2 * erase * n_pairs).sum(axis=0).max()))
     used, survivors = fixed, lone
     if len(pairs):
         # A medium's capture flips follow the coins of its stream's
         # earlier media, whose won pairs flipped two erasure coins each.
-        start = (np.cumsum(fixed, axis=0) - fixed).reshape(-1)
-        cols, extra = head.T.tolist(), [0] * streams
-        won, n_won = [], np.zeros(shape, np.int64)
-        for m, group in itertools.groupby((media[pairs] - first).tolist()):
-            count, r = len(list(group)), m % streams
-            c = int(start[m]) + extra[r]
-            won += [x < cfg.capture_prob for x in cols[r][c:c + count]]
-            n_won.flat[m] = sum(won[-count:])
-            extra[r] += 2 * erase * n_won.flat[m]
-        used = fixed + 2 * erase * n_won
+        start = (np.cumsum(fixed, axis=0) - fixed).reshape(-1).tolist()
+        cols, extra, won = head.T.tolist(), [0] * streams, []
+        for mp, group in itertools.groupby((media[pairs] - first).tolist()):
+            count, r = len(list(group)), mp % streams
+            c = start[mp] + extra[r]
+            flips = [x < cfg.capture_prob for x in cols[r][c:c + count]]
+            won += flips
+            extra[r] += 2 * erase * sum(flips)
+        won = np.array(won)
+        used = fixed + 2 * erase * per_medium(media[pairs[won]] - first)
         survivors = np.sort(np.concatenate([lone, pairs[won], seconds[won]]))
+        m = media[survivors] - first
     coins.advance(used.sum(axis=0))
     if erase and len(survivors):
         # A survivor's coin follows its medium's capture coins and those
         # of the survivors before it in the medium.
-        m = media[survivors] - first
         rank = np.arange(len(m)) - m.searchsorted(m)
         start = (np.cumsum(used, axis=0) - used + n_pairs).reshape(-1)
         survivors = survivors[head[start[m] + rank, m % streams]

@@ -8,9 +8,12 @@ by its generation step alone: its state is that step's entry of the loop's
 state history.  The selected medium-access policy moves samples across the
 shared channel from ages alone, so a run takes two passes: medium access,
 then the plants, each delivery taken in before the next tick.  Slotted
-contention and beacon-framed scheduling use one slot per period; polling
-runs back-to-back transactions, one outstanding at a time, and an event on
-a tick's instant comes before that tick.  Acknowledgements are instantaneous
+contention and beacon-framed scheduling use one slot per period, resolved
+a block of slots at a time: the whole run where no decision reads an age
+(ALOHA, slotted ALOHA, round-robin, an age threshold of one or less), one
+frame for MEF, one slot where the age threshold gates; polling runs
+back-to-back transactions, one outstanding at a time, and an event on a
+tick's instant comes before that tick.  Acknowledgements are instantaneous
 and lossless, so the source's view of its age is the gateway's.
 
 The loop indices k = 0..N-1 name the loops in the run, the channel and
@@ -20,15 +23,14 @@ together as one batch of R replications (:class:`_Run`), with the
 replication as a second axis: the batch holds its state as arrays over
 R·N rows, row r·N + k being loop k of replication r.  Rows of equal state
 and input size are stepped together: a tick is a fixed number of array
-operations whatever N and R are, and so is a contention slot's count of
-transmissions.  A slot's deliveries are taken one row at a time, as is
-each replication's one transmission in a scheduled slot.  Each row's
+operations whatever N and R are, and so is a block of slots, from its
+(slots, R·N) transmit mask to the deliveries it marks.  Each row's
 arithmetic is the single-loop arithmetic, so results do not depend on
 how loops or replications are grouped: a replication of a batch gives
 the bits its lone run gives.  The batch keeps its replications' gateway
 state itself: their freshest generations and one error table, and one
 MEF pass per frame schedules every replication.  What a replication
-decides on its own (its slot's collisions, its polls) it decides with its
+decides on its own (its slots' collisions, its polls) it decides with its
 own streams.  States, inputs and ages are kept for every step; when the
 run ends, the window's ages, errors and costs are summed in step order, a
 block of steps at a time, and handed to the metrics.
@@ -40,7 +42,8 @@ not build a SeedSequence per stream: it computes the state words of every
 key of every replication in one pass of numpy's SeedSequence hash over
 arrays of seeds and loop ids (:func:`_seed_words`) and starts each
 stream's PCG64 from its row, so every draw keeps its bits.  The
-contention streams are read through buffers drawn a block at a time,
+contention streams are read through buffers drawn a block at a time, and
+a scheduled row's channel coins are drawn a block of slots at a time,
 which gives the same values.
 
 :func:`run_replication_sets` is the one path that runs replications:
@@ -80,7 +83,7 @@ _RNG_NOISE, _RNG_ACCESS, _RNG_CHANNEL = 0, 1, 2
 _SUM_BLOCK_VALUES = 1 << 12
 # Slots times rows of one block of slotted medium access at most; bounds
 # the memory of its transmit mask, offsets and coins.
-_SLOT_BLOCK_VALUES = 1 << 15
+_SLOT_BLOCK_VALUES = 1 << 13
 # Rows (loops times replications) of one batch of replications at most,
 # unless one replication has more: the history one N=1000 run keeps.
 _BATCH_LOOPS = 1000
@@ -390,9 +393,12 @@ class _Run:
     State is held as arrays over the batch's R·N rows: row i = r·N + k is
     loop k of replication r.  A loop always has a sample to send: the last
     tick's, or its initial state x[0] before the first tick.  Medium access
-    (``on_slot`` or ``_polls``) moves ``nu``, each row's freshest delivered
-    generation (its age at step t is t - nu), and lists each accepted
-    sample in ``moved[t]``, t the first tick after its arrival.  Then
+    (``_slots`` for each block of slots, or ``_polls``) moves ``nu``, each
+    row's freshest delivered generation (its age at step t is t - nu), and
+    lists each accepted sample in ``moved[t]``, t the first tick after its
+    arrival; slotted access marks each slot's transmitters and deliveries
+    in ``sent`` and ``got`` (row t for slot t) and takes them into ``nu``
+    before a decision reads it.  Then
     ``_tick_plants`` steps every group of rows of equal dimensions
     (:class:`_Plants`; ``at[i]`` is row i's group and row in it) with a
     fixed number of array operations per tick, for all replications at
@@ -402,10 +408,11 @@ class _Run:
     The batch is its replications' gateways: one
     :class:`~ncsim.metrics.MseTable` (``table``) holds the error curves, as
     a curve depends only on its plant, and one MEF pass per frame
-    schedules every replication (``mef_schedule``, one column each).  What
-    a replication cannot share it keeps to itself: its seed's streams, its
-    slot resolution with its own shared stream, its polls with their
-    :class:`~ncsim.mac.ReliabilityWindow`, and its results.
+    schedules every replication (one column each).  What a replication
+    cannot share it keeps to itself: its seed's streams, its slots'
+    resolution with its own shared coin stream (``coins``, one row each),
+    its polls with their :class:`~ncsim.mac.ReliabilityWindow`, and its
+    results.
     """
 
     def __init__(self, cfg: SimConfig, seeds=None):
@@ -558,14 +565,14 @@ class _Run:
 
     def _slots(self, lo: int, hi: int):
         """Slots lo..hi - 1 of every replication, resolved from their rows
-        of the transmit mask ``sent``.  Slot t starts on tick t's instant;
-        its deliveries, marked in ``got``, land before the next tick and
-        set ``nu``, except the last slot's, which land after the run ends
-        and are dropped."""
+        of the transmit mask ``sent`` in one channel call.  Slot t starts
+        on tick t's instant; its deliveries, marked in ``got``, land before
+        the next tick, except the last slot's, which land after the run
+        ends and are dropped."""
         sent = self.sent[lo:hi]
         self._transmitters(lo, sent)
         cells = sent.reshape(-1).nonzero()[0]
-        if self.coins is not None:
+        if self.policy.is_contention:
             decoded = resolve_slot(cells, self.N, self._offsets(sent, cells),
                                    self.channel, self.coins)
         else:
@@ -614,13 +621,15 @@ class _Run:
         channel: a row draws its next offset in each slot it sends in."""
         if self.offsets is None:
             return None
-        reads = np.cumsum(sent, axis=0)
-        count = int(reads[-1].max())
-        if not count:
-            return np.empty(0)
-        head = self.offsets.head(count)
-        self.offsets.advance(reads[-1])
-        return head[reads - 1, self.rows].reshape(-1)[cells]
+        rows = cells % sent.shape[1]
+        counts = np.bincount(rows, minlength=sent.shape[1])
+        head = self.offsets.head(int(counts.max(initial=0)))
+        self.offsets.advance(counts)
+        if len(head) < 2:        # no row sends twice
+            return head[0, rows] if len(head) else head[:0, 0]
+        # A cell's offset is its row's next after those of its earlier slots.
+        reads = np.cumsum(sent, axis=0, dtype=np.int32)
+        return head[reads.reshape(-1)[cells] - 1, rows]
 
     def _pointtopoint(self, sent: np.ndarray, cells: np.ndarray):
         """The decoded cells of a scheduled block: each transmission flips
@@ -635,8 +644,9 @@ class _Run:
         return np.sort(cells[np.argsort(rows, kind="stable")[ok]])
 
     def _slotted_deliveries(self):
-        """Count the window's transmissions and deliveries, and list each
-        delivery of slot t in ``moved[t + 1]``, in row order."""
+        """Count the window's transmissions and deliveries, take every
+        delivery into ``nu``, and list each one of slot t in
+        ``moved[t + 1]``, in row order."""
         self.metrics.record_slots(self.sent, self.got)
         slot, rows = np.divmod(self.got.reshape(-1).nonzero()[0],
                                self.got.shape[1])
