@@ -8,8 +8,9 @@ can miss each other in time, and two overlapping packets occasionally
 both decode (capture).  Survivors of either mode face an independent
 erasure with probability ``erasure_prob``.  A block of slots is resolved
 in one call: its transmitters and its decoded ones are arrays of cells,
-each a (slot, replication, loop index) of the block, and every stream is
-read through a buffer that is drawn a block at a time.
+each a (slot, replication, loop index) of the block.  Random streams
+that a block reads many values of are read through buffers drawn a block
+at a time.
 """
 from __future__ import annotations
 
@@ -75,16 +76,16 @@ class BlockStreams:
 
     def __init__(self, rngs, draw, size: int = 64):
         self.rngs, self.draw, self.size = rngs, draw, size
-        # Row r's buffer is buf[r], flat[start[r]:start[r] + width]; at[r]
-        # is the flat index of its next unread value, and _safe a count of
-        # values that every row still holds unread.
+        # Row r's buffer is flat[start[r]:start[r] + width]; at[r] is the
+        # index of its next unread value, and _safe a count of values that
+        # every row still holds unread.
         self._resize(0)
         self.at = self.start.copy()
         self._safe = 0
 
     def _resize(self, width: int):
-        self.buf = np.empty((len(self.rngs), width))
-        self.flat = self.buf.reshape(-1)
+        self.width = width
+        self.flat = np.empty(len(self.rngs) * width)
         self.start = np.arange(len(self.rngs)) * width
         self._reads = np.arange(width)[:, None]
 
@@ -105,13 +106,12 @@ class BlockStreams:
         """Give every row at least k unread values: a row that holds fewer
         than k, or than a quarter of its buffer, keeps them and draws the
         rest of its buffer after them."""
-        width, flat, start = self.buf.shape[1], self.flat, self.start
-        left = start + width - self.at
-        short = (left < max(k, width // 4)).nonzero()[0]
-        if k > width:      # every row moves to a wider buffer
+        flat, left = self.flat, self.start + self.width - self.at
+        short = (left < max(k, self.width // 4)).nonzero()[0]
+        if k > self.width:      # every row moves to a wider buffer
             self._resize(max(k + self.size, 2 * k))
             short = np.arange(len(self.rngs))
-        wide = self.buf.shape[1]
+        wide = self.width
         for row, at, n in zip(short.tolist(), self.at[short].tolist(),
                               left[short].tolist()):
             lo = row * wide
@@ -224,10 +224,6 @@ def _flip_coins(media, lone, pairs, seconds, cfg, coins) -> np.ndarray:
     return survivors
 
 
-def resolve_pointtopoint(cfg: ChannelConfig, rng, n: int) -> np.ndarray:
-    """Whether each of n collision-free packets (polls or polled data) of
-    one loop decodes: one erasure coin each, drawn in order from the
-    loop's channel stream ``rng``."""
-    if cfg.erasure_prob == 0.0:
-        return np.ones(n, bool)
-    return rng.random(n) >= cfg.erasure_prob
+def resolve_pointtopoint(cfg: ChannelConfig, rng) -> bool:
+    """Whether a collision-free packet (poll or polled data) decodes."""
+    return cfg.erasure_prob == 0.0 or rng.random() >= cfg.erasure_prob

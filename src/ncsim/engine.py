@@ -42,8 +42,7 @@ not build a SeedSequence per stream: it computes the state words of every
 key of every replication in one pass of numpy's SeedSequence hash over
 arrays of seeds and loop ids (:func:`_seed_words`) and starts each
 stream's PCG64 from its row, so every draw keeps its bits.  The
-contention streams are read through buffers drawn a block at a time, and
-a scheduled row's channel coins are drawn a block of slots at a time,
+contention streams are read through buffers drawn a block at a time,
 which gives the same values.
 
 :func:`run_replication_sets` is the one path that runs replications:
@@ -81,9 +80,9 @@ POLL_GUARD_S = 0.002  # extra wait before a poll transaction is declared lost
 _RNG_NOISE, _RNG_ACCESS, _RNG_CHANNEL = 0, 1, 2
 # Loop-steps per block of the end-of-run window sums; bounds their memory.
 _SUM_BLOCK_VALUES = 1 << 12
-# Slots times rows of one block of slotted medium access at most; bounds
-# the memory of its transmit mask, offsets and coins.
-_SLOT_BLOCK_VALUES = 1 << 13
+# Transmissions one block of slotted medium access can hold at most; bounds
+# the memory of its offsets, coins and transmission lists.
+_SLOT_BLOCK_VALUES = 1 << 12
 # Rows (loops times replications) of one batch of replications at most,
 # unless one replication has more: the history one N=1000 run keeps.
 _BATCH_LOOPS = 1000
@@ -432,7 +431,6 @@ class _Run:
         self.metrics = MetricsAccumulator(N, *cfg.window, cfg.classes, R)
         self.table = table = MseTable(cfg.systems)
         self.firsts = np.arange(R) * N    # each replication's first row
-        self.rows = np.arange(R * N)
         self.nu = np.zeros(R * N, np.int64)
         self.ages = np.zeros((self.steps + 1, R * N), np.int64)
         self.moved = [[] for _ in range(self.steps + 1)]
@@ -553,13 +551,17 @@ class _Run:
     def _blocks(self) -> list[tuple[int, int]]:
         """(lo, hi) of each block of slots lo..hi - 1, in order: one MEF
         frame, one slot where the age threshold gates, otherwise as many
-        slots as keep slots times rows within ``_SLOT_BLOCK_VALUES``."""
+        slots as keep the transmissions they can hold (every row in each
+        slot, or one per replication under round-robin) within
+        ``_SLOT_BLOCK_VALUES``."""
         if self.policy.variant == "mef":
             size = self.policy.frame_len
         elif self.gated:
             size = 1
         else:
-            size = max(1, _SLOT_BLOCK_VALUES // (self.R * self.N))
+            senders = self.R if self.policy.variant == "round_robin" else (
+                self.R * self.N)
+            size = max(1, _SLOT_BLOCK_VALUES // senders)
         return [(lo, min(lo + size, self.steps + 1))
                 for lo in range(1, self.steps + 1, size)]
 
@@ -633,15 +635,10 @@ class _Run:
 
     def _pointtopoint(self, sent: np.ndarray, cells: np.ndarray):
         """The decoded cells of a scheduled block: each transmission flips
-        an erasure coin of its row's channel stream, in slot order."""
-        rows = cells % sent.shape[1]
-        counts = np.bincount(rows)
-        busy = counts.nonzero()[0]
-        ok = np.concatenate([
-            resolve_pointtopoint(self.channel, self.rng_channel(i), count)
-            for i, count in zip(busy.tolist(), counts[busy].tolist())])
-        # Row after row, each in slot order: the order of the coins.
-        return np.sort(cells[np.argsort(rows, kind="stable")[ok]])
+        an erasure coin of its row's channel stream, slot after slot."""
+        ok = [resolve_pointtopoint(self.channel, self.rng_channel(i))
+              for i in (cells % sent.shape[1]).tolist()]
+        return cells[np.array(ok, bool)]
 
     def _slotted_deliveries(self):
         """Count the window's transmissions and deliveries, take every
@@ -697,12 +694,12 @@ class _Run:
                 k = pmef_next(self.table, ages, rel, self.policy.use_nmse)
             window.record_poll(k, now_s)
             rng = self.rng_channel(first + k)
-            if resolve_pointtopoint(self.channel, rng, 1)[0]:
+            if resolve_pointtopoint(self.channel, rng):
                 if now + tx > end:
                     break
                 gen = (now + tx - 1) // Ts
                 self.metrics.record_tx(first + k, gen)
-                if resolve_pointtopoint(self.channel, rng, 1)[0]:
+                if resolve_pointtopoint(self.channel, rng):
                     now += 2 * tx
                     if now > end:
                         break

@@ -855,8 +855,9 @@ def reference_access(r):
 def slotted_batches(draw):
     """A slotted config and one to three seeds: every slotted policy, the
     age threshold at 0 and 1 (never gating) and at 2 and 5, both
-    channels with and without erasures, every capture regime, and 5 ms
-    transmissions, whose latest offset ends on the next tick."""
+    channels with and without erasures, every capture regime, 5 ms
+    transmissions, whose latest offset ends on the next tick, and windows
+    with and without a cooldown."""
     n = draw(st.integers(1, 12))
     variant = draw(st.sampled_from(["aloha", "slotted_aloha", "adra",
                                     "round_robin", "mef"]))
@@ -877,6 +878,8 @@ def slotted_batches(draw):
                                     ("easy", "pendulum", "hard")]))
     cfg = cfg_for(n, variant, channel=channel, duration=0.6, trim=0.1,
                   series=True, pattern=pattern, **pol)
+    # Without a cooldown the last slot lies in the window.
+    cfg = replace(cfg, cooldown_s=draw(st.sampled_from([0.0, 0.1])))
     seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3))
     return cfg, seeds
 
