@@ -567,10 +567,10 @@ class _Run:
 
     def _slots(self, lo: int, hi: int):
         """Slots lo..hi - 1 of every replication, resolved from their rows
-        of the transmit mask ``sent`` in one channel call.  Slot t starts
-        on tick t's instant; its deliveries, marked in ``got``, land before
-        the next tick, except the last slot's, which land after the run
-        ends and are dropped."""
+        of the transmit mask ``sent`` (under contention in one
+        ``resolve_slot`` call).  Slot t starts on tick t's instant; its
+        deliveries, marked in ``got``, land before the next tick, except
+        the last slot's, which land after the run ends and are dropped."""
         sent = self.sent[lo:hi]
         self._transmitters(lo, sent)
         cells = sent.reshape(-1).nonzero()[0]
