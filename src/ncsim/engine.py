@@ -31,9 +31,11 @@ the bits its lone run gives.  The batch keeps its replications' gateway
 state itself: their freshest generations and one error table, and one
 MEF pass per frame schedules every replication.  What a replication
 decides on its own (its slots' collisions, its polls) it decides with its
-own streams.  States, inputs and ages are kept for every step; when the
-run ends, the window's ages, errors and costs are summed in step order, a
-block of steps at a time, and handed to the metrics.
+own streams.  The batch counts its rows' window transmissions and
+receptions and keeps states, inputs and ages for every step; when the run
+ends, the window's ages, errors and costs are summed in step order, a
+block of steps at a time, and the metrics reduce each replication's rows
+of sums, counts and divergence flags.
 
 Random draws come from one stream per loop and purpose (noise, access,
 channel; the shared channel stream is loop id 0's), the stream
@@ -133,6 +135,8 @@ class SimConfig:
                 f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
+        if self.window[1] < self.window[0]:
+            raise ConfigurationError("empty evaluation window")
 
     @property
     def classes(self) -> list[str]:
@@ -310,6 +314,9 @@ class _Plants:
     x[t], ``U[t]`` the input applied at step t and ``noise[t]`` the
     process noise added after it, drawn from the row's own stream, seeded
     by its row of ``words``.  ``xhat`` is the estimate of the last tick.
+    Tick t >= 1 writes x[t + 1], so x[1] is never computed: it stays
+    x[0] = 0, a sample of generation 1 carries a zero state, and
+    ``noise[0]`` is drawn only to keep the stream's later draws.
     Every product is computed per row exactly as for a single loop;
     one-state one-input loops use elementwise products, which give the
     bits of 1x1 matrix products at a fraction of their cost.
@@ -397,12 +404,14 @@ class _Run:
     lists each accepted sample in ``moved[t]``, t the first tick after its
     arrival; slotted access marks each slot's transmitters and deliveries
     in ``sent`` and ``got`` (row t for slot t) and takes them into ``nu``
-    before a decision reads it.  Then
-    ``_tick_plants`` steps every group of rows of equal dimensions
+    before a decision reads it.  ``tx`` and ``rx`` count each row's
+    transmissions and receptions of generations in the window
+    ``t_start..t_end``.  Then ``_tick_plants`` steps every group of rows of equal dimensions
     (:class:`_Plants`; ``at[i]`` is row i's group and row in it) with a
     fixed number of array operations per tick, for all replications at
-    once, and keeps every step's ages (``ages``), states and inputs; the
-    metrics are reduced from them once the run ends.
+    once, and keeps every step's ages (``ages``), states and inputs; once
+    the run ends, ``diverged`` flags the rows that left the divergence
+    bound, and the metrics are reduced from them.
 
     The batch is its replications' gateways: one
     :class:`~ncsim.metrics.MseTable` (``table``) holds the error curves, as
@@ -428,10 +437,15 @@ class _Run:
         self.Ts_us = round(cfg.T_s * 1e6)
         self.tx_us = round(cfg.channel.tx_duration * 1e6)
         self.steps = round(cfg.duration_s / cfg.T_s)
-        self.metrics = MetricsAccumulator(N, *cfg.window, cfg.classes, R)
+        self.t_start, self.t_end = cfg.window
+        self.metrics = MetricsAccumulator(N, self.t_start, self.t_end,
+                                          cfg.classes)
         self.table = table = MseTable(cfg.systems)
         self.firsts = np.arange(R) * N    # each replication's first row
         self.nu = np.zeros(R * N, np.int64)
+        self.tx = np.zeros(R * N, np.int64)
+        self.rx = np.zeros(R * N, np.int64)
+        self.diverged = np.zeros(R * N, bool)
         self.ages = np.zeros((self.steps + 1, R * N), np.int64)
         self.moved = [[] for _ in range(self.steps + 1)]
         # words[purpose, r (N + 1) + i]: the seed words of loop id i's
@@ -515,12 +529,11 @@ class _Run:
         would be summed pairwise and round differently.  A diverged loop
         can produce nan (inf times a zero weight); it counts as +inf.
         """
-        m, table = self.metrics, self.table
-        width = self.R * self.N
+        table, width = self.table, self.R * self.N
         total = np.zeros((4, width))
         block = max(1, _SUM_BLOCK_VALUES // width)
-        for lo in range(m.t_start, m.t_end + 1, block):
-            steps = slice(lo, min(lo + block, m.t_end + 1))
+        for lo in range(self.t_start, self.t_end + 1, block):
+            steps = slice(lo, min(lo + block, self.t_end + 1))
             ages = self.ages[steps]
             values = np.empty((len(ages) + 1, 4, width))
             values[0] = total
@@ -544,7 +557,7 @@ class _Run:
             axes = (0, 2, 3)
             ok = ((g.X[2:].max(axis=axes) <= DIVERGENCE_THRESHOLD)
                   & (g.X[2:].min(axis=axes) >= -DIVERGENCE_THRESHOLD))
-            self.metrics.flag_diverged(g.rows[~ok])
+            self.diverged[g.rows[~ok]] = True
 
     # ---- slotted medium access ------------------------------------------
 
@@ -598,7 +611,7 @@ class _Run:
         age t - nu reached the threshold with probability p."""
         pol, slots = self.policy, len(sent)
         if pol.variant == "round_robin":
-            ks = np.array([[rr_next(t, self.N)] for t in range(lo, lo + slots)])
+            ks = rr_next(np.arange(lo, lo + slots), self.N)[:, None]
         elif pol.variant == "mef":
             self._settle(lo)
             ks = mef_build_schedule(
@@ -644,7 +657,9 @@ class _Run:
         """Count the window's transmissions and deliveries, take every
         delivery into ``nu``, and list each one of slot t in
         ``moved[t + 1]``, in row order."""
-        self.metrics.record_slots(self.sent, self.got)
+        window = slice(self.t_start, self.t_end + 1)
+        self.tx += self.sent[window].sum(axis=0)
+        self.rx += self.got[window].sum(axis=0)
         slot, rows = np.divmod(self.got.reshape(-1).nonzero()[0],
                                self.got.shape[1])
         np.maximum.at(self.nu, rows, slot)
@@ -654,10 +669,12 @@ class _Run:
     # ---- deliveries -------------------------------------------------------
 
     def on_delivery(self, i: int, gen: int, step: int):
-        """Row i's sample from step ``gen`` arrives at step ``step``.  The
-        gateway accepts only strictly fresher generations, which the plant
-        pass applies before tick ``step + 1``; returns whether it did."""
-        self.metrics.record_rx(i, gen)
+        """Row i's sample from step ``gen`` arrives at step ``step``: a
+        reception, counted if ``gen`` lies in the window.  The gateway
+        accepts only strictly fresher generations, which the plant pass
+        applies before tick ``step + 1``; returns whether it did."""
+        if self.t_start <= gen <= self.t_end:
+            self.rx[i] += 1
         if gen <= self.nu[i]:
             return False
         if gen > step:
@@ -677,6 +694,7 @@ class _Run:
         end is not handled.  Decisions read ``ages``, step - nu floored at
         one, brought up to date once a tick has passed and at a delivery."""
         first, Ts, tx, end = r * self.N, self.Ts_us, self.tx_us, self.end_us
+        t_start, t_end, count = self.t_start, self.t_end, self.tx
         nu = self.nu[first:first + self.N]
         ages, seen = np.ones(self.N, np.int64), 0
         window = ReliabilityWindow(self.N)
@@ -698,7 +716,8 @@ class _Run:
                 if now + tx > end:
                     break
                 gen = (now + tx - 1) // Ts
-                self.metrics.record_tx(first + k, gen)
+                if t_start <= gen <= t_end:
+                    count[first + k] += 1
                 if resolve_pointtopoint(self.channel, rng):
                     now += 2 * tx
                     if now > end:
@@ -734,8 +753,10 @@ class _Run:
         """Replication r's result: its metrics and, if recorded, its
         loops' series."""
         N, first = self.N, r * self.N
-        result = {"metrics": self.metrics.finalize(*sums[:, first:first + N],
-                                                   rep=r),
+        rows = slice(first, first + N)
+        result = {"metrics": self.metrics.finalize(
+                      *sums[:, rows], self.tx[rows], self.rx[rows],
+                      self.diverged[rows]),
                   "seed": self.seeds[r]}
         if self.cfg.record_series:
             result["series"] = series = {}

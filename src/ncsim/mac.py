@@ -76,9 +76,10 @@ class ReliabilityWindow:
         return self._rel
 
 
-def rr_next(t: int, N: int) -> int:
-    """Round-robin: slot t = 1, 2, ... serves loop index (t - 1) mod N."""
-    if t < 1:
+def rr_next(t, N: int):
+    """Round-robin: slot t = 1, 2, ... serves loop index (t - 1) mod N;
+    given an array of slots, the array of their loop indices."""
+    if np.min(t) < 1:
         raise ConfigurationError("slot index starts at 1")
     if N < 1:
         raise ConfigurationError("N must be >= 1")

@@ -1,5 +1,5 @@
 """Estimation-error metrics as functions of information age, plus the
-accumulator that turns each run's window sums into windowed means.
+reducer that turns one replication's window sums into windowed means.
 
 The mean squared estimation error of a loop whose freshest sample is
 ``delta`` periods old has the closed form
@@ -14,10 +14,10 @@ engine and the schedulers read every loop's error with one gather; the
 nMSE is that gather divided by each loop's one-period value.  A
 one-state plant's curve grows by two array scans per extension, a larger
 plant's one age at a time, both with the operations of :func:`mse_of_age`.
-:class:`MetricsAccumulator` counts transmissions and receptions in the
-window, for every replication of a batch, and takes each replication's
-per-loop sums of age, error and cost over the window in one call once
-the batch ends.
+:class:`MetricsAccumulator` reduces one replication: it takes the
+per-loop window sums of age, error and cost and the window's transmission
+and reception counts, which the engine keeps, and returns the windowed
+means, delivery ratios and per-class shares.
 """
 from __future__ import annotations
 
@@ -190,56 +190,32 @@ class MseTable:
 
 
 class MetricsAccumulator:
-    """Windowed per-loop and network-wide means of age, error and cost,
-    for ``reps`` replications of ``n_loops`` loops.
+    """Reduces one replication of ``n_loops`` loops to its windowed
+    per-loop and network-wide means, delivery ratios and per-class shares.
 
-    Only steps t with ``t_start <= t <= t_end`` contribute.  Transmission
-    and reception counters are gated by the same window so that resource
-    fractions describe the evaluated interval.  They count per row, row
-    r * n_loops + k being loop k of replication r.  ``classes[k]`` is loop
-    k's label for the per-class shares.
+    The run counts each loop's window transmissions and receptions and
+    sums its age, error and cost over the window's steps
+    ``t_start..t_end``; this class only divides and gathers them.
+    ``classes[k]`` is loop k's label for the per-class shares.  The name
+    is older than the reduction: it stays because the benchmark's tracer
+    looks the class up by it.
     """
 
     def __init__(self, n_loops: int, t_start: int, t_end: int,
-                 classes: list[str], reps: int):
-        if t_end < t_start:
-            raise ConfigurationError("empty evaluation window")
+                 classes: list[str]):
         self.n_loops = n_loops
         self.t_start = t_start
         self.t_end = t_end
         self.classes = classes
-        self.tx = np.zeros(reps * n_loops, np.int64)
-        self.rx = np.zeros(reps * n_loops, np.int64)
-        self.diverged = np.zeros(reps * n_loops, dtype=bool)
 
-    def record_tx(self, loop, t: int):
-        """Count a transmission of ``loop`` (a row or distinct rows)."""
-        if self.t_start <= t <= self.t_end:
-            self.tx[loop] += 1
-
-    def record_rx(self, loop, t: int):
-        if self.t_start <= t <= self.t_end:
-            self.rx[loop] += 1
-
-    def record_slots(self, sent: np.ndarray, got: np.ndarray):
-        """Count the transmissions and receptions of (steps, rows) masks
-        whose row t is step t's, summed over the window's steps."""
-        window = slice(self.t_start, self.t_end + 1)
-        self.tx += sent[window].sum(axis=0)
-        self.rx += got[window].sum(axis=0)
-
-    def flag_diverged(self, loop):
-        self.diverged[loop] = True
-
-    def finalize(self, aoi, mse, nmse, cost, rep: int) -> dict:
-        """Replication ``rep``'s per-loop and network-wide means, delivery
-        ratios and per-class shares of successful deliveries, from each of
-        its loops' age, MSE, nMSE and stage cost summed over the window's
-        steps."""
+    def finalize(self, aoi, mse, nmse, cost, tx, rx, diverged) -> dict:
+        """The means, delivery ratios and per-class shares of successful
+        deliveries, from each loop's age, MSE, nMSE and stage cost summed
+        over the window's steps, its window transmissions and receptions,
+        and whether it diverged.  The counts and flags are copied, so a
+        result never shares memory with the run."""
         steps = self.t_end - self.t_start + 1
-        rows = slice(rep * self.n_loops, (rep + 1) * self.n_loops)
-        tx, rx = self.tx[rows].copy(), self.rx[rows].copy()
-        diverged = self.diverged[rows].copy()
+        tx, rx, diverged = tx.copy(), rx.copy(), diverged.copy()
         per_loop = {
             "aoi_mean": aoi / steps,
             "mse_mean": mse / steps,

@@ -3,8 +3,9 @@
 Every workload of ``perfbench/workloads.py`` must pass its own output
 checks at seed 0 and write outputs whose digests are the ones recorded
 in ``perfbench/reference.json``, and the per-layer tracer of
-``perfbench/tracing.py`` must install over the program and leave it as
-it found it.
+``perfbench/tracing.py`` must install over the program, leave its
+outputs and its count of loop-steps as ``perfbench/run.py --trace 1``
+checks them, and leave the program as it found it.
 """
 import concurrent.futures
 import importlib.util
@@ -45,6 +46,27 @@ def test_workload_passes_its_checks_with_reference_digests(tmp_path, name):
     produced = workloads.operate(specs, paths, out_dir)
     assert workloads.check(specs, produced, out_dir) == []
     assert workloads.digests(specs, produced, out_dir) == REFERENCE[name]["0"]
+
+
+@pytest.mark.parametrize("name", ["scheduled_n1000", "contention_n100"])
+def test_traced_workload_keeps_its_outputs_and_loop_steps(tmp_path, name):
+    """What ``run.py --trace 1`` checks of a traced serial workload: with
+    every shim in place its outputs pass their checks with the reference
+    digests, and the tracer counts every loop-step its configs ask for."""
+    paths = workloads.write_configs(name, 0, str(tmp_path))
+    specs, _ = workloads.set_up(paths)
+    out_dir = str(tmp_path / "out")
+    tracer = _load("tracing").Tracer()
+    tracer.install()
+    try:
+        produced = workloads.operate(specs, paths, out_dir)
+        layers = tracer.snapshot()
+    finally:
+        tracer.uninstall()
+    assert workloads.check(specs, produced, out_dir) == []
+    assert workloads.digests(specs, produced, out_dir) == REFERENCE[name]["0"]
+    assert workloads.jobs(specs) == 1
+    assert layers["engine.loop_steps"] == workloads.loop_steps(specs)
 
 
 def test_tracer_uninstall_restores_every_patched_attribute():

@@ -40,6 +40,14 @@ def cfg_for(n, variant, channel=None, duration=3.0, trim=0.5, seed=0,
                      seed=seed, record_series=series)
 
 
+def test_config_rejects_an_empty_window():
+    """A 25 ms run with 10 ms trims would evaluate steps 2..1: none."""
+    with pytest.raises(ConfigurationError, match="empty evaluation window"):
+        SimConfig(systems=systems_from_classes(1),
+                  policy=SchedulerPolicy("round_robin"),
+                  duration_s=0.025, warmup_s=0.01, cooldown_s=0.01)
+
+
 def test_config_validation():
     systems = systems_from_classes(2)
     with pytest.raises(ConfigurationError):
@@ -177,6 +185,23 @@ def test_zero_threshold_equals_slotted_access():
                                       ad["series"][i]["state"])
 
 
+def test_divergence_is_flagged_on_its_own_rows():
+    """Nothing gets through a strict channel under ALOHA, so of each
+    replication's loops the unstable ones leave the divergence bound and
+    the easy one stays in it; each loop is flagged, in its own result,
+    exactly when its state series leaves the bound."""
+    cfg = cfg_for(3, "aloha", series=True, duration=10.0,
+                  pattern=("easy", "pendulum", "hard"))
+    flags = []
+    for res in run(cfg, seeds=[0, 1]):
+        left = [not (np.abs(res["series"][k]["state"])
+                     <= ncsim.engine.DIVERGENCE_THRESHOLD).all()
+                for k in (1, 2, 3)]
+        assert res["metrics"]["per_loop"]["diverged"].tolist() == left
+        flags.append(left)
+    assert flags == [[False, True, True]] * 2
+
+
 def test_threshold_gates_low_ages():
     """With a huge threshold nothing is ever sent."""
     res = run(cfg_for(3, "adra", p=0.9, threshold=10_000))
@@ -245,38 +270,49 @@ def test_polling_stops_at_the_run_end(tx, n_polls, n_replies, monkeypatch):
     poll goes out at 0.996 s and its reply, due at 1.002 s, is dropped;
     with 5 ms packets the last reply lands on the end and no poll
     follows it.  An event on a tick's instant comes before that tick: a
-    poll at ``poll_us`` is counted with generation
-    (poll_us + tx_us - 1) // 10 ms, and a reply landing on tick t's
-    instant shows in ``ages[t]``."""
+    polled sample has generation (poll_us + tx_us - 1) // 10 ms, its poll
+    at ``poll_us``, and counts as a transmission if that lies in the
+    window; a reply landing on tick t's instant shows in ``ages[t]``."""
     r = _Run(cfg_for(2, "wifresh", duration=1.0, trim=0.2,
                      channel=ChannelConfig(tx_duration=tx)))
-    polls, replies, delivered, sent = [], [], [], []
+    polls, polled, replies, delivered, counted = [], [], [], [], []
     window, deliver = ncsim.mac.ReliabilityWindow, r.on_delivery
     record_poll, record_data = window.record_poll, window.record_data
-    record_tx = r.metrics.record_tx
     monkeypatch.setattr(window, "record_poll", lambda gw, k, now: (
-        polls.append(now), record_poll(gw, k, now)))
+        polls.append(now), polled.append(k), record_poll(gw, k, now)))
     monkeypatch.setattr(window, "record_data", lambda gw, k, now: (
         replies.append(now), record_data(gw, k, now)))
-    r.metrics.record_tx = lambda loop, gen: (
-        sent.append((round(polls[-1] * 1e6), gen)), record_tx(loop, gen))
 
     def on_delivery(k, gen, step):
         accepted = deliver(k, gen, step)
-        delivered.append((k, gen, accepted))
+        delivered.append((polls[-1], k, gen, accepted))
         return accepted
 
-    r.on_delivery = on_delivery
+    class Counts(np.ndarray):
+        """The run's transmission counts, logging the poll and row of
+        each count they take."""
+
+        def __setitem__(self, i, value):
+            counted.append((polls[-1], int(i)))
+            super().__setitem__(i, value)
+
+    r.on_delivery, r.tx = on_delivery, r.tx.view(Counts)
     r.execute()
     assert max(polls) < 1.0 and max(replies) <= 1.0
     assert len(polls) == n_polls
     assert len(replies) == len(delivered) == n_replies
     tx_us = round(tx * 1e6)
-    assert len(sent) == n_replies + (n_polls > n_replies)
-    assert all(gen == (poll_us + tx_us - 1) // 10_000
-               for poll_us, gen in sent)
+    gen_of = lambda poll: (round(poll * 1e6) + tx_us - 1) // 10_000
+    assert all(gen == gen_of(poll) for poll, _, gen, _ in delivered)
+    # Lossless, so every poll fetches a sample, counted once if its
+    # generation lies in the window: the last 3 ms poll's arrives at
+    # 0.999 s, although its reply is dropped.
+    first, last = r.cfg.window
+    assert counted == [(poll, k) for poll, k in zip(polls, polled)
+                       if first <= gen_of(poll) <= last]
+    assert r.tx.sum() == len(counted) and 0 < len(counted) < len(polls)
     on_tick = [(round(reply * 1e6) // 10_000, k, gen)
-               for reply, (k, gen, accepted) in zip(replies, delivered)
+               for reply, (_, k, gen, accepted) in zip(replies, delivered)
                if accepted and round(reply * 1e6) % 10_000 == 0]
     assert len(on_tick) > 10
     for t, k, gen in on_tick:
@@ -330,8 +366,9 @@ def test_medium_access_runs_before_the_plants(variant, monkeypatch):
 
     log(_Plants, "tick", "tick")
     log(_Plants, "replay", "replay")
-    log(ncsim.metrics.MetricsAccumulator, "record_tx", "access")
-    log(ncsim.metrics.MetricsAccumulator, "record_slots", "access")
+    log(_Run, "on_delivery", "access")
+    log(_Run, "_slots", "access")
+    log(_Run, "_slotted_deliveries", "access")
     log(ncsim.engine, "resolve_slot", "access")
     log(ncsim.engine, "resolve_pointtopoint", "access")
     run(cfg_for(4, variant))
@@ -470,7 +507,7 @@ def test_window_sums_fold_nan_into_inf():
     sums = r._window_sums()
     assert sums[3, 0] == math.inf
     assert np.isfinite(sums[:3]).all() and np.isfinite(sums[:, 1]).all()
-    out = r.metrics.finalize(*sums, rep=0)
+    out = r.metrics.finalize(*sums, r.tx, r.rx, r.diverged)
     assert out["per_loop"]["lqg_mean"][0] == math.inf
     assert out["network"]["lqg_mean"] == math.inf
 
@@ -549,7 +586,7 @@ def test_batched_state_invariants(cfg):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_Plants, "tick", checked_tick)
         r.execute()
-    assert (r.metrics.rx <= r.metrics.tx).all()
+    assert (r.rx <= r.tx).all()
     assert nonzero[0] or all(gen < 2 for _, gen, _ in arrivals)
 
 
@@ -844,8 +881,8 @@ def reference_access(r):
             sent = [rep * N + k for rep, k in enumerate(ks)]
             decoded = [i for i in sent if cfg.erasure_prob == 0.0
                        or channel[i].random() >= cfg.erasure_prob]
-        for i in sent:
-            r.metrics.record_tx(i, t)
+        if r.t_start <= t <= r.t_end:
+            r.tx[sent] += 1
         if t < r.steps:      # the last slot's deliveries are dropped
             for i in decoded:
                 r.on_delivery(i, t, t)

@@ -86,8 +86,14 @@ def test_rr_rule():
     for N in (1, 2, 5, 15):
         window = [rr_next(t, N) for t in range(1, N + 1)]
         assert sorted(window) == list(range(N))
+        # An array of slots gives each slot's loop.
+        slots = np.arange(1, 3 * N + 2)
+        assert rr_next(slots, N).tolist() == [rr_next(t, N)
+                                              for t in slots.tolist()]
     with pytest.raises(ConfigurationError):
         rr_next(0, 3)
+    with pytest.raises(ConfigurationError):
+        rr_next(np.arange(0, 4), 3)
 
 
 def test_gw_on_data_age_update():

@@ -338,50 +338,63 @@ def test_aoi_tracker_never_regresses(gens):
         assert found[t] == float(seen) and r.ages[t, 0] == t - seen
 
 
+def test_run_counts_receptions_in_the_window():
+    """A reception counts if its generation lies in the window (steps
+    51..250 here), whether or not the gateway accepts the sample."""
+    r = hand_run()
+    assert r.cfg.window == (51, 250)
+    for gen in (50, 51, 250, 251):
+        r.on_delivery(0, gen, gen)
+    assert r.rx.tolist() == [2, 0]
+    assert not r.on_delivery(0, 51, 260)    # stale, still a reception
+    assert r.rx.tolist() == [3, 0] and r.tx.tolist() == [0, 0]
+
+
 def make_acc(n=2, t0=1, t1=4, classes=None):
-    return MetricsAccumulator(n, t0, t1, classes or ["?"] * n, 1)
+    return MetricsAccumulator(n, t0, t1, classes or ["?"] * n)
 
 
 def sums(**rows):
-    """Per-loop window sums of age, MSE, nMSE and cost, zero where not
-    given, as keyword arguments of ``finalize``."""
+    """One replication's arguments of ``finalize``: per-loop window sums
+    of age, MSE, nMSE and cost, transmission and reception counts and
+    divergence flags, zero where not given."""
     n = len(next(iter(rows.values())))
-    return {name: np.array(rows.get(name, [0.0] * n), dtype=float)
-            for name in ("aoi", "mse", "nmse", "cost")}
+    out = {name: np.array(rows.get(name, [0.0] * n), dtype=float)
+           for name in ("aoi", "mse", "nmse", "cost")}
+    out.update({name: np.array(rows.get(name, [0] * n), dtype=np.int64)
+                for name in ("tx", "rx")})
+    out["diverged"] = np.array(rows.get("diverged", [False] * n))
+    return out
 
 
 def test_accumulator_constant_age():
+    """The sums are divided by the window's length: 4 steps, and 2 for
+    the window of steps 2 and 3 (ages 2 and 3 there)."""
     acc = make_acc()
-    out = acc.finalize(rep=0, **sums(aoi=[8, 8], mse=[4.0, 4.0],
-                                     nmse=[4.0, 4.0], cost=[2.0, 2.0]))
+    out = acc.finalize(**sums(aoi=[8, 8], mse=[4.0, 4.0],
+                              nmse=[4.0, 4.0], cost=[2.0, 2.0]))
     assert out["network"]["aoi_mean"] == pytest.approx(2.0)
     assert out["expected_samples"] == 4
     assert list(out["samples_per_loop"]) == [4, 4]
-
-
-def test_accumulator_window_gating():
-    """Only window steps count: transmissions outside it are ignored, and
-    the sums are divided by the window's length (ages 2 and 3 here)."""
-    acc = make_acc(n=1, t0=2, t1=3)
-    for t in range(1, 6):
-        acc.record_tx(0, t)
-    out = acc.finalize(rep=0, **sums(aoi=[2 + 3]))
+    out = make_acc(n=1, t0=2, t1=3).finalize(**sums(aoi=[2 + 3], tx=[2]))
     assert out["per_loop"]["aoi_mean"][0] == pytest.approx(2.5)
     assert out["per_loop"]["tx"][0] == 2
 
 
 def test_accumulator_fractions():
     acc = make_acc(n=2, classes=["a", "b"])
-    for _ in range(300):
-        acc.record_rx(0, 1)
-    for _ in range(100):
-        acc.record_rx(1, 1)
-    out = acc.finalize(rep=0, **sums(aoi=[4, 4]))
+    out = acc.finalize(**sums(aoi=[4, 4], rx=[300, 100]))
     assert out["fractions"]["a"] == pytest.approx(0.75)
     assert out["fractions"]["b"] == pytest.approx(0.25)
     assert out["loop_classes"] == ["a", "b"]
 
 
-def test_accumulator_rejects_empty_window():
-    with pytest.raises(ConfigurationError):
-        MetricsAccumulator(1, 5, 4, ["?"], 1)
+def test_accumulator_results_do_not_alias_their_inputs():
+    """``finalize`` copies the counts and flags it returns, so a result
+    stays as it was when the run's arrays change."""
+    args = sums(aoi=[4, 4], tx=[3, 2], rx=[2, 1], diverged=[False, True])
+    out = make_acc().finalize(**args)["per_loop"]
+    for name in ("tx", "rx", "diverged"):
+        args[name][:] = 0
+    assert out["tx"].tolist() == [3, 2] and out["rx"].tolist() == [2, 1]
+    assert out["diverged"].tolist() == [False, True]
