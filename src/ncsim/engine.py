@@ -7,7 +7,8 @@ the loop's older one: a loop always has one sample to send.  A sample is named
 by its generation step alone: its state is that step's entry of the loop's
 state history.  The selected medium-access policy moves samples across the
 shared channel from ages alone, so a run takes two passes: medium access,
-then the plants, each delivery taken in before the next tick.  Slotted
+which ends in one record of every delivery, then the plants, which take in
+each tick's deliveries as arrays before that tick.  Slotted
 contention and beacon-framed scheduling use one slot per period, resolved
 a block of slots at a time: the whole run where no decision reads an age
 (ALOHA, slotted ALOHA, round-robin, an age threshold of one or less), one
@@ -59,7 +60,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -85,6 +86,10 @@ _SUM_BLOCK_VALUES = 1 << 12
 # Transmissions one block of slotted medium access can hold at most; bounds
 # the memory of its offsets, coins and transmission lists.
 _SLOT_BLOCK_VALUES = 1 << 12
+# A batch of at most this many rows computes its ages in one array pass.
+# The pass's running maximum costs about 3 ns a value, so from about 300
+# rows one subtraction per tick (about 1 us) costs less.
+_AGES_PASS_WIDTH = 256
 # Rows (loops times replications) of one batch of replications at most,
 # unless one replication has more: the history one N=1000 run keeps.
 _BATCH_LOOPS = 1000
@@ -313,7 +318,9 @@ class _Plants:
     shape (k, n, 1) and (k, m, 1), kept for the whole run: ``X[t]`` is
     x[t], ``U[t]`` the input applied at step t and ``noise[t]`` the
     process noise added after it, drawn from the row's own stream, seeded
-    by its row of ``words``.  ``xhat`` is the estimate of the last tick.
+    by its row of ``words``.  ``xhat`` is the estimate of the last tick,
+    and a tick writes it, the input and the state in place; delivered
+    samples set estimates a set of rows at a time (:meth:`receive`).
     Tick t >= 1 writes x[t + 1], so x[1] is never computed: it stays
     x[0] = 0, a sample of generation 1 carries a zero state, and
     ``noise[0]`` is drawn only to keep the stream's later draws.
@@ -342,6 +349,7 @@ class _Plants:
                        else s.gain)
         self.scalar = n == m == 1
         self.mul = np.multiply if self.scalar else np.matmul
+        self.ax = np.empty((k, n, 1))      # A x, the ticks' scratch
         self.free = None
         if self.scalar:
             self.K = -self.K               # u = (-g) x, as for one loop
@@ -350,18 +358,12 @@ class _Plants:
             # which is nan for an infinite estimate.
             free = np.flatnonzero(stack(lambda s: s.gain is None))
             self.free = free if len(free) else None
-        self.bu = self.Bu(self.U[0])       # B u of the last tick
-
-    def Ax(self, x, rows=slice(None)):
-        return self.mul(self.A[rows], x)
-
-    def Bu(self, u, rows=slice(None)):
-        return self.mul(self.B[rows], u)
+        self.bu = self.mul(self.B, self.U[0])  # B u of the last tick
 
     def control(self, xhat, out):
         if self.scalar:
             return np.multiply(self.K, xhat, out=out)
-        u = np.negative(np.matmul(self.K, xhat), out=out)
+        u = np.negative(np.matmul(self.K, xhat, out=out), out=out)
         if self.free is not None:
             u[self.free] = 0.0
         return u
@@ -376,20 +378,33 @@ class _Plants:
 
     def tick(self, t: int):
         """xhat[t] = A xhat[t-1] + B u[t-1], u[t] from xhat[t], then
-        x[t+1] = A x[t] + B u[t] + w[t]."""
-        self.xhat = self.Ax(self.xhat) + self.bu
-        u = self.control(self.xhat, self.U[t])
-        self.bu = self.Bu(u)
-        np.add(self.Ax(self.X[t]) + self.bu, self.noise[t], out=self.X[t + 1])
+        x[t+1] = A x[t] + B u[t] + w[t], each written in place."""
+        mul, ax, bu, xhat = self.mul, self.ax, self.bu, self.xhat
+        x = self.X[t + 1]
+        np.add(mul(self.A, xhat, out=ax), bu, out=xhat)
+        mul(self.B, self.control(xhat, self.U[t]), out=bu)
+        np.add(mul(self.A, self.X[t], out=ax), bu, out=x)
+        np.add(x, self.noise[t], out=x)
 
-    def replay(self, j: int, start: int, stop: int):
-        """Row j's estimate at step ``stop`` from its state at step
-        ``start``, through the inputs applied in between."""
-        rows = slice(j, j + 1)
-        x = self.X[start, rows]
-        for q in range(start, stop):
-            x = self.Ax(x, rows) + self.Bu(self.U[q, rows], rows)
-        return x[0]
+    def receive(self, j: np.ndarray, lag: int, t: int):
+        """Rows j take in their samples of step t - 1 - lag before tick t:
+        each estimate of step t - 1 is its sample's state rolled forward
+        through the inputs applied since, all rows in one array pass."""
+        x, A, B = self.X[t - 1 - lag, j], self.A[j], self.B[j]
+        for q in range(t - 1 - lag, t - 1):
+            x = self.mul(A, x) + self.mul(B, self.U[q, j])
+        self.xhat[j] = x
+
+
+class _Deliveries(NamedTuple):
+    """The samples medium access delivered, as arrays sorted by tick, then
+    row: row ``row[d]`` takes in its sample of step ``gen[d]`` before tick
+    ``tick[d]``, the first tick after its arrival.  A row is listed at
+    most once per tick."""
+
+    tick: np.ndarray
+    row: np.ndarray
+    gen: np.ndarray
 
 
 class _Run:
@@ -400,18 +415,19 @@ class _Run:
     loop k of replication r.  A loop always has a sample to send: the last
     tick's, or its initial state x[0] before the first tick.  Medium access
     (``_slots`` for each block of slots, or ``_polls``) moves ``nu``, each
-    row's freshest delivered generation (its age at step t is t - nu), and
-    lists each accepted sample in ``moved[t]``, t the first tick after its
-    arrival; slotted access marks each slot's transmitters and deliveries
-    in ``sent`` and ``got`` (row t for slot t) and takes them into ``nu``
-    before a decision reads it.  ``tx`` and ``rx`` count each row's
-    transmissions and receptions of generations in the window
-    ``t_start..t_end``.  Then ``_tick_plants`` steps every group of rows of equal dimensions
-    (:class:`_Plants`; ``at[i]`` is row i's group and row in it) with a
-    fixed number of array operations per tick, for all replications at
-    once, and keeps every step's ages (``ages``), states and inputs; once
-    the run ends, ``diverged`` flags the rows that left the divergence
-    bound, and the metrics are reduced from them.
+    row's freshest delivered generation (its age at step t is t - nu).
+    Slotted access marks each slot's transmitters and deliveries in
+    ``sent`` and ``got`` (row t for slot t) and takes them into ``nu``
+    before a decision reads it; polls list each accepted sample in
+    ``arrivals``.  ``tx`` and ``rx`` count each row's transmissions and
+    receptions of generations in the window ``t_start..t_end``.  Access
+    ends in one delivery record (:class:`_Deliveries`).  Then
+    ``_tick_plants`` takes each tick's deliveries in and steps every group
+    of rows of equal dimensions (:class:`_Plants`, ``groups``) with a fixed
+    number of array operations per tick, for all replications at once,
+    and keeps every step's ages (``ages``), states and inputs; once the
+    run ends, ``diverged`` flags the rows that left the divergence bound,
+    and the metrics are reduced from them.
 
     The batch is its replications' gateways: one
     :class:`~ncsim.metrics.MseTable` (``table``) holds the error curves, as
@@ -447,14 +463,14 @@ class _Run:
         self.rx = np.zeros(R * N, np.int64)
         self.diverged = np.zeros(R * N, bool)
         self.ages = np.zeros((self.steps + 1, R * N), np.int64)
-        self.moved = [[] for _ in range(self.steps + 1)]
+        self.arrivals = []     # polled (tick, row, gen), as accepted
         # words[purpose, r (N + 1) + i]: the seed words of loop id i's
         # stream in replication r; row i's loop id key is keys[i].
         words = _seed_words(self.seeds, np.arange(N + 1))
         row = np.arange(R * N)
         loop, keys = row % N, row + row // N + 1
         sizes = [(sys.n, sys.m) for sys in table.plants]
-        self.groups, self.at = [], [None] * (R * N)
+        self.groups = []
         for size in dict.fromkeys(sizes):
             # The group's plants, and each row's plant index among them
             # (-1 for rows of another size).
@@ -462,11 +478,9 @@ class _Run:
             plant = np.array([ps.index(p) if p in ps else -1
                               for p in range(len(sizes))])[table.plant[loop]]
             rows = (plant >= 0).nonzero()[0]
-            group = _Plants([table.plants[p] for p in ps], plant[rows], rows,
-                            self.steps, words[_RNG_NOISE, keys[rows]])
-            self.groups.append(group)
-            for j, i in enumerate(rows.tolist()):
-                self.at[i] = (group, j)
+            self.groups.append(_Plants(
+                [table.plants[p] for p in ps], plant[rows], rows, self.steps,
+                words[_RNG_NOISE, keys[rows]]))
         # Batch row -> its channel stream, built on its first draw: most
         # loops of a short large-N scheduled run never draw, and a stream
         # depends only on its seed words, so building it late moves no draw.
@@ -504,18 +518,62 @@ class _Run:
 
     # ---- plant pass -------------------------------------------------------
 
-    def _tick_plants(self):
-        """Ticks 1..steps: tick t replays each estimate of step t - 1 from
-        its sample in ``moved[t]``, then steps every controller and plant."""
+    def _set_ages(self, record: _Deliveries):
+        """``ages[t] = t - nu`` for every step t, nu being each row's
+        freshest generation that the record delivers before tick t (0
+        before any).  A batch of at most ``_AGES_PASS_WIDTH`` rows writes
+        each delivery's generation at its tick and takes the running
+        maximum down the steps; a wider one keeps ``nu`` and subtracts it
+        tick by tick.  The integers are exact either way."""
+        (tick, row, gen), ages = record, self.ages
+        if ages.shape[1] <= _AGES_PASS_WIDTH:
+            ages[tick, row] = gen      # a row is listed once per tick
+            np.maximum.accumulate(ages, axis=0, out=ages)
+            np.subtract(np.arange(len(ages))[:, None], ages, out=ages)
+            return
+        edges = np.searchsorted(tick, np.arange(len(ages) + 1)).tolist()
         nu = np.zeros_like(self.nu)
-        for t in range(1, self.steps + 1):
-            for i, gen in self.moved[t]:
-                nu[i] = gen
-                group, j = self.at[i]
-                group.xhat[j] = group.replay(j, gen, t - 1)
-            np.subtract(t, nu, out=self.ages[t])
-            for group in self.groups:
-                group.tick(t)
+        for t in range(1, len(ages)):
+            lo, hi = edges[t], edges[t + 1]
+            if lo < hi:
+                nu[row[lo:hi]] = gen[lo:hi]
+            np.subtract(t, nu, out=ages[t])
+
+    def _tick_plants(self, record: _Deliveries):
+        """Ticks 1..steps, after the ages (:meth:`_set_ages`).  Before a
+        group's tick t, each of its rows the record lists for t takes in
+        its sample: its estimate of step t - 1 becomes the sample's state,
+        rolled forward if the sample is older (lag >= 1 steps).  The
+        group takes its lag-0 samples in with one masked copy and the
+        others in one array pass per lag."""
+        self._set_ages(record)
+        steps, (tick, row, gen) = self.steps, record
+        lag = tick - 1 - gen
+        plans = []
+        for g in self.groups:
+            # The record's rows by their index in this group, -1 outside it.
+            index = np.full(len(self.nu), -1)
+            index[g.rows] = np.arange(len(g.rows))
+            j = index[row]
+            # Lag 0: each tick's rows as a mask.  Lag d >= 1: its rows in
+            # tick order, and where each tick's rows start.
+            fresh = np.zeros((steps + 2, len(g.rows), 1, 1), bool)
+            late = []
+            for d in np.bincount(lag[j >= 0]).nonzero()[0].tolist():
+                mine = (j >= 0) & (lag == d)
+                if d == 0:
+                    fresh[tick[mine], j[mine]] = True
+                else:
+                    late.append((d, j[mine], np.searchsorted(
+                        tick[mine], np.arange(steps + 2)).tolist()))
+            plans.append((g, fresh, late))
+        for t in range(1, steps + 1):
+            for g, fresh, late in plans:
+                np.copyto(g.xhat, g.X[t - 1], where=fresh[t])
+                for d, j, at in late:
+                    if at[t] < at[t + 1]:
+                        g.receive(j[at[t]:at[t + 1]], d, t)
+                g.tick(t)
 
     def _window_sums(self) -> np.ndarray:
         """Each row's age, MSE, nMSE and stage cost summed over the
@@ -648,31 +706,46 @@ class _Run:
 
     def _pointtopoint(self, sent: np.ndarray, cells: np.ndarray):
         """The decoded cells of a scheduled block: each transmission flips
-        an erasure coin of its row's channel stream, slot after slot."""
+        an erasure coin of its row's channel stream, slot after slot; an
+        erasure-free hop decodes them all and reads no stream."""
+        if self.channel.erasure_prob == 0.0:
+            return cells
         ok = [resolve_pointtopoint(self.channel, self.rng_channel(i))
               for i in (cells % sent.shape[1]).tolist()]
         return cells[np.array(ok, bool)]
 
-    def _slotted_deliveries(self):
+    def _slotted_deliveries(self) -> _Deliveries:
         """Count the window's transmissions and deliveries, take every
-        delivery into ``nu``, and list each one of slot t in
-        ``moved[t + 1]``, in row order."""
+        delivery into ``nu``, and return the record: a delivery of slot t
+        carries its sample of step t to tick t + 1."""
         window = slice(self.t_start, self.t_end + 1)
         self.tx += self.sent[window].sum(axis=0)
         self.rx += self.got[window].sum(axis=0)
         slot, rows = np.divmod(self.got.reshape(-1).nonzero()[0],
                                self.got.shape[1])
         np.maximum.at(self.nu, rows, slot)
-        for i, t in zip(rows.tolist(), slot.tolist()):
-            self.moved[t + 1].append((i, t))
+        return _Deliveries(slot + 1, rows, slot)
 
     # ---- deliveries -------------------------------------------------------
+
+    def _listed_deliveries(self) -> _Deliveries:
+        """The record of the deliveries :meth:`on_delivery` accepted.  It
+        accepts only strictly fresher samples, so of a row's arrivals
+        before one tick the last is the freshest: it is the one kept."""
+        tick, row, gen = np.array(self.arrivals, np.int64).reshape(-1, 3).T
+        # Stable: a row's arrivals before one tick stay in their order.
+        order = np.lexsort((row, tick))
+        key = (tick * len(self.nu) + row)[order]
+        last = np.ones(len(key), bool)
+        last[:-1] = key[1:] != key[:-1]
+        keep = order[last]
+        return _Deliveries(tick[keep], row[keep], gen[keep])
 
     def on_delivery(self, i: int, gen: int, step: int):
         """Row i's sample from step ``gen`` arrives at step ``step``: a
         reception, counted if ``gen`` lies in the window.  The gateway
         accepts only strictly fresher generations, which the plant pass
-        applies before tick ``step + 1``; returns whether it did."""
+        takes in before tick ``step + 1``; returns whether it did."""
         if self.t_start <= gen <= self.t_end:
             self.rx[i] += 1
         if gen <= self.nu[i]:
@@ -682,7 +755,7 @@ class _Run:
                 f"loop {i % self.N + 1}: sample from step {gen} "
                 f"delivered at {step}")
         self.nu[i] = gen
-        self.moved[step + 1].append((i, gen))
+        self.arrivals.append((step + 1, i, gen))
         return True
 
     # ---- polling: one transaction outstanding at a time ------------------
@@ -698,6 +771,8 @@ class _Run:
         nu = self.nu[first:first + self.N]
         ages, seen = np.ones(self.N, np.int64), 0
         window = ReliabilityWindow(self.N)
+        # An erasure-free hop decodes every packet without a coin.
+        lossy, rng = self.channel.erasure_prob > 0.0, None
         now = 0
         while now < end:
             step = (now - 1) // Ts
@@ -711,7 +786,8 @@ class _Run:
             else:
                 k = pmef_next(self.table, ages, rel, self.policy.use_nmse)
             window.record_poll(k, now_s)
-            rng = self.rng_channel(first + k)
+            if lossy:
+                rng = self.rng_channel(first + k)
             if resolve_pointtopoint(self.channel, rng):
                 if now + tx > end:
                     break
@@ -740,11 +816,12 @@ class _Run:
             if self.policy.is_polling:
                 for r in range(self.R):
                     self._polls(r)
+                record = self._listed_deliveries()
             else:
                 for lo, hi in self._blocks():
                     self._slots(lo, hi)
-                self._slotted_deliveries()
-            self._tick_plants()
+                record = self._slotted_deliveries()
+            self._tick_plants(record)
             self._flag_diverged()
             sums = self._window_sums()
         return [self._result(r, sums) for r in range(self.R)]
@@ -759,13 +836,15 @@ class _Run:
                       self.diverged[rows]),
                   "seed": self.seeds[r]}
         if self.cfg.record_series:
-            result["series"] = series = {}
-            for k in range(N):
-                g, j = self.at[first + k]
-                state = g.X[1:-1, j, :, 0]
-                series[k + 1] = {"aoi": self.ages[1:, first + k].copy(),
-                                 "state": (state[:, 0] if g.scalar
-                                           else state).copy()}
+            states = {}
+            for g in self.groups:
+                for j in np.flatnonzero(g.rows // N == r).tolist():
+                    state = g.X[1:-1, j, :, 0]
+                    states[int(g.rows[j]) - first] = (state[:, 0] if g.scalar
+                                                      else state)
+            result["series"] = {
+                k + 1: {"aoi": self.ages[1:, first + k].copy(),
+                        "state": states[k].copy()} for k in range(N)}
         return result
 
 

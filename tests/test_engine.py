@@ -30,6 +30,13 @@ def cold_replay(sys, x, inputs):
     return x
 
 
+def place(r, i):
+    """Row i of run r: its plant group and its index in the group."""
+    for g in r.groups:
+        if i in g.rows:
+            return g, int(np.flatnonzero(g.rows == i)[0])
+
+
 def cfg_for(n, variant, channel=None, duration=3.0, trim=0.5, seed=0,
             series=False, pattern=("easy", "mid", "hard"), **pol):
     systems = systems_from_classes(n, pattern)
@@ -355,8 +362,8 @@ def test_poll_decisions_read_the_gateway_ages(variant, monkeypatch):
 @pytest.mark.parametrize("variant", ["slotted_aloha", "mef", "pmef"])
 def test_medium_access_runs_before_the_plants(variant, monkeypatch):
     """No medium-access decision reads a plant, so a run resolves every
-    slot or poll and counts every transmission before it ticks a plant or
-    replays an estimate."""
+    slot or poll, counts every transmission and records every delivery
+    before it ticks a plant or takes a sample into an estimate."""
     calls = []
 
     def log(owner, name, kind):
@@ -364,15 +371,17 @@ def test_medium_access_runs_before_the_plants(variant, monkeypatch):
         monkeypatch.setattr(owner, name, lambda *args: (
             calls.append(kind), fn(*args))[1])
 
+    log(_Run, "_tick_plants", "plants")
     log(_Plants, "tick", "tick")
-    log(_Plants, "replay", "replay")
+    log(_Plants, "receive", "receive")
     log(_Run, "on_delivery", "access")
     log(_Run, "_slots", "access")
     log(_Run, "_slotted_deliveries", "access")
+    log(_Run, "_listed_deliveries", "access")
     log(ncsim.engine, "resolve_slot", "access")
     log(ncsim.engine, "resolve_pointtopoint", "access")
     run(cfg_for(4, variant))
-    assert {"tick", "replay", "access"} <= set(calls)
+    assert {"plants", "tick", "access"} <= set(calls)
     access = [n for n, kind in enumerate(calls) if kind == "access"]
     plant = [n for n, kind in enumerate(calls) if kind != "access"]
     assert max(access) < min(plant)
@@ -390,7 +399,7 @@ def test_estimator_incremental_matches_reference(monkeypatch):
     every tick, also right after a delivery older than the last tick:
     before every seventh tick t, the sample of step t - 2 arrives."""
     r = _Run(cfg_for(1, "round_robin", pattern=("pendulum",)))
-    group, j = r.at[0]
+    group, j = place(r, 0)
     sys = r.cfg.systems[0]
     for t in range(7, 40, 7):
         r.on_delivery(0, t - 2, t - 1)
@@ -407,7 +416,7 @@ def test_estimator_incremental_matches_reference(monkeypatch):
             checked.append(ref.any())
 
     monkeypatch.setattr(_Plants, "tick", checked_tick)
-    r._tick_plants()
+    r._tick_plants(r._listed_deliveries())
     assert len(checked) == 39 and any(checked)
 
 
@@ -422,26 +431,26 @@ def test_only_strictly_fresher_deliveries_change_the_gateway(steps):
     still (a tick only records the estimate it finds), so every state
     stays as set."""
     r = _Run(cfg_for(2, "round_robin"))
-    group, j = r.at[0]
+    group, j = place(r, 0)
     group.X[:, j, 0, 0] = np.arange(len(group.X))
     step, freshest, found = 0, {}, {}
     for advance, lag in steps:
         step += advance
         gen = max(0, step - lag)
-        before = (int(r.nu[0]), len(r.moved[step + 1]))
+        before = (int(r.nu[0]), len(r.arrivals))
         accepted = r.on_delivery(0, gen, step)
         if gen > before[0]:
             assert accepted and r.nu[0] == gen
-            assert r.moved[step + 1][before[1]:] == [(0, gen)]
+            assert r.arrivals[before[1]:] == [(step + 1, 0, gen)]
         else:
             assert not accepted
-            assert (int(r.nu[0]), len(r.moved[step + 1])) == before
+            assert (int(r.nu[0]), len(r.arrivals)) == before
         assert r.nu[0] >= before[0]
         freshest[step + 1] = int(r.nu[0])
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_Plants, "tick", lambda g, t: g is group
                   and found.setdefault(t, g.xhat[j].item()))
-        r._tick_plants()
+        r._tick_plants(r._listed_deliveries())
     for t, nu in freshest.items():
         assert found[t] == float(nu) and r.ages[t, 0] == t - nu
 
@@ -567,11 +576,13 @@ def test_batched_state_invariants(cfg):
 
     def checked_tick(group, t):
         if t == 1:      # medium access is done: each tick's freshest
-            arrivals.extend((i, gen, step - 1)
-                            for step, samples in enumerate(r.moved)
-                            for i, gen in samples)
-            for i, gen, step in arrivals:
-                fresh[step + 1:, i] = gen
+            if r.got is None:
+                arrivals.extend(r.arrivals)
+            else:       # slot s's deliveries, taken in at tick s + 1
+                slots, rows = r.got.nonzero()
+                arrivals.extend(zip(slots + 1, rows, slots))
+            for tick_, i, gen in arrivals:
+                fresh[tick_:, i] = gen
         tick(group, t)
         assert (r.ages[t] >= 1).all()
         np.testing.assert_array_equal(r.ages[t], t - fresh[t])
@@ -587,7 +598,7 @@ def test_batched_state_invariants(cfg):
         m.setattr(_Plants, "tick", checked_tick)
         r.execute()
     assert (r.rx <= r.tx).all()
-    assert nonzero[0] or all(gen < 2 for _, gen, _ in arrivals)
+    assert nonzero[0] or all(gen < 2 for _, _, gen in arrivals)
 
 
 @pytest.mark.parametrize("variant", ["round_robin", "aloha", "mef", "pmef"])
@@ -751,6 +762,19 @@ def test_runs_seed_no_stream_one_by_one(variant, monkeypatch):
         mode="offset_capture", erasure_prob=0.01), duration=1.0, trim=0.2))
     assert seeded == [] and rngs == []
     assert len(pcgs) >= 50 and set(pcgs) == {ncsim.engine._seed_state()}
+
+
+@pytest.mark.parametrize("variant", ["round_robin", "mef", "wifresh", "pmef"])
+@pytest.mark.parametrize("erasure", [0.0, 0.05])
+def test_erasure_free_hops_build_no_channel_stream(variant, erasure):
+    """A scheduled or polled packet on an erasure-free hop decodes without
+    a coin, so a batch of validate's round-robin shape (N = 5, R = 4) builds
+    none of its rows' channel streams; on a lossy hop it builds every row's
+    that sends."""
+    r = _Run(cfg_for(5, variant, channel=ChannelConfig(erasure_prob=erasure)),
+             seeds=range(4))
+    r.execute()
+    assert r.rng_channel.cache_info().currsize == (20 if erasure else 0)
 
 
 def test_replications_tick_as_one_batch(monkeypatch):
@@ -931,7 +955,7 @@ def test_slot_blocks_match_one_slot_at_a_time(batch):
     ref = _Run(cfg, seeds)
     with np.errstate(over="ignore", invalid="ignore"):
         reference_access(ref)
-        ref._tick_plants()
+        ref._tick_plants(ref._listed_deliveries())
         ref._flag_diverged()
         sums = ref._window_sums()
     want = [ref._result(k, sums) for k in range(ref.R)]

@@ -14,6 +14,7 @@ from ncsim.mac import (ReliabilityWindow, SchedulerPolicy, mef_build_schedule,
                        pmef_next, rr_next, wifresh_next)
 from ncsim.metrics import MseTable, mse_of_age, nmse_of_age
 from ncsim.systems import LtiSystem, make_preset
+from test_engine import place
 
 
 def hand_run(variant="round_robin", n=2):
@@ -22,6 +23,16 @@ def hand_run(variant="round_robin", n=2):
     return _Run(SimConfig(systems=systems,
                           policy=SchedulerPolicy(variant), duration_s=3.0,
                           warmup_s=0.5, cooldown_s=0.5))
+
+
+def record_of(r):
+    """Execute run r; returns the delivery record of its plant pass."""
+    records, tick_plants = [], r._tick_plants
+    r._tick_plants = lambda record: (records.append(record),
+                                     tick_plants(record))
+    r.execute()
+    [record] = records
+    return record
 
 
 def plant_pass(r):
@@ -37,7 +48,7 @@ def plant_pass(r):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_Plants, "tick", spy)
-        r._tick_plants()
+        r._tick_plants(r._listed_deliveries())
     return found
 
 
@@ -47,10 +58,9 @@ def test_lcfs_keeps_only_freshest():
     the tick just before it.  The last slot's delivery lands after the
     run ends."""
     r = hand_run("aloha", n=1)
-    r.execute()
-    # moved[t] lists the samples taken in at tick t, delivered at t - 1.
-    delivered = [(gen, t - 1) for t, samples in enumerate(r.moved)
-                 for _, gen in samples]
+    record = record_of(r)
+    # The record lists each sample taken in at tick t, delivered at t - 1.
+    delivered = list(zip(record.gen.tolist(), (record.tick - 1).tolist()))
     assert delivered == [(t, t) for t in range(1, r.steps)]
 
 
@@ -69,15 +79,14 @@ def test_lcfs_single_slot_property(variant, n, seed):
                        seed=seed))
     slots, blocks = [], r._slots
     r._slots = lambda lo, hi: (slots.extend(range(lo, hi)), blocks(lo, hi))
-    r.execute()
+    record = record_of(r)
     assert slots == list(range(1, r.steps + 1))
     # Row t of the transmit mask is slot t's, and it sends tick t's
     # samples: each one delivered is taken in at the next tick.
     sent = [r.sent[t].nonzero()[0].tolist() for t in slots]
     assert all(len(set(loops)) == len(loops) for loops in sent)
-    for t, samples in enumerate(r.moved):
-        for k, gen in samples:
-            assert gen == t - 1 and k in sent[gen - 1]
+    for t, k, gen in zip(*(a.tolist() for a in record)):
+        assert gen == t - 1 and k in sent[gen - 1]
 
 
 def test_rr_rule():
@@ -103,9 +112,9 @@ def test_gw_on_data_age_update():
     instantaneous: the sender's loop knows gen 7."""
     r = hand_run()
     assert r.on_delivery(1, 7, 10)
-    assert r.nu[1] == 7 and r.nu[0] == 0 and r.moved[11] == [(1, 7)]
+    assert r.nu[1] == 7 and r.nu[0] == 0 and r.arrivals == [(11, 1, 7)]
     found = plant_pass(r)
-    group, j = r.at[1]
+    group, j = place(r, 1)
     assert not group.U[7:10, j].any() and group.X[7, j] != 0
     assert found[11][1] == group.X[7, j].item() * 1.1 * 1.1 * 1.1
     assert r.ages[10:12, 1].tolist() == [10, 4]
@@ -120,7 +129,7 @@ def test_gw_on_data_ignores_duplicates_and_stale():
     assert r.on_delivery(1, 7, 10) and once.on_delivery(1, 7, 10)
     assert not r.on_delivery(1, 7, 11)    # duplicate
     assert not r.on_delivery(1, 4, 11)    # stale
-    assert r.nu[1] == 7 and r.moved[12] == []
+    assert r.nu[1] == 7 and r.arrivals == [(11, 1, 7)]
     found, expected = plant_pass(r), plant_pass(once)
     assert found[12][1] == expected[12][1] and found == expected
     assert r.ages[11:13, 1].tolist() == [4, 5]
@@ -131,7 +140,7 @@ def test_gw_view_age_grows_per_tick():
     r = hand_run()
     r.on_delivery(1, 7, 10)
     assert r.nu[1] == 7
-    r._tick_plants()
+    r._tick_plants(r._listed_deliveries())
     assert r.ages[1:11, 1].tolist() == list(range(1, 11))
     assert r.ages[11:16, 1].tolist() == [4, 5, 6, 7, 8]
 

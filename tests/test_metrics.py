@@ -307,8 +307,11 @@ def test_aoi_tracker():
     assert not r.on_delivery(0, 2, 5)    # stale
     assert r.nu[0] == 3
     assert r.on_delivery(0, 5, 5)        # sampled this step
-    assert r.nu[0] == 5 and r.moved[6] == [(0, 3), (0, 5)]
-    r._tick_plants()
+    assert r.nu[0] == 5 and r.arrivals == [(6, 0, 3), (6, 0, 5)]
+    # Both arrive before tick 6; the record keeps the fresher one.
+    record = r._listed_deliveries()
+    assert [a.tolist() for a in record] == [[6], [0], [5]]
+    r._tick_plants(record)
     assert r.ages[1:6, 0].tolist() == [1, 2, 3, 4, 5]
     assert r.ages[6:8, 0].tolist() == [1, 2]
 
@@ -321,7 +324,8 @@ def test_aoi_tracker_never_regresses(gens):
     step 100 + n, and the plants stand still (a tick only records the
     estimate it finds), so every state stays as set."""
     r = hand_run()
-    group, j = r.at[0]
+    [group] = r.groups
+    j = 0
     group.X[:, j, 0, 0] = np.arange(len(group.X))
     seen, freshest, found = 0, {}, {}
     for n, g in enumerate(gens):
@@ -333,7 +337,7 @@ def test_aoi_tracker_never_regresses(gens):
         m.setattr(_Plants, "tick",
                   lambda g, t: g is group
                   and found.setdefault(t, g.xhat[j].item()))
-        r._tick_plants()
+        r._tick_plants(r._listed_deliveries())
     for t, seen in freshest.items():
         assert found[t] == float(seen) and r.ages[t, 0] == t - seen
 

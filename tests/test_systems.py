@@ -1,5 +1,5 @@
 """Plant models and controller synthesis, and the loop model as the
-engine runs it: the plant step, the controller's replay of a stale sample,
+engine runs it: the plant step, the controller's take-in of a stale sample,
 the control law and the stage cost of :class:`ncsim.engine._Plants`."""
 import numpy as np
 import pytest
@@ -77,7 +77,8 @@ def replay(sys, x, inputs):
     plants = one_loop(sys, steps=len(inputs))
     plants.X[0] = col(x)
     plants.U[:len(inputs)] = np.reshape(inputs, (len(inputs), 1, sys.m, 1))
-    return plants.replay(0, 0, len(inputs))[:, 0]
+    plants.receive(np.zeros(1, np.int64), len(inputs), len(inputs) + 1)
+    return plants.xhat[0, :, 0]
 
 
 def control(sys, xhat):
@@ -114,7 +115,7 @@ def test_step_plant_equilibrium():
     assert np.all(plants.X == 0.0) and np.all(plants.U == 0.0)
 
 
-# ---- the controller's estimate: _Plants.replay ----------------------------
+# ---- the controller's estimate: _Plants.receive ---------------------------
 
 def test_estimate_single_addend():
     assert replay(scalar_sys(1.0), [3.0], [[1.0]]) == pytest.approx([4.0])
