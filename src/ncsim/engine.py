@@ -38,6 +38,12 @@ ends, the window's ages, errors and costs are summed in step order, a
 block of steps at a time, and the metrics reduce each replication's rows
 of sums, counts and divergence flags.
 
+A loop's age depends only on when its samples are delivered, so an
+age-only batch (``ages_only=True``, which theory validation asks for)
+builds and ticks no plant: it takes its ages from the delivery record
+alone and reports the same ages, errors, counts and fractions as the full
+batch, with a nan stage cost and no claim about divergence.
+
 Random draws come from one stream per loop and purpose (noise, access,
 channel; the shared channel stream is loop id 0's), the stream
 ``np.random.default_rng((seed, loop id, purpose))`` gives.  A batch does
@@ -429,6 +435,11 @@ class _Run:
     run ends, ``diverged`` flags the rows that left the divergence bound,
     and the metrics are reduced from them.
 
+    An age-only batch (``ages_only``) has no plant groups: it only sets
+    the ages from the record (:meth:`_set_ages`), sums no stage cost and
+    flags no divergence, so its results carry a nan stage cost and no
+    divergence flags (None).  It keeps no series, which need states.
+
     The batch is its replications' gateways: one
     :class:`~ncsim.metrics.MseTable` (``table``) holds the error curves, as
     a curve depends only on its plant, and one MEF pass per frame
@@ -439,13 +450,17 @@ class _Run:
     results.
     """
 
-    def __init__(self, cfg: SimConfig, seeds=None):
+    def __init__(self, cfg: SimConfig, seeds=None, ages_only: bool = False):
         self.cfg = cfg
         self.seeds = [cfg.seed] if seeds is None else list(seeds)
         if not (self.seeds and all(is_integer(s) and s >= 0
                                    for s in self.seeds)):
             raise ConfigurationError(
                 "need at least one seed, each a non-negative integer")
+        if ages_only and cfg.record_series:
+            raise ConfigurationError(
+                "an age-only run keeps no series: they need the states")
+        self.ages_only = ages_only
         self.policy = cfg.policy.resolved(cfg.n_loops)
         self.channel = cfg.channel
         self.N = N = cfg.n_loops
@@ -471,7 +486,7 @@ class _Run:
         loop, keys = row % N, row + row // N + 1
         sizes = [(sys.n, sys.m) for sys in table.plants]
         self.groups = []
-        for size in dict.fromkeys(sizes):
+        for size in () if ages_only else dict.fromkeys(sizes):
             # The group's plants, and each row's plant index among them
             # (-1 for rows of another size).
             ps = [p for p, other in enumerate(sizes) if other == size]
@@ -577,7 +592,8 @@ class _Run:
 
     def _window_sums(self) -> np.ndarray:
         """Each row's age, MSE, nMSE and stage cost summed over the
-        metrics window, as rows of a (4, R·N) array.
+        metrics window, as rows of a (4, R·N) array; an age-only run sums
+        no stage cost, and its row is nan.
 
         The steps are added in order, as a running total would add them,
         a block at a time with the total so far as each block's first row.
@@ -588,24 +604,27 @@ class _Run:
         can produce nan (inf times a zero weight); it counts as +inf.
         """
         table, width = self.table, self.R * self.N
-        total = np.zeros((4, width))
+        sums = np.full((4, width), math.nan)
+        # The quantities summed: all four, or the first three.
+        total = sums[:3 if self.ages_only else 4]
+        total[:] = 0.0
         block = max(1, _SUM_BLOCK_VALUES // width)
         for lo in range(self.t_start, self.t_end + 1, block):
             steps = slice(lo, min(lo + block, self.t_end + 1))
             ages = self.ages[steps]
-            values = np.empty((len(ages) + 1, 4, width))
+            values = np.empty((len(ages) + 1, len(total), width))
             values[0] = total
             rows = values[1:]
             rows[:, 0] = ages
             # The table's curves run over one replication's loops.
-            by_rep = rows.reshape(len(ages), 4, self.R, self.N)
+            by_rep = rows.reshape(len(ages), len(total), self.R, self.N)
             by_rep[:, 1], by_rep[:, 2] = table.mse_and_nmse(
                 ages.reshape(len(ages), self.R, self.N))
             for g in self.groups:
                 rows[:, 3, g.rows] = g.cost(g.X[steps], g.U[steps])[..., 0, 0]
             np.fmin(rows, math.inf, out=rows)
-            total = np.add.reduce(values, axis=0)
-        return total
+            np.add.reduce(values, axis=0, out=total)
+        return sums
 
     def _flag_diverged(self):
         """Flag each row whose state ever left the divergence bound."""
@@ -821,8 +840,11 @@ class _Run:
                 for lo, hi in self._blocks():
                     self._slots(lo, hi)
                 record = self._slotted_deliveries()
-            self._tick_plants(record)
-            self._flag_diverged()
+            if self.ages_only:
+                self._set_ages(record)
+            else:
+                self._tick_plants(record)
+                self._flag_diverged()
             sums = self._window_sums()
         return [self._result(r, sums) for r in range(self.R)]
 
@@ -833,7 +855,7 @@ class _Run:
         rows = slice(first, first + N)
         result = {"metrics": self.metrics.finalize(
                       *sums[:, rows], self.tx[rows], self.rx[rows],
-                      self.diverged[rows]),
+                      None if self.ages_only else self.diverged[rows]),
                   "seed": self.seeds[r]}
         if self.cfg.record_series:
             states = {}
@@ -848,21 +870,23 @@ class _Run:
         return result
 
 
-def run(cfg: SimConfig, seeds=None):
+def run(cfg: SimConfig, seeds=None, *, ages_only: bool = False):
     """One deterministic simulation run.  Given ``seeds``, the runs of
     ``cfg`` with each seed, ticked as one batch (:class:`_Run`), as a
-    list in seed order; each equals ``run(replace(cfg, seed=s))``."""
-    results = _Run(cfg, seeds).execute()
+    list in seed order; each equals ``run(replace(cfg, seed=s))``.  An
+    age-only run (``ages_only``) ticks no plant: see :class:`_Run`."""
+    results = _Run(cfg, seeds, ages_only).execute()
     return results[0] if seeds is None else results
 
 
-def _replicate(cfg: SimConfig, seeds: list[int]) -> list[dict]:
+def _replicate(cfg: SimConfig, seeds: list[int],
+               ages_only: bool) -> list[dict]:
     """Run ``cfg`` with each of ``seeds`` as one batch; a pool worker's
     unit of work.  The pool is handed this function rather than
     :func:`run` itself: a task's function is pickled by its module-level
     name, which a wrapper put in place of ``run`` (a tracer's closure)
     does not have, while this function looks ``run`` up when it runs."""
-    return run(cfg, seeds)
+    return run(cfg, seeds, ages_only=ages_only)
 
 
 class _InProcess:
@@ -915,7 +939,8 @@ def _batch_sizes(reps: int, n_loops: int, share: int) -> list[int]:
     return [size + (b < extra) for b in range(count)]
 
 
-def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1
+def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1, *,
+                         ages_only: bool = False
                          ) -> list[tuple[SimConfig, list[dict]]]:
     """``reps`` replications (seed, seed+1, ...) of each config, run in
     batches (:func:`run` with seeds), every batch a task in one pool of at
@@ -929,6 +954,9 @@ def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1
     :attr:`~ncsim.mac.SchedulerPolicy.needs_tuning`) is tuned as a task in
     the same pool, ahead of all runs, and its batches are queued as soon
     as the tuning returns, so they overlap the other configs' runs.
+    With ``ages_only`` every batch is an age-only run (see :class:`_Run`),
+    whose results :func:`summarize_replications` does not take: their
+    stage cost is nan and they flag no divergence.
     Returns, per config, the config as run (its policy resolved) and its
     replication results in seed order, identical for every ``jobs``.  A
     worker that dies surfaces as ``concurrent.futures.BrokenExecutor``; an
@@ -945,7 +973,8 @@ def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1
             cfg = replace(cfgs[k], policy=policy)
             seeds = iter(range(cfg.seed, cfg.seed + reps))
             sets[k] = cfg, [
-                pool.submit(_replicate, cfg, list(itertools.islice(seeds, n)))
+                pool.submit(_replicate, cfg, list(itertools.islice(seeds, n)),
+                            ages_only)
                 for n in splits[k]]
 
         tunings = {pool.submit(cfgs[k].policy.resolved, cfgs[k].n_loops): k

@@ -212,10 +212,12 @@ class MetricsAccumulator:
         """The means, delivery ratios and per-class shares of successful
         deliveries, from each loop's age, MSE, nMSE and stage cost summed
         over the window's steps, its window transmissions and receptions,
-        and whether it diverged.  The counts and flags are copied, so a
+        and whether it diverged (None where the run did not check, which
+        the result repeats).  The counts and flags are copied, so a
         result never shares memory with the run."""
         steps = self.t_end - self.t_start + 1
-        tx, rx, diverged = tx.copy(), rx.copy(), diverged.copy()
+        tx, rx = tx.copy(), rx.copy()
+        diverged = None if diverged is None else diverged.copy()
         per_loop = {
             "aoi_mean": aoi / steps,
             "mse_mean": mse / steps,
@@ -237,7 +239,8 @@ class MetricsAccumulator:
             "mse_mean": float(np.mean(per_loop["mse_mean"])),
             "nmse_mean": float(np.mean(per_loop["nmse_mean"])),
             "lqg_mean": float(np.mean(per_loop["lqg_mean"])),
-            "any_diverged": bool(diverged.any()),
+            "any_diverged": (None if diverged is None
+                             else bool(diverged.any())),
         }
         return {
             "per_loop": per_loop,

@@ -69,6 +69,26 @@ def test_traced_workload_keeps_its_outputs_and_loop_steps(tmp_path, name):
     assert layers["engine.loop_steps"] == workloads.loop_steps(specs)
 
 
+def test_traced_cli_jobs2_keeps_its_outputs(tmp_path):
+    """``cli_jobs2`` under the installed tracer: its pool workers fork
+    with the tracer's ``engine.run`` in place, which must hand validate's
+    age-only runs their keyword on, and the outputs keep their reference
+    digests.  Its loop-step count is not checked: the tracer counts one
+    replication per batch."""
+    paths = workloads.write_configs("cli_jobs2", 0, str(tmp_path))
+    specs, _ = workloads.set_up(paths)
+    out_dir = str(tmp_path / "out")
+    tracer = _load("tracing").Tracer()
+    tracer.install()
+    try:
+        produced = workloads.operate(specs, paths, out_dir)
+    finally:
+        tracer.uninstall()
+    assert workloads.check(specs, produced, out_dir) == []
+    assert workloads.digests(specs, produced, out_dir) == \
+        REFERENCE["cli_jobs2"]["0"]
+
+
 def test_tracer_uninstall_restores_every_patched_attribute():
     concurrent.futures.ProcessPoolExecutor     # loaded on first access
     owners = [ncsim.aoi, ncsim.cli, ncsim.engine, ncsim.experiments,

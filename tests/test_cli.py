@@ -412,7 +412,8 @@ def test_pool_never_exceeds_task_count(tmp_path, pools):
 
 def test_dead_worker_exits_one(tmp_path, monkeypatch, capsys):
     # Forked workers inherit the patch and die mid-task.
-    monkeypatch.setattr(ncsim.engine, "run", lambda cfg, seeds: os._exit(1))
+    monkeypatch.setattr(ncsim.engine, "run",
+                        lambda cfg, seeds, **kw: os._exit(1))
     rc = main(["run", "--config", cfg_file(tmp_path, RUN_CFG),
                "--out", str(tmp_path / "res"), "--jobs", "2"])
     assert rc == 1
@@ -421,7 +422,7 @@ def test_dead_worker_exits_one(tmp_path, monkeypatch, capsys):
 
 def test_worker_invariant_violation_reaches_caller(tmp_path, monkeypatch,
                                                    capsys):
-    def violate(cfg, seeds):
+    def violate(cfg, seeds, **kw):
         raise InvariantViolation(f"rx > tx in seed {seeds[0]}")
 
     monkeypatch.setattr(ncsim.engine, "run", violate)

@@ -863,6 +863,64 @@ def test_batch_equals_lone_runs(batch):
         assert bits(result) == bits(run(replace(cfg, seed=seed)))
 
 
+# ---- age-only runs: the full run's ages without its plants ----------------
+
+def _without_plant_results(result):
+    """A result's metrics less the stage cost and the divergence flags,
+    which an age-only run does not compute."""
+    m = copy.deepcopy(result["metrics"])
+    for part, keys in (("per_loop", ("lqg_mean", "diverged")),
+                       ("network", ("lqg_mean", "any_diverged"))):
+        for key in keys:
+            del m[part][key]
+    return {**result, "metrics": m}
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=batch_configs())
+def test_age_only_run_equals_full_run(batch):
+    """An age-only batch gives, bit for bit, the full batch's per-loop and
+    network ages, MSEs and nMSEs, tx and rx counts, delivery ratios and
+    fractions; its stage cost reads nan and it flags no divergence."""
+    cfg, seeds = batch
+    cfg = replace(cfg, record_series=False)
+    full = run(cfg, seeds)
+    ages_only = run(cfg, seeds, ages_only=True)
+    for whole, result in zip(full, ages_only):
+        assert bits(_without_plant_results(result)) == bits(
+            _without_plant_results(whole))
+        per_loop, network = (result["metrics"][k]
+                             for k in ("per_loop", "network"))
+        assert np.isnan(per_loop["lqg_mean"]).all()
+        assert math.isnan(network["lqg_mean"])
+        assert per_loop["diverged"] is None
+        assert network["any_diverged"] is None
+
+
+def test_age_only_run_rejects_series():
+    """Series hold the loops' states, which an age-only run never
+    computes."""
+    cfg = cfg_for(3, "round_robin", series=True)
+    with pytest.raises(ConfigurationError, match="series"):
+        run(cfg, ages_only=True)
+
+
+def test_age_only_run_builds_no_noise_stream(monkeypatch):
+    """A batch of validate's round-robin shape (N = 5, R = 4) on the ideal
+    channel draws only noise, one stream per row; an age-only batch builds
+    no plant group and so no stream at all."""
+    built = []
+    stream = ncsim.engine._stream
+    monkeypatch.setattr(ncsim.engine, "_stream",
+                        lambda words: (built.append(1), stream(words))[1])
+    cfg = cfg_for(5, "round_robin")
+    r = _Run(cfg, seeds=range(4), ages_only=True)
+    r.execute()
+    assert r.groups == [] and built == []
+    _Run(cfg, seeds=range(4)).execute()
+    assert len(built) == 20
+
+
 # ---- slotted medium access: blocks of slots against one slot at a time ----
 
 def reference_access(r):
@@ -979,8 +1037,8 @@ def test_batches_do_not_change_results(monkeypatch):
                                         erasure_prob=0.05))
     batches = []
     engine_run = ncsim.engine.run
-    monkeypatch.setattr(ncsim.engine, "run", lambda cfg, seeds: (
-        batches.append(seeds), engine_run(cfg, seeds))[1])
+    monkeypatch.setattr(ncsim.engine, "run", lambda cfg, seeds, **kw: (
+        batches.append(seeds), engine_run(cfg, seeds, **kw))[1])
     lone = [bits(run(replace(cfg, seed=s))) for s in range(5)]
     [(_, serial)] = run_replication_sets([cfg], reps=5, jobs=1)
     assert batches == [[0, 1, 2, 3, 4]]

@@ -14,9 +14,9 @@ import ncsim.engine
 import ncsim.experiments
 from ncsim.channel import ChannelConfig
 from ncsim.errors import ConfigurationError
-from ncsim.experiments import (DEFAULT_COMPARISON_CHANNEL, ExperimentSpec,
-                               _write_csv, emit_nmse_curves, emit_results,
-                               emit_validation, parse_config,
+from ncsim.experiments import (DEFAULT_COMPARISON_CHANNEL, THEORY,
+                               ExperimentSpec, _write_csv, emit_nmse_curves,
+                               emit_results, emit_validation, parse_config,
                                pendulum_case_study, run_single,
                                validate_theory)
 from ncsim.mac import SchedulerPolicy
@@ -63,8 +63,8 @@ def test_pendulum_adds_the_raw_ablation_only_when_unlisted(monkeypatch):
     reported once, in list order."""
     runs = []
     engine_run = ncsim.engine.run
-    monkeypatch.setattr(ncsim.engine, "run", lambda cfg, seeds: runs.append(
-        cfg) or engine_run(cfg, seeds))
+    monkeypatch.setattr(ncsim.engine, "run", lambda cfg, seeds, **kw: (
+        runs.append(cfg) or engine_run(cfg, seeds, **kw)))
     spec = tiny_spec(scenario="pendulum", duration_s=1.0, warmup_s=0.3,
                      cooldown_s=0.2, replications=1)
     for protocols, labels in (
@@ -273,6 +273,28 @@ def test_validate_runs_contention_protocols_only_inside_n_range():
     with pytest.raises(ConfigurationError,
                        match=r"slotted_aloha.*n_range \[8, 10\]"):
         validate_theory(replace(spec, n_range=(8, 10)))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_validate_builds_no_plant(monkeypatch, jobs):
+    """Validation reads only mean ages, so none of its runs builds a
+    plant group.  At jobs=2 the forked workers inherit the patch: a full
+    run in the same pool fails on it."""
+    def refuse(*args):
+        raise RuntimeError("a plant group was built")
+
+    monkeypatch.setattr(ncsim.engine._Plants, "__init__", refuse)
+    spec = tiny_spec(scenario="validate", channel=ChannelConfig(),
+                     protocols=[SchedulerPolicy(v) for v in THEORY],
+                     n_range=(3, 4), duration_s=10.0, replications=4)
+    report = validate_theory(spec, jobs=jobs)
+    assert report["passed"]
+    assert [(r["protocol"], r["N"]) for r in report["rows"]] == [
+        ("round_robin", 3), ("round_robin", 4), ("slotted_aloha", 3),
+        ("adra", 3)]
+    with pytest.raises(RuntimeError, match="plant group"):
+        ncsim.engine.run_replication_sets([spec.sim_config(3, SchedulerPolicy(
+            "round_robin"))], reps=2, jobs=jobs)
 
 
 @pytest.mark.parametrize("duration, cooldown, t_end",
