@@ -87,8 +87,8 @@ def solve_adra_q(N: int, delta: int, p: float) -> float:
 
 
 def _solve_adra_q(N: int, delta: int, p: float) -> float:
-    """:func:`solve_adra_q` without the integer checks, for the tuning,
-    whose objective solves about a thousand fixed points per tuning."""
+    """:func:`solve_adra_q` without the integer checks, for the tuning's
+    objective, which solves one fixed point per evaluation."""
     if N < 1:
         raise ConfigurationError("N must be >= 1")
     if delta < 0:
@@ -132,6 +132,22 @@ def _adra_mean_aoi(N: int, delta: int, p: float, q: float | None = None) -> floa
         q = _solve_adra_q(N, delta, p)
     pq = p * q
     return delta / 2 + 1 / pq - delta / (2 * (delta * pq + 1 - pq))
+
+
+def _adra_bound(delta, p):
+    """A lower bound on :func:`adra_mean_aoi` at a threshold ``delta`` >= 2
+    over every access probability up to ``p``: the closed form at q = 1.
+
+    With s = p q the closed form reads
+
+        f(s) = delta/2 + 1/s - delta / (2 (1 + (delta-1) s)),
+
+    which strictly decreases in s: with u = (delta-1) s, f'(s) < 0 reads
+    2 (1+u)^2 > delta/(delta-1) u^2, and delta/(delta-1) <= 2.  Since
+    q lies in (0, 1], s <= p, so every value is at least f(p).  At p = 1
+    the bound is (delta+1)/2.  ``delta`` and ``p`` may be arrays.
+    """
+    return delta / 2 + 1 / p - delta / (2 * (1 + (delta - 1) * p))
 
 
 def cold_start_drain(N: int, p: float) -> float:
@@ -294,6 +310,10 @@ _XATOL = 1e-6
 _MAX_EVALS = 500
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# optimize_adra skips a threshold only when its lower bound, shrunk by this
+# relative margin, is still not below the best value: rounding of the bound
+# or of a value (a few ulp) can then only keep a threshold, never drop one.
+_BOUND_MARGIN = 1e-12
 
 
 def _bounded_min(f, a: float, b: float) -> tuple[float, float]:
@@ -375,14 +395,20 @@ def optimize_adra(N: int) -> tuple[int, float]:
     Thresholds 0 and 1 leave every loop always eligible, which is slotted
     access, whose optimum (0, 1/N) is the starting best.  The thresholds
     2.._DELTA_MAX are scanned over a coarse grid of access probabilities
-    in three steps:
+    in four steps:
 
     - one mask of the feasible (threshold, p) points (see
       :func:`adra_model_valid` and :func:`_feasible_mask`), with each
       p's cold-start drain summed once and only up to the cap of
       _DELTA_MAX - 1 slots;
-    - one array pass of the fixed point over every feasible point
-      (:func:`_coarse_values`);
+    - per threshold, a lower bound on every value it can offer: the
+      closed form at q = 1 and its largest feasible grid p
+      (:func:`_adra_bound`).  Every grid point, polished p and fallback
+      of the threshold lies at or below that p, so a threshold whose
+      bound is not below the best so far cannot win and is skipped; the
+      thresholds whose bound does not beat slotted access leave the mask;
+    - one array pass of the fixed point over every point left in the
+      mask (:func:`_coarse_values`);
     - per threshold, in order: the scalar closed form ranks the pass's
       shortlist (:func:`_coarse_argmin`), a bounded scalar search
       (:func:`_bounded_min`) polishes p within 0.01 of that grid point,
@@ -400,9 +426,14 @@ def optimize_adra(N: int) -> tuple[int, float]:
     if not mask.any():
         return 0, 1.0 / N
     best = (sa_mean_aoi(N, 1.0 / N), 0, 1.0 / N)
-    for delta, row, coarse_val in zip(_THRESHOLDS.tolist(), mask,
-                                      _coarse_values(N, mask)):
-        if not coarse_val.size:
+    with np.errstate(divide="ignore"):   # an empty row's bound is inf
+        bound = _adra_bound(_THRESHOLDS, (_P_GRID * mask).max(axis=1))
+    bound *= 1 - _BOUND_MARGIN
+    mask &= (bound < best[0])[:, None]
+    for delta, row, low, coarse_val in zip(_THRESHOLDS.tolist(), mask,
+                                           bound.tolist(),
+                                           _coarse_values(N, mask)):
+        if not coarse_val.size or low >= best[0]:
             continue
         feasible = _P_GRID[row].tolist()
         coarse = _coarse_argmin(N, delta, feasible, coarse_val)

@@ -955,8 +955,8 @@ def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1, *,
     the same pool, ahead of all runs, and its batches are queued as soon
     as the tuning returns, so they overlap the other configs' runs.
     With ``ages_only`` every batch is an age-only run (see :class:`_Run`),
-    whose results :func:`summarize_replications` does not take: their
-    stage cost is nan and they flag no divergence.
+    whose results :func:`summarize_replications` rejects: their stage
+    cost is nan and they flag no divergence.
     Returns, per config, the config as run (its policy resolved) and its
     replication results in seed order, identical for every ``jobs``.  A
     worker that dies surfaces as ``concurrent.futures.BrokenExecutor``; an
@@ -995,7 +995,13 @@ def summarize_replications(results: list[dict]) -> dict:
     A metric without a meaningful interval gets an unbounded half-width,
     and ``summary["unbounded"]`` maps it to the reason: one replication,
     a non-finite replication mean, or a spread beyond float64 (heavy
-    tails of a diverging network)."""
+    tails of a diverging network).  Age-only results (see :func:`run`)
+    raise :class:`ConfigurationError`: they carry no stage cost and no
+    divergence flag to summarize."""
+    if any(r["metrics"]["network"]["any_diverged"] is None for r in results):
+        raise ConfigurationError(
+            "age-only results carry no stage cost or divergence to "
+            "summarize")
     reps = len(results)
     summary, unbounded = {}, {}
     for key in ("aoi_mean", "mse_mean", "nmse_mean", "lqg_mean"):

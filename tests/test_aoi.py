@@ -257,6 +257,28 @@ def test_optimize_adra_solves_nothing_from_n20(N, monkeypatch):
     assert optimize_adra(N) == (0, 1 / N)
 
 
+def test_optimize_adra_polishes_only_thresholds_its_bound_keeps(monkeypatch):
+    """At N = 3 the array pass sees only the feasible rows whose lower
+    bound beats slotted access, and at most two of the 55 feasible
+    thresholds are polished (the winner is threshold 6)."""
+    N = 3
+    mask = aoi._feasible_mask(N)
+    passes, searches = [], []
+    grid, bounded_min = aoi._adra_mean_aoi_grid, aoi._bounded_min
+    monkeypatch.setattr(aoi, "_adra_mean_aoi_grid",
+                        lambda *a: passes.append(a[1:]) or grid(*a))
+    monkeypatch.setattr(aoi, "_bounded_min",
+                        lambda *a: searches.append(a) or bounded_min(*a))
+    assert optimize_adra(N) == (6, float.fromhex(ADRA_PAIRS[N][1]))
+    assert 0 < len(searches) <= 2
+    (deltas, ps), = passes
+    sa = sa_mean_aoi(N, 1 / N)
+    for delta in np.unique(deltas).tolist():
+        row = mask[delta - THRESHOLDS[0]]
+        assert aoi._adra_bound(delta, aoi._P_GRID[row].max()) < sa, delta
+        assert ps[deltas == delta].tolist() == aoi._P_GRID[row].tolist()
+
+
 def scipy_bounded(f, lo, hi):
     """``(x, f(x)).hex()`` of scipy's bounded search, as optimize_adra ran
     it before the port."""
@@ -349,6 +371,17 @@ def test_bounded_min_is_scipys_on_adra_brackets(N, data):
     assert port_bounded(f, lo, hi) == scipy_bounded(f, lo, hi)
 
 
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(3, 19), data=st.data())
+def test_adra_bound_is_below_every_feasible_value(N, data):
+    """No feasible grid point's mean age lies below the threshold's bound
+    at that point, which optimize_adra relies on to skip thresholds."""
+    delta = data.draw(st.integers(2, 60).filter(
+        lambda d: feasible_ps(N, d)), label="delta")
+    p = data.draw(st.sampled_from(feasible_ps(N, delta)), label="p")
+    assert aoi._adra_mean_aoi(N, delta, p) >= aoi._adra_bound(delta, p)
+
+
 def test_optimize_adra_rejects_small_networks():
     with pytest.raises(ConfigurationError):
         optimize_adra(2)
@@ -381,8 +414,9 @@ def test_numpy_integer_sizes_are_accepted():
 
 
 def test_tuning_checks_sizes_outside_its_objective(monkeypatch):
-    """The tuning checks its N once and each threshold's re-check once;
-    the objective, evaluated about a thousand times, checks nothing."""
+    """The tuning checks its N once and each polished threshold's
+    re-check once; the objective, evaluated at every shortlisted grid
+    point and every step of each bounded search, checks nothing."""
     calls = []
     is_integer = aoi.is_integer
     monkeypatch.setattr(aoi, "is_integer",

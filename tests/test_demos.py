@@ -8,7 +8,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DEMOS = {
-    "adra_tuning.py": ["--n-max", "7"],
+    "adra_tuning.py": ["--n-max", "19"],
     "error_vs_age.py": ["--max-age", "3"],
     "protocol_comparison.py": ["--reps", "1", "--n", "3", "--jobs", "2"],
     "pendulum_study.py": ["--reps", "1"],

@@ -905,6 +905,14 @@ def test_age_only_run_rejects_series():
         run(cfg, ages_only=True)
 
 
+def test_summary_rejects_age_only_results():
+    """Age-only results flag no divergence and have no stage cost, so
+    there is nothing to count or to bound for them."""
+    cfg = cfg_for(3, "round_robin")
+    with pytest.raises(ConfigurationError, match="age-only"):
+        summarize_replications(run(cfg, range(2), ages_only=True))
+
+
 def test_age_only_run_builds_no_noise_stream(monkeypatch):
     """A batch of validate's round-robin shape (N = 5, R = 4) on the ideal
     channel draws only noise, one stream per row; an age-only batch builds
