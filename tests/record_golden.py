@@ -10,7 +10,8 @@ mixes, N=6, 2 replications of 2 s each), a diverging network under every
 policy, an N=40 pendulum mix under six policies, the age-threshold
 policy at threshold 1 (which never gates), an N=3 mix whose
 pendulum is alone in its dimension group and a single loop, each under every
-policy, and writes, per case,
+policy, then four schedulers on an N=12 pendulum mix and an N=7 scalar
+mix between them in one ``run_replication_sets`` call, and writes, per case,
 the SHA-256 of the ``per_run.csv`` that ``emit_results`` writes and of every
 loop's AoI and state series.  Results must stay bit-for-bit identical across
 refactors, so regenerate the file only when results are meant to change.
@@ -26,7 +27,8 @@ import tempfile
 import numpy as np
 
 from ncsim.channel import ChannelConfig
-from ncsim.engine import SimConfig, run_replications, systems_from_classes
+from ncsim.engine import (SimConfig, run_replication_sets, run_replications,
+                          summarize_replications, systems_from_classes)
 from ncsim.experiments import emit_results
 from ncsim.mac import PROTOCOLS, SchedulerPolicy
 from ncsim.systems import LtiSystem, make_preset
@@ -63,6 +65,9 @@ WIDE_VARIANTS = ("aloha", "mef", "pmef", "slotted_aloha", "adra",
 LOW_THRESHOLD_PARAMS = {"adra": {"threshold": 1, "p": 0.3}}
 # A one-loop network: slotted ALOHA's default p = 1/N would be 1.
 SINGLE_PARAMS = {**POLICY_PARAMS, "slotted_aloha": {"p": 0.5}}
+# Configs run in one call: the schedulers' batches have the same seeds,
+# loops and steps, and the scalar network between them has another size.
+SHARED_N, SHARED_SCALAR_N = 12, 7
 
 
 def _config(systems, variant, channel, params=POLICY_PARAMS):
@@ -105,6 +110,20 @@ def cases():
             systems, variant, CHANNELS["capture"], SINGLE_PARAMS)
 
 
+def shared_cases():
+    """(case name, SimConfig) of the configs run together in one
+    ``run_replication_sets`` call, in call order."""
+    channel = CHANNELS["capture"]
+    pendulum = systems_from_classes(SHARED_N, MIXES["pendulum"])
+    scalar = systems_from_classes(SHARED_SCALAR_N, MIXES["scalar"])
+    shared = lambda variant: (f"shared-pendulum-{variant}",
+                              _config(pendulum, variant, channel))
+    return [shared("round_robin"), shared("mef"),
+            ("shared-scalar-round_robin",
+             _config(scalar, "round_robin", channel)),
+            shared("wifresh"), shared("pmef")]
+
+
 def _series_digest(res) -> str:
     h = hashlib.sha256()
     for r in res["replications"]:
@@ -118,10 +137,14 @@ def _series_digest(res) -> str:
 
 def fingerprint() -> dict:
     """case name -> {"per_run.csv": sha256, "series": sha256}."""
+    runs = [(name, cfg, run_replications(cfg, REPS))
+            for name, cfg in cases()]
+    names, cfgs = zip(*shared_cases())
+    runs += [(name, cfg, summarize_replications(results)) for name, (
+        cfg, results) in zip(names, run_replication_sets(list(cfgs), REPS))]
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, cfg in cases():
-            res = run_replications(cfg, REPS)
+        for name, cfg, res in runs:
             emit_results({(cfg.policy.variant, cfg.n_loops): res}, tmp)
             with open(os.path.join(tmp, "per_run.csv"), "rb") as fh:
                 csv_digest = hashlib.sha256(fh.read()).hexdigest()
