@@ -52,7 +52,12 @@ key of every replication in one pass of numpy's SeedSequence hash over
 arrays of seeds and loop ids (:func:`_seed_words`) and starts each
 stream's PCG64 from its row, so every draw keeps its bits.  The
 contention streams are read through buffers drawn a block at a time,
-which gives the same values.
+which gives the same values.  A group of rows draws its process noise
+whole when its batch is built, and the draw depends only on the rows'
+seed words, the steps and the noise scales, so in one
+:func:`run_replication_sets` call, batches that would draw equal noise
+(the protocols of one network, seeds and duration) share one read-only
+array (:func:`_process_noise`).
 
 :func:`run_replication_sets` is the one path that runs replications:
 each config's policy tuning and batches of seeded runs are tasks of one
@@ -290,7 +295,7 @@ def _seed_state() -> type:
     one row of :func:`_seed_words`, the four 64-bit words PCG64 asks for.
 
     Defined on first use: subclassing numpy's ISeedSequence imports
-    numpy.random (about 0.2 s), which ``import ncsim`` does not load.
+    numpy.random (12-17 ms), which ``import ncsim`` does not load.
     """
     from numpy.random.bit_generator import ISeedSequence
 
@@ -316,6 +321,38 @@ def _stream(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_state()(words)))
 
 
+# While run_replication_sets runs, in its process and in its forked
+# workers: the process noise of the batch built last, by the inputs that
+# fix it (see _process_noise).  None outside a call, which shares nothing.
+_noise_share: dict | None = None
+
+
+def _process_noise(draws, steps: int) -> list[np.ndarray]:
+    """Each (words, std) group's process noise for steps 0..steps, shape
+    (steps + 1, k, n, 1) and read-only: row j's stream, seeded by
+    ``words[j]``, draws (steps + 1, n) normals, scaled by ``std[j]``.
+
+    Nothing else enters the draw, so while :func:`run_replication_sets`
+    shares noise, a group keyed as one of the last batch's takes its
+    array.  The share first drops every array this batch does not take,
+    so it never holds two batches' noise."""
+    share = {} if _noise_share is None else _noise_share
+    keys = [(words.tobytes(), steps, std.shape[1], std.tobytes())
+            for words, std in draws]
+    for key in share.keys() - set(keys):
+        del share[key]
+    for key, (words, std) in zip(keys, draws):
+        if key not in share:
+            k, n = std.shape
+            noise = np.empty((steps + 1, k, n, 1))
+            for j, row in enumerate(words):
+                noise[:, j, :, 0] = _stream(row).normal(size=(steps + 1, n))
+            noise[..., 0] *= std
+            noise.flags.writeable = False
+            share[key] = noise
+    return [share[key] for key in keys]
+
+
 class _Plants:
     """Loops of one state size n and input size m, stepped as stacks.
 
@@ -323,10 +360,12 @@ class _Plants:
     is ``plants[plant[j]]``.  States and inputs are stacks of columns,
     shape (k, n, 1) and (k, m, 1), kept for the whole run: ``X[t]`` is
     x[t], ``U[t]`` the input applied at step t and ``noise[t]`` the
-    process noise added after it, drawn from the row's own stream, seeded
-    by its row of ``words``.  ``xhat`` is the estimate of the last tick,
-    and a tick writes it, the input and the state in place; delivered
-    samples set estimates a set of rows at a time (:meth:`receive`).
+    process noise added after it, which the batch draws whole from the
+    row's own stream, scaled by ``noise_std`` (:func:`_process_noise`); it
+    is only read, and may be shared with another batch's group.  ``xhat``
+    is the estimate of the last tick, and a tick writes it, the input and
+    the state in place; delivered samples set estimates a set of rows at
+    a time (:meth:`receive`).
     Tick t >= 1 writes x[t + 1], so x[1] is never computed: it stays
     x[0] = 0, a sample of generation 1 carries a zero state, and
     ``noise[0]`` is drawn only to keep the stream's later draws.
@@ -336,7 +375,7 @@ class _Plants:
     """
 
     def __init__(self, plants, plant: np.ndarray, rows: np.ndarray,
-                 steps: int, words: np.ndarray):
+                 steps: int):
         k, n, m = len(rows), plants[0].n, plants[0].m
         self.rows = rows
         self.X = np.zeros((steps + 2, k, n, 1))
@@ -344,10 +383,8 @@ class _Plants:
         # Per-plant parameters, gathered by each row's plant index.
         stack = lambda entry: np.array([entry(s) for s in plants],
                                        float)[plant]
-        self.noise = np.empty((steps + 1, k, n, 1))
-        for j, row in enumerate(words):
-            self.noise[:, j, :, 0] = _stream(row).normal(size=(steps + 1, n))
-        self.noise[..., 0] *= stack(lambda s: s.noise_std)
+        self.noise_std = stack(lambda s: s.noise_std)
+        self.noise = None          # the batch draws it for all its groups
         self.xhat = np.zeros((k, n, 1))
         self.A, self.B = stack(lambda s: s.A), stack(lambda s: s.B)
         self.Q, self.R = stack(lambda s: s.Q), stack(lambda s: s.R)
@@ -493,9 +530,12 @@ class _Run:
             plant = np.array([ps.index(p) if p in ps else -1
                               for p in range(len(sizes))])[table.plant[loop]]
             rows = (plant >= 0).nonzero()[0]
-            self.groups.append(_Plants(
-                [table.plants[p] for p in ps], plant[rows], rows, self.steps,
-                words[_RNG_NOISE, keys[rows]]))
+            self.groups.append(_Plants([table.plants[p] for p in ps],
+                                       plant[rows], rows, self.steps))
+        noise = _process_noise([(words[_RNG_NOISE, keys[g.rows]], g.noise_std)
+                                for g in self.groups], self.steps)
+        for g, w in zip(self.groups, noise):
+            g.noise = w
         # Batch row -> its channel stream, built on its first draw: most
         # loops of a short large-N scheduled run never draw, and a stream
         # depends only on its seed words, so building it late moves no draw.
@@ -907,12 +947,26 @@ def _pool(workers: int):
         yield _InProcess()
         return
     # The default start method, fork on Linux: workers begin with the
-    # parent's modules loaded instead of importing them again.
+    # parent's modules loaded instead of importing them again, numpy.random
+    # included once it is loaded here.
+    _seed_state()
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
     try:
         yield pool
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+@contextlib.contextmanager
+def _sharing_noise():
+    """Share equal process noise draws (:func:`_process_noise`) while the
+    block runs, also in the workers of a pool forked inside it."""
+    global _noise_share
+    _noise_share = {}
+    try:
+        yield
+    finally:
+        _noise_share = None
 
 
 def run_replications(cfg: SimConfig, reps: int,
@@ -957,6 +1011,9 @@ def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1, *,
     With ``ages_only`` every batch is an age-only run (see :class:`_Run`),
     whose results :func:`summarize_replications` rejects: their stage
     cost is nan and they flag no divergence.
+    Batches whose process noise would be equal draw it once (see
+    :func:`_process_noise`): in this process for one job, in each worker
+    for more; the share ends with the call.
     Returns, per config, the config as run (its policy resolved) and its
     replication results in seed order, identical for every ``jobs``.  A
     worker that dies surfaces as ``concurrent.futures.BrokenExecutor``; an
@@ -968,7 +1025,8 @@ def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1, *,
     splits = [_batch_sizes(reps, cfg.n_loops, -(-jobs // len(cfgs)))
               for cfg in cfgs]
     sets = [None] * len(cfgs)
-    with _pool(min(jobs, len(tune) + sum(map(len, splits)))) as pool:
+    with _sharing_noise(), _pool(
+            min(jobs, len(tune) + sum(map(len, splits)))) as pool:
         def submit(k, policy):
             cfg = replace(cfgs[k], policy=policy)
             seeds = iter(range(cfg.seed, cfg.seed + reps))

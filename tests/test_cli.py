@@ -458,6 +458,20 @@ def test_import_loads_no_scipy():
     assert modules_after("import ncsim", "numpy.random") == "[]"
 
 
+def test_pool_workers_start_with_numpy_random():
+    """A process pool loads numpy.random before it forks its workers, so
+    they do not each import it again on their first stream.  ``eval`` is
+    pickled by name, and its expression runs in the worker."""
+    code = ("import sys\n"
+            "from ncsim.engine import _pool\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "with _pool(2) as pool:\n"
+            "    assert pool.submit(\n"
+            "        eval, \"'numpy.random' in __import__('sys').modules\"\n"
+            "    ).result()\n")
+    assert "'numpy.random'" in modules_after(code, "numpy.random")
+
+
 # One replication of a parameter-free adra at N=5, so optimize_adra's
 # bounded search runs (N=5 tunes to threshold 12).
 TUNED_RUN = (

@@ -799,6 +799,10 @@ UNSTABLE = LtiSystem(A=[[1e30]], B=[[1.0]], noise_cov=[[1.0]], Q=[[1.0]],
                      R=[[1.0]], name="unstable")
 BATCH_SYSTEMS = {c: make_preset(c) for c in CLASSES}
 BATCH_SYSTEMS["unstable"] = UNSTABLE
+# The mid plant with twice its noise's standard deviation: the scalar
+# presets all have the same.
+NOISY = LtiSystem(A=[[1.1]], B=[[1.0]], noise_cov=[[4.0]], Q=[[100.0]],
+                  R=[[1.0]], gain=BATCH_SYSTEMS["mid"].gain, name="noisy")
 
 
 def bits(value):
@@ -861,6 +865,41 @@ def test_batch_equals_lone_runs(batch):
     assert len(batched) == len(seeds)
     for seed, result in zip(seeds, batched):
         assert bits(result) == bits(run(replace(cfg, seed=seed)))
+
+
+@st.composite
+def config_lists(draw):
+    """Two to four configs around one that ``batch_configs`` draws, for
+    one call: each takes a drawn policy, channel and series flag, and
+    keeps the first config's loops, duration and seed or changes them
+    (other loops, the same loops in another class order or with noisier
+    scalar plants, 0.5 s, another seed), so some configs draw equal
+    process noise and some do not."""
+    (first, _), cfgs = draw(batch_configs()), []
+    for _ in range(draw(st.integers(2, 4))):
+        other, _ = draw(batch_configs())
+        systems = draw(st.sampled_from([
+            first.systems, first.systems[1:] + first.systems[:1],
+            [NOISY if s.n == 1 else s for s in first.systems],
+            other.systems]))
+        cfgs.append(replace(
+            first, systems=systems, policy=other.policy,
+            channel=other.channel, record_series=other.record_series,
+            duration_s=draw(st.sampled_from([0.4, 0.5])),
+            seed=draw(st.sampled_from([first.seed, 3, 2**64 - 1]))))
+    return cfgs
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfgs=config_lists(), reps=st.integers(1, 3))
+def test_one_call_equals_lone_runs(cfgs, reps):
+    """Each config of one call gives, bit for bit, the results of its lone
+    batch, with one job and with two, whichever configs share a noise
+    draw."""
+    lone = [bits(run(cfg, range(cfg.seed, cfg.seed + reps))) for cfg in cfgs]
+    for jobs in (1, 2):
+        sets = run_replication_sets(cfgs, reps, jobs)
+        assert [bits(results) for _, results in sets] == lone
 
 
 # ---- age-only runs: the full run's ages without its plants ----------------
@@ -927,6 +966,47 @@ def test_age_only_run_builds_no_noise_stream(monkeypatch):
     assert r.groups == [] and built == []
     _Run(cfg, seeds=range(4)).execute()
     assert len(built) == 20
+
+
+def test_equal_noise_draws_are_shared_within_a_call(monkeypatch):
+    """The four schedulers on one network, seeds and duration build R·N
+    noise streams in one call, not 4·R·N, and take one read-only draw; a
+    network of another duration or with noisier plants draws its own.
+    Each config's results are its lone batch's.  The share holds one
+    batch's draw at a time, a second call draws again, and no draw is
+    kept after a call returns or raises."""
+    built, drawn, held = [], [], []
+    stream, process_noise = ncsim.engine._stream, ncsim.engine._process_noise
+
+    def recorded(*args):
+        drawn.append(process_noise(*args))
+        held.append(len(ncsim.engine._noise_share or {}))
+        return drawn[-1]
+    monkeypatch.setattr(ncsim.engine, "_stream",
+                        lambda words: (built.append(1), stream(words))[1])
+    monkeypatch.setattr(ncsim.engine, "_process_noise", recorded)
+    schedulers = [cfg_for(5, variant, series=True)
+                  for variant in ("round_robin", "mef", "wifresh", "pmef")]
+    for call in (1, 2):
+        sets = run_replication_sets(schedulers, reps=3)
+        assert len(built) == call * 15 and not ncsim.engine._noise_share
+    assert all(d[0] is drawn[0][0] for d in drawn[:4])
+    assert drawn[4][0] is not drawn[0][0]
+    with pytest.raises(ValueError, match="read-only"):
+        drawn[0][0][0] = 1.0
+    # Each config after the first differs from the one before it in one
+    # input only.
+    sets += run_replication_sets(
+        [schedulers[0], replace(schedulers[0], systems=[NOISY] * 5),
+         schedulers[0], replace(schedulers[0], duration_s=2.0)], reps=3)
+    assert len(built) == 2 * 15 + 4 * 15 and max(held) == 1
+    for cfg, results in sets:
+        assert [bits(r) for r in results] == bits(run(cfg, range(3)))
+    built.clear()
+    monkeypatch.setattr(_Plants, "tick", lambda g, t: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        run_replication_sets(schedulers, reps=3)
+    assert len(built) == 15 and not ncsim.engine._noise_share
 
 
 # ---- slotted medium access: blocks of slots against one slot at a time ----

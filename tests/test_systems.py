@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_discrete_are
 
-from ncsim.engine import SimConfig, _Plants, _seed_words, run
+from ncsim.engine import SimConfig, _Plants, run
 from ncsim.errors import ConfigurationError
 from ncsim.mac import SchedulerPolicy
 from ncsim.systems import (PENDULUM_A, PENDULUM_B, PENDULUM_SIGMA, LtiSystem,
@@ -55,8 +55,8 @@ def test_pendulum_params_positive():
 def one_loop(sys, steps=3):
     """A one-row stack of ``sys`` without process noise."""
     plants = _Plants([sys], np.zeros(1, np.int64), np.zeros(1, np.int64),
-                     steps, _seed_words([0], [1])[0])
-    plants.noise[:] = 0.0
+                     steps)
+    plants.noise = np.zeros((steps + 1, 1, sys.n, 1))
     return plants
 
 
@@ -193,8 +193,7 @@ def test_control_of_gainless_loops():
     gained = make_preset("pendulum")
     free = LtiSystem(A=PENDULUM_A, B=PENDULUM_B, noise_cov=PENDULUM_SIGMA,
                      Q=np.eye(4), R=[[1.0]])
-    plants = _Plants([gained, free], np.arange(2), np.arange(2), 1,
-                     _seed_words([0], [1, 2])[0])
+    plants = _Plants([gained, free], np.arange(2), np.arange(2), 1)
     xhat = np.stack([np.eye(4)[:, :1], np.full((4, 1), np.inf)])
     with np.errstate(invalid="ignore"):
         u = plants.control(xhat, np.empty((2, 1, 1)))
