@@ -324,6 +324,7 @@ def _stream(words: np.ndarray) -> np.random.Generator:
 # While run_replication_sets runs, in its process and in its forked
 # workers: the process noise of the batch built last, by the inputs that
 # fix it (see _process_noise).  None outside a call, which shares nothing.
+# Module state, as a worker keeps it from one task to the next.
 _noise_share: dict | None = None
 
 
