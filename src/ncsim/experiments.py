@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 import yaml
@@ -221,40 +221,73 @@ def _cell(value) -> str:
     return text
 
 
+@dataclass
+class _Tiles:
+    """A column made of tiles end to end: tile i, itself a column,
+    ``counts[i]`` times over."""
+    tiles: list
+    counts: list
+
+
+def _each(values, counts) -> _Tiles:
+    """The column of each of ``values`` as many times as its count."""
+    return _Tiles([[value] for value in values], counts)
+
+
 def _cells(column) -> list[str]:
-    """A column's cells, each distinct value's made once by _cell.  Values
-    are told apart by their bits in a number array (-0.0 == 0.0, yet their
-    cells differ), by themselves in a list of _EXACT types and by their
-    repr otherwise."""
-    values = column.tolist() if isinstance(column, np.ndarray) else column
+    """A column's cells, each distinct value's made once.
+
+    A number or bool array finds its distinct values by their bits: one
+    ``np.unique`` of its integer view, so -0.0 and 0.0 (equal, yet their
+    cells differ) stay apart, as do nans of different payloads.  Each
+    distinct value's cell is the ``repr`` of its Python float (``inf`` for
+    nan) or its ``str``, and one gather by the inverse index lays them
+    out.  :class:`_Tiles` makes the cells of each distinct tile (the same
+    object) once and repeats them.  Any other column tells its values
+    apart by themselves if they are all of _EXACT types and by their repr
+    otherwise."""
+    if isinstance(column, _Tiles):
+        tiles = {id(tile): tile for tile in column.tiles}
+        made = {key: _cells(tile) for key, tile in tiles.items()}
+        return list(chain.from_iterable(
+            made[id(tile)] * count
+            for tile, count in zip(column.tiles, column.counts)))
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        keys = column.view(f"i{column.itemsize}").tolist()
-    elif set(map(type, values)) <= _EXACT:
-        keys = values
-    else:
-        keys = list(map(repr, values))
+        bits, index = np.unique(column.view(f"i{column.itemsize}"),
+                                return_inverse=True)
+        values = bits.view(column.dtype)
+        floats = column.dtype.kind == "f"
+        cells = np.array(list(map(repr if floats else str, values.tolist())),
+                         dtype=object)
+        if floats:
+            cells[np.isnan(values)] = "inf"
+        return cells[index].tolist()
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    keys = values if set(map(type, values)) <= _EXACT else list(
+        map(repr, values))
     cell = {key: _cell(v) for key, v in dict(zip(keys, values)).items()}
     return list(map(cell.__getitem__, keys))
 
 
 def _write_csv(path, header, columns):
-    """Write ``header`` and the rows of ``columns``, arrays or sequences of
-    equal length, with one write."""
+    """Write ``header`` and the rows of ``columns``, arrays, sequences or
+    :class:`_Tiles` of equal length, with one write.
+
+    An existing file is written over in place and then cut to length:
+    truncating it first would free its blocks only to take them again,
+    which on ext4 costs more than writing them."""
     rows = map(",".join, zip(*map(_cells, columns), strict=True))
     text = "\r\n".join([",".join(_cells(header)), *rows, ""])
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              newline="") as fh:
         fh.write(text)
+        fh.truncate()
 
 
 def _joined(arrays: list) -> np.ndarray:
     """The arrays end to end."""
     return np.concatenate(arrays) if arrays else np.empty(0)
-
-
-def _repeat(values, counts) -> list:
-    """Each of ``values`` as many times as its count, in order."""
-    return list(chain.from_iterable(map(repeat, values, counts)))
 
 
 PER_RUN_HEADER = ["run_id", "protocol", "N", "rep", "loop_id", "class",
@@ -276,10 +309,16 @@ def emit_results(results: dict, out_dir: str):
             for rep, r in enumerate(results[label, n]["replications"])]
     metrics = [run[-1] for run in runs]
     loops = [len(m["loop_classes"]) for m in metrics]
+    # Runs of one size share their loop ids, and runs of equal class lists
+    # (of strings) their classes: one tile each, formatted once.
+    ids, shared = {k: np.arange(1, k + 1) for k in loops}, {}
+    classes = [shared.setdefault(tuple(m["loop_classes"]), m["loop_classes"])
+               for m in metrics]
+    once = [1] * len(runs)
     _write_csv(os.path.join(out_dir, "per_run.csv"), PER_RUN_HEADER, [
-        *(_repeat([run[i] for run in runs], loops) for i in range(4)),
-        _joined([np.arange(1, k + 1) for k in loops]),
-        list(chain.from_iterable(m["loop_classes"] for m in metrics)),
+        *(_each([run[i] for run in runs], loops) for i in range(4)),
+        _Tiles([ids[k] for k in loops], once),
+        _Tiles(classes, once),
         *(_joined([m["per_loop"][key] for m in metrics])
           for key in PER_LOOP_KEYS)])
     summaries = [results[key]["summary"] for key in keys]
@@ -287,7 +326,7 @@ def emit_results(results: dict, out_dir: str):
     per_key = [len(METRICS)] * len(keys)
     _write_csv(os.path.join(out_dir, "summary.csv"),
                ["protocol", "N", "metric", *STATS],
-               [_repeat(labels, per_key), _repeat(ns, per_key),
+               [_each(labels, per_key), _each(ns, per_key),
                 list(METRICS) * len(keys),
                 *([s[metric][stat] for s in summaries for metric in METRICS]
                   for stat in STATS)])
@@ -300,7 +339,7 @@ def emit_results(results: dict, out_dir: str):
     counts = list(map(len, fractions))
     _write_csv(os.path.join(out_dir, "fractions.csv"),
                ["protocol", "N", "class", "delivery_fraction"],
-               [_repeat(labels, counts), _repeat(ns, counts),
+               [_each(labels, counts), _each(ns, counts),
                 [cls for f in fractions for cls in f],
                 [frac for f in fractions for frac in f.values()]])
 
@@ -482,25 +521,27 @@ def emit_pendulum(report: dict, out_dir: str):
     counts = [len(vals) for *_, vals in boxes]
     _write_csv(os.path.join(out_dir, "pendulum_nmse.csv"),
                ["protocol", "class", "mean_nmse"],
-               [_repeat([b[0] for b in boxes], counts),
-                _repeat([b[1] for b in boxes], counts),
+               [_each([b[0] for b in boxes], counts),
+                _each([b[1] for b in boxes], counts),
                 list(chain.from_iterable(vals for *_, vals in boxes))])
     envelopes = [entry["envelope"] for entry in report.values()]
     steps = [len(env["phi_min"]) for env in envelopes]
+    ids = {k: np.arange(1, k + 1) for k in steps}
     _write_csv(os.path.join(out_dir, "pendulum_envelopes.csv"),
                ["protocol", "step", "phi_min_deg", "phi_max_deg",
                 "xi_min", "xi_max"],
-               [_repeat(report, steps),
-                _joined([np.arange(1, k + 1) for k in steps]),
+               [_each(report, steps),
+                _Tiles([ids[k] for k in steps], [1] * len(steps)),
                 *(_joined([env[key] for env in envelopes])
                   for key in ("phi_min", "phi_max", "xi_min", "xi_max"))])
-    verdicts = [(label, i, d) for label, entry in report.items()
-                for i, d in entry["per_ip"].items()]
+    per_ip = [entry["per_ip"] for entry in report.values()]
+    verdicts = [(i, d) for ips in per_ip for i, d in ips.items()]
     _write_csv(os.path.join(out_dir, "pendulum_verdicts.csv"),
                ["protocol", "loop_id", "stabilized", "phi_min_deg",
                 "phi_max_deg", "xi_min", "xi_max", "aoi_window_mean",
                 "aoi_monotone"],
-               [[v[0] for v in verdicts], [v[1] for v in verdicts],
-                *([d[key] for *_, d in verdicts]
+               [_each(report, list(map(len, per_ip))),
+                [i for i, _ in verdicts],
+                *([d[key] for _, d in verdicts]
                   for key in ("stabilized", "phi_min", "phi_max", "xi_min",
                               "xi_max", "aoi_window_mean", "aoi_monotone"))])

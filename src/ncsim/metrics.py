@@ -207,6 +207,10 @@ class MetricsAccumulator:
         self.t_start = t_start
         self.t_end = t_end
         self.classes = classes
+        # Each class's loops, found once for every replication reduced.
+        first = {cls: i for i, cls in enumerate(dict.fromkeys(classes))}
+        index = np.array(list(map(first.__getitem__, classes)), np.int64)
+        self._members = {cls: index == i for cls, i in first.items()}
 
     def finalize(self, aoi, mse, nmse, cost, tx, rx, diverged) -> dict:
         """The means, delivery ratios and per-class shares of successful
@@ -230,10 +234,8 @@ class MetricsAccumulator:
             "diverged": diverged,
         }
         total_rx = int(rx.sum())
-        fractions = {}
-        for cls in dict.fromkeys(self.classes):
-            mask = np.array([k == cls for k in self.classes])
-            fractions[cls] = (rx[mask].sum() / total_rx) if total_rx else 0.0
+        fractions = {cls: (rx[mask].sum() / total_rx) if total_rx else 0.0
+                     for cls, mask in self._members.items()}
         network = {
             "aoi_mean": float(np.mean(per_loop["aoi_mean"])),
             "mse_mean": float(np.mean(per_loop["mse_mean"])),

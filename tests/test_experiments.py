@@ -14,9 +14,11 @@ import ncsim.engine
 import ncsim.experiments
 from ncsim.channel import ChannelConfig
 from ncsim.errors import ConfigurationError
-from ncsim.experiments import (DEFAULT_COMPARISON_CHANNEL, THEORY,
-                               ExperimentSpec, _write_csv, emit_nmse_curves,
-                               emit_results, emit_validation, parse_config,
+from ncsim.experiments import (DEFAULT_COMPARISON_CHANNEL, METRICS,
+                               PER_LOOP_KEYS, PER_RUN_HEADER, STATS, THEORY,
+                               ExperimentSpec, _Tiles, _write_csv,
+                               emit_nmse_curves, emit_results,
+                               emit_validation, parse_config,
                                pendulum_case_study, run_single,
                                validate_theory)
 from ncsim.mac import SchedulerPolicy
@@ -391,11 +393,28 @@ CELLS = FLOATS | st.integers() | st.booleans() | st.none() | TEXT
 
 
 @st.composite
+def pooled(draw, elements, n):
+    """``n`` values drawn from a small pool of ``elements``, so that values
+    repeat within a column."""
+    pool = draw(st.lists(elements, min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
+                          max_size=n))
+    return [pool[i] for i in picks]
+
+
+@st.composite
 def tables(draw, cells=CELLS):
+    """A header and rows: either a few rows of any cells or up to 300 rows
+    whose columns repeat a few values each."""
     width = draw(st.integers(2, 5))
     header = draw(st.lists(TEXT, min_size=width, max_size=width))
-    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width),
-                         max_size=12))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width),
+                             max_size=12))
+    else:
+        n = draw(st.integers(0, 300))
+        rows = [list(r) for r in zip(
+            *(draw(pooled(cells, n)) for _ in range(width)))] if n else []
     return header, rows
 
 
@@ -418,21 +437,35 @@ def test_write_csv_is_the_csv_module_writer(tmp_path_factory, table):
     assert read_bytes(tmp / "columns.csv") == read_bytes(tmp / "rows.csv")
 
 
-# Element strategies and dtypes of array columns; numpy text arrays drop
-# trailing NULs, so their text holds none.
+# Bit patterns of float64 and float32 values that compare equal, or are
+# nans, yet differ in their bits: signed zeros and nans of several payloads.
+F64_BITS = st.sampled_from([0, 1 << 63, 0x7ff8000000000000,
+                            0x7ff8000000000001, 0xfff8000000000000,
+                            0x7ff0000000000001, 0x3ff0000000000000])
+F32_BITS = st.sampled_from([0, 1 << 31, 0x7fc00000, 0x7fc00001, 0xffc00000,
+                            0x7f800001, 0x3f800000])
+# Element strategies of array columns and how each makes its array; numpy
+# text arrays drop trailing NULs, so their text holds none.
 ARRAY_KINDS = [
-    (FLOATS, np.float64), (st.floats(width=32), np.float32),
-    (st.integers(-2**63, 2**63 - 1), np.int64), (st.booleans(), bool),
-    (st.text(st.sampled_from('ab ,"\r\n\u00e9'), max_size=6), str)]
+    (FLOATS, lambda v: np.array(v, np.float64)),
+    (st.floats(width=32), lambda v: np.array(v, np.float32)),
+    (F64_BITS, lambda v: np.array(v, np.uint64).view(np.float64)),
+    (F32_BITS, lambda v: np.array(v, np.uint32).view(np.float32)),
+    (st.integers(-2**63, 2**63 - 1) | st.sampled_from([-2**63, 2**63 - 1]),
+     lambda v: np.array(v, np.int64)),
+    (st.booleans(), lambda v: np.array(v, bool)),
+    (st.text(st.sampled_from('ab ,"\r\n\u00e9'), max_size=6),
+     lambda v: np.array(v, str))]
 
 
 @st.composite
 def array_columns(draw):
-    n = draw(st.integers(0, 12))
+    """Two to four array columns of one length up to 300, each repeating
+    a few values."""
+    n = draw(st.integers(0, 300))
     kinds = draw(st.lists(st.sampled_from(ARRAY_KINDS), min_size=2,
                           max_size=4))
-    return [np.array(draw(st.lists(elements, min_size=n, max_size=n)),
-                     dtype=dtype) for elements, dtype in kinds]
+    return [build(draw(pooled(elements, n))) for elements, build in kinds]
 
 
 @settings(max_examples=300, deadline=None)
@@ -449,6 +482,40 @@ def test_array_column_writes_its_python_scalars(tmp_path_factory, columns):
     oracle_csv(tmp / "rows.csv", header, zip(*scalars))
     assert read_bytes(tmp / "arrays.csv") == read_bytes(tmp / "lists.csv") \
         == read_bytes(tmp / "rows.csv")
+
+
+@st.composite
+def tiled_columns(draw):
+    """A tiled column and the list it stands for.  A tile is a list or an
+    array; some recur as the same object, some as an equal copy."""
+    kinds = draw(st.lists(st.sampled_from(ARRAY_KINDS), min_size=1,
+                          max_size=3))
+    made = []
+    for elements, build in kinds:
+        values = draw(st.lists(elements, max_size=4))
+        made += [values, build(values), list(values)]
+    tiles = draw(st.lists(st.sampled_from(made), max_size=6))
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(tiles),
+                           max_size=len(tiles)))
+    return _Tiles(tiles, counts), [
+        _python(v) for tile, k in zip(tiles, counts) for v in list(tile) * k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiled_columns())
+def test_tiled_column_writes_its_tiles_end_to_end(tmp_path_factory, tiled):
+    """A column of tiles writes the bytes of its tiles repeated and laid
+    end to end, each tile's cells as its own column's."""
+    column, values = tiled
+    tmp = tmp_path_factory.mktemp("csv")
+    _write_csv(str(tmp / "tiles.csv"), ["a"], [column])
+    _write_csv(str(tmp / "list.csv"), ["a"], [values])
+    assert read_bytes(tmp / "tiles.csv") == read_bytes(tmp / "list.csv")
+
+
+def _python(value):
+    """A value as a Python scalar, as an array's tolist gives it."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def test_numpy_scalars_write_their_python_values(tmp_path):
@@ -472,6 +539,81 @@ def test_numpy_scalars_write_their_python_values(tmp_path):
     assert row == {"protocol": "adra", "N": "3", "p": "0.3", "threshold": "4",
                    "simulated": "2.5", "theory": "2.25",
                    "rel_err": repr(1 / 9), "tol": "0.1", "ok": "False"}
+
+
+def synthetic_results():
+    """emit_results input of 2 protocols x 2 replications over 3 loops:
+    labels and classes that need quoting, -0.0 beside 0.0, nans of two
+    payloads, infinities and int64 extremes."""
+    nan2 = np.array([0x7ff8000000000001], np.uint64).view(np.float64)[0]
+    results = {}
+    for j, label in enumerate(['a,"b"', "round_robin"]):
+        reps = []
+        for rep in range(2):
+            per_loop = {
+                "aoi_mean": np.array([1.5 + rep * j, -0.0, 0.0]),
+                "mse_mean": np.array([math.nan, nan2, 0.1 + 0.2]),
+                "nmse_mean": np.array([0.0, -0.0, math.inf]),
+                "lqg_mean": np.array([1e16, -math.inf, 5e-324 * (rep + 1)]),
+                "tx": np.array([2**63 - 1, 0, -2**63]),
+                "rx": np.array([3, 3, rep]),
+                "delivery_ratio": np.array([1.0, 0.0, 0.5]),
+                "diverged": np.array([False, True, bool(rep)]),
+            }
+            reps.append({"metrics": {"per_loop": per_loop,
+                                     "loop_classes": ["x,y", 'q"', "easy"]}})
+        summary = {metric: {"mean": [1.25 + j, -0.0, math.nan, 2.0][i],
+                            "ci99_half": [math.inf, 0.0, nan2, 1e-5][i]}
+                   for i, metric in enumerate(METRICS)}
+        summary["fractions"] = {"x,y": 0.25, 'q"': -0.0, "easy": 0.75 + j}
+        results[label, 3 + j] = {"replications": reps, "summary": summary}
+    return results
+
+
+def test_emit_results_writes_the_csv_module_writers_bytes(tmp_path):
+    """Every file emit_results writes holds the bytes of the csv module's
+    writer fed the same table row by row."""
+    results = synthetic_results()
+    emit_results(results, str(tmp_path / "out"))
+    keys = sorted(results)
+    per_run = []
+    for label, n in keys:
+        for rep, r in enumerate(results[label, n]["replications"]):
+            m = r["metrics"]
+            columns = [m["per_loop"][key].tolist() for key in PER_LOOP_KEYS]
+            per_run += [[f"{label}-N{n}-r{rep}", label, n, rep, k + 1, cls,
+                         *(c[k] for c in columns)]
+                        for k, cls in enumerate(m["loop_classes"])]
+    tables = {"per_run.csv": (PER_RUN_HEADER, per_run)}
+    tables["summary.csv"] = (["protocol", "N", "metric", *STATS], [
+        [label, n, metric, *(results[label, n]["summary"][metric][stat]
+                             for stat in STATS)]
+        for label, n in keys for metric in METRICS])
+    for metric in METRICS:
+        tables[metric.replace("_mean", "_vs_n.csv")] = (
+            ["protocol", "N", *STATS],
+            [[label, n, *(results[label, n]["summary"][metric][stat]
+                          for stat in STATS)] for label, n in keys])
+    tables["fractions.csv"] = (
+        ["protocol", "N", "class", "delivery_fraction"],
+        [[label, n, cls, frac] for label, n in keys
+         for cls, frac in results[label, n]["summary"]["fractions"].items()])
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(tables)
+    for name, (header, rows) in tables.items():
+        oracle_csv(tmp_path / name, header, rows)
+        assert read_bytes(tmp_path / "out" / name) == \
+            read_bytes(tmp_path / name), name
+
+
+def test_write_csv_replaces_a_longer_file(tmp_path):
+    """A file written over holds exactly the new bytes, whether it was
+    longer or shorter before."""
+    path = str(tmp_path / "t.csv")
+    _write_csv(path, ["a"], [np.arange(1000)])
+    _write_csv(path, ["a", "b"], [[1], ["x,y"]])
+    assert read_bytes(path) == b'a,b\r\n1,"x,y"\r\n'
+    _write_csv(path, ["a"], [np.arange(3)])
+    assert read_bytes(path) == b"a\r\n0\r\n1\r\n2\r\n"
 
 
 def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
