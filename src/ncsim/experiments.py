@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 import yaml
@@ -222,6 +222,14 @@ def _cell(value) -> str:
 
 
 @dataclass
+class _Each:
+    """A column of each of ``values`` as many times as its count: one value
+    for a block of rows, such as one run's or one config's."""
+    values: list
+    counts: list
+
+
+@dataclass
 class _Tiles:
     """A column made of tiles end to end: tile i, itself a column,
     ``counts[i]`` times over."""
@@ -229,32 +237,45 @@ class _Tiles:
     counts: list
 
 
-def _each(values, counts) -> _Tiles:
-    """The column of each of ``values`` as many times as its count."""
-    return _Tiles([[value] for value in values], counts)
-
-
 def _cells(column) -> list[str]:
     """A column's cells, each distinct value's made once.
 
-    A number or bool array finds its distinct values by their bits: one
-    ``np.unique`` of its integer view, so -0.0 and 0.0 (equal, yet their
-    cells differ) stay apart, as do nans of different payloads.  Each
-    distinct value's cell is the ``repr`` of its Python float (``inf`` for
-    nan) or its ``str``, and one gather by the inverse index lays them
-    out.  :class:`_Tiles` makes the cells of each distinct tile (the same
-    object) once and repeats them.  Any other column tells its values
+    A number or bool array finds its distinct values by their bits, with
+    one ``np.sort`` of its integer view: -0.0 and 0.0 (equal, yet their
+    cells differ) stay apart, as do nans of different payloads.  Where the
+    distinct values are few (at most a quarter of the rows) a binary
+    search finds each row's; otherwise the inverse of ``np.unique`` does,
+    as unordered binary searches among many values cost more than its
+    argsort.  Each distinct value's cell is the ``repr`` of its Python
+    float (``inf`` for nan) or its ``str``, and one gather by the rows'
+    indices lays them out.  :class:`_Each` makes the cell of each value
+    once and :class:`_Tiles` the cells of each distinct tile (the same
+    object), and both repeat them.  Any other column tells its values
     apart by themselves if they are all of _EXACT types and by their repr
     otherwise."""
+    if isinstance(column, _Each):
+        cells = []
+        for cell, count in zip(_cells(list(column.values)), column.counts,
+                               strict=True):
+            cells += [cell] * count
+        return cells
     if isinstance(column, _Tiles):
         tiles = {id(tile): tile for tile in column.tiles}
         made = {key: _cells(tile) for key, tile in tiles.items()}
-        return list(chain.from_iterable(
-            made[id(tile)] * count
-            for tile, count in zip(column.tiles, column.counts)))
+        cells = []
+        for tile, count in zip(column.tiles, column.counts):
+            cells += made[id(tile)] * count
+        return cells
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        bits, index = np.unique(column.view(f"i{column.itemsize}"),
-                                return_inverse=True)
+        keys = column.view(f"i{column.itemsize}")
+        ordered = np.sort(keys)
+        new = np.ones(len(keys), bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        bits = ordered[new]
+        if len(bits) * 4 <= len(keys):
+            index = np.searchsorted(bits, keys)
+        else:
+            index = np.unique(keys, return_inverse=True)[1]
         values = bits.view(column.dtype)
         floats = column.dtype.kind == "f"
         cells = np.array(list(map(repr if floats else str, values.tolist())),
@@ -270,19 +291,31 @@ def _cells(column) -> list[str]:
 
 
 def _write_csv(path, header, columns):
-    """Write ``header`` and the rows of ``columns``, arrays, sequences or
-    :class:`_Tiles` of equal length, with one write.
+    """Write ``header`` and the rows of ``columns``, arrays, sequences,
+    :class:`_Each` or :class:`_Tiles` of equal length, with one write.
 
-    An existing file is written over in place and then cut to length:
-    truncating it first would free its blocks only to take them again,
-    which on ext4 costs more than writing them."""
-    rows = map(",".join, zip(*map(_cells, columns), strict=True))
+    Leading :class:`_Each` columns of equal counts hold one value per
+    block of rows.  Their cells are joined once per block into the head of
+    its rows, and one join puts the head before each row of the block."""
+    lead = 0
+    while (lead < len(columns) - 1 and isinstance(columns[lead], _Each)
+           and columns[lead].counts == columns[0].counts):
+        lead += 1
+    cells = list(map(_cells, columns[lead:]))
+    rows = map(",".join, zip(*cells, strict=True))
+    if lead:
+        counts = columns[0].counts
+        if sum(counts) != len(cells[0]):
+            raise ValueError("columns of unequal length")
+        heads = map(",".join, zip(*(_cells(list(column.values))
+                                    for column in columns[:lead]),
+                                  strict=True))
+        rows = [head + "," + ("\r\n" + head + ",").join(islice(rows, count))
+                for head, count in zip(heads, counts, strict=True) if count]
     text = "\r\n".join([",".join(_cells(header)), *rows, ""])
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
-              newline="") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(text)
-        fh.truncate()
 
 
 def _joined(arrays: list) -> np.ndarray:
@@ -309,16 +342,14 @@ def emit_results(results: dict, out_dir: str):
             for rep, r in enumerate(results[label, n]["replications"])]
     metrics = [run[-1] for run in runs]
     loops = [len(m["loop_classes"]) for m in metrics]
-    # Runs of one size share their loop ids, and runs of equal class lists
-    # (of strings) their classes: one tile each, formatted once.
-    ids, shared = {k: np.arange(1, k + 1) for k in loops}, {}
+    # Runs of equal class lists (of strings) share one tile, formatted once.
+    shared = {}
     classes = [shared.setdefault(tuple(m["loop_classes"]), m["loop_classes"])
                for m in metrics]
-    once = [1] * len(runs)
     _write_csv(os.path.join(out_dir, "per_run.csv"), PER_RUN_HEADER, [
-        *(_each([run[i] for run in runs], loops) for i in range(4)),
-        _Tiles([ids[k] for k in loops], once),
-        _Tiles(classes, once),
+        *(_Each([run[i] for run in runs], loops) for i in range(4)),
+        _joined([np.arange(1, k + 1) for k in loops]),
+        _Tiles(classes, [1] * len(runs)),
         *(_joined([m["per_loop"][key] for m in metrics])
           for key in PER_LOOP_KEYS)])
     summaries = [results[key]["summary"] for key in keys]
@@ -326,7 +357,7 @@ def emit_results(results: dict, out_dir: str):
     per_key = [len(METRICS)] * len(keys)
     _write_csv(os.path.join(out_dir, "summary.csv"),
                ["protocol", "N", "metric", *STATS],
-               [_each(labels, per_key), _each(ns, per_key),
+               [_Each(labels, per_key), _Each(ns, per_key),
                 list(METRICS) * len(keys),
                 *([s[metric][stat] for s in summaries for metric in METRICS]
                   for stat in STATS)])
@@ -339,7 +370,7 @@ def emit_results(results: dict, out_dir: str):
     counts = list(map(len, fractions))
     _write_csv(os.path.join(out_dir, "fractions.csv"),
                ["protocol", "N", "class", "delivery_fraction"],
-               [_each(labels, counts), _each(ns, counts),
+               [_Each(labels, counts), _Each(ns, counts),
                 [cls for f in fractions for cls in f],
                 [frac for f in fractions for frac in f.values()]])
 
@@ -521,17 +552,16 @@ def emit_pendulum(report: dict, out_dir: str):
     counts = [len(vals) for *_, vals in boxes]
     _write_csv(os.path.join(out_dir, "pendulum_nmse.csv"),
                ["protocol", "class", "mean_nmse"],
-               [_each([b[0] for b in boxes], counts),
-                _each([b[1] for b in boxes], counts),
+               [_Each([b[0] for b in boxes], counts),
+                _Each([b[1] for b in boxes], counts),
                 list(chain.from_iterable(vals for *_, vals in boxes))])
     envelopes = [entry["envelope"] for entry in report.values()]
     steps = [len(env["phi_min"]) for env in envelopes]
-    ids = {k: np.arange(1, k + 1) for k in steps}
     _write_csv(os.path.join(out_dir, "pendulum_envelopes.csv"),
                ["protocol", "step", "phi_min_deg", "phi_max_deg",
                 "xi_min", "xi_max"],
-               [_each(report, steps),
-                _Tiles([ids[k] for k in steps], [1] * len(steps)),
+               [_Each(report, steps),
+                _joined([np.arange(1, k + 1) for k in steps]),
                 *(_joined([env[key] for env in envelopes])
                   for key in ("phi_min", "phi_max", "xi_min", "xi_max"))])
     per_ip = [entry["per_ip"] for entry in report.values()]
@@ -540,7 +570,7 @@ def emit_pendulum(report: dict, out_dir: str):
                ["protocol", "loop_id", "stabilized", "phi_min_deg",
                 "phi_max_deg", "xi_min", "xi_max", "aoi_window_mean",
                 "aoi_monotone"],
-               [_each(report, list(map(len, per_ip))),
+               [_Each(report, list(map(len, per_ip))),
                 [i for i, _ in verdicts],
                 *([d[key] for _, d in verdicts]
                   for key in ("stabilized", "phi_min", "phi_max", "xi_min",

@@ -16,7 +16,7 @@ from ncsim.channel import ChannelConfig
 from ncsim.errors import ConfigurationError
 from ncsim.experiments import (DEFAULT_COMPARISON_CHANNEL, METRICS,
                                PER_LOOP_KEYS, PER_RUN_HEADER, STATS, THEORY,
-                               ExperimentSpec, _Tiles, _write_csv,
+                               ExperimentSpec, _Each, _Tiles, _write_csv,
                                emit_nmse_curves, emit_results,
                                emit_validation, parse_config,
                                pendulum_case_study, run_single,
@@ -460,11 +460,15 @@ ARRAY_KINDS = [
 
 @st.composite
 def array_columns(draw):
-    """Two to four array columns of one length up to 300, each repeating
-    a few values."""
-    n = draw(st.integers(0, 300))
+    """Two to four array columns of one length: either up to 12 values of
+    any kind or up to 300 values each repeating a few."""
     kinds = draw(st.lists(st.sampled_from(ARRAY_KINDS), min_size=2,
                           max_size=4))
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 12))
+        return [build(draw(st.lists(elements, min_size=n, max_size=n)))
+                for elements, build in kinds]
+    n = draw(st.integers(0, 300))
     return [build(draw(pooled(elements, n))) for elements, build in kinds]
 
 
@@ -511,6 +515,41 @@ def test_tiled_column_writes_its_tiles_end_to_end(tmp_path_factory, tiled):
     _write_csv(str(tmp / "tiles.csv"), ["a"], [column])
     _write_csv(str(tmp / "list.csv"), ["a"], [values])
     assert read_bytes(tmp / "tiles.csv") == read_bytes(tmp / "list.csv")
+
+
+@st.composite
+def blocked_tables(draw):
+    """Columns of one value per block of rows, then other columns, and
+    the same columns as lists.  One block column may have other counts
+    of the same sum, which end the leading run of equal counts."""
+    counts = draw(st.lists(st.integers(0, 3), max_size=4))
+    n = sum(counts)
+    columns, lists = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        values = draw(st.lists(CELLS, min_size=len(counts),
+                               max_size=len(counts)))
+        own = draw(st.permutations(counts)) if draw(st.booleans()) \
+            else counts
+        columns.append(_Each(values, own))
+        lists.append([v for v, k in zip(values, own) for _ in range(k)])
+    for _ in range(draw(st.integers(0, 2))):
+        lists.append(draw(st.lists(CELLS, min_size=n, max_size=n)))
+        columns.append(lists[-1])
+    return columns, lists
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocked_tables())
+def test_blocks_write_each_value_over_its_rows(tmp_path_factory, table):
+    """Leading columns of one value per block of rows, each value's head
+    joined once onto its rows, write the bytes of the expanded lists,
+    blocks of no rows and a table of block columns alone included."""
+    columns, lists = table
+    tmp = tmp_path_factory.mktemp("csv")
+    header = [f"c{j}" for j in range(len(columns))]
+    _write_csv(str(tmp / "blocks.csv"), header, columns)
+    _write_csv(str(tmp / "lists.csv"), header, lists)
+    assert read_bytes(tmp / "blocks.csv") == read_bytes(tmp / "lists.csv")
 
 
 def _python(value):
@@ -605,18 +644,13 @@ def test_emit_results_writes_the_csv_module_writers_bytes(tmp_path):
             read_bytes(tmp_path / name), name
 
 
-def test_write_csv_replaces_a_longer_file(tmp_path):
-    """A file written over holds exactly the new bytes, whether it was
-    longer or shorter before."""
-    path = str(tmp_path / "t.csv")
-    _write_csv(path, ["a"], [np.arange(1000)])
-    _write_csv(path, ["a", "b"], [[1], ["x,y"]])
-    assert read_bytes(path) == b'a,b\r\n1,"x,y"\r\n'
-    _write_csv(path, ["a"], [np.arange(3)])
-    assert read_bytes(path) == b"a\r\n0\r\n1\r\n2\r\n"
-
-
 def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError):
         _write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1, 2], [3]])
+    for columns in ([_Each(["x", "y"], [1, 1]), [3]],
+                    [_Each(["x", "y"], [1, 1]), [3, 4, 5]],
+                    [_Each(["x", "y"], [1, 1]), _Each([1], [3]), [3, 4]],
+                    [_Each(["x"], [1, 1]), [3, 4]]):
+        with pytest.raises(ValueError):
+            _write_csv(str(tmp_path / "t.csv"), ["a", "b"], columns)
     assert not (tmp_path / "t.csv").exists()
