@@ -54,10 +54,12 @@ stream's PCG64 from its row, so every draw keeps its bits.  The
 contention streams are read through buffers drawn a block at a time,
 which gives the same values.  A group of rows draws its process noise
 whole when its batch is built, and the draw depends only on the rows'
-seed words, the steps and the noise scales, so in one
-:func:`run_replication_sets` call, batches that would draw equal noise
-(the protocols of one network, seeds and duration) share one read-only
-array (:func:`_process_noise`).
+seed words, the steps and the noise scales.  So in one
+:func:`run_replication_sets` call, batches share what they derive from
+their network alone (:func:`_shared`): the seed words of equal seeds
+and N, the error table of the same systems, whose curves grow by the
+same arithmetic whichever batch asks, and equal noise draws, read-only.
+In practice these are the protocols compared on one network.
 
 :func:`run_replication_sets` is the one path that runs replications:
 each config's policy tuning and batches of seeded runs are tasks of one
@@ -322,10 +324,35 @@ def _stream(words: np.ndarray) -> np.random.Generator:
 
 
 # While run_replication_sets runs, in its process and in its forked
-# workers: the process noise of the batch built last, by the inputs that
-# fix it (see _process_noise).  None outside a call, which shares nothing.
-# Module state, as a worker keeps it from one task to the next.
-_noise_share: dict | None = None
+# workers: what the batch built last derived from its network alone, by
+# kind ("words", "table", "noise") and then by the inputs that fix it (see
+# _shared).  None outside a call, which shares nothing.  Module state, as a
+# worker keeps it from one task to the next.
+_share: dict | None = None
+
+
+def _shared(kind: str, keys: list, build) -> list:
+    """The entries of ``kind`` under ``keys``, ``build(j)`` making the
+    entry of ``keys[j]`` where the share lacks it.
+
+    While :func:`run_replication_sets` shares, an entry is taken from the
+    batch built last if its key is equal; a key names every input its
+    entry depends on, so a hit is equal by construction.  The share first
+    drops every entry of ``kind`` this batch does not take, so it never
+    holds two batches' entries of one kind.  Outside a call every entry
+    is built."""
+    share = {} if _share is None else _share.setdefault(kind, {})
+    for key in share.keys() - set(keys):
+        del share[key]
+    for j, key in enumerate(keys):
+        if key not in share:
+            share[key] = build(j)
+    return [share[key] for key in keys]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _process_noise(draws, steps: int) -> list[np.ndarray]:
@@ -333,25 +360,20 @@ def _process_noise(draws, steps: int) -> list[np.ndarray]:
     (steps + 1, k, n, 1) and read-only: row j's stream, seeded by
     ``words[j]``, draws (steps + 1, n) normals, scaled by ``std[j]``.
 
-    Nothing else enters the draw, so while :func:`run_replication_sets`
-    shares noise, a group keyed as one of the last batch's takes its
-    array.  The share first drops every array this batch does not take,
-    so it never holds two batches' noise."""
-    share = {} if _noise_share is None else _noise_share
-    keys = [(words.tobytes(), steps, std.shape[1], std.tobytes())
-            for words, std in draws]
-    for key in share.keys() - set(keys):
-        del share[key]
-    for key, (words, std) in zip(keys, draws):
-        if key not in share:
-            k, n = std.shape
-            noise = np.empty((steps + 1, k, n, 1))
-            for j, row in enumerate(words):
-                noise[:, j, :, 0] = _stream(row).normal(size=(steps + 1, n))
-            noise[..., 0] *= std
-            noise.flags.writeable = False
-            share[key] = noise
-    return [share[key] for key in keys]
+    Nothing else enters the draw, so a group is keyed by its words, steps
+    and scales, and batches that would draw equal noise (the protocols of
+    one network, seeds and duration) share one array (:func:`_shared`)."""
+    def draw(g):
+        words, std = draws[g]
+        k, n = std.shape
+        noise = np.empty((steps + 1, k, n, 1))
+        for j, row in enumerate(words):
+            noise[:, j, :, 0] = _stream(row).normal(size=(steps + 1, n))
+        noise[..., 0] *= std
+        return _read_only(noise)
+
+    return _shared("noise", [(words.tobytes(), steps, std.shape[1],
+                              std.tobytes()) for words, std in draws], draw)
 
 
 class _Plants:
@@ -481,7 +503,10 @@ class _Run:
     The batch is its replications' gateways: one
     :class:`~ncsim.metrics.MseTable` (``table``) holds the error curves, as
     a curve depends only on its plant, and one MEF pass per frame
-    schedules every replication (one column each).  What a replication
+    schedules every replication (one column each).  The table, the seed
+    words and the process noise depend on the network alone, so within
+    one :func:`run_replication_sets` call the next batch of the same
+    network takes them over (:func:`_shared`).  What a replication
     cannot share it keeps to itself: its seed's streams, its slots'
     resolution with its own shared coin stream (``coins``, one row each),
     its polls with their :class:`~ncsim.mac.ReliabilityWindow`, and its
@@ -509,7 +534,12 @@ class _Run:
         self.t_start, self.t_end = cfg.window
         self.metrics = MetricsAccumulator(N, self.t_start, self.t_end,
                                           cfg.classes)
-        self.table = table = MseTable(cfg.systems)
+        # Keyed by the systems' identities, which no other object can take
+        # while the entry lives: the table holds its plants, and every id
+        # in the key is one of them.
+        self.table = table = _shared(
+            "table", [tuple(map(id, cfg.systems))],
+            lambda _: MseTable(cfg.systems))[0]
         self.firsts = np.arange(R) * N    # each replication's first row
         self.nu = np.zeros(R * N, np.int64)
         self.tx = np.zeros(R * N, np.int64)
@@ -519,7 +549,9 @@ class _Run:
         self.arrivals = []     # polled (tick, row, gen), as accepted
         # words[purpose, r (N + 1) + i]: the seed words of loop id i's
         # stream in replication r; row i's loop id key is keys[i].
-        words = _seed_words(self.seeds, np.arange(N + 1))
+        words = _shared("words", [(tuple(self.seeds), N)],
+                        lambda _: _read_only(_seed_words(
+                            self.seeds, np.arange(N + 1))))[0]
         row = np.arange(R * N)
         loop, keys = row % N, row + row // N + 1
         sizes = [(sys.n, sys.m) for sys in table.plants]
@@ -824,12 +856,17 @@ class _Run:
         """Replication r's back-to-back polls from time 0 until the run ends;
         a lost poll or reply is given up ``poll_wait_us`` after the poll was
         sent.  An event at ``us`` sees step (us - 1) // Ts_us; one after the
-        end is not handled.  Decisions read ``ages``, step - nu floored at
-        one, brought up to date once a tick has passed and at a delivery."""
+        end is not handled.  A decision weighs each loop's reliability by
+        its ``ages``, step - nu floored at one, or under pMEF by its error
+        at that age (``weights``): all are read again once a tick has
+        passed, and the delivered loop's at a delivery in the same tick."""
         first, Ts, tx, end = r * self.N, self.Ts_us, self.tx_us, self.end_us
         t_start, t_end, count = self.t_start, self.t_end, self.tx
         nu = self.nu[first:first + self.N]
+        table, use_nmse = self.table, self.policy.use_nmse
+        pmef = self.policy.variant == "pmef"
         ages, seen = np.ones(self.N, np.int64), 0
+        weights = table.errors(ages, use_nmse) if pmef else ages
         window = ReliabilityWindow(self.N)
         # An erasure-free hop decodes every packet without a coin.
         lossy, rng = self.channel.erasure_prob > 0.0, None
@@ -838,13 +875,16 @@ class _Run:
             step = (now - 1) // Ts
             if step > seen:
                 seen = step
-                np.subtract(step, nu, out=ages)
+                # A sample delivered on this step's instant has nu = step.
+                np.maximum(np.subtract(step, nu, out=ages), 1, out=ages)
+                if pmef:
+                    weights = table.errors(ages, use_nmse)
             now_s = now * 1e-6
             rel = window.reliability(now_s)
-            if self.policy.variant == "wifresh":
-                k = wifresh_next(ages, rel)
+            if pmef:
+                k = pmef_next(weights, rel)
             else:
-                k = pmef_next(self.table, ages, rel, self.policy.use_nmse)
+                k = wifresh_next(weights, rel)
             window.record_poll(k, now_s)
             if lossy:
                 rng = self.rng_channel(first + k)
@@ -859,11 +899,12 @@ class _Run:
                     if now > end:
                         break
                     step = (now - 1) // Ts
-                    if step > seen:
-                        seen = step
-                        np.subtract(step, nu, out=ages)
-                    if self.on_delivery(first + k, gen, step):
-                        ages[k] = max(1, step - gen)
+                    # A delivery in a tick the polls have not seen yet is
+                    # read with that tick's ages, before the next decision.
+                    if self.on_delivery(first + k, gen, step) and step == seen:
+                        ages[k] = age = max(1, step - gen)
+                        if pmef:
+                            weights[k] = table.error(k, age, use_nmse)
                     window.record_data(k, now * 1e-6)
                     continue
             now += self.poll_wait_us    # the poll or its reply was lost
@@ -959,15 +1000,16 @@ def _pool(workers: int):
 
 
 @contextlib.contextmanager
-def _sharing_noise():
-    """Share equal process noise draws (:func:`_process_noise`) while the
-    block runs, also in the workers of a pool forked inside it."""
-    global _noise_share
-    _noise_share = {}
+def _sharing():
+    """Share what batches derive from their network alone
+    (:func:`_shared`) while the block runs, also in the workers of a pool
+    forked inside it."""
+    global _share
+    _share = {}
     try:
         yield
     finally:
-        _noise_share = None
+        _share = None
 
 
 def run_replications(cfg: SimConfig, reps: int,
@@ -1012,9 +1054,11 @@ def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1, *,
     With ``ages_only`` every batch is an age-only run (see :class:`_Run`),
     whose results :func:`summarize_replications` rejects: their stage
     cost is nan and they flag no divergence.
-    Batches whose process noise would be equal draw it once (see
-    :func:`_process_noise`): in this process for one job, in each worker
-    for more; the share ends with the call.
+    Consecutive batches of one network build its seed words, error table
+    and process noise once (see :func:`_shared`): in this process for one
+    job, in each worker for more; the share ends with the call.  A worker
+    unpickles new system objects for every task, so there tables are
+    shared only within a task.
     Returns, per config, the config as run (its policy resolved) and its
     replication results in seed order, identical for every ``jobs``.  A
     worker that dies surfaces as ``concurrent.futures.BrokenExecutor``; an
@@ -1026,7 +1070,7 @@ def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1, *,
     splits = [_batch_sizes(reps, cfg.n_loops, -(-jobs // len(cfgs)))
               for cfg in cfgs]
     sets = [None] * len(cfgs)
-    with _sharing_noise(), _pool(
+    with _sharing(), _pool(
             min(jobs, len(tune) + sum(map(len, splits)))) as pool:
         def submit(k, policy):
             cfg = replace(cfgs[k], policy=policy)

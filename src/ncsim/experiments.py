@@ -407,9 +407,13 @@ def run_single(spec: ExperimentSpec, jobs: int = 1) -> dict:
 
 
 def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> dict:
+    """Every protocol at every N of ``n_range``, network by network, so
+    that the protocols of one N run one after another and share what they
+    derive from their network alone (see
+    :func:`~ncsim.engine.run_replication_sets`)."""
     lo, hi = spec.n_range
-    return _replicate([spec.sim_config(n, policy) for policy in spec.protocols
-                       for n in range(lo, hi + 1)], spec.replications, jobs)
+    return _replicate([spec.sim_config(n, policy) for n in range(lo, hi + 1)
+                       for policy in spec.protocols], spec.replications, jobs)
 
 
 def validate_theory(spec: ExperimentSpec, jobs: int = 1) -> dict:

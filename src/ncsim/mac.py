@@ -6,8 +6,9 @@ run at the gateway: round-robin, beacon-framed max-error-first (MEF), and
 two polling schedulers — WiFresh (reliability x age) and pMEF
 (reliability x normalized estimation error).  The schedulers are
 functions of the arrays the gateway keeps: the loops' age estimates, the
-error curves of a :class:`~ncsim.metrics.MseTable` (MEF and pMEF) and the
-reliabilities of a :class:`ReliabilityWindow` (WiFresh and pMEF).  Each
+error curves of a :class:`~ncsim.metrics.MseTable` (MEF) or the errors
+read from them at the ages (pMEF), and the reliabilities of a
+:class:`ReliabilityWindow` (WiFresh and pMEF).  Each
 picks by a numpy argmax, and the first maximum wins, so ties go to the
 lowest loop index.  MEF frames every replication of a batch in one greedy
 pass over their (R, N) ages.  Loops are named by their index k = 0..N-1
@@ -117,11 +118,11 @@ def wifresh_next(ages: np.ndarray, rel: np.ndarray) -> int:
     return int((rel * ages).argmax())
 
 
-def pmef_next(table: MseTable, ages: np.ndarray, rel: np.ndarray,
-              use_nmse: bool) -> int:
-    """Poll target's index by reliability ``rel`` x (normalized)
-    estimation error at the estimated ``ages``."""
-    return int((rel * table.errors(ages, use_nmse)).argmax())
+def pmef_next(errors: np.ndarray, rel: np.ndarray) -> int:
+    """Poll target's index: argmax of reliability ``rel`` x each loop's
+    (normalized) estimation error at its estimated age, ``errors`` as
+    :meth:`MseTable.errors <ncsim.metrics.MseTable.errors>` reads them."""
+    return int((rel * errors).argmax())
 
 
 CONTENTION_PROTOCOLS = ("aloha", "slotted_aloha", "adra")

@@ -182,6 +182,16 @@ class MseTable:
         mse = self._mse.reshape(-1)[self._row + ages]
         return np.divide(mse, self._base, out=mse) if use_nmse else mse
 
+    def error(self, k: int, age: int, use_nmse: bool) -> float:
+        """Loop k's entry of :meth:`errors` at ``age``, read alone: the
+        same value and the same division."""
+        if age > self._reach[k]:
+            ages = np.zeros(len(self.plant), np.int64)
+            ages[k] = age
+            self.grow(ages)
+        mse = self._mse.item(self._row[k] + age)
+        return mse / self._base.item(k) if use_nmse else mse
+
     def mse_and_nmse(self, ages: np.ndarray) -> tuple:
         """Each loop's MSE and nMSE at its entry of ``ages``: one growth
         check and one gather for both."""

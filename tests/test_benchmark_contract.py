@@ -52,7 +52,9 @@ def test_workload_passes_its_checks_with_reference_digests(tmp_path, name):
 def test_traced_workload_keeps_its_outputs_and_loop_steps(tmp_path, name):
     """What ``run.py --trace 1`` checks of a traced serial workload: with
     every shim in place its outputs pass their checks with the reference
-    digests, and the tracer counts every loop-step its configs ask for."""
+    digests, and the tracer counts every loop-step its configs ask for.
+    The polling rules stay visible to its per-layer metrics: the
+    scheduled workload calls both through the names it wraps."""
     paths = workloads.write_configs(name, 0, str(tmp_path))
     specs, _ = workloads.set_up(paths)
     out_dir = str(tmp_path / "out")
@@ -67,6 +69,9 @@ def test_traced_workload_keeps_its_outputs_and_loop_steps(tmp_path, name):
     assert workloads.digests(specs, produced, out_dir) == REFERENCE[name]["0"]
     assert workloads.jobs(specs) == 1
     assert layers["engine.loop_steps"] == workloads.loop_steps(specs)
+    if name == "scheduled_n1000":
+        assert layers["mac.pmef_next.calls"] > 0
+        assert layers["mac.wifresh_next.calls"] > 0
 
 
 def test_traced_cli_jobs2_keeps_its_outputs(tmp_path):

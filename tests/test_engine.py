@@ -326,6 +326,27 @@ def test_polling_stops_at_the_run_end(tx, n_polls, n_replies, monkeypatch):
         assert r.ages[t, k] == t - gen
 
 
+def record_poll_decisions(monkeypatch, record):
+    """Call ``record(ages, weights)`` before each poll decision: the age
+    estimates it reads and what it weighs the reliabilities by.  WiFresh
+    is handed the ages themselves; pMEF is handed errors, read from the
+    ages array the polls last handed :meth:`MseTable.errors`, which they
+    keep up to date in place."""
+    read, errors = [], MseTable.errors
+    monkeypatch.setattr(MseTable, "errors", lambda table, ages, use_nmse: (
+        read.append(ages), errors(table, ages, use_nmse))[1])
+    wifresh_next, pmef_next = ncsim.engine.wifresh_next, ncsim.engine.pmef_next
+    monkeypatch.setattr(ncsim.engine, "wifresh_next", lambda ages, rel: (
+        record(ages, ages), wifresh_next(ages, rel))[1])
+    monkeypatch.setattr(ncsim.engine, "pmef_next", lambda weights, rel: (
+        record(read[-1], weights), pmef_next(weights, rel))[1])
+
+
+# 3 ms packets with erasures: many replies land in the step their sample
+# was taken in, and many decisions follow a delivery in the same tick.
+POLL_CHANNEL = ChannelConfig(tx_duration=0.003, erasure_prob=0.2)
+
+
 @pytest.mark.parametrize("variant", ["wifresh", "pmef"])
 def test_poll_decisions_read_the_gateway_ages(variant, monkeypatch):
     """Every poll decision of every replication reads each loop's age at
@@ -333,8 +354,7 @@ def test_poll_decisions_read_the_gateway_ages(variant, monkeypatch):
     generation delivered so far.  With 3 ms packets many replies land in
     the step their sample was taken in, where the floor applies."""
     r = _Run(cfg_for(3, variant, duration=2.0, trim=0.2,
-                     channel=ChannelConfig(tx_duration=0.003,
-                                           erasure_prob=0.2)), [0, 1])
+                     channel=POLL_CHANNEL), [0, 1])
     reps, times, decisions = [], [], []
     polls, window = _Run._polls, ncsim.mac.ReliabilityWindow
     reliability = window.reliability
@@ -343,20 +363,44 @@ def test_poll_decisions_read_the_gateway_ages(variant, monkeypatch):
     monkeypatch.setattr(window, "reliability", lambda gw, now: (
         times.append(round(now * 1e6)), reliability(gw, now))[1])
 
-    def record(ages):
+    def record(ages, weights):
         lo, step = reps[-1] * r.N, (times[-1] - 1) // 10_000
         decisions.append((ages.copy(), step, r.nu[lo:lo + r.N].copy()))
 
-    wifresh_next, pmef_next = ncsim.engine.wifresh_next, ncsim.engine.pmef_next
-    monkeypatch.setattr(ncsim.engine, "wifresh_next", lambda ages, rel: (
-        record(ages), wifresh_next(ages, rel))[1])
-    monkeypatch.setattr(ncsim.engine, "pmef_next", lambda table, ages, *a: (
-        record(ages), pmef_next(table, ages, *a))[1])
+    record_poll_decisions(monkeypatch, record)
     r.execute()
     assert reps == [0, 1] and len(decisions) > 500
     for ages, step, nu in decisions:
         np.testing.assert_array_equal(ages, np.maximum(step - nu, 1))
     assert sum((nu == step).sum() for _, step, nu in decisions) > 50
+
+
+@pytest.mark.parametrize("variant, use_nmse", [
+    ("wifresh", True), ("pmef", True), ("pmef", False)])
+def test_poll_weights_are_the_errors_at_the_ages(variant, use_nmse,
+                                                 monkeypatch):
+    """At every poll decision the weights are what a fresh read gives at
+    the decision's ages: the ages themselves under WiFresh, the table's
+    errors at them under pMEF, though pMEF reads them once a tick and one
+    loop's at a delivery.  Many decisions follow a delivery in the same
+    tick, and many a tick without one."""
+    r = _Run(cfg_for(6, variant, duration=2.0, trim=0.2, use_nmse=use_nmse,
+                     pattern=("easy", "pendulum", "hard"),
+                     channel=POLL_CHANNEL), [0, 1])
+    errors, checked = MseTable.errors, []
+
+    def record(ages, weights):
+        want = (ages if variant == "wifresh"
+                else errors(r.table, ages, use_nmse))
+        checked.append(weights.tobytes() == want.tobytes())
+
+    record_poll_decisions(monkeypatch, record)
+    deliver, delivered = r.on_delivery, []
+    r.on_delivery = lambda i, gen, step: (
+        delivered.append(deliver(i, gen, step)), delivered[-1])[1]
+    r.execute()
+    assert len(checked) > 500 and sum(delivered) > 300
+    assert all(checked)
 
 
 @pytest.mark.parametrize("variant", ["slotted_aloha", "mef", "pmef"])
@@ -611,13 +655,9 @@ def test_tables_grow_only_to_their_own_loops_ages(variant, monkeypatch):
                   duration=4.0, trim=1.0, series=True,
                   channel=ChannelConfig(mode="offset_capture",
                                         erasure_prob=0.01))
-    polled, pick = [], ncsim.engine.pmef_next
-
-    def recording_pick(table, ages, *args):
-        polled.append(ages.copy())
-        return pick(table, ages, *args)
-
-    monkeypatch.setattr(ncsim.engine, "pmef_next", recording_pick)
+    polled = []
+    record_poll_decisions(monkeypatch,
+                          lambda ages, weights: polled.append(ages.copy()))
     r = _Run(cfg, seeds=[0, 1, 2])
     # ages[rep, t - 1, k]: loop k's age at tick t.
     ages = np.array([[res["series"][k + 1]["aoi"] for k in range(15)]
@@ -637,6 +677,38 @@ def test_tables_grow_only_to_their_own_loops_ages(variant, monkeypatch):
         assert len(set(tab.depth.tolist())) == 3, "plants grew in lockstep"
 
 
+def count_tables(monkeypatch) -> list:
+    """Patch the engine's :class:`MseTable` so that every table it builds
+    is appended to the returned list."""
+    built = []
+
+    class CountedTable(MseTable):
+        def __init__(self, systems):
+            built.append(self)
+            super().__init__(systems)
+
+    monkeypatch.setattr(ncsim.engine, "MseTable", CountedTable)
+    return built
+
+
+def assert_curves_follow_the_laws(tab):
+    """Every entry ``tab`` has grown equals :func:`mse_of_age` and
+    :func:`nmse_of_age` of its loop's plant, read without growing it."""
+    depth = tab.depth.copy()
+    # Every age each loop's plant has grown to, without growing further.
+    ages = np.minimum(np.arange(depth.max() + 1)[:, None], depth[tab.plant])
+    mse, nmse = (tab.errors(ages, use_nmse).T.tolist()
+                 for use_nmse in (False, True))
+    assert (tab.depth == depth).all()
+    # Overflow is expected: it is what makes the value +inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, sys in enumerate(tab.plants):
+            k = tab.plant.tolist().index(p)
+            for d in range(depth[p] + 1):
+                assert mse[k][d] == mse_of_age(sys, d)
+                assert nmse[k][d] == nmse_of_age(sys, d)
+
+
 # (N, class pattern, policy): a scalar mix and a pendulum mix, each under a
 # scheduler that ranks loops by their tables.
 PLANT_MIXES = [(9, ("easy", "mid", "hard"), "mef"),
@@ -649,14 +721,7 @@ def test_one_mse_table_per_plant(n, pattern, variant, monkeypatch):
     one row per distinct system object; every grown entry equals the
     reference law."""
     cfg = cfg_for(n, variant, pattern=pattern)
-    built = []
-
-    class CountedTable(MseTable):
-        def __init__(self, systems):
-            built.append(self)
-            super().__init__(systems)
-
-    monkeypatch.setattr(ncsim.engine, "MseTable", CountedTable)
+    built = count_tables(monkeypatch)
     r = _Run(cfg, seeds=[0, 1, 2])
     r.execute()
     tab = r.table
@@ -664,17 +729,8 @@ def test_one_mse_table_per_plant(n, pattern, variant, monkeypatch):
     assert len(tab.plants) == len({id(s) for s in cfg.systems}) == 3
     assert all(tab.plants[p] is s
                for p, s in zip(tab.plant.tolist(), cfg.systems))
-    depth = tab.depth.copy()
-    assert (depth > 1).all()
-    # Every age each loop's plant has grown to, without growing further.
-    ages = np.minimum(np.arange(depth.max() + 1)[:, None], depth[tab.plant])
-    mse, nmse = (tab.errors(ages, use_nmse).T.tolist()
-                 for use_nmse in (False, True))
-    assert (tab.depth == depth).all()
-    for k, sys in enumerate(cfg.systems):
-        for d in range(depth[tab.plant[k]] + 1):
-            assert mse[k][d] == mse_of_age(sys, d)
-            assert nmse[k][d] == nmse_of_age(sys, d)
+    assert (tab.depth > 1).all()
+    assert_curves_follow_the_laws(tab)
 
 
 @pytest.mark.parametrize("n, pattern, variant", PLANT_MIXES)
@@ -868,20 +924,21 @@ def test_batch_equals_lone_runs(batch):
 
 
 @st.composite
-def config_lists(draw):
+def config_lists(draw, copies=False):
     """Two to four configs around one that ``batch_configs`` draws, for
     one call: each takes a drawn policy, channel and series flag, and
     keeps the first config's loops, duration and seed or changes them
     (other loops, the same loops in another class order or with noisier
     scalar plants, 0.5 s, another seed), so some configs draw equal
-    process noise and some do not."""
+    process noise and some do not.  With ``copies``, a config's loops may
+    also be a deep copy of the first's: equal systems, other objects."""
     (first, _), cfgs = draw(batch_configs()), []
     for _ in range(draw(st.integers(2, 4))):
         other, _ = draw(batch_configs())
         systems = draw(st.sampled_from([
             first.systems, first.systems[1:] + first.systems[:1],
             [NOISY if s.n == 1 else s for s in first.systems],
-            other.systems]))
+            other.systems, *[copy.deepcopy(first.systems)] * copies]))
         cfgs.append(replace(
             first, systems=systems, policy=other.policy,
             channel=other.channel, record_series=other.record_series,
@@ -968,45 +1025,82 @@ def test_age_only_run_builds_no_noise_stream(monkeypatch):
     assert len(built) == 20
 
 
+def held(kind):
+    """How many entries of ``kind`` the share holds now."""
+    return len((ncsim.engine._share or {}).get(kind, {}))
+
+
 def test_equal_noise_draws_are_shared_within_a_call(monkeypatch):
     """The four schedulers on one network, seeds and duration build R·N
-    noise streams in one call, not 4·R·N, and take one read-only draw; a
-    network of another duration or with noisier plants draws its own.
-    Each config's results are its lone batch's.  The share holds one
-    batch's draw at a time, a second call draws again, and no draw is
-    kept after a call returns or raises."""
-    built, drawn, held = [], [], []
+    noise streams in one call, not 4·R·N, and take one read-only draw,
+    one error table and one set of seed words; a network of another
+    duration or with noisier plants draws its own noise, and one of other
+    systems builds its own table.  Each config's results are its lone
+    batch's.  The share holds one batch's entries of a kind at a time, a
+    second call builds again, and nothing is kept after a call returns
+    or raises."""
+    built, drawn, holding, words = [], [], [], []
+    tables = count_tables(monkeypatch)
     stream, process_noise = ncsim.engine._stream, ncsim.engine._process_noise
+    seed_words = ncsim.engine._seed_words
 
     def recorded(*args):
         drawn.append(process_noise(*args))
-        held.append(len(ncsim.engine._noise_share or {}))
+        holding.append([held(kind) for kind in ("words", "table", "noise")])
         return drawn[-1]
+
     monkeypatch.setattr(ncsim.engine, "_stream",
                         lambda words: (built.append(1), stream(words))[1])
     monkeypatch.setattr(ncsim.engine, "_process_noise", recorded)
+    monkeypatch.setattr(ncsim.engine, "_seed_words", lambda *args: (
+        words.append(1), seed_words(*args))[1])
     schedulers = [cfg_for(5, variant, series=True)
                   for variant in ("round_robin", "mef", "wifresh", "pmef")]
     for call in (1, 2):
         sets = run_replication_sets(schedulers, reps=3)
-        assert len(built) == call * 15 and not ncsim.engine._noise_share
+        assert len(built) == call * 15 and ncsim.engine._share is None
+        assert len(tables) == len(words) == call
     assert all(d[0] is drawn[0][0] for d in drawn[:4])
     assert drawn[4][0] is not drawn[0][0]
     with pytest.raises(ValueError, match="read-only"):
         drawn[0][0][0] = 1.0
     # Each config after the first differs from the one before it in one
-    # input only.
+    # input only; the words depend on the seeds and N alone.
     sets += run_replication_sets(
         [schedulers[0], replace(schedulers[0], systems=[NOISY] * 5),
          schedulers[0], replace(schedulers[0], duration_s=2.0)], reps=3)
-    assert len(built) == 2 * 15 + 4 * 15 and max(held) == 1
+    assert len(built) == 2 * 15 + 4 * 15
+    assert len(tables) == 2 + 3 and len(words) == 2 + 1
+    assert all(count == [1, 1, 1] for count in holding)
     for cfg, results in sets:
         assert [bits(r) for r in results] == bits(run(cfg, range(3)))
-    built.clear()
+    for log in (built, tables, words):
+        log.clear()
     monkeypatch.setattr(_Plants, "tick", lambda g, t: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         run_replication_sets(schedulers, reps=3)
-    assert len(built) == 15 and not ncsim.engine._noise_share
+    assert len(built) == 15 and ncsim.engine._share is None
+    assert len(tables) == len(words) == 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(cfgs=config_lists(copies=True), reps=st.integers(1, 2))
+def test_shared_tables_keep_every_run_and_entry(cfgs, reps):
+    """Configs of one call that share system objects share one table,
+    grown by all of them, also where they differ in duration; a deep copy
+    of the loops builds its own.  Each config still gives its lone batch's
+    bits, and every entry a shared table grew is the reference law's."""
+    with pytest.MonkeyPatch.context() as m:
+        tables = count_tables(m)
+        sets = run_replication_sets(cfgs, reps)
+    networks = [tuple(map(id, cfg.systems)) for cfg in cfgs]
+    assert len(tables) == 1 + sum(a != b for a, b in zip(networks,
+                                                         networks[1:]))
+    for cfg, results in sets:
+        assert bits(results) == bits(run(cfg, range(cfg.seed,
+                                                    cfg.seed + reps)))
+    for tab in tables:
+        assert_curves_follow_the_laws(tab)
 
 
 # ---- slotted medium access: blocks of slots against one slot at a time ----

@@ -19,7 +19,7 @@ from ncsim.experiments import (DEFAULT_COMPARISON_CHANNEL, METRICS,
                                ExperimentSpec, _Each, _Tiles, _write_csv,
                                emit_nmse_curves, emit_results,
                                emit_validation, parse_config,
-                               pendulum_case_study, run_single,
+                               pendulum_case_study, run_single, run_sweep,
                                validate_theory)
 from ncsim.mac import SchedulerPolicy
 from ncsim.metrics import mse_of_age, nmse_of_age
@@ -214,6 +214,27 @@ def test_per_run_rows_cover_loops_and_reps(tmp_path):
     # window is not a multiple of the cycle, hence the slack).
     for r in rows:
         assert float(r["mean_aoi"]) == pytest.approx(2.0, abs=0.1)
+
+
+def test_sweep_runs_network_by_network(monkeypatch):
+    """A sweep runs each N's protocols one after another, so the four
+    schedulers over N = 3..6 draw process noise and build an error table
+    once per N, not once per batch."""
+    drawn, tables = [], []
+    process_noise, table = ncsim.engine._process_noise, ncsim.engine.MseTable
+    monkeypatch.setattr(ncsim.engine, "_process_noise", lambda *args: (
+        drawn.append(process_noise(*args)), drawn[-1])[1])
+    monkeypatch.setattr(ncsim.engine, "MseTable", lambda systems: (
+        tables.append(table(systems)), tables[-1])[1])
+    schedulers = ("round_robin", "mef", "wifresh", "pmef")
+    spec = tiny_spec(scenario="sweep", n_range=(3, 6), duration_s=1.0,
+                     warmup_s=0.2, cooldown_s=0.2,
+                     protocols=[SchedulerPolicy(v) for v in schedulers])
+    results = run_sweep(spec)
+    assert sorted(results) == sorted((v, n) for v in schedulers
+                                     for n in range(3, 7))
+    assert len(drawn) == 16 and len({id(d[0]) for d in drawn}) == 4
+    assert [t.plant.size for t in tables] == [3, 4, 5, 6]
 
 
 def test_emit_nmse_curves(tmp_path):

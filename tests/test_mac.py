@@ -237,14 +237,15 @@ def test_wifresh_tie_breaks_low_id():
 def test_pmef_prefers_faster_dynamics():
     table = table_for(["easy", "hard"])
     # error(1.2-dynamics, age 3) = 4.5136 > error(1.0-dynamics, age 4) = 4
-    assert pmef_next(table, np.array([4, 3]), np.ones(2), use_nmse=True) == 1
+    errors = table.errors(np.array([4, 3]), use_nmse=True)
+    assert pmef_next(errors, np.ones(2)) == 1
 
 
 def test_pmef_equals_wifresh_for_identical_scalar_loops():
     table, rel = table_for(["mid", "mid", "mid"]), np.ones(3)
     for ages in [(1, 5, 3), (2, 2, 9), (4, 4, 4)]:
         ages = np.array(ages)
-        assert (pmef_next(table, ages, rel, use_nmse=True)
+        assert (pmef_next(table.errors(ages, use_nmse=True), rel)
                 == wifresh_next(ages, rel))
 
 
@@ -264,7 +265,7 @@ def test_overflowed_errors_tie_to_lowest_id():
     ages = np.array([30, 6, 30, 9])
     errors = table.errors(ages, use_nmse=True)
     assert errors.tolist()[1::2] == [math.inf, math.inf]
-    assert pmef_next(table, ages, np.ones(4), use_nmse=True) == 1
+    assert pmef_next(errors, np.ones(4)) == 1
     assert mef_build_schedule(table, ages[None], frame_len=2,
                               use_nmse=True)[:, 0].tolist() == [1, 3]
 
@@ -386,8 +387,8 @@ def test_argmax_schedulers_match_reference(data, history, use_nmse,
         err = [reference_error(c, a, use_nmse) for c, a in zip(plants, ages)]
         assert wifresh_next(np.array(ages), gw.reliability(now)) == first_max(
             [r * a for r, a in zip(rel, ages)])
-        assert pmef_next(table, np.array(ages), gw.reliability(now),
-                         use_nmse) == first_max(
+        assert pmef_next(table.errors(np.array(ages), use_nmse),
+                         gw.reliability(now)) == first_max(
             [r * e for r, e in zip(rel, err)])
         k %= n
         (gw.record_poll if is_poll else gw.record_data)(k, now)

@@ -166,10 +166,14 @@ def test_argmax_normalization_matters():
 
 
 # Plants for the table's property test; MSE(age) of "unstable" overflows
-# to +inf from age 5 on, that of "hard" from age 1946 on.
+# to +inf from age 5 on, that of "hard" from age 1946 on.  The nMSE of
+# "damped" divides by 3.7: multiplying by its reciprocal would round
+# about half of its first 60 values differently.
 PLANTS = {c: make_preset(c) for c in ("easy", "hard", "pendulum")}
 PLANTS["unstable"] = LtiSystem(A=[[1e40]], B=[[1.0]], noise_cov=[[2.0]],
                                Q=[[1.0]], R=[[1.0]], name="unstable")
+PLANTS["damped"] = LtiSystem(A=[[0.9]], B=[[1.0]], noise_cov=[[3.7]],
+                             Q=[[1.0]], R=[[1.0]], name="damped")
 
 
 @functools.cache
@@ -215,6 +219,32 @@ def test_table_matches_reference_through_any_growth(data):
         assert tab._mse.shape == (len(tab.plants), tab._mse.shape[1])
         assert tab._mse.shape[1] >= max(width, tab.depth.max() + 1)
         width = tab._mse.shape[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_loop_read_is_its_entry_of_errors(data):
+    """A loop's error read alone (:meth:`MseTable.error`) is its entry of
+    :meth:`MseTable.errors` and the reference law, a float with the same
+    bits, +inf past the overflow; a read alone that reaches past its
+    plant's curve grows it as far as the row read does."""
+    n = data.draw(st.integers(1, 6), label="n")
+    names = data.draw(st.lists(st.sampled_from(sorted(PLANTS)),
+                               min_size=n, max_size=n), label="plants")
+    alone, by_row = (MseTable([PLANTS[c] for c in names]) for _ in range(2))
+    for _ in range(data.draw(st.integers(1, 8), label="reads")):
+        k = data.draw(st.integers(0, n - 1), label="k")
+        age = data.draw(st.integers(0, 60) | st.integers(1944, 1948),
+                        label="age")
+        use_nmse = data.draw(st.booleans(), label="use_nmse")
+        ages = np.zeros(n, np.int64)
+        ages[k] = age
+        got = alone.error(k, age, use_nmse)
+        assert type(got) is float
+        want = by_row.errors(ages, use_nmse)[k]
+        assert np.float64(got).tobytes() == want.tobytes()
+        assert got == reference_error(names[k], age, use_nmse)
+        assert alone.depth.tolist() == by_row.depth.tolist()
 
 
 def test_scalar_tables_grow_without_a_step_per_age(monkeypatch):
