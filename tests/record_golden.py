@@ -11,7 +11,9 @@ policy, an N=40 pendulum mix under six policies, the age-threshold
 policy at threshold 1 (which never gates), an N=3 mix whose
 pendulum is alone in its dimension group and a single loop, each under every
 policy, then four schedulers on an N=12 pendulum mix and an N=7 scalar
-mix between them in one ``run_replication_sets`` call, and writes, per case,
+mix between them in one ``run_replication_sets`` call, and the contention
+protocols on one N=100 network in another, long enough that rows read
+past the first fill of their random streams, and writes, per case,
 the SHA-256 of the ``per_run.csv`` that ``emit_results`` writes and of every
 loop's AoI and state series.  Results must stay bit-for-bit identical across
 refactors, so regenerate the file only when results are meant to change.
@@ -23,6 +25,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -68,6 +71,13 @@ SINGLE_PARAMS = {**POLICY_PARAMS, "slotted_aloha": {"p": 0.5}}
 # Configs run in one call: the schedulers' batches have the same seeds,
 # loops and steps, and the scalar network between them has another size.
 SHARED_N, SHARED_SCALAR_N = 12, 7
+# Contention configs run in one call: 2 replications of N=100 loops over
+# 401 slots read more values than a stream's first fill holds (2**16
+# values per purpose), so rows continue their streams past it.
+CONTENTION_N, CONTENTION_S = 100, 4.0
+CONTENTION = {"aloha": {}, "slotted_aloha": {"p": 0.05},
+              "adra-gated": {"threshold": 3, "p": 0.05},
+              "adra-open": {"threshold": 0, "p": 0.02}}
 
 
 def _config(systems, variant, channel, params=POLICY_PARAMS):
@@ -124,6 +134,17 @@ def shared_cases():
             shared("wifresh"), shared("pmef")]
 
 
+def contention_cases():
+    """(case name, SimConfig) of the contention protocols on one network,
+    run together in one ``run_replication_sets`` call, in call order."""
+    systems = systems_from_classes(CONTENTION_N, MIXES["scalar"])
+    return [(f"contention-{name}", replace(
+                _config(systems, name.split("-")[0], CHANNELS["capture"],
+                        {name.split("-")[0]: params}),
+                duration_s=CONTENTION_S))
+            for name, params in CONTENTION.items()]
+
+
 def _series_digest(res) -> str:
     h = hashlib.sha256()
     for r in res["replications"]:
@@ -139,9 +160,11 @@ def fingerprint() -> dict:
     """case name -> {"per_run.csv": sha256, "series": sha256}."""
     runs = [(name, cfg, run_replications(cfg, REPS))
             for name, cfg in cases()]
-    names, cfgs = zip(*shared_cases())
-    runs += [(name, cfg, summarize_replications(results)) for name, (
-        cfg, results) in zip(names, run_replication_sets(list(cfgs), REPS))]
+    for together in (shared_cases(), contention_cases()):
+        names, cfgs = zip(*together)
+        runs += [(name, cfg, summarize_replications(results))
+                 for name, (cfg, results) in zip(
+                     names, run_replication_sets(list(cfgs), REPS))]
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg, res in runs:
