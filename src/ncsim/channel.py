@@ -9,8 +9,9 @@ both decode (capture).  Survivors of either mode face an independent
 erasure with probability ``erasure_prob``.  A block of slots is resolved
 in one call: its transmitters and its decoded ones are arrays of cells,
 each a (slot, replication, loop index) of the block.  Random streams
-that a block reads many values of are read through buffers drawn a block
-at a time.
+that a block reads many values of are read through buffers whose first
+fill, drawn for the whole run, may be shared by runs and is only read;
+a row that reads past it continues its own stream.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, is_real
 
-__all__ = ["ChannelConfig", "BlockStreams", "resolve_slot",
+__all__ = ["ChannelConfig", "BlockStreams", "first_fill", "resolve_slot",
            "resolve_pointtopoint"]
 
 MODES = ("strict_collision", "offset_capture")
@@ -63,31 +64,48 @@ class ChannelConfig:
         return self.slot_duration - self.tx_duration
 
 
+def first_fill(stream, rows: int, draw, width: int) -> np.ndarray:
+    """Each row's first ``width`` values, row r's drawn as ``draw(stream(r),
+    width)``, as a read-only (rows, width) array: the first fill of
+    :class:`BlockStreams`, which runs may share."""
+    fill = np.empty((rows, width))
+    for row in range(rows):
+        fill[row] = draw(stream(row), width)
+    fill.flags.writeable = False
+    return fill
+
+
 class BlockStreams:
     """Independent random streams, one per row, read in order through a
-    buffer that ``draw(rng, size)`` refills a block at a time.
+    buffer.
 
+    The buffer starts as ``first``, each row's first values (see
+    :func:`first_fill`), which it reads in place and never writes.
     :meth:`head` shows each row's next k values and :meth:`advance` then
     reads some of them: a row's unread values wait in the buffer for the
-    next head.  A block draw equals the same number of single draws, so
-    reading through the buffer changes no value; a refilled row continues
-    its own stream.
+    next head.  A row that needs more values than it holds builds its
+    generator, ``stream(row)``, moves it past the first fill with
+    ``bit_generator.advance`` and draws the rest of its buffer with
+    ``draw(rng, size)``, in a buffer of its own.  That changes no value
+    as long as a block draw equals the same number of single draws and
+    each value is one 64-bit step of the generator, as with ``random``
+    and ``uniform`` on PCG64.
     """
 
-    def __init__(self, rngs, draw, size: int = 64):
-        self.rngs, self.draw, self.size = rngs, draw, size
+    def __init__(self, first: np.ndarray, stream, draw):
+        self.stream, self.draw = stream, draw
+        self.rows, self.width = first.shape
         # Row r's buffer is flat[start[r]:start[r] + width]; at[r] is the
         # index of its next unread value, and _safe a count of values that
         # every row still holds unread.
-        self._resize(0)
+        self.flat = first.reshape(-1)
+        self.start = np.arange(self.rows) * self.width
         self.at = self.start.copy()
-        self._safe = 0
-
-    def _resize(self, width: int):
-        self.width = width
-        self.flat = np.empty(len(self.rngs) * width)
-        self.start = np.arange(len(self.rngs)) * width
-        self._reads = np.arange(width)[:, None]
+        self._safe = self.width
+        self._reads = np.arange(self.width)[:, None]
+        self._first = self.width     # values of each row's first fill
+        self._own = False            # whether flat is no longer the fill
+        self._rngs = {}              # row -> its generator, past its draws
 
     def head(self, k: int) -> np.ndarray:
         """Each row's next k values, not yet read, as the column of a
@@ -104,22 +122,43 @@ class BlockStreams:
 
     def _refill(self, k: int):
         """Give every row at least k unread values: a row that holds fewer
-        than k, or than a quarter of its buffer, keeps them and draws the
-        rest of its buffer after them."""
-        flat, left = self.flat, self.start + self.width - self.at
-        short = (left < max(k, self.width // 4)).nonzero()[0]
-        if k > self.width:      # every row moves to a wider buffer
-            self._resize(max(k + self.size, 2 * k))
-            short = np.arange(len(self.rngs))
+        keeps them and draws the rest of its buffer after them.  The rows
+        move to a buffer of their own when one first draws, and to one
+        twice k wide for k above the width."""
+        left = self.start + self.width - self.at
+        short = (left < k).nonzero()[0]
+        if k > self.width:          # every row is short
+            self._move(2 * k)
+        elif len(short) and not self._own:
+            self._move(self.width)
         wide = self.width
         for row, at, n in zip(short.tolist(), self.at[short].tolist(),
                               left[short].tolist()):
             lo = row * wide
-            self.flat[lo:lo + n] = flat[at:at + n]
-            self.flat[lo + n:lo + wide] = self.draw(self.rngs[row], wide - n)
+            self.flat[lo:lo + n] = self.flat[at:at + n]
+            self.flat[lo + n:lo + wide] = self.draw(self._rng(row), wide - n)
         left[short] = wide
         self.at = self.start + wide - left
         self._safe = int(left.min())
+
+    def _move(self, width: int):
+        """Copy every row's buffer to the front of its own, ``width`` wide,
+        in a new buffer that this object alone writes."""
+        rows, old = self.rows, self.flat.reshape(self.rows, -1)
+        self.flat = np.empty(rows * width)
+        self.flat.reshape(rows, -1)[:, :self.width] = old
+        self.at += np.arange(rows) * (width - self.width)
+        self.width, self.start = width, np.arange(rows) * width
+        self._reads = np.arange(width)[:, None]
+        self._own = True
+
+    def _rng(self, row: int):
+        """Row's generator, past the values it has drawn."""
+        rng = self._rngs.get(row)
+        if rng is None:
+            rng = self._rngs[row] = self.stream(row)
+            rng.bit_generator.advance(self._first)
+        return rng
 
 
 def resolve_slot(cells: np.ndarray, n: int, offsets: np.ndarray | None,
@@ -164,15 +203,27 @@ def resolve_slot(cells: np.ndarray, n: int, offsets: np.ndarray | None,
 def _pileups(media, offsets, tx_duration):
     """The transmissions' order, medium after medium and each medium's by
     a stable argsort of its offsets, and whether each position of it
-    starts a pileup, followed by two sentinels that do."""
-    # Complex keys sort by medium, then by offset.
-    key = offsets * 1j
-    key += media
-    order = key.argsort(kind="stable")
-    del key
+    starts a pileup, followed by two sentinels that do.
+
+    Where every medium holds the same count, the media are the rows of a
+    (media, count) grid of offsets, each sorted on its own; otherwise
+    complex keys sort by medium, then by offset."""
+    n, change = len(media), media[1:] != media[:-1]
+    edges = change.nonzero()[0] + 1         # where each later medium starts
+    count = int(edges[0]) if len(edges) else n
+    if n and not n % count and np.array_equal(edges,
+                                              np.arange(count, n, count)):
+        order = offsets.reshape(-1, count).argsort(axis=1, kind="stable")
+        order += np.arange(0, n, count)[:, None]
+        order = order.reshape(-1)
+    else:
+        key = offsets * 1j
+        key += media
+        order = key.argsort(kind="stable")
+        del key
     off = offsets[order]
-    new = np.ones(len(order) + 2, bool)
-    new[1:-2] = (media[1:] != media[:-1]) | (off[1:] >= off[:-1] + tx_duration)
+    new = np.ones(n + 2, bool)
+    new[1:-2] = change | (off[1:] >= off[:-1] + tx_duration)
     return order, new
 
 
@@ -185,7 +236,7 @@ def _flip_coins(media, lone, pairs, seconds, cfg, coins) -> np.ndarray:
         return lone
     # Medium m is slot s of stream r, m - first = s·streams + r, so that a
     # stream's media run down column r of a (slots, streams) table.
-    streams = len(coins.rngs)
+    streams = coins.rows
     first = int(media[0]) - int(media[0]) % streams
     shape = ((int(media[-1]) - first) // streams + 1, streams)
 

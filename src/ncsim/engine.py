@@ -50,16 +50,19 @@ channel; the shared channel stream is loop id 0's), the stream
 not build a SeedSequence per stream: it computes the state words of every
 key of every replication in one pass of numpy's SeedSequence hash over
 arrays of seeds and loop ids (:func:`_seed_words`) and starts each
-stream's PCG64 from its row, so every draw keeps its bits.  The
-contention streams are read through buffers drawn a block at a time,
-which gives the same values.  A group of rows draws its process noise
-whole when its batch is built, and the draw depends only on the rows'
-seed words, the steps and the noise scales.  So in one
-:func:`run_replication_sets` call, batches share what they derive from
-their network alone (:func:`_shared`): the seed words of equal seeds
-and N, the error table of the same systems, whose curves grow by the
-same arithmetic whichever batch asks, and equal noise draws, read-only.
-In practice these are the protocols compared on one network.
+stream's PCG64 from its row, so every draw keeps its bits.  A group of
+rows draws its process noise whole when its batch is built, and the
+draw depends only on the rows' seed words, the steps and the noise
+scales.  The contention streams (access coins, offsets, channel coins)
+are read through buffers whose first fill holds each row's values for
+the whole run, up to a budget; it depends only on the rows' seed words,
+its width and the draw, and a row that reads past it continues its own
+stream.  So in one :func:`run_replication_sets` call, batches share what
+they derive from their network alone (:func:`_shared`): the seed words
+of equal seeds and N, the error table of the same systems, whose curves
+grow by the same arithmetic whichever batch asks, and equal noise draws
+and first fills, read-only.  In practice these are the protocols
+compared on one network.
 
 :func:`run_replication_sets` is the one path that runs replications:
 each config's policy tuning and batches of seeded runs are tasks of one
@@ -77,8 +80,8 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .channel import (BlockStreams, ChannelConfig, resolve_pointtopoint,
-                      resolve_slot)
+from .channel import (BlockStreams, ChannelConfig, first_fill,
+                      resolve_pointtopoint, resolve_slot)
 from .errors import ConfigurationError, InvariantViolation, is_integer
 from .mac import (ReliabilityWindow, SchedulerPolicy, mef_build_schedule,
                   pmef_next, rr_next, wifresh_next)
@@ -99,6 +102,9 @@ _SUM_BLOCK_VALUES = 1 << 12
 # Transmissions one block of slotted medium access can hold at most; bounds
 # the memory of its offsets, coins and transmission lists.
 _SLOT_BLOCK_VALUES = 1 << 12
+# Values one contention stream's first fill holds at most (its rows times
+# its width, one per row where the rows are more); bounds its memory.
+_STREAM_VALUES = 1 << 16
 # A batch of at most this many rows computes its ages in one array pass.
 # The pass's running maximum costs about 3 ns a value, so from about 300
 # rows one subtraction per tick (about 1 us) costs less.
@@ -325,7 +331,8 @@ def _stream(words: np.ndarray) -> np.random.Generator:
 
 # While run_replication_sets runs, in its process and in its forked
 # workers: what the batch built last derived from its network alone, by
-# kind ("words", "table", "noise") and then by the inputs that fix it (see
+# kind ("words", "table", "noise", "access", "offsets", "coins") and then
+# by the inputs that fix it (see
 # _shared).  None outside a call, which shares nothing.  Module state, as a
 # worker keeps it from one task to the next.
 _share: dict | None = None
@@ -504,13 +511,15 @@ class _Run:
     :class:`~ncsim.metrics.MseTable` (``table``) holds the error curves, as
     a curve depends only on its plant, and one MEF pass per frame
     schedules every replication (one column each).  The table, the seed
-    words and the process noise depend on the network alone, so within
-    one :func:`run_replication_sets` call the next batch of the same
-    network takes them over (:func:`_shared`).  What a replication
-    cannot share it keeps to itself: its seed's streams, its slots'
-    resolution with its own shared coin stream (``coins``, one row each),
-    its polls with their :class:`~ncsim.mac.ReliabilityWindow`, and its
-    results.
+    words, the process noise and the first fills of the contention
+    streams (``access``, ``offsets``, ``coins``) depend on the network
+    alone, so within one :func:`run_replication_sets` call the next batch
+    of the same network takes them over (:func:`_shared`).  What a
+    replication cannot share it keeps to itself: where it reads its
+    streams, and past their first fills the streams themselves, its
+    slots' resolution with its own shared coin stream (``coins``, one row
+    each), its polls with their :class:`~ncsim.mac.ReliabilityWindow`,
+    and its results.
     """
 
     def __init__(self, cfg: SimConfig, seeds=None, ages_only: bool = False):
@@ -577,18 +586,21 @@ class _Run:
             lambda row: _stream(channel_words[row]))
         self.access = self.offsets = self.coins = None
         if self.policy.is_contention:
-            # Each replication's capture and erasure coins.
-            self.coins = BlockStreams(
-                [_stream(w) for w in words[_RNG_CHANNEL, ::N + 1]], _random)
-            streams = lambda purpose: [_stream(w)
-                                       for w in words[purpose, keys]]
+            streams = self._contention_streams
             if self.policy.variant in ("slotted_aloha", "adra"):
-                self.access = BlockStreams(streams(_RNG_ACCESS), _random)
-            if self.channel.mode == "offset_capture":
+                self.access = streams("access", words[_RNG_ACCESS, keys],
+                                      _random, "random")
+            capture = self.channel.mode == "offset_capture"
+            if capture:
                 top = self.channel.max_offset
-                self.offsets = BlockStreams(
-                    streams(_RNG_CHANNEL),
-                    lambda rng, size: rng.uniform(0.0, top, size))
+                self.offsets = streams(
+                    "offsets", words[_RNG_CHANNEL, keys],
+                    lambda rng, size: rng.uniform(0.0, top, size),
+                    ("uniform", top))
+            if capture or self.channel.erasure_prob:
+                # Each replication's capture and erasure coins.
+                self.coins = streams("coins", words[_RNG_CHANNEL, ::N + 1],
+                                     _random, "random")
         # An age threshold of 1 or less never gates: nu <= t - 1 in slot t.
         self.gated = (self.policy.variant == "adra"
                       and self.policy.threshold >= 2)
@@ -603,6 +615,20 @@ class _Run:
         # A poll or its reply that is lost is given up this long after
         # the poll was sent.
         self.poll_wait_us = 2 * self.tx_us + round(POLL_GUARD_S * 1e6)
+
+    def _contention_streams(self, kind: str, words: np.ndarray, draw,
+                            name) -> BlockStreams:
+        """The streams seeded by the rows of ``words``, read through a
+        buffer whose first fill holds each row's values for every slot of
+        the run, or ``_STREAM_VALUES`` in all.  The fill depends only on
+        the words, its width and the draw, which ``name`` names, so the
+        batches of one network draw it once (:func:`_shared`)."""
+        width = min(self.steps + 1, max(1, _STREAM_VALUES // len(words)))
+        stream = lambda row: _stream(words[row])
+        first = _shared(kind, [(words.tobytes(), width, name)],
+                        lambda _: first_fill(stream, len(words), draw,
+                                             width))[0]
+        return BlockStreams(first, stream, draw)
 
     # ---- plant pass -------------------------------------------------------
 
@@ -1054,8 +1080,9 @@ def run_replication_sets(cfgs: list[SimConfig], reps: int, jobs: int = 1, *,
     With ``ages_only`` every batch is an age-only run (see :class:`_Run`),
     whose results :func:`summarize_replications` rejects: their stage
     cost is nan and they flag no divergence.
-    Consecutive batches of one network build its seed words, error table
-    and process noise once (see :func:`_shared`): in this process for one
+    Consecutive batches of one network build its seed words, error
+    table, process noise and contention streams' first fills once (see
+    :func:`_shared`): in this process for one
     job, in each worker for more; the share ends with the call.  A worker
     unpickles new system objects for every task, so there tables are
     shared only within a task.

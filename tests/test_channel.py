@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ncsim.channel import (BlockStreams, ChannelConfig, resolve_pointtopoint,
-                           resolve_slot)
+from ncsim.channel import (BlockStreams, ChannelConfig, _pileups, first_fill,
+                           resolve_pointtopoint, resolve_slot)
 from ncsim.engine import SimConfig, _Run, systems_from_classes
 from ncsim.errors import ConfigurationError
 from ncsim.mac import SchedulerPolicy
@@ -36,10 +36,17 @@ def random_draws(rng, size):
     return rng.random(size)
 
 
+def streams(draw, seeds, width=64):
+    """Streams of ``default_rng(seed)`` for each of ``seeds``, read through
+    a buffer whose first fill is ``width`` values wide."""
+    stream = lambda row: np.random.default_rng(seeds[row])
+    return BlockStreams(first_fill(stream, len(seeds), draw, width), stream,
+                        draw)
+
+
 def shared(*seeds):
     """Shared coin streams, one per replication, read a block at a time."""
-    return BlockStreams([np.random.default_rng(s) for s in seeds],
-                        random_draws)
+    return streams(random_draws, seeds)
 
 
 def block(slots, cfg, coins, n=64):
@@ -260,15 +267,10 @@ def test_block_resolution_matches_per_slot(data, mode, cp, eps, reps, n,
     assert coins.head(1)[0].tolist() == [ref.random() for ref in refs]
 
 
-def uniform_streams(cfg, seeds, size=64):
-    return BlockStreams([np.random.default_rng(s) for s in seeds],
-                        lambda rng, k: rng.uniform(0.0, cfg.max_offset, k),
-                        size)
-
-
 def test_strict_run_builds_no_offset_streams():
     """Offsets are drawn only on the capture channel, so a strict run's
-    loops keep their channel streams for nothing else."""
+    loops keep their channel streams for nothing else; an erasure-free
+    strict run flips no coin, so it draws no coins either."""
     systems = systems_from_classes(3)
     for variant in ("aloha", "slotted_aloha"):
         def run_for(channel):
@@ -276,32 +278,86 @@ def test_strict_run_builds_no_offset_streams():
                                   policy=SchedulerPolicy(variant, p=0.3),
                                   channel=channel, duration_s=1.0,
                                   warmup_s=0.2, cooldown_s=0.2))
-        assert run_for(strict()).offsets is None
-        assert run_for(capture()).offsets is not None
+        strict_run = run_for(strict())
+        assert strict_run.offsets is None and strict_run.coins is None
+        assert run_for(strict(eps=0.1)).coins is not None
+        capture_run = run_for(capture())
+        assert capture_run.offsets is not None
+        assert capture_run.coins is not None
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(reads=st.lists(st.tuples(st.integers(0, 12),
                                 st.lists(st.integers(0, 12), min_size=3,
                                          max_size=3)),
                       max_size=40),
-       size=st.integers(1, 5))
-def test_block_streams_match_single_draws(reads, size):
+       width=st.integers(1, 5), runs=st.integers(1, 2))
+@example(reads=[(1, [0, 0, 1]), (1, [0, 1, 0])], width=1, runs=1)
+def test_block_streams_match_single_draws(reads, width, runs):
     """Reading rows in any pattern, across refills and widenings, gives
     each row the values its generator would give one call at a time; a
-    head shows the values a row left unread again."""
+    head shows the values a row left unread again.  Buffers that share
+    one first fill read it in turns, each in its own pattern, and rows
+    that read past it continue their streams."""
     cfg = capture()
-    streams = uniform_streams(cfg, [4, 5, 6], size)
-    single = [np.random.default_rng(s) for s in (4, 5, 6)]
-    for k, counts in reads:
+    draw = lambda rng, k: rng.uniform(0.0, cfg.max_offset, k)
+    seeds = [4, 5, 6]
+    stream = lambda row: np.random.default_rng(seeds[row])
+    first = first_fill(stream, 3, draw, width)
+    buffers = [BlockStreams(first, stream, draw) for _ in range(runs)]
+    singles = [[np.random.default_rng(s) for s in seeds] for _ in buffers]
+    for j, (k, counts) in enumerate(reads):
+        buffer, single = buffers[j % runs], singles[j % runs]
         counts = [min(c, k) for c in counts]
-        head = streams.head(k)
+        head = buffer.head(k)
         assert head.shape == (k, 3)
-        streams.advance(np.array(counts))
+        buffer.advance(np.array(counts))
         for r, count in enumerate(counts):
             assert head[:count, r].tolist() == [
                 float(single[r].uniform(0.0, cfg.max_offset))
                 for _ in range(count)]
+    assert first.tolist() == [draw(stream(r), width).tolist()
+                              for r in range(3)]
+
+
+@st.composite
+def pileup_blocks(draw):
+    """Ascending media (unequal counts, gaps between them, equal counts,
+    one full medium or none at all) and offsets on a 0.5 ms grid, where
+    ties occur."""
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["any", "equal", "full", "empty"]))
+    if shape == "empty":
+        media = []
+    elif shape == "full":
+        media = [draw(st.integers(0, 4))] * n
+    else:
+        chosen = sorted(draw(st.sets(st.integers(0, 8), max_size=5)))
+        count = draw(st.integers(1, n))
+        media = [m for m in chosen for _ in range(
+            count if shape == "equal" else draw(st.integers(1, n)))]
+    grid = draw(st.lists(st.integers(0, 6), min_size=len(media),
+                         max_size=len(media)))
+    return (np.array(media, np.int64).reshape(-1),
+            np.array(grid, float).reshape(-1) * 0.0005)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=pileup_blocks())
+def test_pileups_order_by_medium_offset_and_position(block):
+    """The pileup order is Python's ``sorted`` by (medium, offset,
+    position), and a pileup starts at each new medium and where an offset
+    reaches the previous one plus the transmission time."""
+    media, offsets = block
+    tx = 0.001
+    order, new = _pileups(media, offsets, tx)
+    want = sorted(range(len(media)),
+                  key=lambda i: (media[i], offsets[i], i))
+    assert order.tolist() == want
+    starts = [j == 0 or media[want[j]] != media[want[j - 1]]
+              or offsets[want[j]] >= offsets[want[j - 1]] + tx
+              for j in range(len(want))]
+    assert new.tolist() == starts + [True, True]
 
 
 def test_determinism_under_fixed_seed():

@@ -947,12 +947,27 @@ def config_lists(draw, copies=False):
     return cfgs
 
 
+def contention_configs(channel, duration=1.0):
+    """ALOHA, slotted ALOHA and the age threshold open (0) and gating (2)
+    on one N = 5 network."""
+    def cfg(variant, **pol):
+        return cfg_for(5, variant, channel=channel, duration=duration,
+                       trim=0.1, **pol)
+    return [cfg("aloha"), cfg("slotted_aloha", p=0.3),
+            cfg("adra", threshold=0, p=0.3), cfg("adra", threshold=2, p=0.3)]
+
+
 @settings(max_examples=20, deadline=None)
 @given(cfgs=config_lists(), reps=st.integers(1, 3))
+@example(cfgs=contention_configs(ChannelConfig(mode="offset_capture",
+                                               erasure_prob=0.05), 0.4),
+         reps=2)
 def test_one_call_equals_lone_runs(cfgs, reps):
     """Each config of one call gives, bit for bit, the results of its lone
     batch, with one job and with two, whichever configs share a noise
-    draw."""
+    draw or a contention stream's first fill.  In the example, the
+    contention protocols of one network share every first fill, and rows
+    of the coin streams read past theirs."""
     lone = [bits(run(cfg, range(cfg.seed, cfg.seed + reps))) for cfg in cfgs]
     for jobs in (1, 2):
         sets = run_replication_sets(cfgs, reps, jobs)
@@ -1081,6 +1096,33 @@ def test_equal_noise_draws_are_shared_within_a_call(monkeypatch):
         run_replication_sets(schedulers, reps=3)
     assert len(built) == 15 and ncsim.engine._share is None
     assert len(tables) == len(words) == 1
+
+
+def test_contention_streams_are_drawn_once_per_network(monkeypatch):
+    """The contention protocols on one network (N = 5, R = 3, capture
+    channel) draw each contention stream's first fill once per call: the
+    offsets' and the access coins' R·N rows and the R channel coin rows,
+    besides the noise's R·N, where their lone runs build 33 + 3 · 48
+    streams.  No row reads past its fill here, and the fills are read in
+    place, never written.  Each config's results are its lone batch's; a
+    second call draws again, and nothing is kept after a call."""
+    built, fills = [], []
+    stream, fill = ncsim.engine._stream, ncsim.engine.first_fill
+    monkeypatch.setattr(ncsim.engine, "_stream",
+                        lambda words: (built.append(1), stream(words))[1])
+    monkeypatch.setattr(ncsim.engine, "first_fill", lambda *args: (
+        fills.append(fill(*args)), fills[-1])[1])
+    cfgs = contention_configs(ChannelConfig(mode="offset_capture"))
+    for call in (1, 2):
+        sets = run_replication_sets(cfgs, reps=3)
+        assert len(built) == call * (15 + 15 + 15 + 3)
+        assert sorted(len(f) for f in fills) == sorted(call * [3, 15, 15])
+        assert ncsim.engine._share is None
+    assert not any(f.flags.writeable for f in fills)
+    built.clear()
+    for cfg, results in sets:
+        assert [bits(r) for r in results] == bits(run(cfg, range(3)))
+    assert len(built) == 33 + 3 * 48
 
 
 @settings(max_examples=15, deadline=None)
